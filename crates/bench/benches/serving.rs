@@ -1,12 +1,11 @@
 //! Host-side serving speed: wall-clock cost of serving one batch of nn
-//! inference requests through the cluster, engine tiers interleaved.
+//! inference requests through the cluster.
 //!
 //! The simulated clock domain (rps, latency percentiles — the committed
-//! `BENCH_serving.json`) is engine-tier-invariant by construction; what
-//! the tiers change is how fast the host simulates the batch. This bench
-//! records that: batch wall time with the superblock trace tier on vs
-//! off, single host worker (the shared-runner hosts have one CPU — thread
-//! fan-out would only add scheduler noise to the pair ratio).
+//! `BENCH_serving.json`) is a pure function of the submitted work; this
+//! bench records how fast the host simulates the batch, as simulated
+//! instructions per host second, with a single host worker (thread
+//! fan-out would only add scheduler noise on a one-CPU host).
 //!
 //! Run with `cargo bench --bench serving`; set
 //! `SMALLFLOAT_BENCH_JSON=<path>` for the machine-readable report.
@@ -16,15 +15,14 @@ use smallfloat_isa::FpFmt;
 use smallfloat_kernels::VecMode;
 use smallfloat_nn::graph::{cnn, mlp};
 use smallfloat_nn::ServingModel;
-use smallfloat_sim::{set_trace_override, MemLevel};
+use smallfloat_sim::MemLevel;
 
 const REQUESTS: usize = 16;
 const CORES: usize = 4;
 
 /// Serve one batch on a fresh cluster; returns total retired instructions
 /// (the throughput denominator — simulated instructions per host second).
-fn serve_batch(model: &ServingModel, samples: &[Vec<f64>], traces: bool) -> u64 {
-    set_trace_override(Some(traces));
+fn serve_batch(model: &ServingModel, samples: &[Vec<f64>]) -> u64 {
     let mut cluster = model.cluster(CORES, 7);
     for (i, x) in samples.iter().enumerate() {
         cluster.submit(model.request(i as u64, x));
@@ -38,25 +36,11 @@ fn main() {
     for (net, ds) in [mlp(), cnn()] {
         let samples: Vec<Vec<f64>> = ds.inputs[..REQUESTS].to_vec();
         let model = ServingModel::build(&net, FpFmt::H, VecMode::Auto, MemLevel::L1);
-        let instret = serve_batch(&model, &samples, true);
+        let instret = serve_batch(&model, &samples);
         h.throughput(instret);
-        let name = net.name.to_lowercase();
-        h.bench_pair(
-            &format!("serve_{name}_traces"),
-            || serve_batch(&model, &samples, true),
-            &format!("serve_{name}_blocks"),
-            || serve_batch(&model, &samples, false),
-        );
-    }
-    set_trace_override(None);
-    for pair in h.results().chunks(2) {
-        if let [on, off] = pair {
-            eprintln!(
-                "  {:<24} trace-tier speedup {:.2}x",
-                on.name.trim_end_matches("_traces"),
-                off.min_ns / on.min_ns
-            );
-        }
+        h.bench(&format!("serve_{}", net.name.to_lowercase()), || {
+            serve_batch(&model, &samples)
+        });
     }
     h.finish();
 }

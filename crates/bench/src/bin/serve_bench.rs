@@ -1,6 +1,6 @@
 //! Sharded batch-inference serving benchmark.
 //!
-//! Default: the committed sweep (net × format × engine tier × core count,
+//! Default: the committed sweep (net × format × core count,
 //! simulated-clock-domain rps and latency percentiles). Flags:
 //!
 //! * `--json <path>` — also write the `BENCH_serving.json` record;

@@ -1,13 +1,11 @@
 //! Differential replay fleet: record every benchmark grid point on the
-//! reference interpreter, replay every segment on a cached engine tier
-//! (block cache alone, or with the superblock trace tier stacked on top)
-//! in parallel, and bisect any divergence to the exact retired
+//! reference interpreter, replay every segment on the block micro-op
+//! cache in parallel, and bisect any divergence to the exact retired
 //! instruction.
 //!
 //! Usage: `testrunner [--full] [--snap-every N]`
-//!   --full         replay the whole workload × precision × mode grid on
-//!                  both engine tiers (default: rotating
-//!                  one-point-per-workload subset alternating tiers)
+//!   --full         replay the whole workload × precision × mode grid
+//!                  (default: rotating one-point-per-workload subset)
 //!   --snap-every N snapshot interval in retired instructions
 //!
 //! `SMALLFLOAT_SERIAL=1` serializes segment replay. Exits nonzero when

@@ -2,9 +2,8 @@
 //!
 //! One grid point = one benchmark kernel at one precision and one
 //! vectorization mode (the same grid as every figure driver), replayed on
-//! one cached engine tier (the block micro-op cache alone, or with the
-//! superblock trace tier stacked on top — [`EngineTier`]). For each point
-//! the runner records a reference execution — the per-instruction
+//! the block micro-op cache. For each point the runner records a
+//! reference execution — the per-instruction
 //! interpreter path, block cache off — with a [`CpuSnapshot`] every
 //! `snap_every` retirements, then replays every segment on the chosen
 //! engine **in parallel** (via [`crate::par::par_map`], so
@@ -29,37 +28,6 @@ use std::fmt::Write as _;
 
 /// Default snapshot interval (retired instructions) for fleet recordings.
 pub const SNAP_EVERY: u64 = 5_000;
-
-/// Cached engine tier a grid point's segments replay on. The reference
-/// side of every comparison is always the per-instruction interpreter;
-/// sweeping both tiers proves each one lands bit-identically, not just
-/// the stack as a whole.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineTier {
-    /// Basic-block micro-op cache only (trace tier disabled).
-    Blocks,
-    /// Superblock trace tier stacked on the block cache.
-    Traces,
-}
-
-impl EngineTier {
-    /// Both tiers, in sweep order.
-    pub const ALL: [EngineTier; 2] = [EngineTier::Blocks, EngineTier::Traces];
-
-    /// Short label used in grid-point names.
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineTier::Blocks => "blocks",
-            EngineTier::Traces => "traces",
-        }
-    }
-
-    /// Configure `cpu` to execute on this tier.
-    fn configure(self, cpu: &mut Cpu) {
-        cpu.set_block_cache(true);
-        cpu.set_trace_cache(self == EngineTier::Traces);
-    }
-}
 
 /// Instruction cap per grid point (same as the kernels runner).
 const MAX_INSTRUCTIONS: u64 = 200_000_000;
@@ -225,29 +193,22 @@ pub fn record_point(
 }
 
 /// Record one grid point, then replay every segment in parallel on the
-/// chosen engine tier, bisecting divergences. `fault` optionally corrupts
-/// the engine mid-run to exercise the bisection path.
+/// block engine, bisecting divergences. `fault` optionally corrupts the
+/// engine mid-run to exercise the bisection path.
 pub fn verify_point(
     w: &dyn Workload,
     prec: &Precision,
     mode: VecMode,
-    tier: EngineTier,
     snap_every: u64,
     fault: Option<FaultSpec>,
 ) -> PointOutcome {
-    let label = format!(
-        "{} {} {} [{}]",
-        w.name(),
-        prec.label(),
-        mode.label(),
-        tier.label()
-    );
+    let label = format!("{} {} {}", w.name(), prec.label(), mode.label());
     let recording = record_point(w, prec, mode, snap_every);
     let segments = recording.segments();
     let outcomes = par_map(segments.len(), |i| {
         let seg = &segments[i];
         let mut engine = Cpu::new(SimConfig::default());
-        tier.configure(&mut engine);
+        engine.set_block_cache(true);
         match fault {
             None => {
                 let mut reference = Cpu::new(SimConfig::default());
@@ -308,9 +269,8 @@ fn verify_faulted_segment(
 }
 
 /// Run the replay fleet over the grid. `full` replays every workload ×
-/// precision × mode point on **both** engine tiers; otherwise a rotating
-/// one-point-per-workload subset (all precisions, modes and tiers still
-/// appear across the suite).
+/// precision × mode point; otherwise a rotating one-point-per-workload
+/// subset (all precisions and modes still appear across the suite).
 pub fn run_fleet(full: bool, snap_every: u64) -> FleetReport {
     let mut points = Vec::new();
     for (i, w) in suite().iter().enumerate() {
@@ -318,16 +278,13 @@ pub fn run_fleet(full: bool, snap_every: u64) -> FleetReport {
         if full {
             for prec in &precs {
                 for mode in VecMode::ALL {
-                    for tier in EngineTier::ALL {
-                        points.push(verify_point(w.as_ref(), prec, mode, tier, snap_every, None));
-                    }
+                    points.push(verify_point(w.as_ref(), prec, mode, snap_every, None));
                 }
             }
         } else {
             let prec = &precs[i % precs.len()];
             let mode = VecMode::ALL[i % VecMode::ALL.len()];
-            let tier = EngineTier::ALL[i % EngineTier::ALL.len()];
-            points.push(verify_point(w.as_ref(), prec, mode, tier, snap_every, None));
+            points.push(verify_point(w.as_ref(), prec, mode, snap_every, None));
         }
     }
     FleetReport { points }
@@ -351,7 +308,6 @@ mod tests {
             w.as_ref(),
             &Precision::F16,
             VecMode::Auto,
-            EngineTier::Traces,
             2_000,
             Some(fault),
         );
@@ -387,16 +343,8 @@ mod tests {
     fn fleet_logs_identical_serial_and_parallel() {
         let suite = suite();
         let w = &suite[2]; // ATAX
-        let point = |snap: u64| {
-            verify_point(
-                w.as_ref(),
-                &Precision::F16Alt,
-                VecMode::Scalar,
-                EngineTier::Traces,
-                snap,
-                None,
-            )
-        };
+        let point =
+            |snap: u64| verify_point(w.as_ref(), &Precision::F16Alt, VecMode::Scalar, snap, None);
         crate::par::set_serial(true);
         let serial = point(3_000);
         crate::par::set_serial(false);

@@ -10,8 +10,7 @@
 //! convention): the deterministic schedule pass assigns every request a
 //! start/end cycle, and those are a pure function of the submitted work —
 //! not of the host thread count or the engine tier. The host-side wall
-//! clock is reported separately per point (it is what the engine tiers
-//! actually change: simulation speed).
+//! clock is reported separately per point (simulation speed).
 //!
 //! Two load models share one execution pass per point (service cycles are
 //! arrival-independent):
@@ -28,7 +27,6 @@
 //! column, gated to zero by `scripts/check.sh --smoke` and the sweep).
 
 use crate::nn::fmt_name;
-use crate::replay::EngineTier;
 use smallfloat_cluster::WorkDescriptor;
 use smallfloat_devtools::percentile;
 use smallfloat_devtools::Rng;
@@ -36,7 +34,7 @@ use smallfloat_isa::FpFmt;
 use smallfloat_kernels::VecMode;
 use smallfloat_nn::graph::{cnn, mlp, Dataset, Network};
 use smallfloat_nn::ServingModel;
-use smallfloat_sim::{set_trace_override, MemLevel};
+use smallfloat_sim::MemLevel;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -60,8 +58,6 @@ pub struct ServingRow {
     pub net: &'static str,
     /// Uniform storage format served at.
     pub fmt: FpFmt,
-    /// Engine tier the host simulation ran on.
-    pub tier: EngineTier,
     /// Simulated core count.
     pub cores: usize,
     /// Requests in the batch.
@@ -82,23 +78,21 @@ pub struct ServingRow {
     pub open_p99_cycles: u64,
     /// Sampled requests that failed the single-core bit-identity gate.
     pub divergences: usize,
-    /// Host wall-clock for the batch execution (what the tier changes).
+    /// Host wall-clock for the batch execution.
     pub host_ms: f64,
 }
 
-/// Serve one batch on an N-core cluster at one engine tier and measure
-/// it. `sample_every` controls the reference divergence gate (1 = replay
-/// every request on the single-core reference).
+/// Serve one batch on an N-core cluster and measure it. `sample_every`
+/// controls the reference divergence gate (1 = replay every request on
+/// the single-core reference).
 pub fn serve_point(
     model: &ServingModel,
     net: &'static str,
     samples: &[Vec<f64>],
-    tier: EngineTier,
     cores: usize,
     seed: u64,
     sample_every: usize,
 ) -> ServingRow {
-    set_trace_override(Some(tier == EngineTier::Traces));
     let descs: Vec<WorkDescriptor> = samples
         .iter()
         .enumerate()
@@ -125,14 +119,12 @@ pub fn serve_point(
             divergences += 1;
         }
     }
-    set_trace_override(None);
     let completion: Vec<u64> = results.iter().map(|r| r.end_cycle).collect();
     let service: Vec<u64> = results.iter().map(|r| r.stats.cycles).collect();
     let (open_rps, open_lat) = open_loop(&service, cores, seed);
     ServingRow {
         net,
         fmt: model.fmt(),
-        tier,
         cores,
         requests: samples.len(),
         makespan_cycles: report.makespan_cycles,
@@ -174,10 +166,9 @@ fn open_loop(service: &[u64], cores: usize, seed: u64) -> (f64, Vec<u64>) {
 }
 
 /// The committed sweep: MLP at binary32/binary16/binary8 and CNN at
-/// binary16, each over both engine tiers and core counts {1, 2, 4, 8},
-/// `requests` requests per point. Asserts the simulated-domain metrics
-/// are engine-tier-invariant (the tiers only change host speed) and that
-/// no sampled request diverged from the single-core reference.
+/// binary16, each over core counts {1, 2, 4, 8}, `requests` requests per
+/// point. Asserts that no sampled request diverged from the single-core
+/// reference.
 pub fn serving_sweep(requests: usize) -> Vec<ServingRow> {
     let cores = [1usize, 2, 4, 8];
     let mut rows = Vec::new();
@@ -193,59 +184,29 @@ pub fn serving_sweep(requests: usize) -> Vec<ServingRow> {
             .collect();
         for &fmt in &fmts {
             let model = ServingModel::build(&net, fmt, VecMode::Auto, MemLevel::L1);
-            for tier in EngineTier::ALL {
-                for &c in &cores {
-                    rows.push(serve_point(
-                        &model,
-                        net.name,
-                        &samples,
-                        tier,
-                        c,
-                        SEED ^ c as u64,
-                        SAMPLE_EVERY,
-                    ));
-                }
+            for &c in &cores {
+                rows.push(serve_point(
+                    &model,
+                    net.name,
+                    &samples,
+                    c,
+                    SEED ^ c as u64,
+                    SAMPLE_EVERY,
+                ));
             }
         }
     }
-    assert_invariants(&rows);
-    rows
-}
-
-/// The sweep's structural guarantees: zero reference divergences, and the
-/// simulated clock domain is a function of (net, fmt, cores) only — both
-/// engine tiers land on identical makespans and latency percentiles.
-fn assert_invariants(rows: &[ServingRow]) {
-    for r in rows {
+    for r in &rows {
         assert_eq!(
             r.divergences,
             0,
-            "{} {} [{}] x{}: sampled requests diverged from the single-core reference",
+            "{} {} x{}: sampled requests diverged from the single-core reference",
             r.net,
             fmt_name(r.fmt),
-            r.tier.label(),
             r.cores
         );
     }
-    for a in rows.iter().filter(|r| r.tier == EngineTier::Blocks) {
-        let b = rows
-            .iter()
-            .find(|r| {
-                r.tier == EngineTier::Traces
-                    && r.net == a.net
-                    && r.fmt == a.fmt
-                    && r.cores == a.cores
-            })
-            .expect("every point runs on both tiers");
-        assert_eq!(
-            (a.makespan_cycles, a.p50_cycles, a.p99_cycles),
-            (b.makespan_cycles, b.p50_cycles, b.p99_cycles),
-            "{} {} x{}: simulated metrics must be engine-tier-invariant",
-            a.net,
-            fmt_name(a.fmt),
-            a.cores
-        );
-    }
+    rows
 }
 
 /// Human-readable sweep table with per-series scaling factors.
@@ -259,10 +220,9 @@ pub fn serving_render(rows: &[ServingRow]) -> String {
     .unwrap();
     writeln!(
         out,
-        "{:<5} {:<11} {:<7} {:>5} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>4} {:>9}",
+        "{:<5} {:<11} {:>5} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>4} {:>9}",
         "net",
         "fmt",
-        "tier",
         "cores",
         "req",
         "rps",
@@ -277,10 +237,9 @@ pub fn serving_render(rows: &[ServingRow]) -> String {
     for r in rows {
         writeln!(
             out,
-            "{:<5} {:<11} {:<7} {:>5} {:>4} {:>10.0} {:>10} {:>10} {:>10} {:>10} {:>4} {:>9.1}",
+            "{:<5} {:<11} {:>5} {:>4} {:>10.0} {:>10} {:>10} {:>10} {:>10} {:>4} {:>9.1}",
             r.net,
             fmt_name(r.fmt),
-            r.tier.label(),
             r.cores,
             r.requests,
             r.rps,
@@ -293,18 +252,17 @@ pub fn serving_render(rows: &[ServingRow]) -> String {
         )
         .unwrap();
     }
-    // Scaling lines: throughput at 4 cores vs 1 core per (net, fmt, tier).
+    // Scaling lines: throughput at 4 cores vs 1 core per (net, fmt).
     for base in rows.iter().filter(|r| r.cores == 1) {
         if let Some(four) = rows
             .iter()
-            .find(|r| r.cores == 4 && r.net == base.net && r.fmt == base.fmt && r.tier == base.tier)
+            .find(|r| r.cores == 4 && r.net == base.net && r.fmt == base.fmt)
         {
             writeln!(
                 out,
-                "{} {} [{}]: 4-core throughput {:.2}x of 1-core",
+                "{} {}: 4-core throughput {:.2}x of 1-core",
                 base.net,
                 fmt_name(base.fmt),
-                base.tier.label(),
                 four.rps / base.rps
             )
             .unwrap();
@@ -320,19 +278,18 @@ pub fn serving_json(rows: &[ServingRow]) -> String {
     out.push_str("  \"bench\": \"serving\",\n");
     writeln!(out, "  \"clock_ghz\": {CLOCK_GHZ},").unwrap();
     out.push_str(
-        "  \"unit\": \"requests/second and latency percentiles in the simulated clock domain; host_ms is wall-clock of the batch execution (what the engine tier changes)\",\n",
+        "  \"unit\": \"requests/second and latency percentiles in the simulated clock domain; host_ms is wall-clock of the batch execution\",\n",
     );
     out.push_str(
-        "  \"methodology\": \"cargo run --release -p smallfloat-bench --bin serve_bench -- --json BENCH_serving.json. Each point serves a batch of nn inference requests as multi-stage cluster work descriptors (one stage per layer, activations piped as raw bytes) over {1,2,4,8} simulated cores on both cached engine tiers (block micro-op cache alone / superblock traces stacked on it). Closed-loop latency is the completion cycle under arrivals at cycle 0; open-loop uses seeded exponential arrivals at 70% utilization replayed through the same earliest-free-core schedule. Every 8th request is replayed on a single-core reference and must match bit for bit (outputs, fflags, cycles, energy) — the divergences column. Simulated-domain numbers are asserted identical across engine tiers and host thread counts; the file must regenerate byte-identically apart from host_ms.\",\n",
+        "  \"methodology\": \"cargo run --release -p smallfloat-bench --bin serve_bench -- --json BENCH_serving.json. Each point serves a batch of nn inference requests as multi-stage cluster work descriptors (one stage per layer, activations piped as raw bytes) over {1,2,4,8} simulated cores on the block micro-op cache engine. Closed-loop latency is the completion cycle under arrivals at cycle 0; open-loop uses seeded exponential arrivals at 70% utilization replayed through the same earliest-free-core schedule. Every 8th request is replayed on a single-core reference and must match bit for bit (outputs, fflags, cycles, energy) — the divergences column. Simulated-domain numbers are identical across engine tiers and host thread counts; the file must regenerate byte-identically apart from host_ms.\",\n",
     );
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         writeln!(
             out,
-            "    {{\"net\": \"{}\", \"fmt\": \"{}\", \"tier\": \"{}\", \"cores\": {}, \"requests\": {}, \"makespan_cycles\": {}, \"rps\": {:.0}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"open_rps\": {:.0}, \"open_p50_cycles\": {}, \"open_p99_cycles\": {}, \"divergences\": {}, \"host_ms\": {:.1}}}{}",
+            "    {{\"net\": \"{}\", \"fmt\": \"{}\", \"cores\": {}, \"requests\": {}, \"makespan_cycles\": {}, \"rps\": {:.0}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"open_rps\": {:.0}, \"open_p50_cycles\": {}, \"open_p99_cycles\": {}, \"divergences\": {}, \"host_ms\": {:.1}}}{}",
             r.net,
             fmt_name(r.fmt),
-            r.tier.label(),
             r.cores,
             r.requests,
             r.makespan_cycles,
@@ -363,8 +320,8 @@ pub fn smoke() -> Result<String, String> {
     let (net, ds) = mlp();
     let samples: Vec<Vec<f64>> = ds.inputs[..12].to_vec();
     let model = ServingModel::build(&net, FpFmt::H, VecMode::Auto, MemLevel::L1);
-    let one = serve_point(&model, net.name, &samples, EngineTier::Traces, 1, SEED, 1);
-    let two = serve_point(&model, net.name, &samples, EngineTier::Traces, 2, SEED, 1);
+    let one = serve_point(&model, net.name, &samples, 1, SEED, 1);
+    let two = serve_point(&model, net.name, &samples, 2, SEED, 1);
     if one.divergences != 0 || two.divergences != 0 {
         return Err(format!(
             "cross-core divergence vs single-core reference: {} on 1 core, {} on 2 cores",
@@ -397,20 +354,28 @@ mod tests {
         assert!(msg.contains("0/24 divergences"), "{msg}");
     }
 
-    /// A tiny two-tier, two-core sweep point pair: simulated metrics are
-    /// tier-invariant and the open-loop generator is deterministic.
+    /// A tiny two-core sweep point served twice: simulated metrics and the
+    /// open-loop generator are deterministic.
     #[test]
-    fn simulated_metrics_are_tier_invariant() {
+    fn simulated_metrics_are_deterministic() {
         let (net, ds) = mlp();
         let samples: Vec<Vec<f64>> = ds.inputs[..8].to_vec();
         let model = ServingModel::build(&net, FpFmt::H, VecMode::Auto, MemLevel::L1);
-        let rows: Vec<ServingRow> = EngineTier::ALL
-            .iter()
-            .map(|&tier| serve_point(&model, net.name, &samples, tier, 2, SEED, 4))
+        let rows: Vec<ServingRow> = (0..2)
+            .map(|_| serve_point(&model, net.name, &samples, 2, SEED, 4))
             .collect();
-        assert_invariants(&rows);
-        assert_eq!(rows[0].open_p50_cycles, rows[1].open_p50_cycles);
-        assert_eq!(rows[0].open_p99_cycles, rows[1].open_p99_cycles);
+        let simulated = |r: &ServingRow| {
+            (
+                r.divergences,
+                r.makespan_cycles,
+                r.p50_cycles,
+                r.p99_cycles,
+                r.open_p50_cycles,
+                r.open_p99_cycles,
+            )
+        };
+        assert_eq!(simulated(&rows[0]), simulated(&rows[1]));
+        assert_eq!(rows[0].divergences, 0);
         assert!(rows[0].rps > 0.0 && rows[0].p99_cycles >= rows[0].p50_cycles);
     }
 }

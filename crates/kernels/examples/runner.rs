@@ -1,9 +1,7 @@
 //! Kernel runner CLI: execute one benchmark variant on the simulator and
 //! print its statistics; `--hot-blocks` additionally prints the top-10
-//! basic blocks *and* superblock traces by dynamic instruction count (pc
-//! range, static length, execution count and share of retired
-//! instructions), plus the trace-tier diagnostics (formation and
-//! invalidation tallies, in-trace coverage, fusion hits by kind).
+//! basic blocks by dynamic instruction count (pc range, static length,
+//! execution count and share of retired instructions).
 //!
 //!     cargo run --release -p smallfloat-kernels --example runner -- \
 //!         GEMM float16 auto --hot-blocks
@@ -11,10 +9,8 @@
 //! Arguments (all optional, any order): a workload name (SVM, GEMM, ATAX,
 //! SYRK, SYR2K, FDTD2D), a precision label (float, float16, float16alt,
 //! float8, float8alt) and a mode label (scalar, auto, manual). Defaults:
-//! `GEMM float16 auto`. `SMALLFLOAT_HOT_BLOCKS=1` /
-//! `SMALLFLOAT_TRACE_STATS=1` force the respective report for every
-//! simulated run regardless of the flag; `SMALLFLOAT_NOTRACES=1` disables
-//! the trace tier entirely.
+//! `GEMM float16 auto`. `SMALLFLOAT_HOT_BLOCKS=1` prints the report for
+//! every simulated run regardless of the flag.
 
 use smallfloat_kernels::bench::{run, suite, Precision, VecMode};
 use smallfloat_sim::{hot_block_report, MemLevel};
@@ -57,12 +53,5 @@ fn main() {
             "top blocks by dynamic instructions:\n{}",
             hot_block_report(&result.hot_blocks, result.stats.instret)
         );
-        if !result.hot_traces.is_empty() {
-            println!(
-                "top traces by dynamic instructions:\n{}",
-                hot_block_report(&result.hot_traces, result.stats.instret)
-            );
-        }
-        println!("{}", result.trace.report(result.stats.instret));
     }
 }

@@ -3,7 +3,6 @@
 use smallfloat_isa::Instr;
 use smallfloat_sim::{
     hot_block_report, Cpu, CpuSnapshot, ExitReason, HotBlock, MemLevel, SimConfig, Stats,
-    TraceStats,
 };
 use smallfloat_softfp::{ops, Env, Rounding};
 use smallfloat_xcc::codegen::{Compiled, TEXT_BASE};
@@ -12,16 +11,14 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A warmed simulator: a `Cpu` whose decode caches (predecode window,
-/// lowered blocks, formed traces, the trace tier's demotion verdicts) were
-/// trained on `program`, plus the clean pre-run snapshot every launch
-/// forks from. Re-launching the same kernel — a conv layer runs once per
-/// sample, a server runs once per request, an inference pipeline cycles
-/// through its layers once per call — restores the snapshot instead of
-/// rebuilding from reset, and `Cpu::restore` keeps the caches because the
-/// code window is byte-identical. This removes the per-launch re-warm tax
-/// the trace tier used to pay (the nn_cnn adverse case in
-/// BENCH_sim_traces.json).
+/// A warmed simulator: a `Cpu` whose decode caches (predecode window and
+/// lowered blocks) were trained on `program`, plus the clean pre-run
+/// snapshot every launch forks from. Re-launching the same kernel — a
+/// conv layer runs once per sample, a server runs once per request, an
+/// inference pipeline cycles through its layers once per call — restores
+/// the snapshot instead of rebuilding from reset, and `Cpu::restore`
+/// keeps the caches because the code window is byte-identical, so no
+/// launch pays the per-program re-lowering cost again.
 struct WarmSim {
     program: Vec<Instr>,
     level: MemLevel,
@@ -79,13 +76,6 @@ pub struct RunResult {
     /// `SMALLFLOAT_HOT_BLOCKS=1` to also print the report, or use the
     /// `runner` example's `--hot-blocks` flag.
     pub hot_blocks: Vec<HotBlock>,
-    /// Top-10 superblock traces by dynamic instruction count (empty when
-    /// the trace tier is disabled). Reported alongside `hot_blocks`.
-    pub hot_traces: Vec<HotBlock>,
-    /// Trace-tier diagnostics: formation/invalidation tallies, in-trace
-    /// coverage and fusion hits by kind. Set `SMALLFLOAT_TRACE_STATS=1` to
-    /// also print the report after every simulated run.
-    pub trace: TraceStats,
 }
 
 impl RunResult {
@@ -295,23 +285,13 @@ fn finish_run(cpu: &mut Cpu, kernel: &Kernel, compiled: &Compiled) -> RunResult 
         .run(200_000_000)
         .unwrap_or_else(|e| panic!("kernel trapped: {e}"));
     assert_eq!(exit, ExitReason::Ecall, "kernel must exit via ecall");
-    // Harvest the block/trace profiles before anything can invalidate the
-    // caches.
+    // Harvest the block profile before anything can invalidate the cache.
     let hot_blocks = cpu.hot_blocks(10);
-    let hot_traces = cpu.hot_traces(10);
-    let trace = cpu.trace_stats().clone();
     if smallfloat_sim::env::hot_blocks() {
         eprintln!(
             "hot blocks for `{}`:\n{}",
             kernel.name,
             hot_block_report(&hot_blocks, cpu.stats().instret)
-        );
-    }
-    if smallfloat_sim::env::trace_stats() {
-        eprintln!(
-            "trace stats for `{}`:\n{}",
-            kernel.name,
-            trace.report(cpu.stats().instret)
         );
     }
 
@@ -339,8 +319,6 @@ fn finish_run(cpu: &mut Cpu, kernel: &Kernel, compiled: &Compiled) -> RunResult 
         arrays,
         scalars,
         hot_blocks,
-        hot_traces,
-        trace,
     }
 }
 

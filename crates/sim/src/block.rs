@@ -1,4 +1,4 @@
-//! Basic-block micro-op cache: trace-compiled execution for the hot loop.
+//! Basic-block micro-op cache: compiled execution for the hot loop.
 //!
 //! PR 1 (predecode) removed decode cost and PR 2 (softfp fast paths)
 //! removed arithmetic cost, so the remaining per-retired-instruction tax
@@ -59,44 +59,44 @@ const SLOT_NO_BLOCK: u32 = u32::MAX - 1;
 
 /// `MicroOp::rm` value selecting the dynamic rounding mode at run time;
 /// static modes are resolved to their `frm` encoding at lowering.
-pub(crate) const RM_DYN: u8 = 0xff;
+const RM_DYN: u8 = 0xff;
 
 fn default_enabled() -> bool {
     !crate::env::noblocks()
 }
 
-pub(crate) type UopFn = fn(&mut Cpu, &MicroOp) -> Result<(), SimError>;
+type UopFn = fn(&mut Cpu, &MicroOp) -> Result<(), SimError>;
 
 /// One lowered instruction: semantic function plus pre-resolved operands
 /// and pre-computed retirement costs.
 #[derive(Clone, Copy)]
-pub(crate) struct MicroOp {
-    pub(crate) run: UopFn,
-    pub(crate) rd: u8,
-    pub(crate) rs1: u8,
-    pub(crate) rs2: u8,
-    pub(crate) rs3: u8,
+struct MicroOp {
+    run: UopFn,
+    rd: u8,
+    rs1: u8,
+    rs2: u8,
+    rs3: u8,
     /// Static rounding mode (`frm` encoding) or [`RM_DYN`].
-    pub(crate) rm: u8,
+    rm: u8,
     /// `InstrClass::index()` of the source instruction.
-    pub(crate) class: u8,
+    class: u8,
     /// 1 iff this op can invalidate cached code (stores): only then does
     /// replay need to re-check the cache generation.
-    pub(crate) inval: u8,
-    pub(crate) imm: i32,
+    inval: u8,
+    imm: i32,
     /// Per-op payload: replicate-scalar flag for vector ops, base lane
     /// for `vfcpk`.
-    pub(crate) aux: u32,
-    pub(crate) pc: u32,
-    pub(crate) cycles: u64,
+    aux: u32,
+    pc: u32,
+    cycles: u64,
     /// The exact per-instruction energy the reference path would add.
-    pub(crate) energy: f64,
+    energy: f64,
 }
 
 /// Control transfer terminating a block. Branch direction is the one
 /// genuinely data-dependent cost, so taken/not-taken cycle+energy pairs
 /// are both pre-computed.
-pub(crate) enum TailKind {
+enum TailKind {
     Jal {
         rd: u8,
         target: u32,
@@ -118,21 +118,21 @@ pub(crate) enum TailKind {
     Ebreak,
 }
 
-pub(crate) struct Tail {
-    pub(crate) kind: TailKind,
-    pub(crate) pc: u32,
+struct Tail {
+    kind: TailKind,
+    pc: u32,
     /// Fall-through PC (`pc + len`); also the link value for jumps.
-    pub(crate) next: u32,
-    pub(crate) class: u8,
+    next: u32,
+    class: u8,
     /// Taken cycles for branches; fixed cost otherwise.
-    pub(crate) cycles: u64,
-    pub(crate) energy: f64,
+    cycles: u64,
+    energy: f64,
 }
 
 /// A lowered basic block: straight-line micro-ops plus an optional
 /// control-transfer tail, with the associative parts of retirement
 /// accounting pre-aggregated.
-pub(crate) struct Block {
+struct Block {
     start: u32,
     /// Exclusive byte end of the last lowered instruction (may reach two
     /// bytes past the predecode window for a spanning final instruction).
@@ -166,16 +166,7 @@ pub(crate) struct BlockCache {
     /// after every micro-op so self-modifying code stops replay at the
     /// first possibly-stale op.
     gen: u64,
-    /// Leader PC of a block whose dispatch count just crossed the trace
-    /// promotion threshold; `Cpu::run` takes it and attempts trace
-    /// formation (see `trace.rs`).
-    promote: Option<u32>,
 }
-
-/// Dispatch count at which a block is (re-)nominated for trace promotion.
-/// Fires on every multiple so blocks killed by invalidation get
-/// re-promoted once they run hot again.
-const PROMOTE_EVERY: u64 = 32;
 
 impl BlockCache {
     pub(crate) fn new() -> BlockCache {
@@ -185,12 +176,7 @@ impl BlockCache {
             arena: Vec::new(),
             free: Vec::new(),
             gen: 0,
-            promote: None,
         }
-    }
-
-    pub(crate) fn take_promotion(&mut self) -> Option<u32> {
-        self.promote.take()
     }
 
     pub(crate) fn enabled(&self) -> bool {
@@ -343,11 +329,7 @@ pub(crate) fn dispatch(cpu: &mut Cpu, remaining: u64) -> Result<Dispatch, SimErr
         return Ok(Dispatch::Fallback);
     }
     entry.execs += 1;
-    let hot = entry.execs.is_multiple_of(PROMOTE_EVERY);
     let block = Arc::clone(&entry.block);
-    if hot {
-        cpu.blocks.promote = Some(pc);
-    }
     exec_block(cpu, &block)
 }
 
@@ -555,7 +537,7 @@ fn lower_block(cpu: &Cpu, leader: u32, leader_slot: usize) -> Option<Block> {
     })
 }
 
-pub(crate) fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
+fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
     let t = &cpu.config.timing;
     let class = instr.class().index() as u8;
     let e = |cycles: u64| {
@@ -627,7 +609,7 @@ pub(crate) fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
     }
 }
 
-pub(crate) enum Lowered {
+enum Lowered {
     Op(MicroOp),
     Trap(MicroOp),
 }
@@ -794,7 +776,7 @@ fn lower_rm(rm: Rm) -> u8 {
     }
 }
 
-pub(crate) fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
+fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
     let t = &cpu.config.timing;
     let mem_lat = cpu.config.mem_level.latency();
     let class = instr.class().index() as u8;
@@ -1287,12 +1269,12 @@ pub(crate) fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
-pub(crate) fn xr(cpu: &Cpu, r: u8) -> u32 {
+fn xr(cpu: &Cpu, r: u8) -> u32 {
     cpu.x[(r & 31) as usize]
 }
 
 #[inline(always)]
-pub(crate) fn set_xr(cpu: &mut Cpu, r: u8, v: u32) {
+fn set_xr(cpu: &mut Cpu, r: u8, v: u32) {
     if r != 0 {
         cpu.x[(r & 31) as usize] = v;
     }
@@ -1319,7 +1301,7 @@ fn dyn_rm(cpu: &Cpu, pc: u32) -> Result<Rounding, SimError> {
 }
 
 #[inline(always)]
-pub(crate) fn uop_rm(cpu: &Cpu, u: &MicroOp) -> Result<Rounding, SimError> {
+fn uop_rm(cpu: &Cpu, u: &MicroOp) -> Result<Rounding, SimError> {
     if u.rm == RM_DYN {
         dyn_rm(cpu, u.pc)
     } else {
@@ -1343,7 +1325,7 @@ fn const_x(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     Ok(())
 }
 
-pub(crate) fn alu_ri<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn alu_ri<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let v = exec::alu(aluop_of(OP), xr(cpu, u.rs1), u.imm as u32);
     set_xr(cpu, u.rd, v);
     Ok(())
@@ -1380,7 +1362,7 @@ fn store_int<const BYTES: u32>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimErro
     Ok(())
 }
 
-pub(crate) fn load_fp<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn load_fp<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let fmt = fmt_of(F);
     let addr = xr(cpu, u.rs1).wrapping_add(u.imm as u32);
     let raw = cpu.mem.load(addr, fmt.width() / 8)? as u64;
@@ -1449,7 +1431,7 @@ fn fminmax<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), 
     Ok(())
 }
 
-pub(crate) fn ffma<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn ffma<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let fmt = fmt_of(F);
     let mut env = Env::new(uop_rm(cpu, u)?);
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
@@ -1562,7 +1544,7 @@ fn fmulex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     Ok(())
 }
 
-pub(crate) fn fmacex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fmacex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let fmt = fmt_of(F);
     let mut env = Env::new(uop_rm(cpu, u)?);
     let a = exec::widen_to_s(fmt, exec::unbox(cpu, fmt, freg(u.rs1)));
@@ -1574,7 +1556,7 @@ pub(crate) fn fmacex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimE
     Ok(())
 }
 
-pub(crate) fn vfop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let fmt = fmt_of(F);
     let mut env = Env::new(uop_rm(cpu, u)?);
     let va = fr(cpu, u.rs1);
@@ -1672,7 +1654,7 @@ fn vfcvt_fx<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(),
     Ok(())
 }
 
-pub(crate) fn vfcpk<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfcpk<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let fmt = fmt_of(F);
     let w = fmt.width();
     let mut env = Env::new(uop_rm(cpu, u)?);
@@ -1697,7 +1679,7 @@ pub(crate) fn vfcpk<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimEr
     Ok(())
 }
 
-pub(crate) fn vfdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let fmt = fmt_of(F);
     let mut env = Env::new(uop_rm(cpu, u)?);
     let va = fr(cpu, u.rs1);
@@ -1715,7 +1697,7 @@ pub(crate) fn vfdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), Si
     Ok(())
 }
 
-pub(crate) fn vfsdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfsdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let fmt = fmt_of(F);
     let mut env = Env::new(uop_rm(cpu, u)?);
     let va = fr(cpu, u.rs1);

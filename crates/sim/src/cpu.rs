@@ -5,7 +5,6 @@ use crate::energy::EnergyModel;
 use crate::mem::{MemSnapshot, Memory};
 use crate::stats::{HotBlock, Stats};
 use crate::timing::{MemLevel, TimingModel};
-use crate::trace::{TraceCache, TraceStats};
 use smallfloat_isa::{decode, decode_compressed, encode, FReg, Instr, InstrClass, XReg};
 use smallfloat_softfp::{Flags, Rounding};
 use std::fmt;
@@ -114,9 +113,6 @@ pub struct Cpu {
     /// Basic-block micro-op cache over the predecode window (see
     /// `block.rs`); [`Cpu::run`] dispatches whole blocks through it.
     pub(crate) blocks: BlockCache,
-    /// Trace/superblock tier above the block cache (see `trace.rs`):
-    /// hot blocks promote to multi-block traces with fused micro-ops.
-    pub(crate) traces: TraceCache,
     /// Per-class op energy at the configured memory level, indexed by
     /// `InstrClass::index()` — the same values `EnergyModel::op_energy`
     /// returns, cached so retirement accounting is one load per
@@ -153,7 +149,6 @@ impl Cpu {
             pred_base: 0,
             pred_dirty: false,
             blocks: BlockCache::new(),
-            traces: TraceCache::new(),
             energy_by_class,
         }
     }
@@ -185,8 +180,6 @@ impl Cpu {
         self.pred_base = 0;
         self.pred_dirty = false;
         self.blocks.reset_window(0);
-        self.traces.reset_window(0);
-        self.traces.rstats = TraceStats::default();
     }
 
     /// [`Cpu::reset`] plus a configuration swap, reusing the memory
@@ -236,7 +229,6 @@ impl Cpu {
             }
         }
         self.blocks.reset_window(slots);
-        self.traces.reset_window(slots);
     }
 
     /// Rebuild the predecode window from current memory contents — the
@@ -269,24 +261,21 @@ impl Cpu {
         // the old bytes; retry lowering once the slots refill.
         for slot in first..=last {
             self.blocks.slot_refilled(slot);
-            self.traces.slot_refilled(slot);
         }
-        // Blocks and traces are killed byte-precisely (a block's final
-        // instruction may span up to two bytes past the window, which the
-        // slot clamp above does not cover; a trace additionally covers
-        // disjoint ranges across its superblock path).
+        // Blocks are killed byte-precisely (a block's final instruction
+        // may span up to two bytes past the window, which the slot clamp
+        // above does not cover).
         self.blocks.invalidate_bytes(addr, addr.saturating_add(len));
-        self.traces.invalidate_bytes(addr, addr.saturating_add(len));
     }
 
-    /// Whether the live predecode window — and with it every cached block
-    /// and trace, which are lowered from the same bytes — still describes
+    /// Whether the live predecode window — and with it every cached block,
+    /// which is lowered from the same bytes — still describes
     /// `mem`'s contents over `[base, base + len_bytes)` exactly. True only
     /// when the geometry matches, no conservative [`Cpu::mem_mut`] flush
     /// is pending, and the code bytes (plus the up-to-two bytes a final
     /// instruction may span past the window) are identical. This is the
     /// warm-restore probe: forks off one warmed snapshot keep their
-    /// lowered blocks, formed traces and profitability decisions.
+    /// lowered blocks.
     pub(crate) fn window_matches(&self, base: u32, len_bytes: u32, mem: &MemSnapshot) -> bool {
         !self.pred_dirty
             && len_bytes > 0
@@ -301,7 +290,7 @@ impl Cpu {
 
     /// Copy bytes into memory with byte-precise code invalidation — the
     /// same invalidation stores executed by the simulated program get, so
-    /// predecode slots, lowered blocks and formed traces are dropped only
+    /// predecode slots and lowered blocks are dropped only
     /// where actually overwritten. Writes that never touch the code
     /// window (input arrays, descriptors) leave the warmed caches intact;
     /// the conservative alternative is writing through [`Cpu::mem_mut`],
@@ -374,12 +363,9 @@ impl Cpu {
         &self.stats
     }
 
-    /// Reset statistics (registers and memory are untouched). Trace-tier
-    /// diagnostics reset alongside, so coverage ratios stay consistent
-    /// with `instret`.
+    /// Reset statistics (registers and memory are untouched).
     pub fn reset_stats(&mut self) {
         self.stats = Stats::new();
-        self.traces.rstats = TraceStats::default();
     }
 
     /// Shared access to memory.
@@ -437,7 +423,6 @@ impl Cpu {
             self.pred.iter_mut().for_each(|slot| *slot = None);
             self.pred_dirty = false;
             self.blocks.flush();
-            self.traces.flush();
         }
     }
 
@@ -456,9 +441,8 @@ impl Cpu {
             // the window re-enter the fast path once they decode again.
             if let Some(empty) = self.pred.get_mut(slot) {
                 *empty = Some(decoded);
-                // A refilled slot may also unlock block/trace lowering.
+                // A refilled slot may also unlock block lowering.
                 self.blocks.slot_refilled(slot);
-                self.traces.slot_refilled(slot);
             }
             Ok(decoded)
         } else {
@@ -522,14 +506,13 @@ impl Cpu {
 
     /// Run until `ecall`, a trap, or `max_instructions` retired.
     ///
-    /// Hot code executes through a three-tier engine: formed traces (see
-    /// `trace.rs`), then the basic-block micro-op cache (see `block.rs`),
-    /// then the per-instruction reference path. All tiers are
+    /// Hot code executes through the basic-block micro-op cache (see
+    /// `block.rs`); leaders it declines to lower (CSR accesses, undecodable
+    /// bytes, blocks that would overshoot the budget) take the
+    /// per-instruction reference path one step at a time. Both tiers are
     /// bit-identical in architectural state, statistics and energy.
     /// `SMALLFLOAT_NOBLOCKS=1` (or [`Cpu::set_block_cache`]`(false)`)
-    /// forces the per-instruction path; `SMALLFLOAT_NOTRACES=1` (or
-    /// [`Cpu::set_trace_cache`]`(false)`) caps the engine at the block
-    /// tier.
+    /// forces the per-instruction path.
     ///
     /// # Errors
     ///
@@ -537,23 +520,11 @@ impl Cpu {
     pub fn run(&mut self, max_instructions: u64) -> Result<ExitReason, SimError> {
         let limit = self.stats.instret + max_instructions;
         if self.blocks.enabled() {
-            let use_traces = self.traces.effective_enabled();
             while self.stats.instret < limit {
                 self.sync_window();
-                if use_traces {
-                    match crate::trace::dispatch(self, limit - self.stats.instret)? {
-                        Dispatch::Exit(reason) => return Ok(reason),
-                        Dispatch::Done => continue,
-                        Dispatch::Fallback => {}
-                    }
-                }
                 match crate::block::dispatch(self, limit - self.stats.instret)? {
                     Dispatch::Exit(reason) => return Ok(reason),
-                    Dispatch::Done => {
-                        if use_traces {
-                            crate::trace::maybe_form(self);
-                        }
-                    }
+                    Dispatch::Done => {}
                     Dispatch::Fallback => {
                         if let Some(reason) = self.step()? {
                             return Ok(reason);
@@ -573,40 +544,14 @@ impl Cpu {
 
     /// Enable or disable the basic-block micro-op cache (enabled by
     /// default unless `SMALLFLOAT_NOBLOCKS=1`). Disabling also drops every
-    /// cached block — and every trace, since the trace tier dispatches
-    /// only above an enabled block tier — so re-enabling starts cold.
+    /// cached block, so re-enabling starts cold.
     pub fn set_block_cache(&mut self, enabled: bool) {
         self.blocks.set_enabled(enabled);
-        if !enabled {
-            self.traces.flush();
-        }
     }
 
     /// Whether the basic-block micro-op cache is enabled.
     pub fn block_cache_enabled(&self) -> bool {
         self.blocks.enabled()
-    }
-
-    /// Enable or disable the trace/superblock tier (enabled by default
-    /// unless `SMALLFLOAT_NOTRACES=1`; only effective while the block
-    /// cache is enabled). Disabling drops every formed trace. A
-    /// process-wide [`crate::set_trace_override`] takes precedence over
-    /// this per-CPU flag.
-    pub fn set_trace_cache(&mut self, enabled: bool) {
-        self.traces.set_enabled(enabled);
-    }
-
-    /// Whether the trace/superblock tier is enabled on this CPU (the
-    /// per-CPU flag; a process-wide override may supersede it).
-    pub fn trace_cache_enabled(&self) -> bool {
-        self.traces.enabled_flag()
-    }
-
-    /// Trace-tier diagnostics: promotion/formation/invalidation tallies,
-    /// dispatch and in-trace retirement counts, and fusion statistics.
-    /// Kept outside [`Stats`] so every engine tier stays `Stats`-equal.
-    pub fn trace_stats(&self) -> &TraceStats {
-        &self.traces.rstats
     }
 
     /// Top-`n` cached blocks by dynamic instruction count
@@ -618,11 +563,19 @@ impl Cpu {
         self.blocks.hot(n)
     }
 
-    /// Top-`n` live traces by entry count, in the [`HotBlock`] shape:
-    /// `start`/`end` span the superblock's full byte footprint and
-    /// `instrs` is the per-entry retirement bound. Same harvesting caveat
-    /// as [`Cpu::hot_blocks`].
-    pub fn hot_traces(&self, n: usize) -> Vec<HotBlock> {
-        self.traces.hot(n)
+    /// Always empty. Exists only because the benchmark harness still
+    /// calls it; goes with the next benchmark change.
+    pub fn hot_traces(&self, _n: usize) -> Vec<HotBlock> {
+        Vec::new()
+    }
+
+    /// Always the empty `TraceStats`. Exists only because the benchmark
+    /// harness still calls it; goes with the next benchmark change.
+    pub fn trace_stats(&self) -> &TraceStats {
+        &TraceStats {}
     }
 }
+
+/// The field-less return type of `Cpu::trace_stats`; goes with it.
+#[derive(Clone, Debug)]
+pub struct TraceStats {}

@@ -7,9 +7,9 @@
 //! `SMALLFLOAT_NOBLOCKS=0` and an unset variable do not. Value variables
 //! (`SMALLFLOAT_BENCH_JSON`, a path) are read with [`value`].
 //!
-//! The engine-tier kill switches ([`noblocks`], [`notraces`]) sit on the
-//! simulator's hottest dispatch path, so their first read is cached for
-//! the life of the process; everything else is read live at each call.
+//! The engine-tier kill switch ([`noblocks`]) sits on the simulator's
+//! hottest dispatch path, so its first read is cached for the life of
+//! the process; everything else is read live at each call.
 
 use std::sync::OnceLock;
 
@@ -23,31 +23,18 @@ pub fn value(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|v| !v.is_empty())
 }
 
-/// `SMALLFLOAT_NOBLOCKS`: disable the basic-block micro-op cache (and
-/// with it the trace tier) — every `Cpu::run` takes the per-instruction
-/// reference path. Cached at first read.
+/// `SMALLFLOAT_NOBLOCKS`: disable the basic-block micro-op cache — every
+/// `Cpu::run` takes the per-instruction reference path. Cached at first
+/// read.
 pub fn noblocks() -> bool {
     static CACHE: OnceLock<bool> = OnceLock::new();
     *CACHE.get_or_init(|| flag("SMALLFLOAT_NOBLOCKS"))
-}
-
-/// `SMALLFLOAT_NOTRACES`: disable just the superblock trace tier,
-/// capping the engine at basic blocks. Cached at first read.
-pub fn notraces() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| flag("SMALLFLOAT_NOTRACES"))
 }
 
 /// `SMALLFLOAT_HOT_BLOCKS`: print the hot-block profile after every
 /// simulated kernel run.
 pub fn hot_blocks() -> bool {
     flag("SMALLFLOAT_HOT_BLOCKS")
-}
-
-/// `SMALLFLOAT_TRACE_STATS`: print trace-tier diagnostics after every
-/// simulated kernel run.
-pub fn trace_stats() -> bool {
-    flag("SMALLFLOAT_TRACE_STATS")
 }
 
 /// `SMALLFLOAT_SERIAL`: pin every parallel fan-out (`bench::par`, the

@@ -41,7 +41,6 @@ pub mod replay;
 mod snapshot;
 mod stats;
 mod timing;
-mod trace;
 
 pub use cpu::{Cpu, ExitReason, SimConfig, SimError};
 pub use energy::EnergyModel;
@@ -49,4 +48,3 @@ pub use mem::{MemSnapshot, Memory, PAGE_SIZE};
 pub use snapshot::{CpuSnapshot, SnapshotError};
 pub use stats::{hot_block_report, HotBlock, Stats};
 pub use timing::{MemLevel, TimingModel};
-pub use trace::{set_trace_override, FusionKind, TraceStats, FUSION_KINDS};

@@ -221,7 +221,7 @@ impl Memory {
     /// shared between the two tables (the common case after copy-on-write
     /// forks), byte-compare the overlapping slice of the rest. The cheap
     /// "has this code window changed?" probe behind warm restores
-    /// (`Cpu::restore` keeps predecode/block/trace caches when the code
+    /// (`Cpu::restore` keeps the predecode window and block cache when the code
     /// bytes are unchanged). Out-of-range in either side compares unequal.
     pub fn range_eq(&self, snap: &MemSnapshot, addr: u32, len: usize) -> bool {
         let a = addr as usize;

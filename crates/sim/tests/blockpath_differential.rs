@@ -1,20 +1,20 @@
-//! Differential gate for the cached execution engines: every benchmark
+//! Differential gate for the cached execution engine: every benchmark
 //! kernel (the paper's Polybench suite + SVM), at every precision variant
-//! and vectorization mode, is executed on all three tiers — reference
-//! interpreter, basic-block micro-op cache, and trace/superblock engine —
-//! and the runs must be *bit-identical*: same final memory image,
+//! and vectorization mode, is executed on both tiers — reference
+//! interpreter and basic-block micro-op cache — and the runs must be
+//! *bit-identical*: same final memory image,
 //! register files, pc, `fflags`, per-class statistics and bit-exact
 //! `energy_pj` (f64 addition is not associative, so energy is the most
-//! sensitive witness that the cached paths retire in reference order).
+//! sensitive witness that the cached path retires in reference order).
 //!
 //! A rotating one-variant-per-workload subset runs in every profile; the
 //! full precision × mode grid is release-only (`scripts/check.sh` runs it
 //! via the release test pass).
 //!
-//! Trace-specific regressions ride along: a loop whose own body is
-//! patched by a store inside the trace (invalidation + mid-trace abort),
-//! a snapshot-restore rewind landing inside a formed trace, and replay
-//! determinism with the trace engine on.
+//! Block-invalidation regressions ride along: a loop whose own body is
+//! patched by a store inside the block (invalidation + mid-block abort),
+//! a snapshot-restore rewind landing inside a lowered block, and replay
+//! determinism with the block engine on.
 
 use smallfloat_asm::Assembler;
 use smallfloat_isa::{encode, AluOp, FpFmt, Instr, XReg};
@@ -27,12 +27,10 @@ use smallfloat_xcc::codegen::Compiled;
 /// The execution tier under test.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Engine {
-    /// Per-instruction interpreter (blocks and traces off).
+    /// Per-instruction interpreter (block cache off).
     Reference,
-    /// Basic-block micro-op cache only.
+    /// Basic-block micro-op cache.
     Blocks,
-    /// Full tiered engine: traces over blocks.
-    Traces,
 }
 
 impl Engine {
@@ -40,26 +38,23 @@ impl Engine {
         match self {
             Engine::Reference => "reference",
             Engine::Blocks => "blocks",
-            Engine::Traces => "traces",
         }
     }
 
     fn apply(self, cpu: &mut Cpu) {
-        cpu.set_block_cache(self != Engine::Reference);
-        cpu.set_trace_cache(self == Engine::Traces);
+        cpu.set_block_cache(self == Engine::Blocks);
     }
 }
 
 /// Load inputs + program and run to `ecall`, exactly as the kernels
-/// runner does, on the given engine tier. Returns the instructions
-/// retired from inside traces (0 for the other tiers).
+/// runner does, on the given engine tier.
 fn run_path(
     cpu: &mut Cpu,
     compiled: &Compiled,
     inputs: &[(String, Vec<f64>)],
     engine: Engine,
     label: &str,
-) -> u64 {
+) {
     cpu.reset();
     engine.apply(cpu);
     load_workload(cpu, compiled, inputs);
@@ -72,14 +67,12 @@ fn run_path(
         "{label} [{}]: must exit via ecall",
         engine.label()
     );
-    if engine != Engine::Reference {
+    if engine == Engine::Blocks {
         assert!(
             !cpu.hot_blocks(1).is_empty(),
-            "{label} [{}]: block cache was on but dispatched no blocks",
-            engine.label()
+            "{label} [blocks]: block cache was on but dispatched no blocks"
         );
     }
-    cpu.trace_stats().retired
 }
 
 /// Assert the two CPUs are architecturally and statistically identical.
@@ -110,17 +103,15 @@ fn assert_identical(label: &str, on: &Cpu, off: &Cpu) {
     );
 }
 
-/// Run one grid cell on all three tiers and compare each cached tier
-/// against the reference. Returns the trace tier's in-trace retirement
-/// count so callers can assert the trace engine actually engaged.
-fn check(w: &dyn Workload, prec: &Precision, mode: VecMode) -> u64 {
+/// Run one grid cell on both tiers and compare the block tier against
+/// the reference.
+fn check(w: &dyn Workload, prec: &Precision, mode: VecMode) {
     let (_typed, compiled) = build(w, prec, mode);
     let inputs = w.inputs();
     let label = format!("{} {} {}", w.name(), prec.label(), mode.label());
     let config = SimConfig::default();
     let mut reference = Cpu::new(config.clone());
-    let mut blocks = Cpu::new(config.clone());
-    let mut traces = Cpu::new(config);
+    let mut blocks = Cpu::new(config);
     run_path(
         &mut reference,
         &compiled,
@@ -129,10 +120,7 @@ fn check(w: &dyn Workload, prec: &Precision, mode: VecMode) -> u64 {
         &label,
     );
     run_path(&mut blocks, &compiled, &inputs, Engine::Blocks, &label);
-    let in_trace = run_path(&mut traces, &compiled, &inputs, Engine::Traces, &label);
     assert_identical(&format!("{label} [blocks]"), &blocks, &reference);
-    assert_identical(&format!("{label} [traces]"), &traces, &reference);
-    in_trace
 }
 
 /// The precision variants under test: the five uniform ones plus one
@@ -153,40 +141,30 @@ fn precisions(w: &dyn Workload) -> Vec<Precision> {
 /// so all six precisions and all three modes appear across the suite.
 #[test]
 fn engine_tiers_match_reference_subset() {
-    let mut in_trace_total = 0u64;
     for (i, w) in suite().iter().enumerate() {
         let precs = precisions(w.as_ref());
         let prec = &precs[i % precs.len()];
         let mode = VecMode::ALL[i % VecMode::ALL.len()];
-        in_trace_total += check(w.as_ref(), prec, mode);
+        check(w.as_ref(), prec, mode);
     }
-    assert!(
-        in_trace_total > 0,
-        "trace engine retired no instructions across the whole subset"
-    );
 }
 
-/// The full grid: every workload × every precision × every mode, all
-/// three tiers. Release-only (the debug build runs the subset above).
+/// The full grid: every workload × every precision × every mode, both
+/// tiers. Release-only (the debug build runs the subset above).
 #[cfg(not(debug_assertions))]
 #[test]
 fn engine_tiers_match_reference_full_grid() {
-    let mut in_trace_total = 0u64;
     for w in suite() {
         for prec in precisions(w.as_ref()) {
             for mode in VecMode::ALL {
-                in_trace_total += check(w.as_ref(), &prec, mode);
+                check(w.as_ref(), &prec, mode);
             }
         }
     }
-    assert!(
-        in_trace_total > 0,
-        "trace engine retired no instructions across the whole grid"
-    );
 }
 
 // ---------------------------------------------------------------------------
-// Trace-specific regressions
+// Block-invalidation regressions
 // ---------------------------------------------------------------------------
 
 const TEXT: u32 = 0x1000;
@@ -198,13 +176,13 @@ fn small_config() -> SimConfig {
     }
 }
 
-/// The expanding sum-of-dot-products on all three tiers: a hot loop walks
+/// The expanding sum-of-dot-products on both tiers: a hot loop walks
 /// a deterministic bit-pattern generator through both `vfsdotpex`
 /// operand registers (hitting normals, subnormals, infinities and NaNs in
 /// the packed lanes) at every packed format — 2×16-bit lanes expanding to
 /// binary32 and 4×8-bit lanes (both banks) expanding to packed binary16 —
-/// in plain and replicated forms. Block and trace tiers must stay
-/// bit-identical to the reference, including `fflags` and energy.
+/// in plain and replicated forms. The block tier must stay bit-identical
+/// to the reference, including `fflags` and energy.
 #[test]
 fn vfsdotpex_all_formats_stay_bit_identical() {
     for fmt in FpFmt::SMALL {
@@ -260,23 +238,22 @@ fn vfsdotpex_all_formats_stay_bit_identical() {
             "{fmt:?}: the accumulator must have moved"
         );
         let blocks = run(Engine::Blocks);
-        let traces = run(Engine::Traces);
         assert_identical(&format!("vfsdotpex {fmt:?} [blocks]"), &blocks, &reference);
-        assert_identical(&format!("vfsdotpex {fmt:?} [traces]"), &traces, &reference);
-        let ts = traces.trace_stats();
-        assert!(ts.formed > 0, "{fmt:?}: hot loop must form traces");
-        assert!(ts.retired > 0, "{fmt:?}: traces must retire");
+        assert!(
+            blocks.hot_blocks(1).first().is_some_and(|b| b.execs > 1),
+            "{fmt:?}: the hot loop must replay a cached block"
+        );
     }
 }
 
 /// A hot loop whose own body is rewritten by a store *inside the loop*:
 /// the payload instruction toggles between `addi a2, a2, 1` and
-/// `addi a2, a2, 2` every iteration. The trace engine must abort at the
-/// store (generation re-check), kill the overlapped trace byte-precisely,
-/// and re-form later — while staying bit-identical to the reference
-/// interpreter throughout.
+/// `addi a2, a2, 2` every iteration. The block engine must abort at the
+/// store (generation re-check), kill the overlapped block byte-precisely,
+/// and re-lower it on the next entry — while staying bit-identical to the
+/// reference interpreter throughout.
 #[test]
-fn store_into_own_trace_body_stays_bit_identical() {
+fn store_into_own_block_body_stays_bit_identical() {
     let iters = 400;
     let (s0, t0, t1, t2, a2) = (XReg::s(0), XReg::t(0), XReg::t(1), XReg::t(2), XReg::a(2));
     let mut asm = Assembler::new();
@@ -331,18 +308,20 @@ fn store_into_own_trace_body_stays_bit_identical() {
     let expect = (iters as u32).div_ceil(2) + (iters as u32 / 2) * 2;
     assert_eq!(reference.xreg(a2), expect, "self-patching loop semantics");
     let blocks = run(Engine::Blocks);
-    let traces = run(Engine::Traces);
     assert_identical("self-patch [blocks]", &blocks, &reference);
-    assert_identical("self-patch [traces]", &traces, &reference);
-    let ts = traces.trace_stats();
-    assert!(ts.formed > 0, "the hot self-patching loop must form traces");
+    // Every store kills the block holding the payload, so none survives,
+    // while the block after the payload replays undisturbed
+    // (the payload itself re-decodes on the per-instruction path).
+    let hot = blocks.hot_blocks(usize::MAX);
     assert!(
-        ts.invalidated > 0,
-        "each in-trace store into the trace body must kill the trace"
+        hot.iter()
+            .all(|b| !(b.start <= payload_addr && payload_addr < b.end)),
+        "the store must kill the block holding its own payload"
     );
     assert!(
-        ts.retired > 0,
-        "aborted trace entries still retire a prefix"
+        hot.iter()
+            .any(|b| b.start > payload_addr && b.execs + 1 >= iters as u64),
+        "the block after the payload must stay cached across iterations"
     );
 }
 
@@ -374,35 +353,38 @@ fn hot_loop(iters: i32) -> Vec<Instr> {
     asm.assemble().expect("fixed program assembles")
 }
 
-/// Stop mid-run with traces formed, snapshot, finish; then rewind via
-/// restore — landing on a PC inside the formed trace's footprint — and
-/// finish again. Both completions (and a reference completion from the
-/// same snapshot) must be bit-identical.
+/// Stop mid-run with the loop block lowered, snapshot, finish; then
+/// rewind via restore — landing on a PC inside the lowered block's
+/// footprint — and finish again. Both completions (and a reference
+/// completion from the same snapshot) must be bit-identical.
 #[test]
-fn snapshot_restore_rewind_lands_inside_formed_trace() {
+fn snapshot_restore_rewind_lands_inside_lowered_block() {
     let mut cpu = Cpu::new(small_config());
-    Engine::Traces.apply(&mut cpu);
+    Engine::Blocks.apply(&mut cpu);
     cpu.load_program(TEXT, &hot_loop(2_000));
-    // Odd budget so the stop lands mid-loop-body, well past trace warmup.
+    // Odd budget so the stop lands mid-loop-body, well past warmup.
     let exit = cpu.run(4_321).expect("no trap");
     assert_eq!(exit, ExitReason::InstructionLimit);
+    let pc = cpu.pc();
     assert!(
-        cpu.trace_stats().formed > 0,
-        "warmup must have formed the loop trace"
+        cpu.hot_blocks(usize::MAX)
+            .iter()
+            .any(|b| b.execs > 1 && b.start < pc && pc < b.end),
+        "the stop must land inside a hot lowered block"
     );
     let mid = cpu.snapshot();
     let exit = cpu.run(1_000_000).expect("no trap");
     assert_eq!(exit, ExitReason::Ecall);
     let finished_a = cpu.snapshot();
 
-    // Rewind the same CPU into the middle of the (now re-dropped) trace.
+    // Rewind the same CPU into the middle of the (now re-dropped) block.
     cpu.restore(&mid);
     let exit = cpu.run(1_000_000).expect("no trap");
     assert_eq!(exit, ExitReason::Ecall);
     let finished_b = cpu.snapshot();
     assert!(
         finished_a.state_eq(&finished_b),
-        "rewound trace-engine run diverged in {}",
+        "rewound block-engine run diverged in {}",
         finished_a.first_difference(&finished_b).unwrap_or("?")
     );
 
@@ -415,30 +397,30 @@ fn snapshot_restore_rewind_lands_inside_formed_trace() {
     let finished_c = reference.snapshot();
     assert!(
         finished_a.state_eq(&finished_c),
-        "trace engine diverged from reference after restore in {}",
+        "block engine diverged from reference after restore in {}",
         finished_a.first_difference(&finished_c).unwrap_or("?")
     );
 }
 
-/// Recording a run on the trace engine is deterministic and produces the
+/// Recording a run on the block engine is deterministic and produces the
 /// same log and snapshots as a reference-interpreter recording.
 #[test]
-fn replay_recording_is_identical_with_traces_on() {
+fn replay_recording_is_identical_with_blocks_on() {
     let record = |engine: Engine| {
         let mut cpu = Cpu::new(small_config());
         engine.apply(&mut cpu);
         cpu.load_program(TEXT, &hot_loop(300));
         record_run(&mut cpu, 1_000_000, 128).expect("recording must not trap")
     };
-    let a = record(Engine::Traces);
-    let b = record(Engine::Traces);
+    let a = record(Engine::Blocks);
+    let b = record(Engine::Blocks);
     let r = record(Engine::Reference);
     assert_eq!(a.exit, ExitReason::Ecall);
-    assert_eq!(a.log, b.log, "trace-engine recording must be deterministic");
+    assert_eq!(a.log, b.log, "block-engine recording must be deterministic");
     assert_eq!(a.log.to_bytes(), b.log.to_bytes());
     assert_eq!(
         a.log, r.log,
-        "trace-engine recording must match the reference interpreter"
+        "block-engine recording must match the reference interpreter"
     );
     assert_eq!(a.snaps.len(), r.snaps.len());
     for (i, (sa, sr)) in a.snaps.iter().zip(&r.snaps).enumerate() {
