@@ -13,6 +13,7 @@
 //! every simulated run regardless of the flag.
 
 use smallfloat_kernels::bench::{run, suite, Precision, VecMode};
+use smallfloat_kernels::last_hot_blocks;
 use smallfloat_sim::{hot_block_report, MemLevel};
 
 fn main() {
@@ -51,7 +52,7 @@ fn main() {
     if hot {
         println!(
             "top blocks by dynamic instructions:\n{}",
-            hot_block_report(&result.hot_blocks, result.stats.instret)
+            hot_block_report(&last_hot_blocks(10), result.stats.instret)
         );
     }
 }

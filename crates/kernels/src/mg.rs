@@ -118,12 +118,6 @@ impl Mg {
         self.asm.ecall();
         let listing = self.asm.listing();
         let program = self.asm.assemble().expect("manual code labels consistent");
-        Compiled {
-            program,
-            layout: self.layout,
-            scalar_regs: Vec::new(),
-            listing,
-            vectorized_loops: 0,
-        }
+        Compiled::new(program, self.layout, Vec::new(), listing, 0)
     }
 }

@@ -1,15 +1,20 @@
 //! Executing compiled kernels on the simulator.
+//!
+//! Every launch goes through one path: find (or train) the warmed
+//! simulator for the program in the per-thread pool, quantize and write
+//! the inputs, run to the exit `ecall`, and read back. [`launch`] reads
+//! back only the arrays the caller names; [`run_compiled`] is the same
+//! launch reading every array and scalar.
 
-use smallfloat_isa::Instr;
+use smallfloat_isa::{FpFmt, Instr};
 use smallfloat_sim::{
     hot_block_report, Cpu, CpuSnapshot, ExitReason, HotBlock, MemLevel, SimConfig, Stats,
 };
-use smallfloat_softfp::{ops, Env, Rounding};
-use smallfloat_xcc::codegen::{Compiled, TEXT_BASE};
+use smallfloat_softfp::{fast, Env, Rounding};
+use smallfloat_xcc::codegen::{Compiled, LayoutEntry, TEXT_BASE};
 use smallfloat_xcc::ir::Kernel;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A warmed simulator: a `Cpu` whose decode caches (predecode window and
 /// lowered blocks) were trained on `program`, plus the clean pre-run
@@ -20,6 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// keeps the caches because the code window is byte-identical, so no
 /// launch pays the per-program re-lowering cost again.
 struct WarmSim {
+    /// [`Compiled::program_hash`] of `program`: the lookup key.
+    hash: u64,
     program: Vec<Instr>,
     level: MemLevel,
     snap: CpuSnapshot,
@@ -37,29 +44,181 @@ struct WarmSim {
 /// every launch from reset.
 const POOL_CAP: usize = 32;
 
-/// Launches served by restoring a warmed snapshot (fork) vs. by training
-/// a pool slot from reset. Process-global so harnesses running workers on
-/// their own threads can still observe that re-launches forked a warmed
-/// `Cpu` instead of rebuilding; monotone counters (snapshot before/after
-/// and compare deltas — other threads only ever add).
-static WARM_FORKS: AtomicU64 = AtomicU64::new(0);
-static COLD_TRAINS: AtomicU64 = AtomicU64::new(0);
+/// Instruction budget of one launch.
+const BUDGET: u64 = 200_000_000;
 
-/// `(warm_forks, cold_trains)` across the process: how many
-/// [`run_compiled`] launches forked a warmed snapshot vs. retrained a
-/// simulator from reset.
+/// `(warm_forks, cold_trains)` of the calling thread's pool: how many of
+/// this thread's launches forked a warmed snapshot vs. retrained a
+/// simulator from reset. The counts describe the pool they count, so a
+/// measurement on one thread is not disturbed by launches on others; a
+/// harness fanning launches out over worker threads sums each worker's
+/// deltas (as `nn::train::tune_training` does).
 pub fn pool_counters() -> (u64, u64) {
-    (
-        WARM_FORKS.load(Ordering::Relaxed),
-        COLD_TRAINS.load(Ordering::Relaxed),
-    )
+    POOL.with(|p| {
+        let p = p.borrow();
+        (p.warm_forks, p.cold_trains)
+    })
+}
+
+/// The per-thread pool: a use clock, up to `POOL_CAP` warmed slots, and
+/// the launches it served by fork and by training a slot from reset.
+#[derive(Default)]
+struct Pool {
+    tick: u64,
+    sims: Vec<WarmSim>,
+    warm_forks: u64,
+    cold_trains: u64,
 }
 
 thread_local! {
     /// Per-thread pool of warmed simulators, one per recent program
     /// (`POOL_CAP`-way, LRU-evicted). Thread-locality keeps the
     /// experiment grid trivially parallelizable.
-    static POOL: RefCell<(u64, Vec<WarmSim>)> = const { RefCell::new((0, Vec::new())) };
+    static POOL: RefCell<Pool> = RefCell::new(Pool::default());
+}
+
+impl Pool {
+    /// The slot holding `compiled` at `level`, forked back to its pre-run
+    /// snapshot — or a slot freshly trained on it (a new one below
+    /// capacity, else the least recently used one).
+    fn slot(&mut self, compiled: &Compiled, level: MemLevel) -> &mut Cpu {
+        self.tick += 1;
+        let hash = compiled.program_hash();
+        let i = match self
+            .sims
+            .iter()
+            .position(|w| w.hash == hash && w.level == level && w.program == compiled.program)
+        {
+            Some(i) => {
+                // Warm hit: fork this launch off the trained simulator's
+                // pre-run snapshot. `Cpu::restore` keeps the decode
+                // caches because the code window is byte-identical.
+                let w = &mut self.sims[i];
+                w.cpu.restore(&w.snap);
+                w.cpu.reset_stats();
+                self.warm_forks += 1;
+                i
+            }
+            None => {
+                self.cold_trains += 1;
+                let config = SimConfig {
+                    mem_level: level,
+                    ..SimConfig::default()
+                };
+                if self.sims.len() < POOL_CAP {
+                    let mut cpu = Cpu::new(config);
+                    cpu.load_program(TEXT_BASE, &compiled.program);
+                    let snap = cpu.snapshot();
+                    self.sims.push(WarmSim {
+                        hash,
+                        program: compiled.program.clone(),
+                        level,
+                        snap,
+                        cpu,
+                        used: 0,
+                    });
+                    self.sims.len() - 1
+                } else {
+                    // Retrain the least-recently-used slot.
+                    let i = self
+                        .sims
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, w)| w.used)
+                        .map(|(i, _)| i)
+                        .expect("pool is non-empty at capacity");
+                    let w = &mut self.sims[i];
+                    w.cpu.reset_with(config);
+                    w.cpu.load_program(TEXT_BASE, &compiled.program);
+                    w.hash = hash;
+                    w.program.clone_from(&compiled.program);
+                    w.level = level;
+                    w.snap = w.cpu.snapshot();
+                    i
+                }
+            }
+        };
+        let w = &mut self.sims[i];
+        w.used = self.tick;
+        &mut w.cpu
+    }
+}
+
+/// The one launch path: fork or train the pool slot for `compiled`,
+/// quantize and write `inputs`, run to the exit `ecall`, then hand the
+/// finished `Cpu` to `read`.
+///
+/// # Panics
+///
+/// Panics on an unknown input name or a size mismatch, or if the program
+/// traps or fails to exit within 200M instructions — generated kernels are
+/// expected to be well-formed.
+fn launch_with<R>(
+    kernel: &Kernel,
+    compiled: &Compiled,
+    inputs: &[(String, Vec<f64>)],
+    level: MemLevel,
+    read: impl FnOnce(&Cpu) -> R,
+) -> R {
+    POOL.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        let cpu = pool.slot(compiled, level);
+        write_inputs(cpu, compiled, inputs);
+        let exit = cpu
+            .run(BUDGET)
+            .unwrap_or_else(|e| panic!("kernel trapped: {e}"));
+        assert_eq!(exit, ExitReason::Ecall, "kernel must exit via ecall");
+        if smallfloat_sim::env::hot_blocks() {
+            eprintln!(
+                "hot blocks for `{}`:\n{}",
+                kernel.name,
+                hot_block_report(&cpu.hot_blocks(10), cpu.stats().instret)
+            );
+        }
+        read(cpu)
+    })
+}
+
+/// Launch `compiled` (the lowering of `kernel`) on `inputs` and read back
+/// only the arrays named in `read`, in that order, with the run's
+/// statistics. Inputs are given in `f64` and rounded into each array's
+/// storage type — the same quantization the real system applies when data
+/// enters memory in a smallFloat layout.
+///
+/// # Panics
+///
+/// Panics on an unknown array name or an input size mismatch, or if the
+/// program traps or fails to exit within 200M instructions.
+pub fn launch(
+    kernel: &Kernel,
+    compiled: &Compiled,
+    inputs: &[(String, Vec<f64>)],
+    level: MemLevel,
+    read: &[&str],
+) -> (Vec<Vec<f64>>, Stats) {
+    launch_with(kernel, compiled, inputs, level, |cpu| {
+        let arrays = read
+            .iter()
+            .map(|name| read_array(cpu, entry(compiled, name)))
+            .collect();
+        (arrays, cpu.stats().clone())
+    })
+}
+
+/// Top-`n` hot blocks of the most recent launch on this thread — the
+/// on-request block profile (`SMALLFLOAT_HOT_BLOCKS=1` prints it after
+/// every launch instead). Counts accumulate over every launch the
+/// program's warmed simulator served since it was trained. Empty before
+/// the first launch.
+pub fn last_hot_blocks(n: usize) -> Vec<HotBlock> {
+    POOL.with(|pool| {
+        pool.borrow()
+            .sims
+            .iter()
+            .max_by_key(|w| w.used)
+            .map(|w| w.cpu.hot_blocks(n))
+            .unwrap_or_default()
+    })
 }
 
 /// Outcome of one simulated kernel execution.
@@ -71,11 +230,6 @@ pub struct RunResult {
     pub arrays: HashMap<String, Vec<f64>>,
     /// Final values of named scalars, widened to `f64`.
     pub scalars: HashMap<String, f64>,
-    /// Top-10 basic blocks by dynamic instruction count, harvested right
-    /// after the run (empty when the block cache is disabled). Set
-    /// `SMALLFLOAT_HOT_BLOCKS=1` to also print the report, or use the
-    /// `runner` example's `--hot-blocks` flag.
-    pub hot_blocks: Vec<HotBlock>,
 }
 
 impl RunResult {
@@ -93,82 +247,75 @@ impl RunResult {
     }
 }
 
-/// Load `compiled` plus its input data into a freshly-reset CPU (reused
-/// per thread across calls), run to completion, and read back every array
-/// and scalar (`kernel` supplies the scalar storage types).
-///
-/// Inputs are given in `f64` and rounded into each array's storage type —
-/// the same quantization the real system applies when data enters memory in
-/// a smallFloat layout.
+/// [`launch`] reading back every array and scalar (`kernel` supplies the
+/// scalar storage types).
 ///
 /// # Panics
 ///
-/// Panics if the program traps or fails to exit within 200M instructions —
-/// generated kernels are expected to be well-formed.
+/// As [`launch`].
 pub fn run_compiled(
     kernel: &Kernel,
     compiled: &Compiled,
     inputs: &[(String, Vec<f64>)],
     level: MemLevel,
 ) -> RunResult {
-    POOL.with(|pool| {
-        let (tick, sims) = &mut *pool.borrow_mut();
-        *tick += 1;
-        let slot = match sims
+    launch_with(kernel, compiled, inputs, level, |cpu| {
+        let arrays = compiled
+            .layout
+            .entries
             .iter()
-            .position(|w| w.level == level && w.program == compiled.program)
-        {
-            Some(i) => {
-                // Warm hit: fork this launch off the trained simulator's
-                // pre-run snapshot. `Cpu::restore` keeps the decode
-                // caches because the code window is byte-identical.
-                let w = &mut sims[i];
-                w.cpu.restore(&w.snap);
-                w.cpu.reset_stats();
-                WARM_FORKS.fetch_add(1, Ordering::Relaxed);
-                i
-            }
-            None => {
-                COLD_TRAINS.fetch_add(1, Ordering::Relaxed);
-                let config = SimConfig {
-                    mem_level: level,
-                    ..SimConfig::default()
-                };
-                if sims.len() < POOL_CAP {
-                    let mut cpu = Cpu::new(config);
-                    cpu.load_program(TEXT_BASE, &compiled.program);
-                    let snap = cpu.snapshot();
-                    sims.push(WarmSim {
-                        program: compiled.program.clone(),
-                        level,
-                        snap,
-                        cpu,
-                        used: 0,
-                    });
-                    sims.len() - 1
-                } else {
-                    // Retrain the least-recently-used slot.
-                    let i = sims
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, w)| w.used)
-                        .map(|(i, _)| i)
-                        .expect("pool is non-empty at capacity");
-                    let w = &mut sims[i];
-                    w.cpu.reset_with(config);
-                    w.cpu.load_program(TEXT_BASE, &compiled.program);
-                    w.program.clone_from(&compiled.program);
-                    w.level = level;
-                    w.snap = w.cpu.snapshot();
-                    i
-                }
-            }
-        };
-        let w = &mut sims[slot];
-        w.used = *tick;
-        write_inputs(&mut w.cpu, compiled, inputs);
-        finish_run(&mut w.cpu, kernel, compiled)
+            .map(|e| (e.name.clone(), read_array(cpu, e)))
+            .collect();
+        let scalars = compiled
+            .scalar_regs
+            .iter()
+            .map(|(name, reg)| {
+                let ty = kernel.type_of(name).unwrap_or(FpFmt::S);
+                let raw = cpu.freg(*reg) as u64 & ty.format().mask();
+                (name.clone(), fast::to_f64(ty.format(), raw))
+            })
+            .collect();
+        RunResult {
+            stats: cpu.stats().clone(),
+            arrays,
+            scalars,
+        }
     })
+}
+
+fn entry<'c>(compiled: &'c Compiled, name: &str) -> &'c LayoutEntry {
+    compiled
+        .layout
+        .entry(name)
+        .unwrap_or_else(|| panic!("`{name}` is not a kernel array"))
+}
+
+fn byte_width(ty: FpFmt) -> usize {
+    (ty.width() / 8) as usize
+}
+
+/// One bulk read of an array's bytes, widened to `f64`.
+fn read_array(cpu: &Cpu, entry: &LayoutEntry) -> Vec<f64> {
+    let bytes = cpu
+        .mem()
+        .read_bytes(entry.addr, entry.len * byte_width(entry.ty));
+    decode(entry.ty, &bytes)
+}
+
+/// Widen a little-endian byte image of `ty` values to `f64`.
+fn decode(ty: FpFmt, bytes: &[u8]) -> Vec<f64> {
+    let fmt = ty.format();
+    match byte_width(ty) {
+        1 => bytes.iter().map(|&b| fast::to_f64(fmt, b as u64)).collect(),
+        2 => bytes
+            .chunks_exact(2)
+            .map(|c| fast::to_f64(fmt, u16::from_le_bytes([c[0], c[1]]) as u64))
+            .collect(),
+        _ => bytes
+            .chunks_exact(4)
+            .map(|c| fast::to_f64(fmt, u32::from_le_bytes([c[0], c[1], c[2], c[3]]) as u64))
+            .collect(),
+    }
 }
 
 /// Quantize `inputs` into their array storage types and write them with
@@ -179,20 +326,9 @@ pub fn run_compiled(
 ///
 /// Panics on an unknown input name or a size mismatch.
 fn write_inputs(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<f64>)]) {
-    let mut env = Env::new(Rounding::Rne);
     for (name, values) in inputs {
-        let entry = compiled
-            .layout
-            .entry(name)
-            .unwrap_or_else(|| panic!("input `{name}` is not a kernel array"));
-        assert_eq!(entry.len, values.len(), "input size mismatch for `{name}`");
-        let bytes = entry.ty.width() / 8;
-        let mut raw = Vec::with_capacity(entry.len * bytes as usize);
-        for v in values {
-            let bits = ops::from_f64(entry.ty.format(), *v, &mut env) as u32;
-            raw.extend_from_slice(&bits.to_le_bytes()[..bytes as usize]);
-        }
-        cpu.write_data(entry.addr, &raw);
+        let (addr, bytes) = quantize_array(compiled, name, values);
+        cpu.write_data(addr, &bytes);
     }
 }
 
@@ -200,9 +336,9 @@ fn write_inputs(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<f64>)
 /// PC at the entry point — the exact pre-run state, ready for `Cpu::run`.
 ///
 /// Inputs are quantized into each array's storage type, the same way
-/// [`run_compiled`] does it (which is this function followed by a run and
-/// read-back). Exposed so record-replay harnesses can set up a workload,
-/// snapshot it, and drive execution themselves.
+/// [`launch`] does it (which is this setup on a pooled simulator followed
+/// by a run and read-back). Exposed so record-replay harnesses can set up
+/// a workload, snapshot it, and drive execution themselves.
 ///
 /// # Panics
 ///
@@ -219,33 +355,28 @@ pub fn load_workload(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<
 ///
 /// Panics on an unknown array name.
 pub fn array_span(compiled: &Compiled, name: &str) -> (u32, usize) {
-    let entry = compiled
-        .layout
-        .entry(name)
-        .unwrap_or_else(|| panic!("`{name}` is not a kernel array"));
-    (entry.addr, entry.len * (entry.ty.width() / 8) as usize)
+    let entry = entry(compiled, name);
+    (entry.addr, entry.len * byte_width(entry.ty))
 }
 
 /// Quantize `values` into array `name`'s storage type and return the
 /// placed byte image `(addr, bytes)` — the write half of a work
-/// descriptor, applying the same rounding [`run_compiled`] applies when
-/// data enters simulated memory.
+/// descriptor, applying the same rounding [`launch`] applies when data
+/// enters simulated memory.
 ///
 /// # Panics
 ///
 /// Panics on an unknown array name or a size mismatch.
 pub fn quantize_array(compiled: &Compiled, name: &str, values: &[f64]) -> (u32, Vec<u8>) {
-    let entry = compiled
-        .layout
-        .entry(name)
-        .unwrap_or_else(|| panic!("`{name}` is not a kernel array"));
-    assert_eq!(entry.len, values.len(), "size mismatch for `{name}`");
-    let bytes = entry.ty.width() / 8;
+    let entry = entry(compiled, name);
+    assert_eq!(entry.len, values.len(), "input size mismatch for `{name}`");
+    let fmt = entry.ty.format();
+    let width = byte_width(entry.ty);
     let mut env = Env::new(Rounding::Rne);
-    let mut raw = Vec::with_capacity(entry.len * bytes as usize);
+    let mut raw = Vec::with_capacity(values.len() * width);
     for v in values {
-        let bits = ops::from_f64(entry.ty.format(), *v, &mut env) as u32;
-        raw.extend_from_slice(&bits.to_le_bytes()[..bytes as usize]);
+        let bits = fast::from_f64(fmt, *v, &mut env) as u32;
+        raw.extend_from_slice(&bits.to_le_bytes()[..width]);
     }
     (entry.addr, raw)
 }
@@ -257,69 +388,13 @@ pub fn quantize_array(compiled: &Compiled, name: &str, values: &[f64]) -> (u32, 
 ///
 /// Panics on an unknown array name or a byte-length mismatch.
 pub fn decode_array(compiled: &Compiled, name: &str, bytes: &[u8]) -> Vec<f64> {
-    let entry = compiled
-        .layout
-        .entry(name)
-        .unwrap_or_else(|| panic!("`{name}` is not a kernel array"));
-    let width = (entry.ty.width() / 8) as usize;
+    let entry = entry(compiled, name);
     assert_eq!(
         bytes.len(),
-        entry.len * width,
+        entry.len * byte_width(entry.ty),
         "byte length mismatch for `{name}`"
     );
-    bytes
-        .chunks_exact(width)
-        .map(|c| {
-            let mut raw = [0u8; 4];
-            raw[..width].copy_from_slice(c);
-            ops::to_f64(entry.ty.format(), u32::from_le_bytes(raw) as u64)
-        })
-        .collect()
-}
-
-/// Run a loaded workload to its `ecall` exit and read back every array and
-/// scalar. The setup half is [`load_workload`] (or the warmed-snapshot
-/// restore in [`run_compiled`]).
-fn finish_run(cpu: &mut Cpu, kernel: &Kernel, compiled: &Compiled) -> RunResult {
-    let exit = cpu
-        .run(200_000_000)
-        .unwrap_or_else(|e| panic!("kernel trapped: {e}"));
-    assert_eq!(exit, ExitReason::Ecall, "kernel must exit via ecall");
-    // Harvest the block profile before anything can invalidate the cache.
-    let hot_blocks = cpu.hot_blocks(10);
-    if smallfloat_sim::env::hot_blocks() {
-        eprintln!(
-            "hot blocks for `{}`:\n{}",
-            kernel.name,
-            hot_block_report(&hot_blocks, cpu.stats().instret)
-        );
-    }
-
-    let mut arrays = HashMap::new();
-    for entry in &compiled.layout.entries {
-        let bytes = entry.ty.width() / 8;
-        let mut vals = Vec::with_capacity(entry.len);
-        for i in 0..entry.len {
-            let raw = cpu
-                .mem()
-                .load(entry.addr + (i as u32) * bytes, bytes)
-                .expect("in range");
-            vals.push(ops::to_f64(entry.ty.format(), raw as u64));
-        }
-        arrays.insert(entry.name.clone(), vals);
-    }
-    let mut scalars = HashMap::new();
-    for (name, reg) in &compiled.scalar_regs {
-        let ty = kernel.type_of(name).unwrap_or(smallfloat_isa::FpFmt::S);
-        let raw = cpu.freg(*reg) as u64 & ty.format().mask();
-        scalars.insert(name.clone(), ops::to_f64(ty.format(), raw));
-    }
-    RunResult {
-        stats: cpu.stats().clone(),
-        arrays,
-        scalars,
-        hot_blocks,
-    }
+    decode(entry.ty, bytes)
 }
 
 #[cfg(test)]
@@ -328,6 +403,39 @@ mod tests {
     use smallfloat_isa::FpFmt;
     use smallfloat_xcc::codegen::{compile, CodegenOptions};
     use smallfloat_xcc::ir::{Bound, Expr, IdxExpr, Stmt};
+
+    /// Warmed slots in this thread's pool.
+    fn thread_slots() -> usize {
+        POOL.with(|p| p.borrow().sims.len())
+    }
+
+    /// Run `f` on a fresh thread, so it starts from an empty pool.
+    fn on_fresh_thread(f: impl FnOnce() + Send + 'static) {
+        std::thread::spawn(f).join().unwrap();
+    }
+
+    /// `y[i] = x[i] <op> 2` at binary32.
+    fn map_kernel(mul: bool) -> Kernel {
+        let mut k = Kernel::new("map");
+        k.array("x", FpFmt::S, 8).array("y", FpFmt::S, 8);
+        let x = Expr::load("x", IdxExpr::var("i"));
+        let value = if mul {
+            x * Expr::lit(2.0)
+        } else {
+            x + Expr::lit(2.0)
+        };
+        k.body = vec![Stmt::for_(
+            "i",
+            0,
+            Bound::constant(8),
+            vec![Stmt::store("y", IdxExpr::var("i"), value)],
+        )];
+        k
+    }
+
+    fn x_input() -> Vec<(String, Vec<f64>)> {
+        vec![("x".to_string(), (0..8).map(|i| i as f64 - 2.5).collect())]
+    }
 
     #[test]
     fn runs_and_reads_back() {
@@ -360,5 +468,125 @@ mod tests {
         assert_eq!(r.arrays["x"], vec![2.0, 4.0, 6.0, 8.0]);
         assert!(r.stats.cycles > 0);
         assert_eq!(r.signal(&["x".to_string()]), vec![2.0, 4.0, 6.0, 8.0]);
+    }
+
+    #[test]
+    fn selective_read_matches_full_read_for_every_array() {
+        // One array per storage width and format, read back selectively in
+        // a different order than the layout's, must equal the full read.
+        let fmts = [FpFmt::S, FpFmt::Ah, FpFmt::H, FpFmt::B, FpFmt::Ab];
+        let mut k = Kernel::new("mixed");
+        for (j, f) in fmts.iter().enumerate() {
+            k.array(&format!("a{j}"), *f, 9);
+        }
+        k.body = vec![Stmt::for_(
+            "i",
+            0,
+            Bound::constant(9),
+            (1..fmts.len())
+                .map(|j| {
+                    Stmt::store(
+                        &format!("a{j}"),
+                        IdxExpr::var("i"),
+                        Expr::load(&format!("a{}", j - 1), IdxExpr::var("i")) * Expr::lit(0.75),
+                    )
+                })
+                .collect(),
+        )];
+        let c = compile(&k, CodegenOptions::default()).unwrap();
+        let inputs = vec![(
+            "a0".to_string(),
+            (0..9).map(|i| (i as f64 - 4.0) * 1.37).collect(),
+        )];
+        let full = run_compiled(&k, &c, &inputs, MemLevel::L1);
+        let names: Vec<String> = (0..fmts.len()).rev().map(|j| format!("a{j}")).collect();
+        let read: Vec<&str> = names.iter().map(String::as_str).collect();
+        let (arrays, stats) = launch(&k, &c, &inputs, MemLevel::L1, &read);
+        assert_eq!(stats.cycles, full.stats.cycles);
+        for (name, values) in read.iter().zip(&arrays) {
+            let want: Vec<u64> = full.arrays[*name].iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "`{name}`");
+        }
+        let (some, _) = launch(&k, &c, &inputs, MemLevel::L1, &["a3"]);
+        assert_eq!(some, vec![full.arrays["a3"].clone()]);
+    }
+
+    #[test]
+    fn relaunch_forks_the_warm_slot() {
+        on_fresh_thread(|| {
+            let k = map_kernel(true);
+            let c = compile(&k, CodegenOptions::default()).unwrap();
+            let (w0, c0) = pool_counters();
+            let (first, s1) = launch(&k, &c, &x_input(), MemLevel::L1, &["y"]);
+            assert_eq!(thread_slots(), 1, "first launch trains a slot");
+            let (second, s2) = launch(&k, &c, &x_input(), MemLevel::L1, &["y"]);
+            assert_eq!(thread_slots(), 1, "second launch forks it");
+            let (w1, c1) = pool_counters();
+            assert_eq!((w1 - w0, c1 - c0), (1, 1), "one fork, one train");
+            assert_eq!(first, second);
+            assert_eq!(s1.cycles, s2.cycles);
+        });
+    }
+
+    #[test]
+    fn programs_differing_in_one_instruction_never_share_a_slot() {
+        on_fresh_thread(|| {
+            // The loop body is unrolled twice: swapping only the first
+            // fmul.s for fadd.s gives y = x+2 at even and x*2 at odd
+            // indices, from a program of equal length one instruction off.
+            let (km, ka) = (map_kernel(true), map_kernel(false));
+            let cm = compile(&km, CodegenOptions::default()).unwrap();
+            let add = compile(&ka, CodegenOptions::default()).unwrap().program;
+            let at = (0..add.len())
+                .find(|&i| cm.program[i] != add[i])
+                .expect("fmul.s vs fadd.s");
+            let mut program = cm.program.clone();
+            program[at] = add[at];
+            let one_off = |program: Vec<Instr>| {
+                Compiled::new(program, cm.layout.clone(), Vec::new(), String::new(), 0)
+            };
+            let c1 = one_off(program.clone());
+            assert_ne!(c1.program_hash(), cm.program_hash());
+
+            // The same program carrying the multiply's hash (as after a
+            // hash collision): the pool must confirm by full equality and
+            // train a slot of its own.
+            let mut forged = compile(&km, CodegenOptions::default()).unwrap();
+            forged.program = program;
+            assert_eq!(forged.program_hash(), cm.program_hash());
+
+            let x = &x_input()[0].1;
+            let mixed: Vec<f64> = x
+                .iter()
+                .enumerate()
+                .map(|(i, v)| if i % 2 == 0 { v + 2.0 } else { v * 2.0 })
+                .collect();
+            let (ym, _) = launch(&km, &cm, &x_input(), MemLevel::L1, &["y"]);
+            assert_eq!(ym[0], x.iter().map(|v| v * 2.0).collect::<Vec<_>>());
+            let (y1, _) = launch(&km, &c1, &x_input(), MemLevel::L1, &["y"]);
+            assert_eq!(thread_slots(), 2, "one instruction off: own slot");
+            assert_eq!(y1[0], mixed);
+            let (yf, _) = launch(&km, &forged, &x_input(), MemLevel::L1, &["y"]);
+            assert_eq!(thread_slots(), 3, "hash match, program mismatch: no hit");
+            assert_eq!(yf[0], mixed);
+            let (ym2, _) = launch(&km, &cm, &x_input(), MemLevel::L1, &["y"]);
+            assert_eq!(thread_slots(), 3, "the multiply's slot forks");
+            assert_eq!(ym2, ym, "and was never overwritten");
+        });
+    }
+
+    #[test]
+    fn hot_blocks_are_read_on_request() {
+        on_fresh_thread(|| {
+            assert!(last_hot_blocks(10).is_empty(), "no launch yet");
+            let k = map_kernel(true);
+            let c = compile(&k, CodegenOptions::default()).unwrap();
+            let (_, stats) = launch(&k, &c, &x_input(), MemLevel::L1, &["y"]);
+            let hot = last_hot_blocks(10);
+            assert!(!hot.is_empty());
+            let attributed: u64 = hot.iter().map(|b| b.dynamic_instrs()).sum();
+            assert!(attributed > 0 && attributed <= stats.instret);
+        });
     }
 }

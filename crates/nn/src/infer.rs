@@ -11,9 +11,9 @@ use crate::graph::{forward_f64, Network};
 use crate::lower::{build_layer, layer_inputs, layer_kernel, layer_precision};
 use crate::qor::argmax;
 use smallfloat_isa::FpFmt;
-use smallfloat_kernels::{run_compiled, VecMode};
+use smallfloat_kernels::{launch, VecMode};
 use smallfloat_sim::{MemLevel, Stats};
-use smallfloat_xcc::interp::{run_typed, sqnr_db, TypedState};
+use smallfloat_xcc::interp::{sqnr_db, TypedProgram, TypedState};
 
 /// A per-layer format assignment (layer name → storage format). Every
 /// layer must appear.
@@ -110,20 +110,17 @@ pub fn infer_sim(
         if layer.batched() {
             let (typed, compiled) = build_layer(layer, n, fmt, mode);
             let flat: Vec<f64> = acts.iter().flatten().copied().collect();
-            let r = run_compiled(
-                &typed,
-                &compiled,
-                &layer_inputs(layer, params, &flat, n),
-                level,
-            );
-            add_stats(&mut stats, &r.stats);
-            acts = r.arrays["y"].chunks(out_len).map(<[f64]>::to_vec).collect();
+            let inputs = layer_inputs(layer, params, &flat, n);
+            let (y, s) = launch(&typed, &compiled, &inputs, level, &["y"]);
+            add_stats(&mut stats, &s);
+            acts = y[0].chunks(out_len).map(<[f64]>::to_vec).collect();
         } else {
             let (typed, compiled) = build_layer(layer, 1, fmt, mode);
             for x in &mut acts {
-                let r = run_compiled(&typed, &compiled, &layer_inputs(layer, params, x, 1), level);
-                add_stats(&mut stats, &r.stats);
-                *x = r.arrays["y"].clone();
+                let inputs = layer_inputs(layer, params, x, 1);
+                let (mut y, s) = launch(&typed, &compiled, &inputs, level, &["y"]);
+                add_stats(&mut stats, &s);
+                *x = y.swap_remove(0);
             }
         }
         let measured: Vec<f64> = acts.iter().flatten().copied().collect();
@@ -168,20 +165,22 @@ pub fn infer_typed(net: &Network, inputs: &[Vec<f64>], assignment: &Assignment) 
             for (name, vals) in layer_inputs(layer, params, &flat, n) {
                 st.set_array(&name, &vals);
             }
-            run_typed(&typed, &mut st);
+            TypedProgram::new(&typed).run(&mut st);
             acts = st
                 .array_f64("y")
                 .chunks(out_len)
                 .map(<[f64]>::to_vec)
                 .collect();
         } else {
+            // One resolve per layer, one run per sample.
             let typed = layer_precision(fmt).apply(&layer_kernel(layer, 1));
+            let program = TypedProgram::new(&typed);
             for x in &mut acts {
                 let mut st = TypedState::for_kernel(&typed);
                 for (name, vals) in layer_inputs(layer, params, x, 1) {
                     st.set_array(&name, &vals);
                 }
-                run_typed(&typed, &mut st);
+                program.run(&mut st);
                 *x = st.array_f64("y");
             }
         }

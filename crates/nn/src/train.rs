@@ -38,13 +38,14 @@ use crate::graph::{layer_forward_f64, uniform, Dataset, Layer, Network, Params, 
 use crate::infer::{infer_typed, Assignment};
 use crate::qor::{accuracy, argmax};
 use smallfloat_isa::FpFmt;
-use smallfloat_kernels::{run_compiled, Precision, VecMode};
+use smallfloat_kernels::{launch, pool_counters, Precision, VecMode};
 use smallfloat_sim::{MemLevel, Stats};
 use smallfloat_tuner::{tune_batched, TuneResult, TunerConfig};
-use smallfloat_xcc::codegen::{compile, CodegenOptions};
-use smallfloat_xcc::interp::{run_typed, TypedState};
+use smallfloat_xcc::codegen::{compile, CodegenOptions, Compiled};
+use smallfloat_xcc::interp::{TypedProgram, TypedState};
 use smallfloat_xcc::ir::Kernel;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One of the three phases of a training step.
@@ -262,39 +263,84 @@ fn batch_of(ds: &Dataset, step: usize, batch: usize) -> (Vec<Vec<f64>>, Vec<usiz
         .unzip()
 }
 
-/// Run one typed kernel under `exec` and read back the named arrays.
-fn run_kernel(
-    exec: &Exec,
-    typed: &Kernel,
-    inputs: &[(String, Vec<f64>)],
-    read: &[&str],
-) -> (Vec<Vec<f64>>, Stats) {
-    match exec {
-        Exec::Typed => {
-            let mut st = TypedState::for_kernel(typed);
-            for (name, vals) in inputs {
-                st.set_array(name, vals);
-            }
-            run_typed(typed, &mut st);
-            (
-                read.iter().map(|name| st.array_f64(name)).collect(),
-                Stats::default(),
-            )
+/// Which of a layer's kernels a launch runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Role {
+    Fwd,
+    BwdW,
+    BwdX,
+    UpdateW,
+    UpdateB,
+}
+
+/// A typed kernel made ready for its executor once.
+enum Prepared {
+    Typed(Kernel, TypedProgram),
+    Sim(Kernel, Compiled, MemLevel),
+}
+
+/// The kernels of one [`train`] call. Within a call a (layer, role) pair
+/// always runs the same typed kernel — formats, batch size and
+/// hyperparameters are fixed — so each is built, then compiled (or
+/// resolved for the typed interpreter), on its first launch and reused by
+/// every later step and sample. Dropped when the call returns.
+struct Plan<'e> {
+    exec: &'e Exec,
+    kernels: HashMap<(usize, Role), Prepared>,
+}
+
+impl<'e> Plan<'e> {
+    fn new(exec: &'e Exec) -> Plan<'e> {
+        Plan {
+            exec,
+            kernels: HashMap::new(),
         }
-        Exec::Sim { mode, level } => {
-            let compiled = compile(
-                typed,
-                CodegenOptions {
-                    vectorize: !matches!(mode, VecMode::Scalar),
-                    expanding: true,
-                },
-            )
-            .expect("training kernels are sized within the register pools");
-            let r = run_compiled(typed, &compiled, inputs, *level);
-            (
-                read.iter().map(|name| r.arrays[*name].clone()).collect(),
-                r.stats,
-            )
+    }
+
+    /// Run layer `li`'s `role` kernel (built by `build` on first use) and
+    /// read back the named arrays.
+    fn run(
+        &mut self,
+        li: usize,
+        role: Role,
+        build: impl FnOnce() -> Kernel,
+        inputs: &[(String, Vec<f64>)],
+        read: &[&str],
+    ) -> (Vec<Vec<f64>>, Stats) {
+        let exec = self.exec;
+        let prepared = self.kernels.entry((li, role)).or_insert_with(|| {
+            let typed = build();
+            match exec {
+                Exec::Typed => {
+                    let program = TypedProgram::new(&typed);
+                    Prepared::Typed(typed, program)
+                }
+                Exec::Sim { mode, level } => {
+                    let compiled = compile(
+                        &typed,
+                        CodegenOptions {
+                            vectorize: !matches!(mode, VecMode::Scalar),
+                            expanding: true,
+                        },
+                    )
+                    .expect("training kernels are sized within the register pools");
+                    Prepared::Sim(typed, compiled, *level)
+                }
+            }
+        });
+        match prepared {
+            Prepared::Typed(typed, program) => {
+                let mut st = TypedState::for_kernel(typed);
+                for (name, vals) in inputs {
+                    st.set_array(name, vals);
+                }
+                program.run(&mut st);
+                (
+                    read.iter().map(|name| st.array_f64(name)).collect(),
+                    Stats::default(),
+                )
+            }
+            Prepared::Sim(typed, compiled, level) => launch(typed, compiled, inputs, *level, read),
         }
     }
 }
@@ -352,6 +398,7 @@ pub fn train(
         .collect();
     let mut attr: Vec<[Attr; 3]> = (0..nl).map(|_| <[Attr; 3]>::default()).collect();
     let mut losses = Vec::with_capacity(cfg.steps);
+    let mut plan = Plan::new(exec);
 
     for step in 0..cfg.steps {
         let (xs, labels) = batch_of(ds, step, cfg.batch);
@@ -361,7 +408,7 @@ pub fn train(
         for (li, layer) in net.layers.iter().enumerate() {
             let fmt = pa.fwd_of(layer.name());
             acts_in.push(cur.clone());
-            let (out, stats) = forward_layer(exec, layer, &params[li], &cur, fmt);
+            let (out, stats) = forward_layer(&mut plan, li, layer, &params[li], &cur, fmt);
             let golden: Vec<f64> = cur
                 .iter()
                 .flat_map(|x| layer_forward_f64(layer, &params[li], x))
@@ -381,7 +428,16 @@ pub fn train(
             let layer = &net.layers[li];
             let fmt = pa.bwd_of(layer.name());
             let need_dx = li > 0;
-            let b = backward_layer(exec, layer, &params[li], &acts_in[li], &dy, fmt, need_dx);
+            let b = backward_layer(
+                &mut plan,
+                li,
+                layer,
+                &params[li],
+                &acts_in[li],
+                &dy,
+                fmt,
+                need_dx,
+            );
             attr[li][1].record(&b.stats, &b.golden, &b.measured);
             if let Some(g) = b.grads {
                 grads[li] = Some(g);
@@ -399,32 +455,34 @@ pub fn train(
             let fmt = pa.bwd_of(layer.name());
             let mut stats = Stats::default();
             let (mut golden, mut measured) = (Vec::new(), Vec::new());
-            for (which, grad) in [("w", dw), ("b", db)] {
-                let (p_host, v_host) = match which {
-                    "w" => (&mut params[li].w, &mut vel[li].w),
+            for (which, role, grad) in [("w", Role::UpdateW, dw), ("b", Role::UpdateB, db)] {
+                let (p_host, v_host) = match role {
+                    Role::UpdateW => (&mut params[li].w, &mut vel[li].w),
                     _ => (&mut params[li].bias, &mut vel[li].bias),
                 };
-                let k = sgd_kernel(
-                    &format!("{}_{which}", layer.name()),
-                    grad.len(),
-                    cfg.lr,
-                    cfg.momentum,
-                );
-                let typed = if fmt == FpFmt::S {
-                    Precision::F32.apply(&k)
-                } else {
-                    Precision::Mixed {
-                        default: FpFmt::S,
-                        assignment: vec![("g".to_string(), fmt)],
+                let build = || {
+                    let k = sgd_kernel(
+                        &format!("{}_{which}", layer.name()),
+                        grad.len(),
+                        cfg.lr,
+                        cfg.momentum,
+                    );
+                    if fmt == FpFmt::S {
+                        Precision::F32.apply(&k)
+                    } else {
+                        Precision::Mixed {
+                            default: FpFmt::S,
+                            assignment: vec![("g".to_string(), fmt)],
+                        }
+                        .apply(&k)
                     }
-                    .apply(&k)
                 };
                 let inputs = vec![
                     ("p".to_string(), p_host.clone()),
                     ("v".to_string(), v_host.clone()),
                     ("g".to_string(), grad.clone()),
                 ];
-                let (out, s) = run_kernel(exec, &typed, &inputs, &["p", "v"]);
+                let (out, s) = plan.run(li, role, build, &inputs, &["p", "v"]);
                 stats.cycles += s.cycles;
                 stats.instret += s.instret;
                 stats.energy_pj += s.energy_pj;
@@ -490,9 +548,10 @@ pub fn train(
     }
 }
 
-/// One forward layer under `exec` (batched, or per-sample for conv).
+/// One forward layer through `plan` (batched, or per-sample for conv).
 fn forward_layer(
-    exec: &Exec,
+    plan: &mut Plan,
+    li: usize,
     layer: &Layer,
     params: &Params,
     xs: &[Vec<f64>],
@@ -502,17 +561,18 @@ fn forward_layer(
     let n = xs.len();
     let out_len = layer.out_len();
     let mut stats = Stats::default();
+    let build = |batch| move || layer_precision(fmt).apply(&layer_kernel(layer, batch));
     if layer.batched() {
-        let typed = layer_precision(fmt).apply(&layer_kernel(layer, n));
         let flat: Vec<f64> = xs.iter().flatten().copied().collect();
-        let (out, s) = run_kernel(exec, &typed, &layer_inputs(layer, params, &flat, n), &["y"]);
+        let inputs = layer_inputs(layer, params, &flat, n);
+        let (out, s) = plan.run(li, Role::Fwd, build(n), &inputs, &["y"]);
         stats = s;
         (out[0].chunks(out_len).map(<[f64]>::to_vec).collect(), stats)
     } else {
-        let typed = layer_precision(fmt).apply(&layer_kernel(layer, 1));
         let mut outs = Vec::with_capacity(n);
         for x in xs {
-            let (out, s) = run_kernel(exec, &typed, &layer_inputs(layer, params, x, 1), &["y"]);
+            let inputs = layer_inputs(layer, params, x, 1);
+            let (out, s) = plan.run(li, Role::Fwd, build(1), &inputs, &["y"]);
             stats.cycles += s.cycles;
             stats.instret += s.instret;
             stats.energy_pj += s.energy_pj;
@@ -541,12 +601,14 @@ fn add(stats: &mut Stats, s: &Stats) {
     stats.energy_pj += s.energy_pj;
 }
 
-/// One backward layer under `exec` at gradient format `fmt`. `xs` are the
+/// One backward layer through `plan` at gradient format `fmt`. `xs` are the
 /// host `f64` copies of the activations the forward pass fed this layer,
 /// `dys` the upstream gradients; both re-quantize at this layer's
 /// backward format on kernel entry.
+#[allow(clippy::too_many_arguments)]
 fn backward_layer(
-    exec: &Exec,
+    plan: &mut Plan,
+    li: usize,
     layer: &Layer,
     params: &Params,
     xs: &[Vec<f64>],
@@ -571,7 +633,7 @@ fn backward_layer(
     let mut grads = None;
     match layer {
         Layer::Dense { inp, out, .. } => {
-            let typed = prec.apply(&dense_bwd_w(layer.name(), *inp, *out, n));
+            let build = || prec.apply(&dense_bwd_w(layer.name(), *inp, *out, n));
             let inputs = vec![
                 ("xt".to_string(), transpose(&flat_x, n, *inp)),
                 ("dyt".to_string(), transpose(&flat_dy, n, *out)),
@@ -579,7 +641,7 @@ fn backward_layer(
                 ("db".to_string(), vec![0.0; *out]),
                 ("one".to_string(), vec![1.0; n]),
             ];
-            let (o, s) = run_kernel(exec, &typed, &inputs, &["dw", "db"]);
+            let (o, s) = plan.run(li, Role::BwdW, build, &inputs, &["dw", "db"]);
             add(&mut stats, &s);
             let (mut gw, mut gb) = (vec![0.0; inp * out], vec![0.0; *out]);
             for sh in &shadows {
@@ -596,13 +658,13 @@ fn backward_layer(
             measured.extend_from_slice(&o[1]);
             grads = Some((o[0].clone(), o[1].clone()));
             if need_dx {
-                let typed = prec.apply(&dense_bwd_x(layer.name(), *inp, *out, n));
+                let build = || prec.apply(&dense_bwd_x(layer.name(), *inp, *out, n));
                 let inputs = vec![
                     ("wt".to_string(), transpose(&params.w, *out, *inp)),
                     ("dy".to_string(), flat_dy.clone()),
                     ("dx".to_string(), vec![0.0; n * inp]),
                 ];
-                let (o, s) = run_kernel(exec, &typed, &inputs, &["dx"]);
+                let (o, s) = plan.run(li, Role::BwdX, build, &inputs, &["dx"]);
                 add(&mut stats, &s);
                 golden.extend(shadows.iter().flat_map(|sh| sh.dx.iter().copied()));
                 measured.extend_from_slice(&o[0]);
@@ -617,8 +679,8 @@ fn backward_layer(
             ..
         } => {
             let (oh, ow) = (h - CONV_K + 1, w - CONV_K + 1);
-            let typed_w = prec.apply(&conv_bwd_w(layer.name(), *in_ch, *out_ch, *h, *w));
-            let typed_x = prec.apply(&conv_bwd_x(layer.name(), *in_ch, *out_ch, *h, *w));
+            let build_w = || prec.apply(&conv_bwd_w(layer.name(), *in_ch, *out_ch, *h, *w));
+            let build_x = || prec.apply(&conv_bwd_x(layer.name(), *in_ch, *out_ch, *h, *w));
             let wl = out_ch * in_ch * CONV_K * CONV_K;
             let (mut gw, mut gb) = (vec![0.0; wl], vec![0.0; *out_ch]);
             let (mut mw, mut mb) = (vec![0.0; wl], vec![0.0; *out_ch]);
@@ -630,7 +692,7 @@ fn backward_layer(
                     ("db".to_string(), vec![0.0; *out_ch]),
                     ("one".to_string(), vec![1.0; oh * ow]),
                 ];
-                let (o, s) = run_kernel(exec, &typed_w, &inputs, &["dw", "db"]);
+                let (o, s) = plan.run(li, Role::BwdW, build_w, &inputs, &["dw", "db"]);
                 add(&mut stats, &s);
                 for (a, b) in mw.iter_mut().zip(&o[0]) {
                     *a += b;
@@ -644,7 +706,7 @@ fn backward_layer(
                         ("dyp".to_string(), pad_dy(dy, *out_ch, oh, ow)),
                         ("dx".to_string(), vec![0.0; layer.in_len()]),
                     ];
-                    let (o, s) = run_kernel(exec, &typed_x, &inputs, &["dx"]);
+                    let (o, s) = plan.run(li, Role::BwdX, build_x, &inputs, &["dx"]);
                     add(&mut stats, &s);
                     measured.extend_from_slice(&o[0]);
                     dx.push(o[0].clone());
@@ -668,26 +730,26 @@ fn backward_layer(
             grads = Some((mw, mb));
         }
         Layer::Relu { len, .. } => {
-            let typed = prec.apply(&relu_bwd(layer.name(), n * len));
+            let build = || prec.apply(&relu_bwd(layer.name(), n * len));
             let inputs = vec![
                 ("x".to_string(), flat_x),
                 ("dy".to_string(), flat_dy),
                 ("dx".to_string(), vec![0.0; n * len]),
             ];
-            let (o, s) = run_kernel(exec, &typed, &inputs, &["dx"]);
+            let (o, s) = plan.run(li, Role::BwdX, build, &inputs, &["dx"]);
             add(&mut stats, &s);
             golden.extend(shadows.iter().flat_map(|sh| sh.dx.iter().copied()));
             measured.extend_from_slice(&o[0]);
             dx = o[0].chunks(*len).map(<[f64]>::to_vec).collect();
         }
         Layer::MaxPool2 { ch, h, w, .. } => {
-            let typed = prec.apply(&pool_bwd(layer.name(), n * ch, *h, *w));
+            let build = || prec.apply(&pool_bwd(layer.name(), n * ch, *h, *w));
             let inputs = vec![
                 ("x".to_string(), flat_x),
                 ("dy".to_string(), flat_dy),
                 ("dx".to_string(), vec![0.0; n * ch * h * w]),
             ];
-            let (o, s) = run_kernel(exec, &typed, &inputs, &["dx"]);
+            let (o, s) = plan.run(li, Role::BwdX, build, &inputs, &["dx"]);
             add(&mut stats, &s);
             golden.extend(shadows.iter().flat_map(|sh| sh.dx.iter().copied()));
             measured.extend_from_slice(&o[0]);
@@ -871,8 +933,8 @@ pub struct TrainTune {
     /// The tuned per-pass assignment.
     pub assignment: PassAssignment,
     /// Simulator launches during tuning that forked a warmed `Cpu`
-    /// snapshot vs. retrained one from reset
-    /// (`smallfloat_kernels::pool_counters` delta).
+    /// snapshot vs. retrained one from reset (the
+    /// `smallfloat_kernels::pool_counters` deltas of every worker, summed).
     pub warm_forks: u64,
     /// See [`TrainTune::warm_forks`].
     pub cold_trains: u64,
@@ -902,20 +964,27 @@ pub fn tune_training(
         mode: VecMode::Auto,
         level: MemLevel::L1,
     };
-    let (f0, c0) = smallfloat_kernels::pool_counters();
+    // Summed over the workers' own pools.
+    let (warm_forks, cold_trains) = (AtomicU64::new(0), AtomicU64::new(0));
     let result = tune_batched(&proxy, tcfg, |batch| {
         let next = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<f64>>> = Mutex::new(vec![None; batch.len()]);
         std::thread::scope(|scope| {
             for _ in 0..host_workers.max(1) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= batch.len() {
-                        break;
+                scope.spawn(|| {
+                    let (f0, c0) = pool_counters();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= batch.len() {
+                            break;
+                        }
+                        let pa = proxy_assignment(net, &batch[i]);
+                        let t = train(net, ds, &pa, cfg, &exec);
+                        slots.lock().unwrap()[i] = Some(loss_parity_error(&t.losses, &reference));
                     }
-                    let pa = proxy_assignment(net, &batch[i]);
-                    let t = train(net, ds, &pa, cfg, &exec);
-                    slots.lock().unwrap()[i] = Some(loss_parity_error(&t.losses, &reference));
+                    let (f1, c1) = pool_counters();
+                    warm_forks.fetch_add(f1 - f0, Ordering::Relaxed);
+                    cold_trains.fetch_add(c1 - c0, Ordering::Relaxed);
                 });
             }
         });
@@ -926,7 +995,6 @@ pub fn tune_training(
             .map(|e| e.expect("every candidate evaluated"))
             .collect()
     });
-    let (f1, c1) = smallfloat_kernels::pool_counters();
     let mut proxy_final = proxy;
     for (name, fmt) in &result.assignment {
         if let Some(a) = proxy_final.arrays.iter_mut().find(|a| &a.name == name) {
@@ -936,8 +1004,8 @@ pub fn tune_training(
     TrainTune {
         assignment: proxy_assignment(net, &proxy_final),
         result,
-        warm_forks: f1.saturating_sub(f0),
-        cold_trains: c1.saturating_sub(c0),
+        warm_forks: warm_forks.into_inner(),
+        cold_trains: cold_trains.into_inner(),
     }
 }
 

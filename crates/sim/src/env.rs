@@ -32,9 +32,11 @@ pub fn noblocks() -> bool {
 }
 
 /// `SMALLFLOAT_HOT_BLOCKS`: print the hot-block profile after every
-/// simulated kernel run.
+/// simulated kernel launch. Cached at first read, so a launch that nobody
+/// profiles pays one load.
 pub fn hot_blocks() -> bool {
-    flag("SMALLFLOAT_HOT_BLOCKS")
+    static CACHE: OnceLock<bool> = OnceLock::new();
+    *CACHE.get_or_init(|| flag("SMALLFLOAT_HOT_BLOCKS"))
 }
 
 /// `SMALLFLOAT_SERIAL`: pin every parallel fan-out (`bench::par`, the

@@ -20,7 +20,8 @@
 //! Equivalence with the reference is enforced by the differential suites:
 //! exhaustively for binary8 (`tests/fastpath_b8_exhaustive.rs`) and for
 //! 16-bit unary ops, sampled with replayable seeds otherwise
-//! (`tests/fastpath_sampled.rs`).
+//! (`tests/fastpath_sampled.rs`); the host-`f64` bridges [`to_f64`] and
+//! [`from_f64`] by `tests/fastpath_f64_bridge.rs`.
 
 use crate::env::Env;
 use crate::format::Format;
@@ -302,6 +303,76 @@ pub fn cvt_f_f(dst: Format, src: Format, bits: u64, env: &mut Env) -> u64 {
         to_dst!(8, 23)
     } else {
         ops::cvt_f_f(dst, src, bits, env)
+    }
+}
+
+/// Exact widening of a concrete `(E, M)` encoding to `f64` by bit
+/// assembly: every value of an 8-, 16- or 32-bit format is an `f64`
+/// normal, so only the exponent is re-biased (subnormals are scaled by an
+/// exact power of two) and NaNs collapse to the canonical quiet NaN, as
+/// [`ops::to_f64`] does.
+#[inline(always)]
+fn widen<const E: u32, const M: u32>(bits: u64) -> f64 {
+    let exp_max = (1u64 << E) - 1;
+    let bias = (1i64 << (E - 1)) - 1;
+    let sign = (bits >> (E + M)) & 1;
+    let exp = (bits >> M) & exp_max;
+    let man = bits & ((1u64 << M) - 1);
+    if exp == exp_max {
+        return if man != 0 {
+            f64::from_bits(0x7ff8_0000_0000_0000)
+        } else {
+            f64::from_bits(sign << 63 | 0x7ff0_0000_0000_0000)
+        };
+    }
+    if exp == 0 {
+        // ±0 or a subnormal `man · 2^(1 - bias - M)`, exact in f64.
+        let scale = f64::from_bits(((1 - bias - M as i64 + 1023) as u64) << 52);
+        let v = man as f64 * scale;
+        return if sign == 1 { -v } else { v };
+    }
+    let exp64 = (exp as i64 - bias + 1023) as u64;
+    f64::from_bits(sign << 63 | exp64 << 52 | man << (52 - M))
+}
+
+/// Fast-path exact widening to host `f64` (see [`ops::to_f64`]). Bits
+/// above the format width are ignored.
+#[inline]
+pub fn to_f64(fmt: Format, bits: u64) -> f64 {
+    let bits = bits & fmt.mask();
+    if fmt == Format::BINARY8 {
+        widen::<5, 2>(bits)
+    } else if fmt == Format::BINARY8ALT {
+        widen::<4, 3>(bits)
+    } else if fmt == Format::BINARY16 {
+        widen::<5, 10>(bits)
+    } else if fmt == Format::BINARY16ALT {
+        widen::<8, 7>(bits)
+    } else if fmt == Format::BINARY32 {
+        widen::<8, 23>(bits)
+    } else {
+        ops::to_f64(fmt, bits)
+    }
+}
+
+/// Fast-path rounding of a host `f64` into `fmt` per `env.rm`, raising
+/// flags (see [`ops::from_f64`]): the monomorphized binary64-source
+/// conversion kernel for the concrete formats.
+#[inline]
+pub fn from_f64(fmt: Format, v: f64, env: &mut Env) -> u64 {
+    let bits = v.to_bits();
+    if fmt == Format::BINARY8 {
+        k::cvt::<11, 52, 5, 2>(bits, env)
+    } else if fmt == Format::BINARY8ALT {
+        k::cvt::<11, 52, 4, 3>(bits, env)
+    } else if fmt == Format::BINARY16 {
+        k::cvt::<11, 52, 5, 10>(bits, env)
+    } else if fmt == Format::BINARY16ALT {
+        k::cvt::<11, 52, 8, 7>(bits, env)
+    } else if fmt == Format::BINARY32 {
+        k::cvt::<11, 52, 8, 23>(bits, env)
+    } else {
+        ops::from_f64(fmt, v, env)
     }
 }
 

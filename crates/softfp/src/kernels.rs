@@ -35,7 +35,9 @@ fn width<const E: u32, const M: u32>() -> u32 {
 
 #[inline(always)]
 fn mask<const E: u32, const M: u32>() -> u64 {
-    (1u64 << width::<E, M>()) - 1
+    // Shift down rather than up so the binary64 source of
+    // `fast::from_f64` (width 64) gets a full mask.
+    u64::MAX >> (64 - width::<E, M>())
 }
 
 #[inline(always)]

@@ -38,8 +38,10 @@ use crate::ir::{expr_type, promote, BinOp, Bound, Expr, IdxExpr, Kernel, Stmt};
 use smallfloat_asm::Assembler;
 use smallfloat_isa::{BranchCond, CmpOp, FReg, FpFmt, Instr, MinMaxOp, VfOp, XReg};
 use smallfloat_softfp::{ops, Env, Rounding};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Base address where kernel data is laid out.
 pub const DATA_BASE: u32 = 0x10_0000;
@@ -123,6 +125,38 @@ pub struct Compiled {
     pub listing: String,
     /// Number of loops the vectorizer transformed.
     pub vectorized_loops: usize,
+    /// Hash of `program`, taken once by [`Compiled::new`]: the key a warm
+    /// simulator pool finds a program's slot by.
+    program_hash: u64,
+}
+
+impl Compiled {
+    /// Seal a program and its placement, hashing the program once.
+    pub fn new(
+        program: Vec<Instr>,
+        layout: DataLayout,
+        scalar_regs: Vec<(String, FReg)>,
+        listing: String,
+        vectorized_loops: usize,
+    ) -> Compiled {
+        let mut h = DefaultHasher::new();
+        program.hash(&mut h);
+        Compiled {
+            program_hash: h.finish(),
+            program,
+            layout,
+            scalar_regs,
+            listing,
+            vectorized_loops,
+        }
+    }
+
+    /// The hash of `program` taken at construction. Equal programs hash
+    /// equally; a caller that edits `program` afterwards must not rely on
+    /// it (a pool keyed on it still confirms a hit by full equality).
+    pub fn program_hash(&self) -> u64 {
+        self.program_hash
+    }
 }
 
 // Register pools.
@@ -220,13 +254,13 @@ pub fn compile(kernel: &Kernel, opts: CodegenOptions) -> Result<Compiled, XccErr
     cg.asm.ecall();
     let listing = cg.asm.listing();
     let program = cg.asm.assemble().expect("internal labels are consistent");
-    Ok(Compiled {
+    Ok(Compiled::new(
         program,
         layout,
         scalar_regs,
         listing,
-        vectorized_loops: cg.vectorized,
-    })
+        cg.vectorized,
+    ))
 }
 
 /// The memory placement [`compile`] assigns to a kernel's arrays: packed

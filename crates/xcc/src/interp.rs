@@ -5,41 +5,66 @@
 //! * [`run_typed`] evaluates at the declared storage types with soft-float
 //!   round-to-nearest-even at every operation — bit-exact with the *scalar*
 //!   lowering produced by [`crate::codegen`], which makes it the reference
-//!   for differential tests against the simulator;
+//!   for differential tests against the simulator. It runs a
+//!   [`TypedProgram`]: the kernel resolved once into slot-indexed storage
+//!   and loop variables, with every static type, conversion and
+//!   fused-multiply-add decision taken at resolve time;
 //! * [`run_f64`] evaluates everything in `f64` — the golden (QoR) reference
 //!   used for the paper's SQNR table.
 
-use crate::ir::{expr_type, promote, Bound, Expr, Kernel, Stmt};
+use crate::ir::{expr_type, fma_pattern, promote, BinOp, Bound, Expr, IdxExpr, Kernel, Stmt};
 use smallfloat_isa::FpFmt;
-use smallfloat_softfp::{ops, Env, Rounding};
+use smallfloat_softfp::{fast, Env, Format, Rounding};
 use std::collections::HashMap;
 
-/// Array and scalar storage at the kernel's declared types (bit patterns).
+/// One named storage location of a [`TypedState`].
+#[derive(Clone, Debug)]
+struct Slot<T> {
+    name: String,
+    ty: FpFmt,
+    data: T,
+}
+
+/// Array and scalar storage at the kernel's declared types (bit patterns),
+/// in declaration order — the slot numbering a [`TypedProgram`] indexes.
 #[derive(Clone, Debug, Default)]
 pub struct TypedState {
-    arrays: HashMap<String, Vec<u64>>,
-    scalars: HashMap<String, u64>,
-    types: HashMap<String, FpFmt>,
+    arrays: Vec<Slot<Vec<u64>>>,
+    scalars: Vec<Slot<u64>>,
 }
 
 impl TypedState {
     /// Initialize storage from the kernel's declarations (arrays zeroed,
     /// scalars at their initial values).
     pub fn for_kernel(kernel: &Kernel) -> TypedState {
-        let mut st = TypedState::default();
         let mut env = Env::new(Rounding::Rne);
-        for a in &kernel.arrays {
-            st.arrays.insert(a.name.clone(), vec![0; a.len]);
-            st.types.insert(a.name.clone(), a.ty);
+        TypedState {
+            arrays: kernel
+                .arrays
+                .iter()
+                .map(|a| Slot {
+                    name: a.name.clone(),
+                    ty: a.ty,
+                    data: vec![0; a.len],
+                })
+                .collect(),
+            scalars: kernel
+                .scalars
+                .iter()
+                .map(|s| Slot {
+                    name: s.name.clone(),
+                    ty: s.ty,
+                    data: fast::from_f64(s.ty.format(), s.init, &mut env),
+                })
+                .collect(),
         }
-        for s in &kernel.scalars {
-            st.scalars.insert(
-                s.name.clone(),
-                ops::from_f64(s.ty.format(), s.init, &mut env),
-            );
-            st.types.insert(s.name.clone(), s.ty);
-        }
-        st
+    }
+
+    fn array(&self, name: &str) -> &Slot<Vec<u64>> {
+        self.arrays
+            .iter()
+            .find(|a| a.name == name)
+            .unwrap_or_else(|| panic!("no array `{name}`"))
     }
 
     /// Fill an array from `f64` values (rounded into the array's type).
@@ -48,36 +73,421 @@ impl TypedState {
     ///
     /// Panics if the array does not exist or sizes mismatch.
     pub fn set_array(&mut self, name: &str, values: &[f64]) {
-        let ty = self.types[name];
-        let arr = self.arrays.get_mut(name).expect("array exists");
-        assert_eq!(arr.len(), values.len(), "array size mismatch for {name}");
+        let arr = self
+            .arrays
+            .iter_mut()
+            .find(|a| a.name == name)
+            .unwrap_or_else(|| panic!("no array `{name}`"));
+        assert_eq!(
+            arr.data.len(),
+            values.len(),
+            "array size mismatch for {name}"
+        );
+        let fmt = arr.ty.format();
         let mut env = Env::new(Rounding::Rne);
-        for (slot, v) in arr.iter_mut().zip(values) {
-            *slot = ops::from_f64(ty.format(), *v, &mut env);
+        for (slot, v) in arr.data.iter_mut().zip(values) {
+            *slot = fast::from_f64(fmt, *v, &mut env);
         }
     }
 
     /// Raw bit patterns of an array.
     pub fn array_bits(&self, name: &str) -> &[u64] {
-        &self.arrays[name]
+        &self.array(name).data
     }
 
     /// Array contents widened to `f64`.
     pub fn array_f64(&self, name: &str) -> Vec<f64> {
-        let ty = self.types[name];
-        self.arrays[name]
-            .iter()
-            .map(|&b| ops::to_f64(ty.format(), b))
-            .collect()
+        let arr = self.array(name);
+        let fmt = arr.ty.format();
+        arr.data.iter().map(|&b| fast::to_f64(fmt, b)).collect()
     }
 
     /// A scalar value widened to `f64`.
     pub fn scalar_f64(&self, name: &str) -> f64 {
-        ops::to_f64(self.types[name].format(), self.scalars[name])
+        let s = self
+            .scalars
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no scalar `{name}`"));
+        fast::to_f64(s.ty.format(), s.data)
     }
 }
 
-fn eval_idx(idx: &crate::ir::IdxExpr, vars: &HashMap<String, i64>) -> i64 {
+/// `Σ coeff·vars[slot] + offset` over loop-variable slots.
+#[derive(Clone, Debug)]
+struct Affine {
+    terms: Vec<(usize, i64)>,
+    offset: i64,
+}
+
+impl Affine {
+    #[inline]
+    fn eval(&self, vars: &[i64]) -> i64 {
+        self.terms.iter().map(|&(v, c)| vars[v] * c).sum::<i64>() + self.offset
+    }
+}
+
+/// A resolved expression: every value is a bit pattern at a format fixed
+/// at resolve time.
+#[derive(Clone, Debug)]
+enum Val {
+    Load {
+        array: usize,
+        idx: Affine,
+    },
+    Scalar(usize),
+    /// A literal, already rounded into the type of its context.
+    Const(u64),
+    Cvt {
+        from: Format,
+        to: Format,
+        x: Box<Val>,
+    },
+    Bin {
+        op: BinOp,
+        fmt: Format,
+        a: Box<Val>,
+        b: Box<Val>,
+    },
+    /// A contracted `a·b + c` (see [`fma_pattern`]).
+    Fma {
+        fmt: Format,
+        a: Box<Val>,
+        b: Box<Val>,
+        c: Box<Val>,
+    },
+}
+
+/// A resolved statement.
+#[derive(Clone, Debug)]
+enum Op {
+    For {
+        var: usize,
+        lo: i64,
+        hi: Affine,
+        body: Vec<Op>,
+    },
+    /// `value` is already converted to the array's type.
+    Store {
+        array: usize,
+        idx: Affine,
+        value: Val,
+    },
+    /// `value` is already converted to the scalar's type.
+    Set { scalar: usize, value: Val },
+}
+
+/// A kernel resolved for the typed interpreter, once, and runnable on any
+/// number of [`TypedState`]s built for the same kernel.
+///
+/// Arrays and scalars are numbered in declaration order and loop
+/// variables by nesting depth, so execution does no name lookup. The
+/// static type of every node, the conversion to the common type of each
+/// binary operation, the fused-multiply-add contraction (the same
+/// [`fma_pattern`] rule the code generator applies) and the rounding of
+/// each literal into its sibling's type are all decided here. Execution
+/// evaluates through [`smallfloat_softfp::fast`], bit- and flag-identical
+/// to the generic reference.
+#[derive(Clone, Debug)]
+pub struct TypedProgram {
+    arrays: Vec<String>,
+    scalars: Vec<String>,
+    depth: usize,
+    body: Vec<Op>,
+}
+
+/// Resolver state: the kernel and the loop variables in scope, innermost
+/// last (a variable's slot is its nesting depth).
+struct Resolve<'k> {
+    kernel: &'k Kernel,
+    scope: Vec<&'k str>,
+    depth: usize,
+    env: Env,
+}
+
+impl<'k> Resolve<'k> {
+    fn var(&self, name: &str) -> usize {
+        self.scope
+            .iter()
+            .rposition(|v| *v == name)
+            .unwrap_or_else(|| panic!("`{name}` is not bound by an enclosing loop"))
+    }
+
+    fn idx(&self, idx: &IdxExpr) -> Affine {
+        Affine {
+            terms: idx.terms.iter().map(|(v, c)| (self.var(v), *c)).collect(),
+            offset: idx.offset,
+        }
+    }
+
+    fn bound(&self, b: &Bound) -> Affine {
+        Affine {
+            terms: b.var.iter().map(|v| (self.var(v), 1)).collect(),
+            offset: b.offset,
+        }
+    }
+
+    fn array(&self, name: &str) -> (usize, FpFmt) {
+        let i = self
+            .kernel
+            .arrays
+            .iter()
+            .position(|a| a.name == name)
+            .unwrap_or_else(|| panic!("no array `{name}`"));
+        (i, self.kernel.arrays[i].ty)
+    }
+
+    fn scalar(&self, name: &str) -> (usize, FpFmt) {
+        let i = self
+            .kernel
+            .scalars
+            .iter()
+            .position(|s| s.name == name)
+            .unwrap_or_else(|| panic!("no scalar `{name}`"));
+        (i, self.kernel.scalars[i].ty)
+    }
+
+    fn constant(&mut self, c: f64, ty: FpFmt) -> Val {
+        Val::Const(fast::from_f64(ty.format(), c, &mut self.env))
+    }
+
+    /// `x` converted from `from` to `to` (folded for literals).
+    fn convert(&mut self, x: Val, from: FpFmt, to: FpFmt) -> Val {
+        match x {
+            _ if from == to => x,
+            Val::Const(bits) => Val::Const(fast::cvt_f_f(
+                to.format(),
+                from.format(),
+                bits,
+                &mut self.env,
+            )),
+            x => Val::Cvt {
+                from: from.format(),
+                to: to.format(),
+                x: Box::new(x),
+            },
+        }
+    }
+
+    /// `e` evaluated at type `t`: a literal rounds straight into `t`,
+    /// anything else converts from its own type.
+    fn at(&mut self, e: &Expr, t: FpFmt) -> Val {
+        match e {
+            Expr::Const(c) => self.constant(*c, t),
+            other => {
+                let (v, f) = self.expr(other);
+                self.convert(v, f, t)
+            }
+        }
+    }
+
+    fn expr(&mut self, e: &Expr) -> (Val, FpFmt) {
+        match e {
+            Expr::Load { array, idx } => {
+                let (array, ty) = self.array(array);
+                (
+                    Val::Load {
+                        array,
+                        idx: self.idx(idx),
+                    },
+                    ty,
+                )
+            }
+            Expr::Scalar(name) => {
+                let (i, ty) = self.scalar(name);
+                (Val::Scalar(i), ty)
+            }
+            Expr::Const(c) => (self.constant(*c, FpFmt::S), FpFmt::S),
+            Expr::Bin { op, lhs, rhs } => {
+                // Contract x + a*b into a fused multiply-add (mirrors codegen).
+                if let Some((m1, m2, addend)) = fma_pattern(self.kernel, e) {
+                    let t = expr_type(self.kernel, e);
+                    let fma = Val::Fma {
+                        fmt: t.format(),
+                        a: Box::new(self.at(m1, t)),
+                        b: Box::new(self.at(m2, t)),
+                        c: Box::new(self.at(addend, t)),
+                    };
+                    return (fma, t);
+                }
+                // Constants adapt to their sibling's type (see ir::expr_type).
+                let ((a, fa), (b, fb)) = match (&**lhs, &**rhs) {
+                    (Expr::Const(c), other) => {
+                        let (vb, fb) = self.expr(other);
+                        ((self.constant(*c, fb), fb), (vb, fb))
+                    }
+                    (other, Expr::Const(c)) => {
+                        let (va, fa) = self.expr(other);
+                        ((va, fa), (self.constant(*c, fa), fa))
+                    }
+                    (l, r) => (self.expr(l), self.expr(r)),
+                };
+                let common = promote(fa, fb);
+                let bin = Val::Bin {
+                    op: *op,
+                    fmt: common.format(),
+                    a: Box::new(self.convert(a, fa, common)),
+                    b: Box::new(self.convert(b, fb, common)),
+                };
+                (bin, common)
+            }
+        }
+    }
+
+    fn stmts(&mut self, stmts: &'k [Stmt]) -> Vec<Op> {
+        stmts
+            .iter()
+            .map(|stmt| match stmt {
+                Stmt::For { var, lo, hi, body } => {
+                    let hi = self.bound(hi);
+                    self.scope.push(var);
+                    self.depth = self.depth.max(self.scope.len());
+                    let body = self.stmts(body);
+                    self.scope.pop();
+                    Op::For {
+                        var: self.scope.len(),
+                        lo: *lo,
+                        hi,
+                        body,
+                    }
+                }
+                Stmt::Store { array, idx, value } => {
+                    let (array, ty) = self.array(array);
+                    Op::Store {
+                        array,
+                        idx: self.idx(idx),
+                        value: self.at_store(value, ty),
+                    }
+                }
+                Stmt::SetScalar { name, value } => {
+                    let (scalar, ty) = self.scalar(name);
+                    Op::Set {
+                        scalar,
+                        value: self.at_store(value, ty),
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// A stored value: evaluated at its own type, then converted to the
+    /// destination's (a bare literal is binary32 first, like any other
+    /// lone constant).
+    fn at_store(&mut self, value: &Expr, ty: FpFmt) -> Val {
+        let (v, f) = self.expr(value);
+        self.convert(v, f, ty)
+    }
+}
+
+impl TypedProgram {
+    /// Resolve `kernel` for the typed interpreter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body names an undeclared array or scalar, or an index
+    /// variable no enclosing loop binds.
+    pub fn new(kernel: &Kernel) -> TypedProgram {
+        let mut r = Resolve {
+            kernel,
+            scope: Vec::new(),
+            depth: 0,
+            env: Env::new(Rounding::Rne),
+        };
+        let body = r.stmts(&kernel.body);
+        TypedProgram {
+            arrays: kernel.arrays.iter().map(|a| a.name.clone()).collect(),
+            scalars: kernel.scalars.iter().map(|s| s.name.clone()).collect(),
+            depth: r.depth,
+            body,
+        }
+    }
+
+    /// Run over `st` (which must be [`TypedState::for_kernel`] of the
+    /// kernel this program was resolved from).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `st` was built for a kernel with other declarations, or
+    /// an index falls outside its array.
+    pub fn run(&self, st: &mut TypedState) {
+        assert!(
+            self.arrays.iter().eq(st.arrays.iter().map(|a| &a.name))
+                && self.scalars.iter().eq(st.scalars.iter().map(|s| &s.name)),
+            "typed state was built for another kernel"
+        );
+        let mut env = Env::new(Rounding::Rne);
+        let mut vars = vec![0i64; self.depth];
+        exec(&self.body, st, &mut vars, &mut env);
+    }
+}
+
+fn exec(ops: &[Op], st: &mut TypedState, vars: &mut [i64], env: &mut Env) {
+    for op in ops {
+        match op {
+            Op::For { var, lo, hi, body } => {
+                let hi = hi.eval(vars);
+                for i in *lo..hi {
+                    vars[*var] = i;
+                    exec(body, st, vars, env);
+                }
+            }
+            Op::Store { array, idx, value } => {
+                let v = eval(value, st, vars, env);
+                let i = idx.eval(vars) as usize;
+                st.arrays[*array].data[i] = v;
+            }
+            Op::Set { scalar, value } => {
+                st.scalars[*scalar].data = eval(value, st, vars, env);
+            }
+        }
+    }
+}
+
+fn eval(v: &Val, st: &TypedState, vars: &[i64], env: &mut Env) -> u64 {
+    match v {
+        Val::Load { array, idx } => st.arrays[*array].data[idx.eval(vars) as usize],
+        Val::Scalar(i) => st.scalars[*i].data,
+        Val::Const(bits) => *bits,
+        Val::Cvt { from, to, x } => {
+            let x = eval(x, st, vars, env);
+            fast::cvt_f_f(*to, *from, x, env)
+        }
+        Val::Fma { fmt, a, b, c } => {
+            let (a, b, c) = (
+                eval(a, st, vars, env),
+                eval(b, st, vars, env),
+                eval(c, st, vars, env),
+            );
+            fast::fmadd(*fmt, a, b, c, env)
+        }
+        Val::Bin { op, fmt, a, b } => {
+            let (a, b) = (eval(a, st, vars, env), eval(b, st, vars, env));
+            let f = *fmt;
+            match op {
+                BinOp::Add => fast::add(f, a, b, env),
+                BinOp::Sub => fast::sub(f, a, b, env),
+                BinOp::Mul => fast::mul(f, a, b, env),
+                BinOp::Div => fast::div(f, a, b, env),
+                BinOp::Max => fast::fmax(f, a, b, env),
+                BinOp::Gate => {
+                    // Mirror the scalar lowering exactly: fle(0 ≤ a) into
+                    // an integer, int→float convert (exactly 0.0 or 1.0 at
+                    // every format), then a rounded multiply by the step.
+                    let step = if fast::fle(f, 0, a, env) { f.one() } else { 0 };
+                    fast::mul(f, b, step, env)
+                }
+            }
+        }
+    }
+}
+
+/// Run the kernel at its declared types over `st` (resolving it first; a
+/// caller running one kernel many times resolves a [`TypedProgram`] once).
+pub fn run_typed(kernel: &Kernel, st: &mut TypedState) {
+    TypedProgram::new(kernel).run(st);
+}
+
+fn eval_idx(idx: &IdxExpr, vars: &HashMap<String, i64>) -> i64 {
     idx.terms.iter().map(|(v, c)| vars[v] * c).sum::<i64>() + idx.offset
 }
 
@@ -86,134 +496,6 @@ fn bound_value(b: &Bound, vars: &HashMap<String, i64>) -> i64 {
         Some(v) => vars[v] + b.offset,
         None => b.offset,
     }
-}
-
-/// Evaluate an expression at the declared types; returns `(bits, fmt)`.
-fn eval_typed(
-    kernel: &Kernel,
-    st: &TypedState,
-    vars: &HashMap<String, i64>,
-    e: &Expr,
-    env: &mut Env,
-) -> (u64, FpFmt) {
-    match e {
-        Expr::Load { array, idx } => {
-            let i = eval_idx(idx, vars);
-            let ty = st.types[array];
-            (st.arrays[array][i as usize], ty)
-        }
-        Expr::Scalar(name) => (st.scalars[name], st.types[name]),
-        Expr::Const(c) => (ops::from_f64(FpFmt::S.format(), *c, env), FpFmt::S),
-        Expr::Bin { op, lhs, rhs } => {
-            // Contract x + a*b into a fused multiply-add (mirrors codegen).
-            if let Some((m1, m2, addend)) = crate::ir::fma_pattern(kernel, e) {
-                let t = expr_type(kernel, e);
-                let ev = |x: &Expr, env: &mut Env| -> u64 {
-                    match x {
-                        Expr::Const(c) => ops::from_f64(t.format(), *c, env),
-                        other => {
-                            let (v, f) = eval_typed(kernel, st, vars, other, env);
-                            convert(v, f, t, env)
-                        }
-                    }
-                };
-                let a = ev(m1, env);
-                let b = ev(m2, env);
-                let c = ev(addend, env);
-                return (ops::fmadd(t.format(), a, b, c, env), t);
-            }
-            // Constants adapt to their sibling's type (see ir::expr_type).
-            let (va, fa, vb, fb) = match (&**lhs, &**rhs) {
-                (Expr::Const(c), other) => {
-                    let (vb, fb) = eval_typed(kernel, st, vars, other, env);
-                    (ops::from_f64(fb.format(), *c, env), fb, vb, fb)
-                }
-                (other, Expr::Const(c)) => {
-                    let (va, fa) = eval_typed(kernel, st, vars, other, env);
-                    (va, fa, ops::from_f64(fa.format(), *c, env), fa)
-                }
-                (l, r) => {
-                    let (va, fa) = eval_typed(kernel, st, vars, l, env);
-                    let (vb, fb) = eval_typed(kernel, st, vars, r, env);
-                    (va, fa, vb, fb)
-                }
-            };
-            let common = promote(fa, fb);
-            let ca = convert(va, fa, common, env);
-            let cb = convert(vb, fb, common, env);
-            let f = common.format();
-            let r = match op {
-                crate::ir::BinOp::Add => ops::add(f, ca, cb, env),
-                crate::ir::BinOp::Sub => ops::sub(f, ca, cb, env),
-                crate::ir::BinOp::Mul => ops::mul(f, ca, cb, env),
-                crate::ir::BinOp::Div => ops::div(f, ca, cb, env),
-                crate::ir::BinOp::Max => ops::fmax(f, ca, cb, env),
-                crate::ir::BinOp::Gate => {
-                    // Mirror the scalar lowering exactly: fle(0 ≤ a) into
-                    // an integer, int→float convert (0.0/1.0 is exact at
-                    // every format), then a rounded multiply by the step.
-                    let step = ops::from_i64(f, ops::fle(f, 0, ca, env) as i64, env);
-                    ops::mul(f, cb, step, env)
-                }
-            };
-            (r, common)
-        }
-    }
-}
-
-fn convert(bits: u64, from: FpFmt, to: FpFmt, env: &mut Env) -> u64 {
-    if from == to {
-        bits
-    } else {
-        ops::cvt_f_f(to.format(), from.format(), bits, env)
-    }
-}
-
-fn run_stmts_typed(
-    kernel: &Kernel,
-    st: &mut TypedState,
-    vars: &mut HashMap<String, i64>,
-    stmts: &[Stmt],
-    env: &mut Env,
-) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::For { var, lo, hi, body } => {
-                let hi_v = bound_value(hi, vars);
-                for i in *lo..hi_v {
-                    vars.insert(var.clone(), i);
-                    run_stmts_typed(kernel, st, vars, body, env);
-                }
-                vars.remove(var);
-            }
-            Stmt::Store { array, idx, value } => {
-                let (v, f) = eval_typed(kernel, st, vars, value, env);
-                let ty = st.types[array];
-                let v = convert(v, f, ty, env);
-                let i = eval_idx(idx, vars) as usize;
-                let slot = st
-                    .arrays
-                    .get_mut(array)
-                    .expect("array exists")
-                    .get_mut(i)
-                    .expect("in bounds");
-                *slot = v;
-            }
-            Stmt::SetScalar { name, value } => {
-                let (v, f) = eval_typed(kernel, st, vars, value, env);
-                let ty = st.types[name];
-                let v = convert(v, f, ty, env);
-                st.scalars.insert(name.clone(), v);
-            }
-        }
-    }
-}
-
-/// Run the kernel at its declared types over `st`.
-pub fn run_typed(kernel: &Kernel, st: &mut TypedState) {
-    let mut env = Env::new(Rounding::Rne);
-    let mut vars = HashMap::new();
-    run_stmts_typed(kernel, st, &mut vars, &kernel.body, &mut env);
 }
 
 /// `f64` storage for the golden interpreter.
@@ -267,14 +549,14 @@ fn eval_f64(st: &F64State, vars: &HashMap<String, i64>, e: &Expr) -> f64 {
             let a = eval_f64(st, vars, lhs);
             let b = eval_f64(st, vars, rhs);
             match op {
-                crate::ir::BinOp::Add => a + b,
-                crate::ir::BinOp::Sub => a - b,
-                crate::ir::BinOp::Mul => a * b,
-                crate::ir::BinOp::Div => a / b,
-                crate::ir::BinOp::Max => a.max(b),
+                BinOp::Add => a + b,
+                BinOp::Sub => a - b,
+                BinOp::Mul => a * b,
+                BinOp::Div => a / b,
+                BinOp::Max => a.max(b),
                 // The multiply (not a select) keeps -0/NaN semantics in
                 // lockstep with the typed interpreter and the hardware.
-                crate::ir::BinOp::Gate => b * (if 0.0 <= a { 1.0 } else { 0.0 }),
+                BinOp::Gate => b * (if 0.0 <= a { 1.0 } else { 0.0 }),
             }
         }
     }
@@ -330,7 +612,6 @@ pub fn sqnr_db(golden: &[f64], measured: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::IdxExpr;
 
     fn saxpy_kernel(n: usize) -> Kernel {
         // y[i] = alpha * x[i] + y[i]

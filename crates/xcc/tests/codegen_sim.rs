@@ -428,3 +428,259 @@ fn vectorization_reduces_cycles() {
         cycles[0]
     );
 }
+
+// ---------------------------------------------------------------------------
+// Typed-interpreter regressions: each pins one decision the interpreter
+// resolves ahead of execution (loop-variable slots, literal typing, fma
+// contraction, conversions) bit for bit against the scalar lowering.
+// ---------------------------------------------------------------------------
+
+const ALL_FMTS: [FpFmt; 5] = [FpFmt::S, FpFmt::Ah, FpFmt::H, FpFmt::B, FpFmt::Ab];
+
+fn scalar_compile(k: &Kernel) -> codegen::Compiled {
+    codegen::compile(
+        k,
+        CodegenOptions {
+            vectorize: false,
+            ..Default::default()
+        },
+    )
+    .unwrap()
+}
+
+/// Bit-for-bit equality (NaN-safe), with the failing element named.
+fn assert_bits_eq(sim: &[f64], interp: &[f64], what: &str) {
+    assert_eq!(sim.len(), interp.len(), "{what}: length");
+    for (i, (s, t)) in sim.iter().zip(interp).enumerate() {
+        assert_eq!(
+            s.to_bits(),
+            t.to_bits(),
+            "{what}[{i}]: simulator {s:e} vs typed interpreter {t:e}"
+        );
+    }
+}
+
+/// Run `k` on the scalar lowering and the typed interpreter and compare
+/// every array and scalar bit for bit.
+fn assert_scalar_lowering_matches(k: &Kernel, inputs: &[(&str, Vec<f64>)], what: &str) {
+    let compiled = scalar_compile(k);
+    let (arrays, scalars) = run_on_sim(k, &compiled, inputs);
+    let st = interp_typed(k, inputs);
+    for (name, vals) in &arrays {
+        assert_bits_eq(vals, &st.array_f64(name), &format!("{what} `{name}`"));
+    }
+    for (name, v) in &scalars {
+        assert_bits_eq(&[*v], &[st.scalar_f64(name)], &format!("{what} `{name}`"));
+    }
+}
+
+#[test]
+fn typed_triangular_var_plus_bound_bit_exact() {
+    // l[i*n+j] = l[i*n+j]*d[j] + r[i] for j < i+1, and a running scalar
+    // sum over the same triangle: the inner bound reads the outer loop
+    // variable's slot on every outer iteration.
+    let n = 9usize;
+    for ty in ALL_FMTS {
+        let mut k = Kernel::new("tri");
+        k.array("l", ty, n * n)
+            .array("d", ty, n)
+            .array("r", ty, n)
+            .scalar("s", FpFmt::S, 0.0);
+        let lij = || Expr::load("l", IdxExpr::of(&[("i", n as i64), ("j", 1)], 0));
+        k.body = vec![Stmt::for_(
+            "i",
+            0,
+            Bound::constant(n as i64),
+            vec![Stmt::for_(
+                "j",
+                0,
+                Bound::var_plus("i", 1),
+                vec![
+                    Stmt::store(
+                        "l",
+                        IdxExpr::of(&[("i", n as i64), ("j", 1)], 0),
+                        lij() * Expr::load("d", IdxExpr::var("j"))
+                            + Expr::load("r", IdxExpr::var("i")),
+                    ),
+                    Stmt::accum("s", lij()),
+                ],
+            )],
+        )];
+        let inputs = vec![
+            ("l", data(n * n, 31)),
+            ("d", data(n, 32)),
+            ("r", data(n, 33)),
+        ];
+        assert_scalar_lowering_matches(&k, &inputs, &format!("tri {ty:?}"));
+    }
+}
+
+#[test]
+fn typed_gate_and_max_with_nan_and_negative_zero_bit_exact() {
+    // Every pairing of NaN, ±0, ±inf and ordinary values through gate
+    // (fle-based: NaN gates to zero, -0 passes) and maxNum.
+    let specials = [
+        f64::NAN,
+        -0.0,
+        0.0,
+        -1.5,
+        2.25,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    let (x, dy): (Vec<f64>, Vec<f64>) = specials
+        .iter()
+        .flat_map(|a| specials.iter().map(move |b| (*a, *b)))
+        .unzip();
+    let n = x.len();
+    for ty in ALL_FMTS {
+        let mut k = Kernel::new("gate_max");
+        k.array("x", ty, n)
+            .array("dy", ty, n)
+            .array("dx", ty, n)
+            .array("m", ty, n)
+            .array("relu", ty, n);
+        let at = |a: &str| Expr::load(a, IdxExpr::var("i"));
+        k.body = vec![Stmt::for_(
+            "i",
+            0,
+            Bound::constant(n as i64),
+            vec![
+                Stmt::store("dx", IdxExpr::var("i"), at("x").gate(at("dy"))),
+                Stmt::store("m", IdxExpr::var("i"), at("x").max(at("dy"))),
+                Stmt::store("relu", IdxExpr::var("i"), at("x").max(Expr::lit(0.0))),
+            ],
+        )];
+        let inputs = vec![("x", x.clone()), ("dy", dy.clone())];
+        assert_scalar_lowering_matches(&k, &inputs, &format!("gate/max {ty:?}"));
+    }
+}
+
+#[test]
+fn typed_constants_on_either_side_of_mixed_type_bin_bit_exact() {
+    // A literal takes its sibling's type — binary16 on one side, binary32
+    // on the other — before the mixed binary16 × binary32 operation
+    // promotes; a lone literal is binary32 and then converts on store.
+    let n = 11usize;
+    let mut k = Kernel::new("consts");
+    k.array("a", FpFmt::H, n)
+        .array("b", FpFmt::S, n)
+        .array("c", FpFmt::B, n)
+        .array("y", FpFmt::H, n)
+        .array("z", FpFmt::Ah, n)
+        .array("w", FpFmt::B, n);
+    let at = |a: &str| Expr::load(a, IdxExpr::var("i"));
+    k.body = vec![Stmt::for_(
+        "i",
+        0,
+        Bound::constant(n as i64),
+        vec![
+            // (0.1 ⊕_H a) ⊗_S b: literal left, rounded at binary16.
+            Stmt::store("y", IdxExpr::var("i"), (Expr::lit(0.1) + at("a")) * at("b")),
+            // b ⊗_S (c ⊖_B 0.3): literal right, rounded at binary8.
+            Stmt::store("z", IdxExpr::var("i"), at("b") / (at("c") - Expr::lit(0.3))),
+            // (a ⊗ 1/3) ⊕ (1/7 ⊗ c), and a lone literal sum stored to b8.
+            Stmt::store(
+                "w",
+                IdxExpr::var("i"),
+                at("a") * Expr::lit(1.0 / 3.0) + Expr::lit(1.0 / 7.0) * at("c"),
+            ),
+            Stmt::store("c", IdxExpr::var("i"), Expr::lit(0.1) + Expr::lit(0.2)),
+        ],
+    )];
+    let inputs = vec![("a", data(n, 41)), ("b", data(n, 42)), ("c", data(n, 43))];
+    assert_scalar_lowering_matches(&k, &inputs, "constants");
+}
+
+#[test]
+fn typed_fma_contraction_taken_and_refused_across_precision_boundary() {
+    // h (binary16) += a*b contracts to fmadd.h; acc (binary32) += a*b
+    // crosses the precision boundary and must stay a binary16 multiply
+    // followed by a binary32 add.
+    let n = 23usize;
+    let mut k = Kernel::new("fma");
+    k.array("a", FpFmt::H, n)
+        .array("b", FpFmt::H, n)
+        .scalar("h", FpFmt::H, 0.0)
+        .scalar("acc", FpFmt::S, 0.0);
+    let prod = || Expr::load("a", IdxExpr::var("i")) * Expr::load("b", IdxExpr::var("i"));
+    k.body = vec![Stmt::for_(
+        "i",
+        0,
+        Bound::constant(n as i64),
+        vec![Stmt::accum("h", prod()), Stmt::accum("acc", prod())],
+    )];
+    let compiled = scalar_compile(&k);
+    assert!(compiled.listing.contains("fmadd.h"), "same-type sum fuses");
+    assert!(
+        !compiled.listing.contains("fmadd.s"),
+        "boundary stays unfused"
+    );
+    // Products with more significant bits than binary16 keeps, of
+    // alternating sign so the running sum stays small and its rounding
+    // sees the product's low bits.
+    let a: Vec<f64> = (0..n).map(|i| 1.0 + 0.0137 * i as f64).collect();
+    let b: Vec<f64> = (0..n)
+        .map(|i| (1.3 - 0.0291 * i as f64) * if i % 2 == 0 { 1.0 } else { -1.0 })
+        .collect();
+    let inputs = vec![("a", a.clone()), ("b", b.clone())];
+    assert_scalar_lowering_matches(&k, &inputs, "fma");
+
+    // The data is rounding-sensitive: the interpreter's fused binary16
+    // sum differs from the unfused one, and its binary32 sum matches the
+    // unfused binary16-product chain exactly.
+    let (f16, f32) = (FpFmt::H.format(), FpFmt::S.format());
+    let mut env = smallfloat_softfp::Env::new(smallfloat_softfp::Rounding::Rne);
+    let (mut unfused_h, mut chain_s) = (0u64, 0u64);
+    for (x, y) in a.iter().zip(&b) {
+        let (x, y) = (
+            ops::from_f64(f16, *x, &mut env),
+            ops::from_f64(f16, *y, &mut env),
+        );
+        let p = ops::mul(f16, x, y, &mut env);
+        unfused_h = ops::add(f16, unfused_h, p, &mut env);
+        let p32 = ops::cvt_f_f(f32, f16, p, &mut env);
+        chain_s = ops::add(f32, chain_s, p32, &mut env);
+    }
+    let st = interp_typed(&k, &inputs);
+    assert_ne!(st.scalar_f64("h"), ops::to_f64(f16, unfused_h), "h fused");
+    assert_eq!(
+        st.scalar_f64("acc"),
+        ops::to_f64(f32, chain_s),
+        "acc unfused"
+    );
+}
+
+#[test]
+fn typed_set_scalar_reductions_bit_exact() {
+    // SetScalar reductions at every format: a running maxNum, a
+    // literal-scaled recurrence (t = t*0.5 + x, contracted at t's type),
+    // a widening sum into binary32, and a recurrence computed at
+    // binary32 and narrowed back into its own type on every assignment.
+    let n = 19usize;
+    for ty in ALL_FMTS {
+        let mut k = Kernel::new("reduce");
+        k.array("x", ty, n)
+            .scalar("mx", ty, -1000.0)
+            .scalar("t", ty, 0.25)
+            .scalar("wide", FpFmt::S, 0.0)
+            .scalar("narrow", ty, 0.1);
+        let x = || Expr::load("x", IdxExpr::var("i"));
+        k.body = vec![Stmt::for_(
+            "i",
+            0,
+            Bound::constant(n as i64),
+            vec![
+                Stmt::set("mx", Expr::scalar("mx").max(x())),
+                Stmt::set("t", Expr::scalar("t") * Expr::lit(0.5) + x()),
+                Stmt::accum("wide", x() * x()),
+                Stmt::set(
+                    "narrow",
+                    Expr::scalar("narrow") + Expr::scalar("wide") * Expr::lit(0.001),
+                ),
+            ],
+        )];
+        let inputs = vec![("x", data(n, 61))];
+        assert_scalar_lowering_matches(&k, &inputs, &format!("reduce {ty:?}"));
+    }
+}

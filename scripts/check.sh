@@ -34,8 +34,11 @@ cargo bench --workspace --no-run
 echo "==> perfbench build (release)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> binary8 + binary8alt (E4M3) exhaustive differential suites (release)"
-cargo test --release -q -p smallfloat-softfp --test fastpath_b8_exhaustive --test fastpath_b8alt_exhaustive
+echo "==> binary8 + binary8alt (E4M3) exhaustive differential suites + host-f64 bridge (release)"
+cargo test --release -q -p smallfloat-softfp --test fastpath_b8_exhaustive --test fastpath_b8alt_exhaustive --test fastpath_f64_bridge
+
+echo "==> xcc: typed interpreter vs simulator differential suites (codegen_sim, fuzz_codegen) (release)"
+cargo test --release -q -p smallfloat-xcc
 
 echo "==> isa/asm round-trip property suites (.ab mnemonics, vfsdotpex, alt-bank edges)"
 cargo test --release -q -p smallfloat-isa --test roundtrip
