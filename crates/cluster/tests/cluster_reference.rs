@@ -86,12 +86,6 @@ fn requests_match_single_core_reference() {
         assert_eq!(got.data, want.data, "request {} output diverged", d.id);
         assert_eq!(got.fflags, want.fflags, "request {} fflags diverged", d.id);
         assert_eq!(got.stats, want.stats, "request {} stats diverged", d.id);
-        assert_eq!(
-            got.stats.energy_pj.to_bits(),
-            want.stats.energy_pj.to_bits(),
-            "request {} energy diverged",
-            d.id
-        );
         // Spot-check the payload against the closed form.
         let out: Vec<u32> = got.data[0]
             .chunks_exact(4)

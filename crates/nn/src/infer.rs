@@ -63,14 +63,8 @@ pub struct Inference {
     pub cycles: u64,
     /// Total retired instructions.
     pub instret: u64,
-    /// Total energy (pJ) from the simulator's per-instruction model.
+    /// Total energy (pJ) from the simulator's energy model.
     pub energy_pj: f64,
-}
-
-fn add_stats(into: &mut Stats, s: &Stats) {
-    into.cycles += s.cycles;
-    into.instret += s.instret;
-    into.energy_pj += s.energy_pj;
 }
 
 /// Map non-finite activations (overflowed formats) to zero so SQNR stays
@@ -112,14 +106,14 @@ pub fn infer_sim(
             let flat: Vec<f64> = acts.iter().flatten().copied().collect();
             let inputs = layer_inputs(layer, params, &flat, n);
             let (y, s) = launch(&typed, &compiled, &inputs, level, &["y"]);
-            add_stats(&mut stats, &s);
+            stats.merge(&s);
             acts = y[0].chunks(out_len).map(<[f64]>::to_vec).collect();
         } else {
             let (typed, compiled) = build_layer(layer, 1, fmt, mode);
             for x in &mut acts {
                 let inputs = layer_inputs(layer, params, x, 1);
                 let (mut y, s) = launch(&typed, &compiled, &inputs, level, &["y"]);
-                add_stats(&mut stats, &s);
+                stats.merge(&s);
                 *x = y.swap_remove(0);
             }
         }

@@ -357,9 +357,7 @@ struct Attr {
 impl Attr {
     fn record(&mut self, stats: &Stats, golden: &[f64], measured: &[f64]) {
         assert_eq!(golden.len(), measured.len());
-        self.stats.cycles += stats.cycles;
-        self.stats.instret += stats.instret;
-        self.stats.energy_pj += stats.energy_pj;
+        self.stats.merge(stats);
         for (g, m) in golden.iter().zip(measured) {
             let m = if m.is_finite() { *m } else { 0.0 };
             self.signal += g * g;
@@ -483,9 +481,7 @@ pub fn train(
                     ("g".to_string(), grad.clone()),
                 ];
                 let (out, s) = plan.run(li, role, build, &inputs, &["p", "v"]);
-                stats.cycles += s.cycles;
-                stats.instret += s.instret;
-                stats.energy_pj += s.energy_pj;
+                stats.merge(&s);
                 // f64 shadow of the update on the unquantized gradient.
                 for t in 0..grad.len() {
                     let vg = cfg.momentum * v_host[t] + grad[t];
@@ -573,9 +569,7 @@ fn forward_layer(
         for x in xs {
             let inputs = layer_inputs(layer, params, x, 1);
             let (out, s) = plan.run(li, Role::Fwd, build(1), &inputs, &["y"]);
-            stats.cycles += s.cycles;
-            stats.instret += s.instret;
-            stats.energy_pj += s.energy_pj;
+            stats.merge(&s);
             outs.push(out[0].clone());
         }
         (outs, stats)
@@ -593,12 +587,6 @@ struct Backward {
     golden: Vec<f64>,
     /// The matching kernel read-backs.
     measured: Vec<f64>,
-}
-
-fn add(stats: &mut Stats, s: &Stats) {
-    stats.cycles += s.cycles;
-    stats.instret += s.instret;
-    stats.energy_pj += s.energy_pj;
 }
 
 /// One backward layer through `plan` at gradient format `fmt`. `xs` are the
@@ -642,7 +630,7 @@ fn backward_layer(
                 ("one".to_string(), vec![1.0; n]),
             ];
             let (o, s) = plan.run(li, Role::BwdW, build, &inputs, &["dw", "db"]);
-            add(&mut stats, &s);
+            stats.merge(&s);
             let (mut gw, mut gb) = (vec![0.0; inp * out], vec![0.0; *out]);
             for sh in &shadows {
                 for (a, b) in gw.iter_mut().zip(&sh.dw) {
@@ -665,7 +653,7 @@ fn backward_layer(
                     ("dx".to_string(), vec![0.0; n * inp]),
                 ];
                 let (o, s) = plan.run(li, Role::BwdX, build, &inputs, &["dx"]);
-                add(&mut stats, &s);
+                stats.merge(&s);
                 golden.extend(shadows.iter().flat_map(|sh| sh.dx.iter().copied()));
                 measured.extend_from_slice(&o[0]);
                 dx = o[0].chunks(*inp).map(<[f64]>::to_vec).collect();
@@ -693,7 +681,7 @@ fn backward_layer(
                     ("one".to_string(), vec![1.0; oh * ow]),
                 ];
                 let (o, s) = plan.run(li, Role::BwdW, build_w, &inputs, &["dw", "db"]);
-                add(&mut stats, &s);
+                stats.merge(&s);
                 for (a, b) in mw.iter_mut().zip(&o[0]) {
                     *a += b;
                 }
@@ -707,7 +695,7 @@ fn backward_layer(
                         ("dx".to_string(), vec![0.0; layer.in_len()]),
                     ];
                     let (o, s) = plan.run(li, Role::BwdX, build_x, &inputs, &["dx"]);
-                    add(&mut stats, &s);
+                    stats.merge(&s);
                     measured.extend_from_slice(&o[0]);
                     dx.push(o[0].clone());
                 }
@@ -737,7 +725,7 @@ fn backward_layer(
                 ("dx".to_string(), vec![0.0; n * len]),
             ];
             let (o, s) = plan.run(li, Role::BwdX, build, &inputs, &["dx"]);
-            add(&mut stats, &s);
+            stats.merge(&s);
             golden.extend(shadows.iter().flat_map(|sh| sh.dx.iter().copied()));
             measured.extend_from_slice(&o[0]);
             dx = o[0].chunks(*len).map(<[f64]>::to_vec).collect();
@@ -750,7 +738,7 @@ fn backward_layer(
                 ("dx".to_string(), vec![0.0; n * ch * h * w]),
             ];
             let (o, s) = plan.run(li, Role::BwdX, build, &inputs, &["dx"]);
-            add(&mut stats, &s);
+            stats.merge(&s);
             golden.extend(shadows.iter().flat_map(|sh| sh.dx.iter().copied()));
             measured.extend_from_slice(&o[0]);
             dx = o[0].chunks(ch * h * w).map(<[f64]>::to_vec).collect();

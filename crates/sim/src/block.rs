@@ -7,18 +7,14 @@
 //! leader PC, the straight-line run up to the next control transfer is
 //! lowered into a compact array of *micro-ops* — pre-resolved operand
 //! indices, a pre-bound (monomorphized) semantic function per op, and
-//! pre-computed per-op cycle/energy costs — and subsequent executions
-//! replay the array with one aggregated stats commit per block.
+//! pre-computed per-op cycle costs — and subsequent executions replay the
+//! array with one aggregated stats commit per block.
 //!
 //! Bit-identity with the reference path is an invariant, not a goal:
 //!
 //! * `u64` counters (instret, cycles, per-class counts) are associative,
-//!   so the block commits them in bulk.
-//! * `energy_pj` is an `f64` running sum and f64 addition is *not*
-//!   associative, so every micro-op adds the exact per-instruction value
-//!   (`energy_by_class[class] + idle_per_cycle * cycles`) in retirement
-//!   order — the same value the reference path computes, evaluated once
-//!   at lowering time.
+//!   so the block commits them in bulk. Energy is derived from those
+//!   counters when `Cpu::run` returns, so it needs nothing from here.
 //! * Trapping instructions retire nothing and leave `fflags`/`pc`
 //!   untouched, exactly like the early-return arms in `exec`: a handler
 //!   error commits only the preceding prefix and restores the trapping
@@ -89,13 +85,11 @@ struct MicroOp {
     aux: u32,
     pc: u32,
     cycles: u64,
-    /// The exact per-instruction energy the reference path would add.
-    energy: f64,
 }
 
 /// Control transfer terminating a block. Branch direction is the one
-/// genuinely data-dependent cost, so taken/not-taken cycle+energy pairs
-/// are both pre-computed.
+/// genuinely data-dependent cost, so taken and not-taken cycles are both
+/// pre-computed.
 enum TailKind {
     Jal {
         rd: u8,
@@ -112,7 +106,6 @@ enum TailKind {
         rs2: u8,
         target: u32,
         not_cycles: u64,
-        not_energy: f64,
     },
     Ecall,
     Ebreak,
@@ -126,7 +119,6 @@ struct Tail {
     class: u8,
     /// Taken cycles for branches; fixed cost otherwise.
     cycles: u64,
-    energy: f64,
 }
 
 /// A lowered basic block: straight-line micro-ops plus an optional
@@ -336,28 +328,19 @@ pub(crate) fn dispatch(cpu: &mut Cpu, remaining: u64) -> Result<Dispatch, SimErr
 fn exec_block(cpu: &mut Cpu, block: &Block) -> Result<Dispatch, SimError> {
     let gen0 = cpu.blocks.gen;
     let uops = &block.uops;
-    // f64 accumulation is order-sensitive: add the identical
-    // per-instruction value in the identical order. The running total is
-    // kept in a local (no handler touches `stats`), which keeps it in a
-    // register across the indirect calls; the add sequence — and thus
-    // every rounding — is exactly the reference path's.
-    let mut energy = cpu.stats.energy_pj;
     for (i, u) in uops.iter().enumerate() {
         if let Err(trap) = (u.run)(cpu, u) {
             // Trapping instructions retire nothing: commit the prefix and
             // leave the PC at the trapping instruction, like `exec`'s
             // early returns.
-            cpu.stats.energy_pj = energy;
             commit_prefix(cpu, block, i);
             cpu.pc = u.pc;
             return Err(trap);
         }
-        energy += u.energy;
         // Only stores can invalidate cached code, so only they need the
         // generation re-check (possibly against this very block).
         if u.inval != 0 && cpu.blocks.gen != gen0 {
             // Commit what ran and resume on fresh lowering/decoding.
-            cpu.stats.energy_pj = energy;
             commit_prefix(cpu, block, i + 1);
             cpu.pc = match uops.get(i + 1) {
                 Some(next) => next.pc,
@@ -366,7 +349,6 @@ fn exec_block(cpu: &mut Cpu, block: &Block) -> Result<Dispatch, SimError> {
             return Ok(Dispatch::Done);
         }
     }
-    cpu.stats.energy_pj = energy;
     commit_body(cpu, block);
     match &block.tail {
         Some(tail) => exec_tail(cpu, tail),
@@ -378,7 +360,7 @@ fn exec_block(cpu: &mut Cpu, block: &Block) -> Result<Dispatch, SimError> {
 }
 
 /// Per-op accounting for a partially executed body (trap or
-/// invalidation-abort); energy was already added per op.
+/// invalidation-abort).
 fn commit_prefix(cpu: &mut Cpu, block: &Block, n: usize) {
     for u in &block.uops[..n] {
         cpu.stats.bulk_count(u.class as usize, 1, u.cycles);
@@ -397,18 +379,17 @@ fn commit_body(cpu: &mut Cpu, block: &Block) {
     }
 }
 
-fn account(cpu: &mut Cpu, class: u8, cycles: u64, energy: f64) {
+fn account(cpu: &mut Cpu, class: u8, cycles: u64) {
     cpu.stats.bulk_count(class as usize, 1, cycles);
     cpu.stats.instret += 1;
     cpu.stats.cycles += cycles;
-    cpu.stats.energy_pj += energy;
 }
 
 fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Dispatch, SimError> {
     match t.kind {
         TailKind::Jal { rd, target } => {
             set_xr(cpu, rd, t.next);
-            account(cpu, t.class, t.cycles, t.energy);
+            account(cpu, t.class, t.cycles);
             cpu.pc = target;
             Ok(Dispatch::Done)
         }
@@ -416,7 +397,7 @@ fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Dispatch, SimError> {
             // Read rs1 before linking: rd may alias rs1.
             let target = xr(cpu, rs1).wrapping_add(offset as u32) & !1;
             set_xr(cpu, rd, t.next);
-            account(cpu, t.class, t.cycles, t.energy);
+            account(cpu, t.class, t.cycles);
             cpu.pc = target;
             Ok(Dispatch::Done)
         }
@@ -426,7 +407,6 @@ fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Dispatch, SimError> {
             rs2,
             target,
             not_cycles,
-            not_energy,
         } => {
             let a = xr(cpu, rs1);
             let b = xr(cpu, rs2);
@@ -439,16 +419,16 @@ fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Dispatch, SimError> {
                 BranchCond::Geu => a >= b,
             };
             if taken {
-                account(cpu, t.class, t.cycles, t.energy);
+                account(cpu, t.class, t.cycles);
                 cpu.pc = target;
             } else {
-                account(cpu, t.class, not_cycles, not_energy);
+                account(cpu, t.class, not_cycles);
                 cpu.pc = t.next;
             }
             Ok(Dispatch::Done)
         }
         TailKind::Ecall => {
-            account(cpu, t.class, t.cycles, t.energy);
+            account(cpu, t.class, t.cycles);
             cpu.pc = t.next;
             Ok(Dispatch::Exit(ExitReason::Ecall))
         }
@@ -540,9 +520,6 @@ fn lower_block(cpu: &Cpu, leader: u32, leader_slot: usize) -> Option<Block> {
 fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
     let t = &cpu.config.timing;
     let class = instr.class().index() as u8;
-    let e = |cycles: u64| {
-        cpu.energy_by_class[class as usize] + cpu.config.energy.idle_per_cycle * cycles as f64
-    };
     let next = pc.wrapping_add(len);
     match instr {
         Instr::Jal { rd, offset } => Tail {
@@ -554,7 +531,6 @@ fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
             next,
             class,
             cycles: t.jump,
-            energy: e(t.jump),
         },
         Instr::Jalr { rd, rs1, offset } => Tail {
             kind: TailKind::Jalr {
@@ -566,7 +542,6 @@ fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
             next,
             class,
             cycles: t.jump,
-            energy: e(t.jump),
         },
         Instr::Branch {
             cond,
@@ -580,13 +555,11 @@ fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
                 rs2: rs2.num(),
                 target: pc.wrapping_add(offset as u32),
                 not_cycles: t.branch_not_taken,
-                not_energy: e(t.branch_not_taken),
             },
             pc,
             next,
             class,
             cycles: t.branch_taken,
-            energy: e(t.branch_taken),
         },
         Instr::Ecall => Tail {
             kind: TailKind::Ecall,
@@ -594,7 +567,6 @@ fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
             next,
             class,
             cycles: t.int_alu,
-            energy: e(t.int_alu),
         },
         // `ebreak` traps without retiring; costs are never accounted.
         Instr::Ebreak => Tail {
@@ -603,7 +575,6 @@ fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
             next,
             class,
             cycles: 0,
-            energy: 0.0,
         },
         _ => unreachable!("not a block terminator"),
     }
@@ -793,7 +764,6 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
         aux: 0,
         pc,
         cycles: t.int_alu,
-        energy: 0.0,
     };
     let mut trap = false;
     match instr {
@@ -1258,8 +1228,6 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
         u.run = trap_vec;
         Lowered::Trap(u)
     } else {
-        u.energy = cpu.energy_by_class[class as usize]
-            + cpu.config.energy.idle_per_cycle * u.cycles as f64;
         Lowered::Op(u)
     }
 }

@@ -5,7 +5,7 @@ use crate::energy::EnergyModel;
 use crate::mem::{MemSnapshot, Memory};
 use crate::stats::{HotBlock, Stats};
 use crate::timing::{MemLevel, TimingModel};
-use smallfloat_isa::{decode, decode_compressed, encode, FReg, Instr, InstrClass, XReg};
+use smallfloat_isa::{decode, decode_compressed, encode, FReg, Instr, XReg};
 use smallfloat_softfp::{Flags, Rounding};
 use std::fmt;
 
@@ -113,12 +113,6 @@ pub struct Cpu {
     /// Basic-block micro-op cache over the predecode window (see
     /// `block.rs`); [`Cpu::run`] dispatches whole blocks through it.
     pub(crate) blocks: BlockCache,
-    /// Per-class op energy at the configured memory level, indexed by
-    /// `InstrClass::index()` — the same values `EnergyModel::op_energy`
-    /// returns, cached so retirement accounting is one load per
-    /// instruction. Rebuilt whenever the configuration changes
-    /// ([`Cpu::new`] / [`Cpu::reset_with`]; `config` has no other mutator).
-    pub(crate) energy_by_class: [f64; smallfloat_isa::InstrClass::ALL.len()],
 }
 
 impl fmt::Debug for Cpu {
@@ -135,7 +129,6 @@ impl Cpu {
     /// Create a CPU with zeroed registers and memory.
     pub fn new(config: SimConfig) -> Cpu {
         let mem = Memory::new(config.mem_size);
-        let energy_by_class = Cpu::energy_table(&config);
         Cpu {
             config,
             mem,
@@ -149,16 +142,19 @@ impl Cpu {
             pred_base: 0,
             pred_dirty: false,
             blocks: BlockCache::new(),
-            energy_by_class,
         }
     }
 
-    fn energy_table(config: &SimConfig) -> [f64; InstrClass::ALL.len()] {
-        let mut table = [0.0; InstrClass::ALL.len()];
-        for class in InstrClass::ALL {
-            table[class.index()] = config.energy.class_energy(class, config.mem_level);
-        }
-        table
+    /// Write `stats.energy_pj` from the counters under the configured
+    /// energy model — the only place a `Cpu` sets it. Called whenever
+    /// control returns to the caller ([`Cpu::run`], [`Cpu::run_traced`],
+    /// [`Cpu::step`], [`Cpu::restore`], on success and trap alike), never
+    /// per retired instruction.
+    pub(crate) fn derive_energy(&mut self) {
+        self.stats.energy_pj = self
+            .config
+            .energy
+            .energy_pj(&self.stats, self.config.mem_level);
     }
 
     /// Reset architectural state — registers, PC, `fcsr`, statistics,
@@ -188,7 +184,6 @@ impl Cpu {
         if config.mem_size != self.mem.size() {
             self.mem = Memory::new(config.mem_size);
         }
-        self.energy_by_class = Cpu::energy_table(&config);
         self.config = config;
         self.reset();
     }
@@ -477,6 +472,14 @@ impl Cpu {
     ///
     /// Any [`SimError`] trap.
     pub fn step(&mut self) -> Result<Option<ExitReason>, SimError> {
+        let result = self.step_inner();
+        self.derive_energy();
+        result
+    }
+
+    /// [`Cpu::step`] without refreshing `energy_pj`: for loops that retire
+    /// many instructions before handing control back.
+    pub(crate) fn step_inner(&mut self) -> Result<Option<ExitReason>, SimError> {
         let (instr, len) = self.fetch()?;
         crate::exec::exec(self, instr, len)
     }
@@ -494,14 +497,18 @@ impl Cpu {
         mut observer: impl FnMut(u32, &Instr),
     ) -> Result<ExitReason, SimError> {
         let limit = self.stats.instret + max_instructions;
-        while self.stats.instret < limit {
-            let (instr, len) = self.fetch()?;
-            observer(self.pc, &instr);
-            if let Some(reason) = crate::exec::exec(self, instr, len)? {
-                return Ok(reason);
+        let result = (|| {
+            while self.stats.instret < limit {
+                let (instr, len) = self.fetch()?;
+                observer(self.pc, &instr);
+                if let Some(reason) = crate::exec::exec(self, instr, len)? {
+                    return Ok(reason);
+                }
             }
-        }
-        Ok(ExitReason::InstructionLimit)
+            Ok(ExitReason::InstructionLimit)
+        })();
+        self.derive_energy();
+        result
     }
 
     /// Run until `ecall`, a trap, or `max_instructions` retired.
@@ -510,7 +517,8 @@ impl Cpu {
     /// `block.rs`); leaders it declines to lower (CSR accesses, undecodable
     /// bytes, blocks that would overshoot the budget) take the
     /// per-instruction reference path one step at a time. Both tiers are
-    /// bit-identical in architectural state, statistics and energy.
+    /// bit-identical in architectural state and counters, and energy is
+    /// derived from the counters on return.
     /// `SMALLFLOAT_NOBLOCKS=1` (or [`Cpu::set_block_cache`]`(false)`)
     /// forces the per-instruction path.
     ///
@@ -519,27 +527,28 @@ impl Cpu {
     /// Any [`SimError`] trap.
     pub fn run(&mut self, max_instructions: u64) -> Result<ExitReason, SimError> {
         let limit = self.stats.instret + max_instructions;
-        if self.blocks.enabled() {
+        let result = (|| {
             while self.stats.instret < limit {
-                self.sync_window();
-                match crate::block::dispatch(self, limit - self.stats.instret)? {
+                let dispatched = if self.blocks.enabled() {
+                    self.sync_window();
+                    crate::block::dispatch(self, limit - self.stats.instret)?
+                } else {
+                    Dispatch::Fallback
+                };
+                match dispatched {
                     Dispatch::Exit(reason) => return Ok(reason),
                     Dispatch::Done => {}
                     Dispatch::Fallback => {
-                        if let Some(reason) = self.step()? {
+                        if let Some(reason) = self.step_inner()? {
                             return Ok(reason);
                         }
                     }
                 }
             }
-            return Ok(ExitReason::InstructionLimit);
-        }
-        while self.stats.instret < limit {
-            if let Some(reason) = self.step()? {
-                return Ok(reason);
-            }
-        }
-        Ok(ExitReason::InstructionLimit)
+            Ok(ExitReason::InstructionLimit)
+        })();
+        self.derive_energy();
+        result
     }
 
     /// Enable or disable the basic-block micro-op cache (enabled by

@@ -11,8 +11,9 @@
 //! else (per-benchmark shapes, latency trends) then *emerges* from the
 //! simulator's actual instruction and cycle counts.
 
+use crate::stats::Stats;
 use crate::timing::MemLevel;
-use smallfloat_isa::{Instr, InstrClass};
+use smallfloat_isa::InstrClass;
 
 /// Per-class energy costs in picojoules.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -83,16 +84,9 @@ impl EnergyModel {
         }
     }
 
-    /// Energy of one instruction (excluding the per-cycle idle component,
-    /// which the CPU accrues from the timing model).
-    pub fn op_energy(&self, instr: &Instr, level: MemLevel) -> f64 {
-        self.class_energy(instr.class(), level)
-    }
-
-    /// Energy of one instruction of class `class` — the per-class constant
-    /// behind [`EnergyModel::op_energy`]. The interpreter caches these in a
-    /// class-indexed table so the per-instruction accounting is one load
-    /// instead of a class match per retired instruction.
+    /// Energy of one instruction of class `class`, excluding the per-cycle
+    /// idle component (which [`EnergyModel::energy_pj`] charges from the
+    /// cycle count).
     pub fn class_energy(&self, class: InstrClass, level: MemLevel) -> f64 {
         let mem = self.mem_access[match level {
             MemLevel::L1 => 0,
@@ -117,6 +111,20 @@ impl EnergyModel {
             InstrClass::Csr | InstrClass::System => self.system,
         }
     }
+
+    /// Total energy of a run with counters `stats` at memory level
+    /// `level`: every retired instruction's class energy plus the idle
+    /// energy of every cycle, `Σ_c count[c]·class_energy(c) +
+    /// idle_per_cycle·cycles`. The sum runs in [`InstrClass::ALL`] order,
+    /// so equal counters give bit-identical energy whichever engine tier,
+    /// host worker count or fork history produced them.
+    pub fn energy_pj(&self, stats: &Stats, level: MemLevel) -> f64 {
+        let ops: f64 = InstrClass::ALL
+            .iter()
+            .map(|&c| stats.class_count(c) as f64 * self.class_energy(c, level))
+            .sum();
+        ops + self.idle_per_cycle * stats.cycles as f64
+    }
 }
 
 impl Default for EnergyModel {
@@ -128,7 +136,7 @@ impl Default for EnergyModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smallfloat_isa::{FReg, FpFmt, FpOp, Rm};
+    use smallfloat_isa::{FReg, FpFmt, FpOp, Instr, Rm};
 
     fn fop(fmt: FpFmt) -> Instr {
         Instr::FOp {
@@ -144,9 +152,9 @@ mod tests {
     #[test]
     fn width_scaling_monotone() {
         let m = EnergyModel::umc65();
-        let e32 = m.op_energy(&fop(FpFmt::S), MemLevel::L1);
-        let e16 = m.op_energy(&fop(FpFmt::H), MemLevel::L1);
-        let e8 = m.op_energy(&fop(FpFmt::B), MemLevel::L1);
+        let e32 = m.class_energy(fop(FpFmt::S).class(), MemLevel::L1);
+        let e16 = m.class_energy(fop(FpFmt::H).class(), MemLevel::L1);
+        let e8 = m.class_energy(fop(FpFmt::B).class(), MemLevel::L1);
         assert!(e32 > e16 && e16 > e8, "narrower scalar FP must be cheaper");
         // A packed SIMD op drives the full-width datapath plus lane
         // handling: it costs more than one binary32 op, but (being one
@@ -167,9 +175,9 @@ mod tests {
             rs1: smallfloat_isa::XReg::new(2),
             offset: 0,
         };
-        let e1 = m.op_energy(&load, MemLevel::L1);
-        let e2 = m.op_energy(&load, MemLevel::L2);
-        let e3 = m.op_energy(&load, MemLevel::L3);
+        let e1 = m.class_energy(load.class(), MemLevel::L1);
+        let e2 = m.class_energy(load.class(), MemLevel::L2);
+        let e3 = m.class_energy(load.class(), MemLevel::L3);
         assert!(e1 < e2 && e2 < e3);
     }
 }

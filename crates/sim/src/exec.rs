@@ -1,4 +1,4 @@
-//! The instruction interpreter: semantics + cycle/energy accounting.
+//! The instruction interpreter: semantics + cycle accounting.
 
 use crate::cpu::{Cpu, ExitReason, SimError};
 use smallfloat_isa::{
@@ -669,8 +669,6 @@ pub(crate) fn exec(cpu: &mut Cpu, instr: Instr, len: u32) -> Result<Option<ExitR
     cpu.stats.count(class, cycles);
     cpu.stats.instret += 1;
     cpu.stats.cycles += cycles;
-    cpu.stats.energy_pj +=
-        cpu.energy_by_class[class.index()] + cpu.config.energy.idle_per_cycle * cycles as f64;
     cpu.pc = next_pc;
     Ok(exit)
 }

@@ -1,13 +1,14 @@
 //! Deterministic record-replay of simulated runs.
 //!
-//! [`record_run`] drives the per-instruction reference path ([`Cpu::step`],
-//! which never consults the basic-block cache) and produces a
-//! [`Recording`]: one [`Record`] per retired instruction — pc, the
-//! canonical re-encoding of the decoded instruction, the instruction's
-//! cycle cost and the cumulative energy bits after it retired — plus a
-//! [`CpuSnapshot`] every `snap_every` retirements. The snapshots cut the
-//! run into *segments*, and each segment is an independent replay unit: a
-//! second engine can [`Cpu::restore`] the segment's start snapshot, run
+//! [`record_run`] drives the per-instruction reference path (the
+//! [`Cpu::step`] semantics, which never consult the basic-block cache) and
+//! produces a [`Recording`]: one [`Record`] per retired instruction — pc,
+//! the canonical re-encoding of the decoded instruction and the
+//! instruction's cycle cost — plus a [`CpuSnapshot`] every `snap_every`
+//! retirements. Energy is not logged: it is a function of the counters
+//! the snapshots carry. The snapshots cut the run into *segments*, and
+//! each segment is an independent replay unit: a second engine can
+//! [`Cpu::restore`] the segment's start snapshot, run
 //! exactly the segment's instruction count, and must land bit-identically
 //! on the end snapshot ([`verify_segment`]). Because segments are
 //! self-contained they verify in parallel, which is what the fleet
@@ -18,7 +19,7 @@
 //! engines disagree — turning "segment 7 is wrong" into "instruction
 //! 23 941, `fmadd.s` at 0x0001_0a14, diverged in f registers".
 //!
-//! Logs serialize to a compact binary format (`SFRLOG01`, DESIGN.md §14)
+//! Logs serialize to a compact binary format (`SFRLOG02`, DESIGN.md §14)
 //! and support the repo's bless flow: `SMALLFLOAT_BLESS=1` regenerates
 //! golden logs under `tests/data/`.
 
@@ -30,7 +31,7 @@ use smallfloat_isa::encode;
 use std::fmt;
 
 /// Magic + version prefix of a serialized replay log.
-const LOG_MAGIC: &[u8; 8] = b"SFRLOG01";
+const LOG_MAGIC: &[u8; 8] = b"SFRLOG02";
 
 /// One retired instruction in a replay log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,10 +44,6 @@ pub struct Record {
     /// Cycles this instruction cost (including memory stalls). Zero in a
     /// detail-stripped log.
     pub cycles: u32,
-    /// Raw bits of the cumulative `energy_pj` after this instruction
-    /// retired — bit-exact, since f64 accumulation is order-sensitive.
-    /// Zero in a detail-stripped log.
-    pub energy_bits: u64,
 }
 
 /// The retired-instruction stream of one recorded run.
@@ -54,14 +51,14 @@ pub struct Record {
 pub struct ReplayLog {
     /// One entry per retired instruction, in retirement order.
     pub records: Vec<Record>,
-    /// Whether per-op cycle/energy detail is present (`false` after
+    /// Whether per-op cycle detail is present (`false` after
     /// [`ReplayLog::strip_detail`]).
     pub detail: bool,
 }
 
 impl ReplayLog {
-    /// A copy without per-op cycle/energy detail — roughly half the
-    /// serialized size, for archives that only need the (pc, word) stream.
+    /// A copy without per-op cycle detail — two thirds of the serialized
+    /// size, for archives that only need the (pc, word) stream.
     pub fn strip_detail(&self) -> ReplayLog {
         ReplayLog {
             records: self
@@ -71,7 +68,6 @@ impl ReplayLog {
                     pc: r.pc,
                     word: r.word,
                     cycles: 0,
-                    energy_bits: 0,
                 })
                 .collect(),
             detail: false,
@@ -80,7 +76,7 @@ impl ReplayLog {
 
     /// Serialize to the compact binary format (DESIGN.md §14).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let per = if self.detail { 20 } else { 8 };
+        let per = if self.detail { 12 } else { 8 };
         let mut out = Vec::with_capacity(LOG_MAGIC.len() + 9 + self.records.len() * per);
         out.extend_from_slice(LOG_MAGIC);
         out.push(u8::from(self.detail));
@@ -90,7 +86,6 @@ impl ReplayLog {
             out.extend_from_slice(&r.word.to_le_bytes());
             if self.detail {
                 out.extend_from_slice(&r.cycles.to_le_bytes());
-                out.extend_from_slice(&r.energy_bits.to_le_bytes());
             }
         }
         out
@@ -109,7 +104,7 @@ impl ReplayLog {
         };
         let mut pos = LOG_MAGIC.len() + 1;
         let count = read_u64(buf, &mut pos)?;
-        let per = if detail { 20usize } else { 8 };
+        let per = if detail { 12usize } else { 8 };
         if buf.len() - pos != (count as usize).checked_mul(per)? {
             return None;
         }
@@ -122,17 +117,8 @@ impl ReplayLog {
         for _ in 0..count {
             let pc = read_u32(&mut pos);
             let word = read_u32(&mut pos);
-            let (cycles, energy_bits) = if detail {
-                (read_u32(&mut pos), read_u64(buf, &mut pos)?)
-            } else {
-                (0, 0)
-            };
-            records.push(Record {
-                pc,
-                word,
-                cycles,
-                energy_bits,
-            });
+            let cycles = if detail { read_u32(&mut pos) } else { 0 };
+            records.push(Record { pc, word, cycles });
         }
         Some(ReplayLog { records, detail })
     }
@@ -206,7 +192,8 @@ impl Recording {
 /// and snapshotting every `snap_every` retirements (clamped to ≥ 1).
 ///
 /// The block cache is not consulted — [`Cpu::step`] is the reference
-/// semantics a replaying engine is checked against.
+/// semantics a replaying engine is checked against. `energy_pj` is
+/// derived once, when the recording ends, not after every step.
 ///
 /// # Errors
 ///
@@ -221,30 +208,32 @@ pub fn record_run(
     let mut records = Vec::new();
     let base_instret = cpu.stats().instret;
     let mut since_snap = 0u64;
-    let exit = loop {
+    let mut record = || loop {
         if cpu.stats().instret - base_instret >= max_instructions {
-            break ExitReason::InstructionLimit;
+            return Ok(ExitReason::InstructionLimit);
         }
         let pc = cpu.pc();
         let (instr, _len) = cpu.peek_decoded()?;
         let word = encode(&instr);
         let cycles_before = cpu.stats().cycles;
-        let done = cpu.step()?;
+        let done = cpu.step_inner()?;
         records.push(Record {
             pc,
             word,
             cycles: (cpu.stats().cycles - cycles_before) as u32,
-            energy_bits: cpu.stats().energy_pj.to_bits(),
         });
         since_snap += 1;
         if let Some(reason) = done {
-            break reason;
+            return Ok(reason);
         }
         if since_snap == snap_every {
             snaps.push(cpu.snapshot());
             since_snap = 0;
         }
     };
+    let exit: Result<ExitReason, SimError> = record();
+    cpu.derive_energy();
+    let exit = exit?;
     if snaps
         .last()
         .map(|s| s.instret() != cpu.stats().instret)

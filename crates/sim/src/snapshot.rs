@@ -2,16 +2,18 @@
 //!
 //! A [`CpuSnapshot`] captures everything `Cpu::run` can observe or modify:
 //! the architectural state (integer/FP register files, pc, `fcsr`), the
-//! statistics block (cycles, instret, bit-exact `energy_pj`, per-class
-//! counters), the predecode-window geometry, and memory as a shared
-//! copy-on-write page table (see `mem.rs`). Taking one is O(registers +
+//! statistics counters (cycles, instret, per-class counts and cycles), the
+//! predecode-window geometry, and memory as a shared copy-on-write page
+//! table (see `mem.rs`). Taking one is O(registers +
 //! pages) — no memory data is copied — so harnesses can snapshot every few
 //! thousand instructions and fork any snapshot into an independent replay
 //! (`replay.rs`) far cheaper than re-running from reset.
 //!
-//! Snapshots serialize to a compact binary image (`to_bytes`/`from_bytes`;
-//! layout in DESIGN.md §14): only non-zero memory pages are written, and
-//! `energy_pj` travels as raw f64 bits so a round trip is bit-identical.
+//! Energy is not machine state: it is the restoring engine's energy model
+//! applied to the counters, so a snapshot holds `energy_pj` as zero and
+//! [`Cpu::restore`] derives it. Snapshots serialize to a compact binary
+//! image (`to_bytes`/`from_bytes`; layout in DESIGN.md §14) in which only
+//! non-zero memory pages are written.
 
 use crate::cpu::Cpu;
 use crate::mem::{read_u64, MemSnapshot};
@@ -21,7 +23,7 @@ use smallfloat_softfp::Flags;
 use std::fmt;
 
 /// Magic + version prefix of a serialized snapshot.
-const MAGIC: &[u8; 8] = b"SFSNAP01";
+const MAGIC: &[u8; 8] = b"SFSNAP02";
 
 /// A point-in-time copy of a [`Cpu`]'s executable state.
 ///
@@ -95,7 +97,8 @@ impl CpuSnapshot {
         self.pc
     }
 
-    /// The captured statistics block.
+    /// The captured counters. `energy_pj` is always zero: energy depends
+    /// on the energy model of the engine that restores the snapshot.
     pub fn stats(&self) -> &Stats {
         &self.stats
     }
@@ -105,8 +108,8 @@ impl CpuSnapshot {
         &self.mem
     }
 
-    /// Full-state equality: registers, pc, `fcsr`, statistics (including
-    /// bit-exact `energy_pj`) and the whole memory image. This is the
+    /// Full-state equality: registers, pc, `fcsr`, statistics counters and
+    /// the whole memory image. This is the
     /// divergence predicate of the replay testrunner — two engines that
     /// agree here are indistinguishable to any later execution.
     pub fn state_eq(&self, other: &CpuSnapshot) -> bool {
@@ -116,7 +119,6 @@ impl CpuSnapshot {
             && self.frm_raw == other.frm_raw
             && self.fflags == other.fflags
             && self.stats == other.stats
-            && self.stats.energy_pj.to_bits() == other.stats.energy_pj.to_bits()
             && self.mem.bytes_eq(&other.mem)
     }
 
@@ -136,9 +138,7 @@ impl CpuSnapshot {
         if self.frm_raw != other.frm_raw || self.fflags != other.fflags {
             return Some("fcsr");
         }
-        if self.stats != other.stats
-            || self.stats.energy_pj.to_bits() != other.stats.energy_pj.to_bits()
-        {
+        if self.stats != other.stats {
             return Some("stats");
         }
         if !self.mem.bytes_eq(&other.mem) {
@@ -161,7 +161,6 @@ impl CpuSnapshot {
         out.extend_from_slice(&self.pred_len_bytes.to_le_bytes());
         out.extend_from_slice(&self.stats.cycles.to_le_bytes());
         out.extend_from_slice(&self.stats.instret.to_le_bytes());
-        out.extend_from_slice(&self.stats.energy_pj.to_bits().to_le_bytes());
         out.extend_from_slice(&(InstrClass::ALL.len() as u64).to_le_bytes());
         for v in self
             .stats
@@ -206,7 +205,6 @@ impl CpuSnapshot {
         let pred_len_bytes = read_u32(&mut pos)?;
         let cycles = read_u64(buf, &mut pos).ok_or(SnapshotError::Truncated)?;
         let instret = read_u64(buf, &mut pos).ok_or(SnapshotError::Truncated)?;
-        let energy_bits = read_u64(buf, &mut pos).ok_or(SnapshotError::Truncated)?;
         let classes = read_u64(buf, &mut pos).ok_or(SnapshotError::Truncated)? as usize;
         if classes != InstrClass::ALL.len() {
             return Err(SnapshotError::ClassCountMismatch);
@@ -214,7 +212,6 @@ impl CpuSnapshot {
         let mut stats = Stats::new();
         stats.cycles = cycles;
         stats.instret = instret;
-        stats.energy_pj = f64::from_bits(energy_bits);
         for v in stats
             .counts
             .iter_mut()
@@ -253,7 +250,10 @@ impl Cpu {
             pc: self.pc,
             frm_raw: self.frm_raw,
             fflags: self.fflags,
-            stats: self.stats.clone(),
+            stats: Stats {
+                energy_pj: 0.0,
+                ..self.stats.clone()
+            },
             pred_base: self.pred_base,
             pred_len_bytes: (self.pred.len() as u32) * 2,
             mem: self.mem.snapshot(),
@@ -261,16 +261,18 @@ impl Cpu {
     }
 
     /// Restore a snapshot taken by [`Cpu::snapshot`] (possibly on a
-    /// different `Cpu`). Architectural state, statistics and memory become
-    /// exactly the captured ones; the predecode window is rebuilt from the
-    /// restored memory and every cached block is dropped (the block-cache
-    /// generation counter advances), so stale predecoded slots or lowered
-    /// blocks from the pre-restore code image can never execute.
+    /// different `Cpu`). Architectural state, counters and memory become
+    /// exactly the captured ones, and `energy_pj` is derived from the
+    /// counters under this engine's energy model. The predecode window is
+    /// rebuilt from the restored memory and every cached block is dropped
+    /// (the block-cache generation counter advances), so stale predecoded
+    /// slots or lowered blocks from the pre-restore code image can never
+    /// execute.
     ///
-    /// The simulator configuration (timing/energy models, block-cache
-    /// enablement) is engine state, not machine state: it is deliberately
-    /// left as-is, which is what lets one recorded run be replayed on a
-    /// differently-configured engine.
+    /// The simulator configuration (timing/energy models, memory level,
+    /// block-cache enablement) is engine state, not machine state: it is
+    /// deliberately left as-is, which is what lets one recorded run be
+    /// replayed on a differently-configured engine.
     pub fn restore(&mut self, snap: &CpuSnapshot) {
         self.x = snap.x;
         self.f = snap.f;
@@ -295,5 +297,6 @@ impl Cpu {
             // self-modifying-code history.
             self.repredecode(snap.pred_base, snap.pred_len_bytes);
         }
+        self.derive_energy();
     }
 }

@@ -1,4 +1,5 @@
-//! Execution statistics: cycles, energy, and per-class instruction counts.
+//! Execution statistics: cycles, per-class instruction counts, and the
+//! energy derived from them.
 
 use smallfloat_isa::InstrClass;
 use std::fmt;
@@ -13,7 +14,10 @@ pub struct Stats {
     pub cycles: u64,
     /// Retired instructions.
     pub instret: u64,
-    /// Total energy in picojoules (per-op energies + idle × cycles).
+    /// Total energy in picojoules: the engine's energy model applied to
+    /// the counters below (`EnergyModel::energy_pj`). A `Cpu` refreshes it
+    /// whenever control returns to the caller; no engine tier accumulates
+    /// it per instruction.
     pub energy_pj: f64,
     pub(crate) counts: [u64; InstrClass::ALL.len()],
     pub(crate) cycles_by_class: [u64; InstrClass::ALL.len()],
@@ -32,18 +36,18 @@ impl Stats {
     }
 
     /// Bulk-commit `n` instructions of one class in a single update — the
-    /// block path's aggregated equivalent of [`Stats::count`] (`u64`
-    /// counters are associative, unlike `energy_pj`).
+    /// block path's aggregated equivalent of [`Stats::count`] (the
+    /// counters are integers, so commit order does not matter).
     pub(crate) fn bulk_count(&mut self, class_idx: usize, n: u64, cycles: u64) {
         self.counts[class_idx] += n;
         self.cycles_by_class[class_idx] += cycles;
     }
 
-    /// Accumulate another statistics block into this one, field by field
-    /// (counter addition plus `energy_pj` float addition, in argument
-    /// order — callers that need bit-exact totals must merge in a fixed
-    /// order). This is the rollup primitive for multi-run and multi-core
-    /// aggregation.
+    /// Accumulate another statistics block into this one, field by field:
+    /// counter addition plus `energy_pj` float addition. The float sum
+    /// depends on merge order, so callers that need bit-exact totals must
+    /// merge in a fixed order. This is the rollup primitive for multi-run
+    /// and multi-core aggregation.
     pub fn merge(&mut self, other: &Stats) {
         self.cycles += other.cycles;
         self.instret += other.instret;

@@ -3,9 +3,8 @@
 //! and vectorization mode, is executed on both tiers — reference
 //! interpreter and basic-block micro-op cache — and the runs must be
 //! *bit-identical*: same final memory image,
-//! register files, pc, `fflags`, per-class statistics and bit-exact
-//! `energy_pj` (f64 addition is not associative, so energy is the most
-//! sensitive witness that the cached path retires in reference order).
+//! register files, pc, `fflags` and statistics (energy included, which is
+//! derived from the per-class counters).
 //!
 //! A rotating one-variant-per-workload subset runs in every profile; the
 //! full precision × mode grid is release-only (`scripts/check.sh` runs it
@@ -92,11 +91,6 @@ fn assert_identical(label: &str, on: &Cpu, off: &Cpu) {
     }
     assert_eq!(on.fflags(), off.fflags(), "{label}: fflags");
     assert_eq!(on.stats(), off.stats(), "{label}: stats");
-    assert_eq!(
-        on.stats().energy_pj.to_bits(),
-        off.stats().energy_pj.to_bits(),
-        "{label}: energy_pj must be bit-exact"
-    );
     assert!(
         on.mem().bytes_eq(off.mem()),
         "{label}: final memory images diverged"

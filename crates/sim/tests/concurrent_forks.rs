@@ -95,7 +95,7 @@ fn concurrent_forks_are_isolated_and_replayable() {
                 .collect();
             assert_eq!(read_out(snap), want, "fork {t} observed foreign stores");
             // Replayability: the concurrent fork is bit-for-bit a serial
-            // re-run (registers, fcsr, stats, energy, all of memory).
+            // re-run (registers, fcsr, stats, all of memory).
             let serial = fork_and_run(&image, input);
             assert!(
                 snap.state_eq(&serial),

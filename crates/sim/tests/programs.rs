@@ -731,6 +731,74 @@ fn energy_grows_with_latency_level() {
     assert!(energies[0] < energies[1] && energies[1] < energies[2]);
 }
 
+/// Energy as written out by hand: each class's count times its per-op
+/// energy, summed in `InstrClass::ALL` order, plus idle energy per cycle.
+fn energy_by_hand(stats: &smallfloat_sim::Stats, level: MemLevel) -> f64 {
+    let m = smallfloat_sim::EnergyModel::umc65();
+    let ops: f64 = InstrClass::ALL
+        .iter()
+        .map(|&c| stats.class_count(c) as f64 * m.class_energy(c, level))
+        .sum();
+    ops + m.idle_per_cycle * stats.cycles as f64
+}
+
+/// Reported energy is a function of the counters whenever control is back
+/// with the caller — after `run` on either engine tier, after a trap, and
+/// after a single `step`.
+#[test]
+fn energy_is_derived_from_the_counters() {
+    let prog = [
+        li(a(1), 7),
+        Instr::Lui {
+            rd: a(2),
+            imm20: (DATA >> 12) as i32,
+        },
+        Instr::Store {
+            width: MemWidth::W,
+            rs1: a(2),
+            rs2: a(1),
+            offset: 0,
+        },
+        Instr::Load {
+            width: MemWidth::W,
+            unsigned: false,
+            rd: a(3),
+            rs1: a(2),
+            offset: 0,
+        },
+        Instr::Branch {
+            cond: BranchCond::Ne,
+            rs1: a(3),
+            rs2: XReg::ZERO,
+            offset: 8,
+        },
+        li(a(4), 1),
+        Instr::Ebreak,
+    ];
+    for level in MemLevel::ALL {
+        for blocks in [false, true] {
+            let mut c = Cpu::new(SimConfig {
+                mem_level: level,
+                ..SimConfig::default()
+            });
+            c.set_block_cache(blocks);
+            c.load_program(TEXT, &prog);
+            let trap = c.run(1_000).unwrap_err();
+            assert_eq!(trap, SimError::Breakpoint { pc: TEXT + 24 });
+            assert_eq!(c.stats().instret, 5);
+            let e = c.stats().energy_pj;
+            assert!(e > 0.0);
+            assert_eq!(e.to_bits(), energy_by_hand(c.stats(), level).to_bits());
+
+            c.set_pc(TEXT);
+            c.step().unwrap();
+            assert_eq!(c.stats().instret, 6);
+            let e = c.stats().energy_pj;
+            assert_eq!(e.to_bits(), energy_by_hand(c.stats(), level).to_bits());
+        }
+    }
+}
+
 #[test]
 fn stats_breakdown_classifies() {
     let mut c = cpu();

@@ -5,6 +5,7 @@
 //! smallfloat-sim --test replay`).
 
 use smallfloat_asm::Assembler;
+use smallfloat_devtools::prop;
 use smallfloat_isa::{FReg, FpFmt, XReg};
 use smallfloat_sim::replay::{bisect_divergence, record_run, run_fork, verify_segment, ReplayLog};
 use smallfloat_sim::{Cpu, ExitReason, SimConfig};
@@ -97,7 +98,7 @@ fn segments_replay_bit_identically_on_block_engine() {
     );
 }
 
-/// The serialized log round-trips, and stripping detail halves it while
+/// The serialized log round-trips, and stripping detail shrinks it while
 /// preserving the (pc, word) stream.
 #[test]
 fn log_roundtrips_and_strips() {
@@ -173,8 +174,8 @@ fn bisection_finds_the_exact_faulted_instruction() {
 }
 
 /// The replay log of a fixed program is pinned byte-for-byte on disk:
-/// any change to decode, canonical encoding, timing or energy accounting
-/// shows up as a golden-file diff.
+/// any change to decode, canonical encoding or timing shows up as a
+/// golden-file diff.
 #[test]
 fn replay_log_matches_golden_file() {
     let recording = record(3, 50);
@@ -201,4 +202,51 @@ fn replay_log_matches_golden_file() {
             old.records.len()
         );
     }
+}
+
+/// Malformed `SFRLOG02` images are rejected, never mis-parsed and never a
+/// panic: truncation at every point, a corrupted magic, a detail byte
+/// other than 0/1, a record count that disagrees with the payload, and
+/// trailing bytes all give `None`.
+#[test]
+fn corrupted_logs_are_rejected() {
+    prop::cases("corrupted_logs_are_rejected", 16, |rng| {
+        let recording = record(1 + rng.below(4) as i32, 1_000);
+        let log = if rng.below(2) == 0 {
+            recording.log
+        } else {
+            recording.log.strip_detail()
+        };
+        let bytes = log.to_bytes();
+        assert_eq!(ReplayLog::from_bytes(&bytes).as_ref(), Some(&log));
+
+        for cut in 0..bytes.len() {
+            assert!(
+                ReplayLog::from_bytes(&bytes[..cut]).is_none(),
+                "truncation to {cut}/{} bytes must not parse",
+                bytes.len()
+            );
+        }
+
+        let mut magic = bytes.clone();
+        magic[rng.below(8) as usize] ^= 1 << rng.below(8);
+        assert!(ReplayLog::from_bytes(&magic).is_none(), "bad magic");
+
+        let mut detail = bytes.clone();
+        detail[8] = 2 + rng.below(254) as u8;
+        assert!(ReplayLog::from_bytes(&detail).is_none(), "detail byte");
+
+        let mut count = bytes.clone();
+        let n = match rng.below(3) {
+            0 => log.records.len() as u64 + 1 + rng.below(8),
+            1 => u64::MAX - rng.below(8),
+            _ => rng.below(log.records.len() as u64),
+        };
+        count[9..17].copy_from_slice(&n.to_le_bytes());
+        assert!(ReplayLog::from_bytes(&count).is_none(), "count {n}");
+
+        let mut trailing = bytes.clone();
+        trailing.extend((0..1 + rng.below(24)).map(|_| rng.u32() as u8));
+        assert!(ReplayLog::from_bytes(&trailing).is_none(), "trailing bytes");
+    });
 }

@@ -1,14 +1,15 @@
 //! Property tests for `Cpu::snapshot`/`Cpu::restore`: any reachable CPU
 //! state — random register files, `fcsr`, scattered memory pages, and
 //! statistics accrued by real execution — must survive
-//! snapshot → serialize → deserialize → restore **bit-identically**,
-//! including the f64 `energy_pj` accumulator, and the restored machine
-//! must execute exactly like the original from there on.
+//! snapshot → serialize → deserialize → restore **bit-identically**, and
+//! the restored machine must execute exactly like the original from there
+//! on. Energy is not part of a snapshot: the restoring engine derives it
+//! from the counters under its own energy model.
 
 use smallfloat_asm::Assembler;
 use smallfloat_devtools::{prop, Rng};
 use smallfloat_isa::{FReg, FpFmt, XReg};
-use smallfloat_sim::{Cpu, CpuSnapshot, SimConfig, SnapshotError};
+use smallfloat_sim::{Cpu, CpuSnapshot, EnergyModel, MemLevel, SimConfig, SnapshotError};
 use smallfloat_softfp::{Flags, Rounding};
 
 const TEXT: u32 = 0x1000;
@@ -88,7 +89,8 @@ fn assert_state_eq(label: &str, a: &CpuSnapshot, b: &CpuSnapshot) {
 }
 
 /// snapshot → to_bytes → from_bytes → restore into a *fresh* CPU must be
-/// bit-identical: registers, pc, fcsr, stats (incl. energy bits), memory.
+/// bit-identical: registers, pc, fcsr, stats counters, memory — and the
+/// fresh CPU reports the same energy as the original.
 #[test]
 fn snapshot_roundtrips_through_serialization() {
     prop::cases("snapshot_roundtrips_through_serialization", 64, |rng| {
@@ -102,6 +104,7 @@ fn snapshot_roundtrips_through_serialization() {
         let mut fresh = Cpu::new(config());
         fresh.restore(&parsed);
         assert_state_eq("restore into fresh cpu", &snap, &fresh.snapshot());
+        assert_eq!(fresh.stats(), cpu.stats(), "restored stats incl. energy");
     });
 }
 
@@ -173,4 +176,35 @@ fn corrupted_images_are_rejected() {
             "trailing garbage must be rejected"
         );
     });
+}
+
+/// Energy follows the engine, not the snapshot: counters accrued at L1 and
+/// restored into an engine configured for L3 report the L3 model's energy
+/// for those counters.
+#[test]
+fn restore_derives_energy_under_the_restoring_engine() {
+    let at = |mem_level| SimConfig {
+        mem_level,
+        ..config()
+    };
+    let mut l1 = Cpu::new(at(MemLevel::L1));
+    l1.load_program(TEXT, &program(4));
+    l1.run(1_000).expect("program runs");
+    let snap = l1.snapshot();
+    assert_eq!(snap.stats().energy_pj, 0.0, "counters only");
+
+    let mut l3 = Cpu::new(at(MemLevel::L3));
+    l3.restore(&CpuSnapshot::from_bytes(&snap.to_bytes()).expect("parses"));
+    let model = EnergyModel::umc65();
+    let want = model.energy_pj(snap.stats(), MemLevel::L3);
+    assert_eq!(l3.stats().energy_pj.to_bits(), want.to_bits());
+    assert_eq!(l3.snapshot().stats(), snap.stats(), "counters as captured");
+    assert_eq!(
+        l1.stats().energy_pj.to_bits(),
+        model.energy_pj(snap.stats(), MemLevel::L1).to_bits()
+    );
+    assert!(
+        l3.stats().energy_pj > l1.stats().energy_pj,
+        "L3 accesses cost more"
+    );
 }

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a PR must keep green, in one command.
 #
-#   scripts/check.sh          # build + tests (the CI tier-1 definition)
+#   scripts/check.sh          # build + tests (the CI tier-1 definition;
+#                             # Cargo.toml's default-members make the plain
+#                             # `cargo build`/`cargo test -q` below cover every
+#                             # workspace crate, not just the root package)
 #   scripts/check.sh --full   # also rustfmt + clippy + release test run
 #                             # + the perfbench tests
 #
