@@ -1,7 +1,8 @@
 //! Block-dispatch speedup: identical simulated programs executed with the
 //! basic-block micro-op cache **on** (whole-block replay of pre-lowered
-//! micro-ops) vs **off** (per-instruction predecoded dispatch), over the
-//! instruction mixes of `sim_dispatch` plus a compiled GEMM kernel.
+//! micro-ops) vs **off** (per-instruction dispatch through the decoded
+//! code window), over the instruction mixes of `sim_dispatch` plus a
+//! compiled GEMM kernel.
 //!
 //! Run with `cargo bench --bench sim_blocks`; set
 //! `SMALLFLOAT_BENCH_JSON=<path>` to also write the machine-readable
@@ -86,8 +87,7 @@ fn run_kernel(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<f64>)])
         for (i, v) in values.iter().enumerate() {
             let bits = ops::from_f64(entry.ty.format(), *v, &mut env) as u32;
             let le = bits.to_le_bytes();
-            cpu.mem_mut()
-                .write_bytes(entry.addr + (i as u32) * bytes, &le[..bytes as usize]);
+            cpu.write_data(entry.addr + (i as u32) * bytes, &le[..bytes as usize]);
         }
     }
     cpu.load_program(TEXT_BASE, &compiled.program);

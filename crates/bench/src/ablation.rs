@@ -29,8 +29,7 @@ fn write_f16_array(cpu: &mut Cpu, addr: u32, seed: u64) {
         st ^= st << 17;
         let v = ((st >> 16) % 128) as f64 / 32.0 - 2.0;
         let bits = ops::from_f64(FpFmt::H.format(), v, &mut env) as u16;
-        cpu.mem_mut()
-            .write_bytes(addr + 2 * i as u32, &bits.to_le_bytes());
+        cpu.write_data(addr + 2 * i as u32, &bits.to_le_bytes());
     }
 }
 
@@ -41,8 +40,7 @@ fn write_f32_array(cpu: &mut Cpu, addr: u32, seed: u64) {
         st ^= st >> 7;
         st ^= st << 17;
         let v = ((st >> 16) % 128) as f32 / 32.0 - 2.0;
-        cpu.mem_mut()
-            .write_bytes(addr + 4 * i as u32, &v.to_bits().to_le_bytes());
+        cpu.write_data(addr + 4 * i as u32, &v.to_bits().to_le_bytes());
     }
 }
 

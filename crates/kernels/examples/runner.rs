@@ -9,8 +9,7 @@
 //! Arguments (all optional, any order): a workload name (SVM, GEMM, ATAX,
 //! SYRK, SYR2K, FDTD2D), a precision label (float, float16, float16alt,
 //! float8, float8alt) and a mode label (scalar, auto, manual). Defaults:
-//! `GEMM float16 auto`. `SMALLFLOAT_HOT_BLOCKS=1` prints the report for
-//! every simulated run regardless of the flag.
+//! `GEMM float16 auto`.
 
 use smallfloat_kernels::bench::{run, suite, Precision, VecMode};
 use smallfloat_kernels::last_hot_blocks;

@@ -7,17 +7,15 @@
 //! launch reading every array and scalar.
 
 use smallfloat_isa::{FpFmt, Instr};
-use smallfloat_sim::{
-    hot_block_report, Cpu, CpuSnapshot, ExitReason, HotBlock, MemLevel, SimConfig, Stats,
-};
+use smallfloat_sim::{Cpu, CpuSnapshot, ExitReason, HotBlock, MemLevel, SimConfig, Stats};
 use smallfloat_softfp::{fast, Env, Rounding};
 use smallfloat_xcc::codegen::{Compiled, LayoutEntry, TEXT_BASE};
 use smallfloat_xcc::ir::Kernel;
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// A warmed simulator: a `Cpu` whose decode caches (predecode window and
-/// lowered blocks) were trained on `program`, plus the clean pre-run
+/// A warmed simulator: a `Cpu` whose code window (decoded slots and
+/// lowered blocks) was trained on `program`, plus the clean pre-run
 /// snapshot every launch forks from. Re-launching the same kernel — a
 /// conv layer runs once per sample, a server runs once per request, an
 /// inference pipeline cycles through its layers once per call — restores
@@ -166,15 +164,13 @@ fn launch_with<R>(
         write_inputs(cpu, compiled, inputs);
         let exit = cpu
             .run(BUDGET)
-            .unwrap_or_else(|e| panic!("kernel trapped: {e}"));
-        assert_eq!(exit, ExitReason::Ecall, "kernel must exit via ecall");
-        if smallfloat_sim::env::hot_blocks() {
-            eprintln!(
-                "hot blocks for `{}`:\n{}",
-                kernel.name,
-                hot_block_report(&cpu.hot_blocks(10), cpu.stats().instret)
-            );
-        }
+            .unwrap_or_else(|e| panic!("kernel `{}` trapped: {e}", kernel.name));
+        assert_eq!(
+            exit,
+            ExitReason::Ecall,
+            "kernel `{}` must exit via ecall",
+            kernel.name
+        );
         read(cpu)
     })
 }
@@ -206,8 +202,7 @@ pub fn launch(
 }
 
 /// Top-`n` hot blocks of the most recent launch on this thread — the
-/// on-request block profile (`SMALLFLOAT_HOT_BLOCKS=1` prints it after
-/// every launch instead). Counts accumulate over every launch the
+/// on-request block profile. Counts accumulate over every launch the
 /// program's warmed simulator served since it was trained. Empty before
 /// the first launch.
 pub fn last_hot_blocks(n: usize) -> Vec<HotBlock> {

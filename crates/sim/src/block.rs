@@ -1,14 +1,22 @@
-//! Basic-block micro-op cache: compiled execution for the hot loop.
+//! The code window and its basic-block micro-op cache: everything the
+//! simulator derives from code bytes lives here.
 //!
-//! PR 1 (predecode) removed decode cost and PR 2 (softfp fast paths)
-//! removed arithmetic cost, so the remaining per-retired-instruction tax
-//! is the giant `exec` match plus PC/stat/timing bookkeeping. This module
-//! removes it the way production simulators do: on first execution of a
-//! leader PC, the straight-line run up to the next control transfer is
-//! lowered into a compact array of *micro-ops* — pre-resolved operand
-//! indices, a pre-bound (monomorphized) semantic function per op, and
-//! pre-computed per-op cycle costs — and subsequent executions replay the
-//! array with one aggregated stats commit per block.
+//! The window is one slot per half-word of the loaded program. A slot
+//! holds the instruction starting there, decoded from memory on first use
+//! by either tier (the per-instruction fetch or block lowering), and the
+//! tag of the block led by that half-word. [`BlockCache::reset`] starts a
+//! new window with every slot empty; [`BlockCache::invalidate`] forgets
+//! what was derived from a byte range. Those two are the only ways
+//! anything leaves the window.
+//!
+//! The remaining per-retired-instruction tax of the reference path is the
+//! giant `exec` match plus PC/stat/timing bookkeeping. Blocks remove it
+//! the way production simulators do: on first execution of a leader PC,
+//! the straight-line run up to the next control transfer is lowered into
+//! a compact array of *micro-ops* — pre-resolved operand indices, a
+//! pre-bound (monomorphized) semantic function per op, and pre-computed
+//! per-op cycle costs — and subsequent executions replay the array with
+//! one aggregated stats commit per block.
 //!
 //! Bit-identity with the reference path is an invariant, not a goal:
 //!
@@ -22,15 +30,17 @@
 //! * CSR instructions read live `cycle`/`instret` counters, which would
 //!   be stale before the block commit, so they terminate block discovery
 //!   and always execute on the per-instruction path.
-//! * Stores invalidate overlapping blocks byte-precisely (and bump a
-//!   generation counter so a block that invalidates *itself* stops after
-//!   the current micro-op); `mem_mut`'s conservative window flush drops
-//!   every block.
+//! * Stores (and `Cpu::write_data`) invalidate overlapping slots and
+//!   blocks byte-precisely, and killing a block bumps a generation
+//!   counter so a block that invalidates *itself* stops after the current
+//!   micro-op.
 //!
-//! `SMALLFLOAT_NOBLOCKS=1` disables the cache for bisection.
+//! `SMALLFLOAT_NOBLOCKS=1` disables the block tier for bisection; the
+//! per-instruction path still fetches through the window.
 
-use crate::cpu::{Cpu, ExitReason, SimError};
+use crate::cpu::{decode_at, Cpu, ExitReason, SimError};
 use crate::exec;
+use crate::mem::Memory;
 use crate::stats::HotBlock;
 use smallfloat_isa::{
     vector_lanes, AluOp, BranchCond, CmpOp, CpkHalf, FReg, FmaOp, FpFmt, FpOp, Instr, InstrClass,
@@ -46,11 +56,11 @@ const FLEN: u32 = 32;
 /// block starting at the fall-through PC.
 const MAX_BODY: usize = 128;
 
-/// Slot-map sentinel: no block lowered at this leader yet.
+/// Slot tag: no block lowered at this leader yet.
 const SLOT_EMPTY: u32 = u32::MAX;
-/// Slot-map sentinel: lowering declined (undecoded leader, CSR leader);
-/// dispatch falls through to the per-instruction path without retrying
-/// until the slot's bytes change.
+/// Slot tag: lowering declined (undecodable leader, CSR leader); dispatch
+/// falls through to the per-instruction path without retrying until
+/// [`BlockCache::invalidate`] reports the slot's bytes changed.
 const SLOT_NO_BLOCK: u32 = u32::MAX - 1;
 
 /// `MicroOp::rm` value selecting the dynamic rounding mode at run time;
@@ -127,7 +137,7 @@ struct Tail {
 struct Block {
     start: u32,
     /// Exclusive byte end of the last lowered instruction (may reach two
-    /// bytes past the predecode window for a spanning final instruction).
+    /// bytes past the code window for a spanning final instruction).
     end: u32,
     uops: Box<[MicroOp]>,
     tail: Option<Tail>,
@@ -143,20 +153,41 @@ struct Entry {
     block: Arc<Block>,
     /// Dispatch count, for the hot-block profile.
     execs: u64,
-    /// Slot-map index holding this block, cleared on kill.
+    /// Window slot whose tag points at this block, cleared on kill.
     leader_slot: usize,
 }
 
-/// The per-CPU cache: a slot map parallel to the predecode window
-/// (indexed by `(pc - pred_base) >> 1`) into an arena of blocks.
+/// One half-word of the code window.
+#[derive(Clone, Copy)]
+struct Slot {
+    /// The instruction starting here and its length in bytes, decoded on
+    /// first use; `None` until then, after invalidation, and while the
+    /// bytes here do not decode.
+    decoded: Option<(Instr, u32)>,
+    /// Arena index of the block led by this half-word, or [`SLOT_EMPTY`]
+    /// / [`SLOT_NO_BLOCK`].
+    tag: u32,
+}
+
+const FRESH_SLOT: Slot = Slot {
+    decoded: None,
+    tag: SLOT_EMPTY,
+};
+
+/// The per-CPU code window: one [`Slot`] per half-word of
+/// `[base, base + 2 * slots.len())`, indexed by `(pc - base) >> 1`, plus
+/// the arena of lowered blocks the slot tags point into. Half-word
+/// granularity covers RVC: a jump may legally land on any even address,
+/// including the middle of a 32-bit instruction.
 pub(crate) struct BlockCache {
     enabled: bool,
-    slots: Vec<u32>,
+    base: u32,
+    slots: Vec<Slot>,
     arena: Vec<Option<Entry>>,
     free: Vec<u32>,
     /// Bumped whenever any block is killed; executing blocks compare it
-    /// after every micro-op so self-modifying code stops replay at the
-    /// first possibly-stale op.
+    /// after every store micro-op so self-modifying code stops replay at
+    /// the first possibly-stale op.
     gen: u64,
 }
 
@@ -164,6 +195,7 @@ impl BlockCache {
     pub(crate) fn new() -> BlockCache {
         BlockCache {
             enabled: default_enabled(),
+            base: 0,
             slots: Vec::new(),
             arena: Vec::new(),
             free: Vec::new(),
@@ -175,48 +207,101 @@ impl BlockCache {
         self.enabled
     }
 
+    /// Switch the block tier on or off, dropping every cached block (and,
+    /// with them, the decoded slots, which refill on use).
     pub(crate) fn set_enabled(&mut self, on: bool) {
         self.enabled = on;
-        self.flush();
+        self.reset(self.base, self.len_bytes());
     }
 
-    /// Rebuild the slot map for a predecode window of `slots` half-words,
-    /// dropping every cached block.
-    pub(crate) fn reset_window(&mut self, slots: usize) {
-        self.arena.clear();
-        self.free.clear();
+    /// Start a window over `[base, base + len_bytes)` with every slot
+    /// undecoded and no blocks. An odd base can never be fetched (every
+    /// fetch there faults), so it is rounded down to keep slot arithmetic
+    /// alias-free.
+    pub(crate) fn reset(&mut self, base: u32, len_bytes: u32) {
+        self.base = base & !1;
         self.slots.clear();
-        self.slots.resize(slots, SLOT_EMPTY);
-        self.gen = self.gen.wrapping_add(1);
-    }
-
-    /// Drop every cached block, keeping the window geometry (the
-    /// `mem_mut` conservative flush).
-    pub(crate) fn flush(&mut self) {
+        self.slots
+            .resize(((len_bytes + (base & 1)) >> 1) as usize, FRESH_SLOT);
         self.arena.clear();
         self.free.clear();
-        self.slots.iter_mut().for_each(|s| *s = SLOT_EMPTY);
         self.gen = self.gen.wrapping_add(1);
     }
 
-    /// A lazily (re)filled predecode slot may unlock lowering that
-    /// previously declined; retry on the next dispatch.
-    pub(crate) fn slot_refilled(&mut self, slot: usize) {
-        if let Some(s) = self.slots.get_mut(slot) {
-            if *s == SLOT_NO_BLOCK {
-                *s = SLOT_EMPTY;
-            }
-        }
+    /// First byte of the window (always even).
+    pub(crate) fn base(&self) -> u32 {
+        self.base
     }
 
-    /// Kill every block whose instruction bytes overlap `[lo, hi)`.
-    pub(crate) fn invalidate_bytes(&mut self, lo: u32, hi: u32) {
-        if lo >= hi {
+    /// Window length in bytes.
+    pub(crate) fn len_bytes(&self) -> u32 {
+        (self.slots.len() as u32) * 2
+    }
+
+    fn index(&self, pc: u32) -> usize {
+        (pc.wrapping_sub(self.base) >> 1) as usize
+    }
+
+    fn in_window(&self, pc: u32) -> bool {
+        self.index(pc) < self.slots.len()
+    }
+
+    /// The instruction at `pc` and its length, from its slot when inside
+    /// the window — decoding from `mem` and filling the slot on first use
+    /// — or straight from `mem` outside it. The one routine that fills
+    /// slots, shared by the per-instruction fetch and block lowering.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::FetchFault`] / [`SimError::IllegalInstruction`], as
+    /// [`decode_at`] reports them; undecodable slots stay empty.
+    pub(crate) fn decode(&mut self, mem: &Memory, pc: u32) -> Result<(Instr, u32), SimError> {
+        // Odd PCs must fault before the slot lookup: their slot index
+        // aliases the preceding even address.
+        if pc & 1 != 0 {
+            return Err(SimError::FetchFault { pc });
+        }
+        let idx = self.index(pc);
+        let Some(slot) = self.slots.get_mut(idx) else {
+            return decode_at(mem, pc);
+        };
+        if let Some(hit) = slot.decoded {
+            return Ok(hit);
+        }
+        let hit = decode_at(mem, pc)?;
+        slot.decoded = Some(hit);
+        Ok(hit)
+    }
+
+    /// Forget everything derived from the bytes `[addr, addr + len)`: the
+    /// decoded slots whose instruction may cover them (a 32-bit
+    /// instruction *starting* up to two bytes before `addr` spans into
+    /// the range, so the slot range extends one slot backwards), the
+    /// declined-leader markers there, and every block whose instruction
+    /// bytes overlap the range. The only invalidation: simulated stores
+    /// and `Cpu::write_data` both come here, and writes that miss the
+    /// window exit after two compares.
+    pub(crate) fn invalidate(&mut self, addr: u32, len: u32) {
+        let hi = addr.saturating_add(len);
+        let lo = addr.saturating_sub(2).max(self.base);
+        let slots_hi = hi.min(self.base + self.len_bytes());
+        // A block ends at most two bytes past the window (a spanning final
+        // instruction), so any write overlapping a block also reaches a
+        // slot through the backward extension and passes this test.
+        if lo >= slots_hi {
             return;
+        }
+        let first = self.index(lo);
+        let last = self.index(slots_hi - 1);
+        for slot in &mut self.slots[first..=last] {
+            slot.decoded = None;
+            if slot.tag == SLOT_NO_BLOCK {
+                slot.tag = SLOT_EMPTY;
+            }
         }
         for idx in 0..self.arena.len() {
             let overlaps = match &self.arena[idx] {
-                Some(e) => e.block.start < hi && e.block.end > lo,
+                Some(e) => e.block.start < hi && e.block.end > addr,
                 None => false,
             };
             if overlaps {
@@ -227,9 +312,7 @@ impl BlockCache {
 
     fn kill(&mut self, idx: usize) {
         if let Some(e) = self.arena[idx].take() {
-            if let Some(s) = self.slots.get_mut(e.leader_slot) {
-                *s = SLOT_EMPTY;
-            }
+            self.slots[e.leader_slot].tag = SLOT_EMPTY;
             self.free.push(idx as u32);
             self.gen = self.gen.wrapping_add(1);
         }
@@ -251,7 +334,7 @@ impl BlockCache {
                 (self.arena.len() - 1) as u32
             }
         };
-        self.slots[slot] = idx;
+        self.slots[slot].tag = idx;
         idx
     }
 
@@ -298,17 +381,17 @@ pub(crate) fn dispatch(cpu: &mut Cpu, remaining: u64) -> Result<Dispatch, SimErr
     if pc & 1 != 0 {
         return Ok(Dispatch::Fallback);
     }
-    let slot = (pc.wrapping_sub(cpu.pred_base) >> 1) as usize;
+    let slot = cpu.blocks.index(pc);
     let tag = match cpu.blocks.slots.get(slot) {
-        Some(&t) => t,
+        Some(s) => s.tag,
         None => return Ok(Dispatch::Fallback),
     };
     let idx = match tag {
         SLOT_NO_BLOCK => return Ok(Dispatch::Fallback),
-        SLOT_EMPTY => match lower_block(cpu, pc, slot) {
+        SLOT_EMPTY => match lower_block(cpu, pc) {
             Some(block) => cpu.blocks.install(slot, block),
             None => {
-                cpu.blocks.slots[slot] = SLOT_NO_BLOCK;
+                cpu.blocks.slots[slot].tag = SLOT_NO_BLOCK;
                 return Ok(Dispatch::Fallback);
             }
         },
@@ -316,7 +399,7 @@ pub(crate) fn dispatch(cpu: &mut Cpu, remaining: u64) -> Result<Dispatch, SimErr
     };
     let entry = cpu.blocks.arena[idx as usize]
         .as_mut()
-        .expect("slot map points at a live block");
+        .expect("slot tag points at a live block");
     if entry.block.retired > remaining {
         return Ok(Dispatch::Fallback);
     }
@@ -443,20 +526,20 @@ fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Dispatch, SimError> {
 // Lowering
 // ---------------------------------------------------------------------------
 
-/// Walk the predecode window from `leader`, lowering straight-line
+/// Walk the code window from `leader`, lowering straight-line
 /// instructions until a control transfer (tail), a CSR (barrier), an
-/// undecoded slot, the window edge, or [`MAX_BODY`]. Returns `None` when
-/// nothing at all can be lowered here.
-fn lower_block(cpu: &Cpu, leader: u32, leader_slot: usize) -> Option<Block> {
+/// undecodable slot, the window edge, or [`MAX_BODY`]. Slots decode (and
+/// fill) on the way. Returns `None` when nothing at all can be lowered
+/// here.
+fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Block> {
     let mut uops: Vec<MicroOp> = Vec::new();
     let mut tail = None;
     let mut pc = leader;
-    let mut slot = leader_slot;
     let mut end = leader;
-    while uops.len() < MAX_BODY {
-        let (instr, len) = match cpu.pred.get(slot) {
-            Some(&Some(hit)) => hit,
-            _ => break,
+    while uops.len() < MAX_BODY && cpu.blocks.in_window(pc) {
+        let (instr, len) = match cpu.blocks.decode(&cpu.mem, pc) {
+            Ok(hit) => hit,
+            Err(_) => break,
         };
         match instr {
             Instr::Jal { .. }
@@ -478,7 +561,6 @@ fn lower_block(cpu: &Cpu, leader: u32, leader_slot: usize) -> Option<Block> {
                 uops.push(u);
                 end = pc.wrapping_add(len);
                 pc = pc.wrapping_add(len);
-                slot += (len >> 1) as usize;
             }
             Lowered::Trap(u) => {
                 // Statically-detected trap (vector op on `.s`, bad lane
@@ -1326,7 +1408,7 @@ fn load_int<const BYTES: u32, const SG: u8>(cpu: &mut Cpu, u: &MicroOp) -> Resul
 fn store_int<const BYTES: u32>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let addr = xr(cpu, u.rs1).wrapping_add(u.imm as u32);
     cpu.mem.store(addr, BYTES, xr(cpu, u.rs2))?;
-    cpu.invalidate_code(addr, BYTES);
+    cpu.blocks.invalidate(addr, BYTES);
     Ok(())
 }
 
@@ -1341,7 +1423,7 @@ fn load_fp<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
 fn store_fp<const BYTES: u32>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     let addr = xr(cpu, u.rs1).wrapping_add(u.imm as u32);
     cpu.mem.store(addr, BYTES, fr(cpu, u.rs2))?;
-    cpu.invalidate_code(addr, BYTES);
+    cpu.blocks.invalidate(addr, BYTES);
     Ok(())
 }
 

@@ -100,18 +100,11 @@ pub struct Cpu {
     pub(crate) frm_raw: u8,
     pub(crate) fflags: Flags,
     pub(crate) stats: Stats,
-    /// Predecoded program window: one slot per half-word of
-    /// `[pred_base, pred_base + 2 * pred.len())`, indexed by
-    /// `(pc - pred_base) >> 1`. Half-word granularity covers RVC: a jump
-    /// may legally land on any even address, including the middle of a
-    /// 32-bit instruction.
-    pub(crate) pred: Vec<Option<(Instr, u32)>>,
-    pub(crate) pred_base: u32,
-    /// Set by [`Cpu::mem_mut`]; the next fetch conservatively discards the
-    /// whole window (and every cached block) before dispatching.
-    pred_dirty: bool,
-    /// Basic-block micro-op cache over the predecode window (see
-    /// `block.rs`); [`Cpu::run`] dispatches whole blocks through it.
+    /// The code window — lazily decoded half-word slots over the loaded
+    /// program plus the basic-block micro-op cache lowered from them (see
+    /// `block.rs`). Everything cached from code bytes lives here: both
+    /// tiers fetch through it and [`Cpu::run`] dispatches whole blocks
+    /// through it.
     pub(crate) blocks: BlockCache,
 }
 
@@ -122,6 +115,27 @@ impl fmt::Debug for Cpu {
             "Cpu {{ pc: 0x{:08x}, cycles: {} }}",
             self.pc, self.stats.cycles
         )
+    }
+}
+
+/// Decode the instruction at `pc` straight from `mem`: the reference
+/// decode behind [`Cpu::decode_at`] and every code-window slot fill.
+pub(crate) fn decode_at(mem: &Memory, pc: u32) -> Result<(Instr, u32), SimError> {
+    if !pc.is_multiple_of(2) {
+        return Err(SimError::FetchFault { pc });
+    }
+    let low = mem.load(pc, 2).map_err(|_| SimError::FetchFault { pc })? as u16;
+    if low & 0b11 != 0b11 {
+        let instr = decode_compressed(low)
+            .map_err(|e| SimError::IllegalInstruction { word: e.word(), pc })?;
+        Ok((instr, 2))
+    } else {
+        let high = mem
+            .load(pc + 2, 2)
+            .map_err(|_| SimError::FetchFault { pc })? as u16;
+        let word = (low as u32) | ((high as u32) << 16);
+        let instr = decode(word).map_err(|_| SimError::IllegalInstruction { word, pc })?;
+        Ok((instr, 4))
     }
 }
 
@@ -138,9 +152,6 @@ impl Cpu {
             frm_raw: Rounding::Rne.to_frm(),
             fflags: Flags::NONE,
             stats: Stats::new(),
-            pred: Vec::new(),
-            pred_base: 0,
-            pred_dirty: false,
             blocks: BlockCache::new(),
         }
     }
@@ -158,7 +169,7 @@ impl Cpu {
     }
 
     /// Reset architectural state — registers, PC, `fcsr`, statistics,
-    /// memory contents and the predecode window — without reallocating.
+    /// memory contents and the code window — without reallocating.
     ///
     /// Memory zeroing is proportional to the bytes actually written, so a
     /// reset-and-reload cycle costs microseconds where constructing a new
@@ -172,10 +183,7 @@ impl Cpu {
         self.fflags = Flags::NONE;
         self.stats = Stats::new();
         self.mem.clear();
-        self.pred.clear();
-        self.pred_base = 0;
-        self.pred_dirty = false;
-        self.blocks.reset_window(0);
+        self.blocks.reset(0, 0);
     }
 
     /// [`Cpu::reset`] plus a configuration swap, reusing the memory
@@ -189,8 +197,8 @@ impl Cpu {
     }
 
     /// Encode `program` into memory at `base`, point the PC there, and
-    /// eagerly predecode the whole window (every half-word slot, so RVC
-    /// targets and odd-word jump targets dispatch from the fast path too).
+    /// start a fresh code window over it. Nothing is decoded here: each
+    /// half-word slot decodes on first fetch or block lowering.
     ///
     /// # Panics
     ///
@@ -203,79 +211,20 @@ impl Cpu {
             addr += 4;
         }
         self.pc = base;
-        self.predecode(base, addr - base);
+        self.blocks.reset(base, addr - base);
     }
 
-    /// Rebuild the predecode window over `[base, base + len_bytes)`.
-    /// Undecodable half-words are left empty; fetching them falls back to
-    /// [`Cpu::decode_at`], which reports the precise trap.
-    fn predecode(&mut self, base: u32, len_bytes: u32) {
-        // An odd base can never be fetched (every fetch there faults), and
-        // keeping the base even makes slot arithmetic alias-free.
-        self.pred_base = base & !1;
-        let slots = ((len_bytes + (base & 1)) >> 1) as usize;
-        self.pred.clear();
-        self.pred.resize(slots, None);
-        self.pred_dirty = false;
-        for s in 0..slots {
-            let pc = self.pred_base + (s as u32) * 2;
-            if let Ok(hit) = self.decode_at(pc) {
-                self.pred[s] = Some(hit);
-            }
-        }
-        self.blocks.reset_window(slots);
-    }
-
-    /// Rebuild the predecode window from current memory contents — the
-    /// snapshot-restore entry point (see `snapshot.rs`). Resetting the
-    /// window also drops every cached block and advances the block-cache
-    /// generation, so nothing decoded before the restore can execute after
-    /// it.
-    pub(crate) fn repredecode(&mut self, base: u32, len_bytes: u32) {
-        self.predecode(base, len_bytes);
-    }
-
-    /// Drop predecoded slots whose instruction bytes overlap the stored
-    /// range `[addr, addr + len)`. A 32-bit instruction *starting* up to
-    /// two bytes before `addr` can span the stored bytes, so the window
-    /// extends one slot backwards. Called from the store execution paths;
-    /// stores outside the code window exit after two compares.
-    pub(crate) fn invalidate_code(&mut self, addr: u32, len: u32) {
-        let win_end = self.pred_base + (self.pred.len() as u32) * 2;
-        let lo = addr.saturating_sub(2).max(self.pred_base);
-        let hi = addr.saturating_add(len).min(win_end);
-        if lo >= hi {
-            return;
-        }
-        let first = ((lo - self.pred_base) >> 1) as usize;
-        let last = ((hi - 1 - self.pred_base) >> 1) as usize;
-        for slot in &mut self.pred[first..=last] {
-            *slot = None;
-        }
-        // "No block here" markers in the touched range were derived from
-        // the old bytes; retry lowering once the slots refill.
-        for slot in first..=last {
-            self.blocks.slot_refilled(slot);
-        }
-        // Blocks are killed byte-precisely (a block's final instruction
-        // may span up to two bytes past the window, which the slot clamp
-        // above does not cover).
-        self.blocks.invalidate_bytes(addr, addr.saturating_add(len));
-    }
-
-    /// Whether the live predecode window — and with it every cached block,
-    /// which is lowered from the same bytes — still describes
-    /// `mem`'s contents over `[base, base + len_bytes)` exactly. True only
-    /// when the geometry matches, no conservative [`Cpu::mem_mut`] flush
-    /// is pending, and the code bytes (plus the up-to-two bytes a final
-    /// instruction may span past the window) are identical. This is the
-    /// warm-restore probe: forks off one warmed snapshot keep their
-    /// lowered blocks.
+    /// Whether the live code window — its decoded slots and every cached
+    /// block, all derived from the live memory — still describes `mem`'s
+    /// contents over `[base, base + len_bytes)` exactly. True only when
+    /// the geometry matches and the code bytes (plus the up-to-two bytes
+    /// a final instruction may span past the window) are identical. This
+    /// is the warm-restore probe: forks off one warmed snapshot keep their
+    /// decoded slots and lowered blocks.
     pub(crate) fn window_matches(&self, base: u32, len_bytes: u32, mem: &MemSnapshot) -> bool {
-        !self.pred_dirty
-            && len_bytes > 0
-            && self.pred_base == base
-            && (self.pred.len() as u32) * 2 == len_bytes
+        len_bytes > 0
+            && self.blocks.base() == base
+            && self.blocks.len_bytes() == len_bytes
             && self.mem.range_eq(
                 mem,
                 base,
@@ -285,18 +234,18 @@ impl Cpu {
 
     /// Copy bytes into memory with byte-precise code invalidation — the
     /// same invalidation stores executed by the simulated program get, so
-    /// predecode slots and lowered blocks are dropped only
-    /// where actually overwritten. Writes that never touch the code
-    /// window (input arrays, descriptors) leave the warmed caches intact;
-    /// the conservative alternative is writing through [`Cpu::mem_mut`],
-    /// which flushes the whole window.
+    /// decoded slots and lowered blocks are dropped only where actually
+    /// overwritten. Writes that never touch the code window (input
+    /// arrays, descriptors) leave it warm; writes that rewrite code take
+    /// effect at the next fetch. This is the only host-side write into
+    /// memory.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds the memory size.
     pub fn write_data(&mut self, addr: u32, data: &[u8]) {
         self.mem.write_bytes(addr, data);
-        self.invalidate_code(addr, data.len() as u32);
+        self.blocks.invalidate(addr, data.len() as u32);
     }
 
     /// Read an integer register (`x0` reads as 0).
@@ -368,81 +317,20 @@ impl Cpu {
         &self.mem
     }
 
-    /// Mutable access to memory.
-    ///
-    /// Writing through this handle conservatively invalidates the whole
-    /// predecode window: the next fetch re-decodes from memory, so code
-    /// rewritten here executes correctly (at the cost of re-warming the
-    /// window). Stores executed *by the simulated program* invalidate only
-    /// the touched slots and need no help from the caller.
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        self.pred_dirty = true;
-        &mut self.mem
-    }
-
     /// Decode the instruction at `pc` directly from memory, bypassing the
-    /// predecode window. Returns the instruction and its length in bytes.
-    /// This is the reference decode path the predecoded fast path must
-    /// agree with bit-for-bit.
+    /// code window. Returns the instruction and its length in bytes.
+    /// This is the reference decode the window's slots must agree with
+    /// bit-for-bit.
     ///
     /// # Errors
     ///
     /// [`SimError::FetchFault`] / [`SimError::IllegalInstruction`].
     pub fn decode_at(&self, pc: u32) -> Result<(Instr, u32), SimError> {
-        if !pc.is_multiple_of(2) {
-            return Err(SimError::FetchFault { pc });
-        }
-        let low = self
-            .mem
-            .load(pc, 2)
-            .map_err(|_| SimError::FetchFault { pc })? as u16;
-        if low & 0b11 != 0b11 {
-            let instr = decode_compressed(low)
-                .map_err(|e| SimError::IllegalInstruction { word: e.word(), pc })?;
-            Ok((instr, 2))
-        } else {
-            let high = self
-                .mem
-                .load(pc + 2, 2)
-                .map_err(|_| SimError::FetchFault { pc })? as u16;
-            let word = (low as u32) | ((high as u32) << 16);
-            let instr = decode(word).map_err(|_| SimError::IllegalInstruction { word, pc })?;
-            Ok((instr, 4))
-        }
-    }
-
-    /// Apply the pending conservative flush from [`Cpu::mem_mut`]: every
-    /// predecoded slot and every cached block may describe stale bytes.
-    fn sync_window(&mut self) {
-        if self.pred_dirty {
-            self.pred.iter_mut().for_each(|slot| *slot = None);
-            self.pred_dirty = false;
-            self.blocks.flush();
-        }
+        decode_at(&self.mem, pc)
     }
 
     fn fetch(&mut self) -> Result<(Instr, u32), SimError> {
-        let pc = self.pc;
-        self.sync_window();
-        // Odd PCs must fault before the slot lookup: their slot index
-        // aliases the preceding even address.
-        if pc & 1 == 0 {
-            let slot = (pc.wrapping_sub(self.pred_base) >> 1) as usize;
-            if let Some(&Some(hit)) = self.pred.get(slot) {
-                return Ok(hit);
-            }
-            let decoded = self.decode_at(pc)?;
-            // Lazy fill: invalidated or initially-undecodable slots inside
-            // the window re-enter the fast path once they decode again.
-            if let Some(empty) = self.pred.get_mut(slot) {
-                *empty = Some(decoded);
-                // A refilled slot may also unlock block lowering.
-                self.blocks.slot_refilled(slot);
-            }
-            Ok(decoded)
-        } else {
-            Err(SimError::FetchFault { pc })
-        }
+        self.blocks.decode(&self.mem, self.pc)
     }
 
     /// Decode the instruction at the current PC without executing it.
@@ -455,7 +343,7 @@ impl Cpu {
     }
 
     /// Like [`Cpu::peek`], but also returns the instruction length in
-    /// bytes, going through the predecoded fast path (filling it on miss).
+    /// bytes, going through the code window (filling its slot on miss).
     ///
     /// # Errors
     ///
@@ -530,7 +418,6 @@ impl Cpu {
         let result = (|| {
             while self.stats.instret < limit {
                 let dispatched = if self.blocks.enabled() {
-                    self.sync_window();
                     crate::block::dispatch(self, limit - self.stats.instret)?
                 } else {
                     Dispatch::Fallback
@@ -565,9 +452,10 @@ impl Cpu {
 
     /// Top-`n` cached blocks by dynamic instruction count
     /// (`execs × block length`) — the hot-block profile. Counts cover
-    /// currently cached blocks: [`Cpu::reset`], code invalidation and
-    /// [`Cpu::mem_mut`] drop blocks along with their counters, so harvest
-    /// the profile right after the run of interest.
+    /// currently cached blocks: [`Cpu::reset`], [`Cpu::load_program`], a
+    /// restore that does not keep the window, and code invalidation drop
+    /// blocks along with their counters, so harvest the profile right
+    /// after the run of interest.
     pub fn hot_blocks(&self, n: usize) -> Vec<HotBlock> {
         self.blocks.hot(n)
     }

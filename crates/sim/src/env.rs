@@ -31,14 +31,6 @@ pub fn noblocks() -> bool {
     *CACHE.get_or_init(|| flag("SMALLFLOAT_NOBLOCKS"))
 }
 
-/// `SMALLFLOAT_HOT_BLOCKS`: print the hot-block profile after every
-/// simulated kernel launch. Cached at first read, so a launch that nobody
-/// profiles pays one load.
-pub fn hot_blocks() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
-    *CACHE.get_or_init(|| flag("SMALLFLOAT_HOT_BLOCKS"))
-}
-
 /// `SMALLFLOAT_SERIAL`: pin every parallel fan-out (`bench::par`, the
 /// cluster's host threads) to the calling thread.
 pub fn serial() -> bool {

@@ -203,7 +203,7 @@ pub(crate) fn exec(cpu: &mut Cpu, instr: Instr, len: u32) -> Result<Option<ExitR
         } => {
             let addr = cpu.xreg(rs1).wrapping_add(offset as u32);
             cpu.mem.store(addr, width.bytes(), cpu.xreg(rs2))?;
-            cpu.invalidate_code(addr, width.bytes());
+            cpu.blocks.invalidate(addr, width.bytes());
             cycles = cpu.config.mem_level.latency();
         }
         Instr::OpImm { op, rd, rs1, imm } => {
@@ -277,7 +277,7 @@ pub(crate) fn exec(cpu: &mut Cpu, instr: Instr, len: u32) -> Result<Option<ExitR
             let addr = cpu.xreg(rs1).wrapping_add(offset as u32);
             let bytes = fmt.width() / 8;
             cpu.mem.store(addr, bytes, cpu.freg(rs2))?;
-            cpu.invalidate_code(addr, bytes);
+            cpu.blocks.invalidate(addr, bytes);
             cycles = cpu.config.mem_level.latency();
         }
 

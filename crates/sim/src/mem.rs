@@ -32,11 +32,6 @@ static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 pub struct Memory {
     pages: Vec<Option<Page>>,
     size: usize,
-    /// Bumped on [`Memory::clear`] and [`Memory::restore`] — the events
-    /// after which any cache derived from memory contents (predecode
-    /// slots, lowered blocks) may be stale. `Cpu::restore` keys its
-    /// conservative cache invalidation off this counter.
-    generation: u64,
 }
 
 /// A point-in-time copy of a [`Memory`]: the shared page table. Cheap to
@@ -70,7 +65,6 @@ impl Memory {
         Memory {
             pages: vec![None; page_count(size)],
             size,
-            generation: 0,
         }
     }
 
@@ -85,13 +79,6 @@ impl Memory {
         self.pages.iter().filter(|p| p.is_some()).count()
     }
 
-    /// Monotonic counter bumped by [`Memory::clear`] and
-    /// [`Memory::restore`]: if it changed, any cache derived from memory
-    /// contents must be treated as stale.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Zero the whole memory. Uniquely-owned pages are zeroed in place
     /// (keeping their allocation for the next run); shared pages are
     /// dropped back to the zero representation. O(resident pages).
@@ -104,7 +91,6 @@ impl Memory {
                 }
             }
         }
-        self.generation += 1;
     }
 
     fn check(&self, addr: u32, len: u32) -> Result<usize, SimError> {
@@ -221,8 +207,8 @@ impl Memory {
     /// shared between the two tables (the common case after copy-on-write
     /// forks), byte-compare the overlapping slice of the rest. The cheap
     /// "has this code window changed?" probe behind warm restores
-    /// (`Cpu::restore` keeps the predecode window and block cache when the code
-    /// bytes are unchanged). Out-of-range in either side compares unequal.
+    /// (`Cpu::restore` keeps the code window — decoded slots and lowered
+    /// blocks — when the code bytes are unchanged). Out-of-range in either side compares unequal.
     pub fn range_eq(&self, snap: &MemSnapshot, addr: u32, len: usize) -> bool {
         let a = addr as usize;
         let end = match a.checked_add(len) {
@@ -256,11 +242,10 @@ impl Memory {
     }
 
     /// Restore a previously taken snapshot (adopting its size if it
-    /// differs) and bump the generation counter.
+    /// differs).
     pub fn restore(&mut self, snap: &MemSnapshot) {
         self.pages.clone_from(&snap.pages);
         self.size = snap.size;
-        self.generation += 1;
     }
 }
 
@@ -456,19 +441,5 @@ mod tests {
         let mut buf2 = Vec::new();
         m.snapshot().write_to(&mut buf2);
         assert!(buf2.len() < 32);
-    }
-
-    #[test]
-    fn generation_tracks_clear_and_restore() {
-        let mut m = Memory::new(64);
-        let g0 = m.generation();
-        m.store(0, 4, 1).unwrap();
-        assert_eq!(m.generation(), g0, "plain stores do not bump");
-        let snap = m.snapshot();
-        m.clear();
-        assert!(m.generation() > g0);
-        let g1 = m.generation();
-        m.restore(&snap);
-        assert!(m.generation() > g1);
     }
 }

@@ -3,7 +3,7 @@
 //! A [`CpuSnapshot`] captures everything `Cpu::run` can observe or modify:
 //! the architectural state (integer/FP register files, pc, `fcsr`), the
 //! statistics counters (cycles, instret, per-class counts and cycles), the
-//! predecode-window geometry, and memory as a shared copy-on-write page
+//! code-window geometry, and memory as a shared copy-on-write page
 //! table (see `mem.rs`). Taking one is O(registers +
 //! pages) — no memory data is copied — so harnesses can snapshot every few
 //! thousand instructions and fork any snapshot into an independent replay
@@ -38,10 +38,11 @@ pub struct CpuSnapshot {
     pub(crate) frm_raw: u8,
     pub(crate) fflags: Flags,
     pub(crate) stats: Stats,
-    /// Predecode-window geometry (`Cpu::restore` re-predecodes this range
-    /// from the restored memory, which also resets the block cache).
-    pub(crate) pred_base: u32,
-    pub(crate) pred_len_bytes: u32,
+    /// Code-window geometry: `Cpu::restore` keeps the live window when it
+    /// covers the same bytes, and otherwise starts a fresh one over this
+    /// range.
+    pub(crate) code_base: u32,
+    pub(crate) code_len_bytes: u32,
     pub(crate) mem: MemSnapshot,
 }
 
@@ -157,8 +158,8 @@ impl CpuSnapshot {
         out.extend_from_slice(&self.pc.to_le_bytes());
         out.push(self.frm_raw);
         out.push(self.fflags.bits());
-        out.extend_from_slice(&self.pred_base.to_le_bytes());
-        out.extend_from_slice(&self.pred_len_bytes.to_le_bytes());
+        out.extend_from_slice(&self.code_base.to_le_bytes());
+        out.extend_from_slice(&self.code_len_bytes.to_le_bytes());
         out.extend_from_slice(&self.stats.cycles.to_le_bytes());
         out.extend_from_slice(&self.stats.instret.to_le_bytes());
         out.extend_from_slice(&(InstrClass::ALL.len() as u64).to_le_bytes());
@@ -201,8 +202,8 @@ impl CpuSnapshot {
         let bytes2 = buf.get(pos..pos + 2).ok_or(SnapshotError::Truncated)?;
         let (frm_raw, fflags_bits) = (bytes2[0], bytes2[1]);
         pos += 2;
-        let pred_base = read_u32(&mut pos)?;
-        let pred_len_bytes = read_u32(&mut pos)?;
+        let code_base = read_u32(&mut pos)?;
+        let code_len_bytes = read_u32(&mut pos)?;
         let cycles = read_u64(buf, &mut pos).ok_or(SnapshotError::Truncated)?;
         let instret = read_u64(buf, &mut pos).ok_or(SnapshotError::Truncated)?;
         let classes = read_u64(buf, &mut pos).ok_or(SnapshotError::Truncated)? as usize;
@@ -230,8 +231,8 @@ impl CpuSnapshot {
             frm_raw,
             fflags: Flags::from_bits(fflags_bits),
             stats,
-            pred_base,
-            pred_len_bytes,
+            code_base,
+            code_len_bytes,
             mem,
         })
     }
@@ -239,7 +240,7 @@ impl CpuSnapshot {
 
 impl Cpu {
     /// Capture the CPU's executable state: registers, pc, `fcsr`,
-    /// statistics, predecode-window geometry and a copy-on-write memory
+    /// statistics, code-window geometry and a copy-on-write memory
     /// snapshot. O(registers + page-table) — no memory bytes are copied;
     /// the first post-snapshot store to any shared page pays one page
     /// copy.
@@ -254,8 +255,8 @@ impl Cpu {
                 energy_pj: 0.0,
                 ..self.stats.clone()
             },
-            pred_base: self.pred_base,
-            pred_len_bytes: (self.pred.len() as u32) * 2,
+            code_base: self.blocks.base(),
+            code_len_bytes: self.blocks.len_bytes(),
             mem: self.mem.snapshot(),
         }
     }
@@ -263,11 +264,12 @@ impl Cpu {
     /// Restore a snapshot taken by [`Cpu::snapshot`] (possibly on a
     /// different `Cpu`). Architectural state, counters and memory become
     /// exactly the captured ones, and `energy_pj` is derived from the
-    /// counters under this engine's energy model. The predecode window is
-    /// rebuilt from the restored memory and every cached block is dropped
-    /// (the block-cache generation counter advances), so stale predecoded
-    /// slots or lowered blocks from the pre-restore code image can never
-    /// execute.
+    /// counters under this engine's energy model. The live code window
+    /// survives only when it covers byte-identical code (see below);
+    /// otherwise a fresh, empty window starts over the captured range and
+    /// every cached block is dropped (the block-cache generation counter
+    /// advances), so decoded slots or lowered blocks from a different code
+    /// image can never execute.
     ///
     /// The simulator configuration (timing/energy models, memory level,
     /// block-cache enablement) is engine state, not machine state: it is
@@ -287,15 +289,14 @@ impl Cpu {
         // memory too and survive. Typical for request forks off one
         // warmed image; anything else falls through to the conservative
         // rebuild.
-        let keep = self.window_matches(snap.pred_base, snap.pred_len_bytes, &snap.mem);
+        let keep = self.window_matches(snap.code_base, snap.code_len_bytes, &snap.mem);
         self.mem.restore(&snap.mem);
         if !keep {
-            // Re-predecode the captured window over the restored bytes;
-            // this also resets the block cache for the new window
-            // (bumping its generation), which is the conservative
-            // invalidation that makes restore safe against
+            // A fresh window over the captured range decodes the restored
+            // bytes on use; dropping every block (and bumping the
+            // generation) is what makes restore safe against
             // self-modifying-code history.
-            self.repredecode(snap.pred_base, snap.pred_len_bytes);
+            self.blocks.reset(snap.code_base, snap.code_len_bytes);
         }
         self.derive_energy();
     }

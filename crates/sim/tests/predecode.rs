@@ -1,12 +1,12 @@
-//! Properties of the predecoded fast-path dispatch: for *any* memory
-//! contents, going through the predecode window must be indistinguishable
-//! from decoding fresh out of `smallfloat_isa` — same instruction, same
-//! length, same trap — across eager fill, lazy fill, store invalidation
-//! and the conservative `mem_mut` flush.
+//! Properties of the code window: for *any* memory contents, fetching
+//! through its lazily decoded slots must be indistinguishable from
+//! decoding fresh out of `smallfloat_isa` — same instruction, same length,
+//! same trap — across lazy fill by either tier, byte-precise invalidation
+//! (simulated stores and `Cpu::write_data`) and snapshot restore.
 
 use smallfloat_devtools::{prop, Rng};
 use smallfloat_isa::{decode, decode_compressed, encode, AluOp, Instr, MemWidth, XReg};
-use smallfloat_sim::{Cpu, SimConfig, SimError};
+use smallfloat_sim::{Cpu, ExitReason, SimConfig, SimError};
 
 const BASE: u32 = 0x1000;
 
@@ -70,8 +70,8 @@ fn fetch_matches_fresh_decode_on_arbitrary_words() {
                 mem_size: 1 << 20,
                 ..SimConfig::default()
             });
-            // Establish a predecode window over garbage, then rewrite it
-            // through mem_mut so lazy refill paths get exercised too.
+            // Establish a code window, then rewrite it through write_data
+            // so the invalidation and lazy refill paths get exercised too.
             let filler = vec![
                 Instr::OpImm {
                     op: AluOp::Add,
@@ -84,8 +84,7 @@ fn fetch_matches_fresh_decode_on_arbitrary_words() {
             cpu.load_program(BASE, &filler);
             let words: Vec<u32> = (0..16).map(|_| arbitrary_word(rng)).collect();
             for (i, w) in words.iter().enumerate() {
-                cpu.mem_mut()
-                    .write_bytes(BASE + 4 * i as u32, &w.to_le_bytes());
+                cpu.write_data(BASE + 4 * i as u32, &w.to_le_bytes());
             }
             for _ in 0..48 {
                 // Even and odd pcs, inside and slightly outside the window.
@@ -101,16 +100,18 @@ fn fetch_matches_fresh_decode_on_arbitrary_words() {
     );
 }
 
-/// After `load_program`, the eagerly-predecoded window agrees with the
-/// reference at every half-word boundary, including mid-instruction pcs.
+/// Slots fill lazily, from either tier: at every half-word boundary
+/// (mid-instruction pcs included) the window agrees with a fresh
+/// `decode_at`, both before and after a block run that lowered over the
+/// same window — whether the fetches or the lowering filled it first.
 #[test]
-fn eager_predecode_agrees_everywhere() {
-    prop::cases("eager_predecode_agrees_everywhere", 256, |rng| {
+fn lazy_fill_agrees_everywhere() {
+    prop::cases("lazy_fill_agrees_everywhere", 256, |rng| {
         let mut cpu = Cpu::new(SimConfig {
             mem_size: 1 << 20,
             ..SimConfig::default()
         });
-        let program: Vec<Instr> = (0..12)
+        let mut program: Vec<Instr> = (0..12)
             .map(|_| Instr::OpImm {
                 op: rng.pick(&[AluOp::Add, AluOp::Xor, AluOp::And, AluOp::Sltu]),
                 rd: XReg::new(rng.below(32) as u8),
@@ -118,13 +119,87 @@ fn eager_predecode_agrees_everywhere() {
                 imm: rng.range_i32(-2048, 2048),
             })
             .collect();
-        cpu.load_program(BASE, &program);
-        for half in 0..(program.len() as u32 * 2) {
-            let pc = BASE + half * 2;
-            cpu.set_pc(pc);
-            assert_eq!(cpu.peek_decoded(), reference(&cpu, pc), "pc {pc:#x}");
+        program.push(Instr::Ecall);
+        let check_all = |cpu: &mut Cpu, when: &str| {
+            for half in 0..(program.len() as u32 * 2) {
+                let pc = BASE + half * 2;
+                cpu.set_pc(pc);
+                assert_eq!(cpu.peek_decoded(), cpu.decode_at(pc), "pc {pc:#x} {when}");
+            }
+        };
+        for fetch_first in [true, false] {
+            cpu.load_program(BASE, &program);
+            if fetch_first {
+                check_all(&mut cpu, "before the run");
+                cpu.set_pc(BASE);
+            }
+            assert_eq!(cpu.run(100), Ok(ExitReason::Ecall));
+            assert!(
+                cpu.hot_blocks(1).first().is_some_and(|b| b.start == BASE),
+                "the run lowered a block over the window"
+            );
+            check_all(&mut cpu, "after the run");
         }
     });
+}
+
+/// A leader whose bytes do not decode traps, and lowering there is
+/// declined. Making it decodable — through `write_data`, or through a
+/// simulated store — must clear that verdict: the next run executes the
+/// new instruction as a block led by that pc.
+#[test]
+fn declined_leader_retries_after_invalidation() {
+    let a0 = XReg::new(10);
+    let new_word = encode(&Instr::OpImm {
+        op: AluOp::Add,
+        rd: a0,
+        rs1: a0,
+        imm: 7,
+    });
+    let illegal = 0xffff_ffffu32;
+    for by_store in [false, true] {
+        // Five setup words that store `new_word` over the victim (run only
+        // in the store case), the victim, then ecall.
+        let victim = BASE + 5 * 4;
+        let mut program = store_word_program(victim, new_word);
+        program.push(Instr::Ecall); // victim, overwritten below
+        program.push(Instr::Ecall);
+        let mut cpu = Cpu::new(SimConfig {
+            mem_size: 1 << 20,
+            ..SimConfig::default()
+        });
+        cpu.load_program(BASE, &program);
+        cpu.write_data(victim, &illegal.to_le_bytes());
+        assert!(cpu.decode_at(victim).is_err(), "the victim must not decode");
+
+        cpu.set_pc(victim);
+        assert_eq!(
+            cpu.run(100),
+            Err(SimError::IllegalInstruction {
+                word: illegal,
+                pc: victim
+            }),
+            "by_store={by_store}"
+        );
+
+        if by_store {
+            cpu.set_pc(BASE);
+        } else {
+            cpu.write_data(victim, &new_word.to_le_bytes());
+        }
+        assert_eq!(cpu.run(100), Ok(ExitReason::Ecall), "by_store={by_store}");
+        assert_eq!(
+            cpu.xreg(a0),
+            7,
+            "the new instruction ran (by_store={by_store})"
+        );
+        assert!(
+            cpu.hot_blocks(usize::MAX)
+                .iter()
+                .any(|b| b.start == victim && b.execs > 0),
+            "a block led by the once-declined pc ran (by_store={by_store})"
+        );
+    }
 }
 
 fn store_word_program(target: u32, word: u32) -> Vec<Instr> {
@@ -161,7 +236,7 @@ fn store_word_program(target: u32, word: u32) -> Vec<Instr> {
 }
 
 /// A program that overwrites its own upcoming instruction executes the
-/// *new* instruction: executed stores invalidate predecoded slots.
+/// *new* instruction: executed stores invalidate decoded slots.
 #[test]
 fn self_modifying_store_executes_new_code() {
     let a0 = XReg::new(10);
@@ -266,9 +341,9 @@ fn halfword_store_into_upper_half_invalidates_spanning_instr() {
     assert_eq!(cpu.xreg(a0), 7, "the patched upper half must take effect");
 }
 
-/// A word store whose four bytes end exactly at the predecode window end
-/// — covering the *last* half-word slot — must invalidate that slot.
-/// This pins the `hi == win_end` boundary of `invalidate_code` (the last
+/// A word store whose four bytes end exactly at the code window end —
+/// covering the *last* half-word slot — must invalidate that slot.
+/// This pins the `hi == win_end` boundary of the window's invalidation (the last
 /// slot is indexed through `hi - 1`; an off-by-one would leave it stale),
 /// on both the block-dispatch and the per-instruction paths.
 #[test]
@@ -321,7 +396,7 @@ fn word_store_covering_last_window_slot_invalidates() {
 /// past the window end (decode reads straight from memory, not from the
 /// window). A word store entirely outside the window that rewrites those
 /// spanned bytes must still drop the slot — the backward −2 extension of
-/// `invalidate_code` reaches it even though `addr ≥ win_end`.
+/// the window's invalidation reaches it even though `addr ≥ win_end`.
 #[test]
 fn store_past_window_end_invalidates_spanning_last_slot() {
     let a0 = XReg::new(10);
@@ -367,7 +442,7 @@ fn store_past_window_end_invalidates_spanning_last_slot() {
         assert_eq!(win_end, BASE + program.len() as u32 * 4);
         // Plant the spanning instruction: low half in the window's last
         // slot, high half in the two bytes just past the window.
-        cpu.mem_mut().write_bytes(win_end - 2, &old.to_le_bytes());
+        cpu.write_data(win_end - 2, &old.to_le_bytes());
         // Warm that slot so the store has something stale to invalidate.
         cpu.set_pc(win_end - 2);
         let victim = Instr::OpImm {
@@ -397,10 +472,10 @@ fn store_past_window_end_invalidates_spanning_last_slot() {
     }
 }
 
-/// Rewriting code through `mem_mut` between steps is picked up by the
-/// next fetch (conservative whole-window flush).
+/// Rewriting already-decoded code through `write_data` between steps is
+/// picked up by the next fetch (byte-precise invalidation).
 #[test]
-fn mem_mut_flushes_predecoded_window() {
+fn write_data_rewrites_decoded_code() {
     let a0 = XReg::new(10);
     let mut cpu = Cpu::new(SimConfig {
         mem_size: 1 << 20,
@@ -423,20 +498,21 @@ fn mem_mut_flushes_predecoded_window() {
     ];
     cpu.load_program(BASE, &program);
     cpu.step().expect("first step");
-    // Patch the second instruction after it was eagerly predecoded.
+    // Decode the second instruction into its slot, then patch it.
+    assert_eq!(cpu.peek(), Ok(program[1]));
     let patched = encode(&Instr::OpImm {
         op: AluOp::Add,
         rd: a0,
         rs1: a0,
         imm: 40,
     });
-    cpu.mem_mut().write_bytes(BASE + 4, &patched.to_le_bytes());
+    cpu.write_data(BASE + 4, &patched.to_le_bytes());
     cpu.run(10).expect("finishes");
     assert_eq!(cpu.xreg(a0), 41);
 }
 
 /// Restoring a snapshot taken *before* a self-modifying store must kill
-/// the predecoded slot (and any cached block) the store refilled: after
+/// the decoded slot (and any cached block) the store refilled: after
 /// the restore, memory holds the OLD victim bytes again, and executing at
 /// the victim address must run the old instruction — a stale slot from
 /// the post-store world would run the new one.
@@ -526,7 +602,7 @@ fn restore_rewinds_patched_spanning_last_slot() {
         cpu.load_program(BASE, &program);
         // Plant the OLD spanning instruction across the window end and
         // warm its slot, exactly like the non-restore straddle test.
-        cpu.mem_mut().write_bytes(win_end - 2, &old.to_le_bytes());
+        cpu.write_data(win_end - 2, &old.to_le_bytes());
         cpu.set_pc(win_end - 2);
         let victim = Instr::OpImm {
             op: AluOp::Add,
@@ -581,11 +657,10 @@ fn restore_rewinds_patched_spanning_last_slot() {
     }
 }
 
-/// Restoring across a `mem_mut` rewrite: the conservative whole-window
-/// flush and the restore interact — a snapshot taken before the rewrite,
-/// restored after it, must execute the original code.
+/// Restoring across a `write_data` rewrite: a snapshot taken before the
+/// rewrite, restored after it, must execute the original code.
 #[test]
-fn restore_rewinds_mem_mut_rewrite() {
+fn restore_rewinds_write_data_rewrite() {
     let a0 = XReg::new(10);
     let mut cpu = Cpu::new(SimConfig {
         mem_size: 1 << 20,
@@ -608,7 +683,7 @@ fn restore_rewinds_mem_mut_rewrite() {
         rs1: a0,
         imm: 40,
     });
-    cpu.mem_mut().write_bytes(BASE, &patched.to_le_bytes());
+    cpu.write_data(BASE, &patched.to_le_bytes());
     cpu.run(10).expect("patched run");
     assert_eq!(cpu.xreg(a0), 40);
     cpu.restore(&snap);

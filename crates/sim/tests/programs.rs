@@ -165,8 +165,8 @@ fn scalar_fp32_computation() {
     let mut c = cpu();
     let x = 1.5f32.to_bits();
     let y = 2.25f32.to_bits();
-    c.mem_mut().write_bytes(DATA, &x.to_le_bytes());
-    c.mem_mut().write_bytes(DATA + 4, &y.to_le_bytes());
+    c.write_data(DATA, &x.to_le_bytes());
+    c.write_data(DATA + 4, &y.to_le_bytes());
     let prog = [
         Instr::Lui {
             rd: a(1),
@@ -227,10 +227,8 @@ fn scalar_fp32_computation() {
 #[test]
 fn scalar_f16_nanboxing_and_arith() {
     let mut c = cpu();
-    c.mem_mut()
-        .write_bytes(DATA, &(f16(1.5) as u16).to_le_bytes());
-    c.mem_mut()
-        .write_bytes(DATA + 2, &(f16(0.25) as u16).to_le_bytes());
+    c.write_data(DATA, &(f16(1.5) as u16).to_le_bytes());
+    c.write_data(DATA + 2, &(f16(0.25) as u16).to_le_bytes());
     let prog = [
         Instr::Lui {
             rd: a(1),
@@ -848,7 +846,7 @@ fn traps_reported() {
     assert_eq!(c.run(10), Err(SimError::Misaligned { addr: 2 }));
     // Illegal instruction.
     let mut c = cpu();
-    c.mem_mut().write_bytes(TEXT, &0xffff_ffffu32.to_le_bytes());
+    c.write_data(TEXT, &0xffff_ffffu32.to_le_bytes());
     c.set_pc(TEXT);
     assert!(matches!(
         c.run(10),

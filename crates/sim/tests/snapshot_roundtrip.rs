@@ -64,7 +64,7 @@ fn random_cpu(rng: &mut Rng) -> Cpu {
     cpu.set_fflags(Flags::from_bits(rng.below(32) as u8));
     for _ in 0..rng.below(8) {
         let addr = rng.below((MEM - 4) as u64) as u32;
-        cpu.mem_mut().write_bytes(addr, &rng.u32().to_le_bytes());
+        cpu.write_data(addr, &rng.u32().to_le_bytes());
     }
     let prog = program(1 + rng.below(6) as i32);
     cpu.load_program(TEXT, &prog);

@@ -34,7 +34,7 @@ fn run_on_sim(
             let bits = ops::from_f64(entry.ty.format(), *v, &mut env);
             let addr = entry.addr + (i as u32) * bytes;
             let le = (bits as u32).to_le_bytes();
-            cpu.mem_mut().write_bytes(addr, &le[..bytes as usize]);
+            cpu.write_data(addr, &le[..bytes as usize]);
         }
     }
     cpu.load_program(codegen::TEXT_BASE, &compiled.program);
@@ -413,8 +413,7 @@ fn vectorization_reduces_cycles() {
             let mut env = smallfloat_softfp::Env::new(smallfloat_softfp::Rounding::Rne);
             for (i, v) in values.iter().enumerate() {
                 let bits = ops::from_f64(entry.ty.format(), *v, &mut env) as u32;
-                cpu.mem_mut()
-                    .write_bytes(entry.addr + 2 * i as u32, &(bits as u16).to_le_bytes());
+                cpu.write_data(entry.addr + 2 * i as u32, &(bits as u16).to_le_bytes());
             }
         }
         cpu.load_program(codegen::TEXT_BASE, &compiled.program);

@@ -168,8 +168,7 @@ fn run_on_sim(kernel: &Kernel, compiled: &codegen::Compiled, seed: u64) -> Typed
         for (j, v) in data.iter().enumerate() {
             let bits = ops::from_f64(a.ty.format(), *v, &mut env) as u32;
             let le = bits.to_le_bytes();
-            cpu.mem_mut()
-                .write_bytes(entry.addr + (j as u32) * bytes, &le[..bytes as usize]);
+            cpu.write_data(entry.addr + (j as u32) * bytes, &le[..bytes as usize]);
         }
     }
     cpu.load_program(codegen::TEXT_BASE, &compiled.program);

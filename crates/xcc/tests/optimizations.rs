@@ -289,8 +289,7 @@ fn unrolled_scalar_matches_interpreter() {
         let entry = compiled.layout.entry(name).unwrap();
         for (i, v) in data.iter().enumerate() {
             let bits = ops::from_f64(FpFmt::H.format(), *v, &mut env) as u16;
-            cpu.mem_mut()
-                .write_bytes(entry.addr + 2 * i as u32, &bits.to_le_bytes());
+            cpu.write_data(entry.addr + 2 * i as u32, &bits.to_le_bytes());
         }
     }
     cpu.load_program(smallfloat_xcc::codegen::TEXT_BASE, &compiled.program);

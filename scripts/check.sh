@@ -17,7 +17,9 @@
 #   cargo run --release -p smallfloat-bench --bin train_table -- --json BENCH_training.json
 #
 # The basic-block micro-op cache is on by default; SMALLFLOAT_NOBLOCKS=1 forces
-# every Cpu::run onto the per-instruction path.
+# every Cpu::run onto the per-instruction path. Both tiers fetch through one
+# code window; its invalidation contract (tests/predecode.rs) runs in release
+# next to the two-tier differential grid and the golden trace.
 #
 # perfbench/ is a separate cargo workspace (the repository benchmark, see
 # BENCHMARK.json) built against crates/* by path: building it here means a
@@ -47,8 +49,8 @@ echo "==> isa/asm round-trip property suites (.ab mnemonics, vfsdotpex, alt-bank
 cargo test --release -q -p smallfloat-isa --test roundtrip
 cargo test --release -q -p smallfloat-asm
 
-echo "==> two-tier differential grid (reference vs blocks) + golden trace (release)"
-cargo test --release -q -p smallfloat-sim --test blockpath_differential --test golden_trace
+echo "==> two-tier differential grid (reference vs blocks) + golden trace + code-window invalidation (release)"
+cargo test --release -q -p smallfloat-sim --test blockpath_differential --test golden_trace --test predecode
 
 echo "==> snapshot/restore + record-replay gates (release)"
 cargo test --release -q -p smallfloat-sim --test snapshot_roundtrip --test replay
