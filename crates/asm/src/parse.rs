@@ -79,14 +79,38 @@ fn imm(tok: &str) -> PResult<i32> {
         Some(b) => (true, b),
         None => (false, tok),
     };
-    let v = if let Some(hex) = body.strip_prefix("0x") {
-        i64::from_str_radix(hex, 16).map_err(|_| ParseError::new(format!("bad hex `{tok}`")))?
-    } else {
-        body.parse::<i64>()
-            .map_err(|_| ParseError::new(format!("bad immediate `{tok}`")))?
+    let (radix, digits) = match body.strip_prefix("0x") {
+        Some(hex) => (16, hex),
+        None => (10, body),
     };
-    let v = if neg { -v } else { v };
-    i32::try_from(v).map_err(|_| ParseError::new(format!("immediate `{tok}` out of range")))
+    // Digits only: `from_str_radix` would also accept a second sign.
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return Err(ParseError::new(format!("bad immediate `{tok}`")));
+    }
+    let out_of_range = || ParseError::new(format!("immediate `{tok}` out of range"));
+    let v = i64::from_str_radix(digits, radix).map_err(|_| out_of_range())?;
+    i32::try_from(if neg { -v } else { v }).map_err(|_| out_of_range())
+}
+
+/// An immediate the encoder can represent: within `lo..=hi` and, for
+/// branch and jump offsets, even. These are exactly the values `decode`
+/// produces.
+fn imm_in(tok: &str, lo: i32, hi: i32, even: bool) -> PResult<i32> {
+    let v = imm(tok)?;
+    if v < lo || v > hi {
+        return Err(ParseError::new(format!(
+            "immediate `{tok}` outside {lo}..={hi}"
+        )));
+    }
+    if even && v % 2 != 0 {
+        return Err(ParseError::new(format!("offset `{tok}` is odd")));
+    }
+    Ok(v)
+}
+
+/// 12-bit signed I/S-type immediate.
+fn imm12(tok: &str) -> PResult<i32> {
+    imm_in(tok, -2048, 2047, false)
 }
 
 /// `offset(base)` memory operand.
@@ -97,7 +121,7 @@ fn mem_operand(tok: &str) -> PResult<(i32, XReg)> {
     let close = tok
         .strip_suffix(')')
         .ok_or_else(|| ParseError::new(format!("missing `)` in `{tok}`")))?;
-    let offset = imm(&tok[..open])?;
+    let offset = imm12(&tok[..open])?;
     let base = xreg(&close[open + 1..])?;
     Ok((offset, base))
 }
@@ -118,16 +142,21 @@ fn rm_operand(tok: &str) -> PResult<Rm> {
     }
 }
 
-/// Split trailing optional rounding-mode operand.
-fn take_rm(ops: &mut Vec<&str>) -> PResult<Rm> {
-    if let Some(last) = ops.last() {
-        if rm_operand(last).is_ok() {
-            let rm = rm_operand(last)?;
-            ops.pop();
-            return Ok(rm);
-        }
+/// Split trailing optional rounding-mode operand. A static mode on an
+/// alt-bank `fmt` has no encoding (those formats carry their bank
+/// selector in the rm field), so it is an error there.
+fn take_rm(ops: &mut Vec<&str>, fmt: FpFmt) -> PResult<Rm> {
+    let Some(rm) = ops.last().and_then(|last| rm_operand(last).ok()) else {
+        return Ok(Rm::Dyn);
+    };
+    if fmt.alt_bank() {
+        return Err(ParseError::new(format!(
+            "`.{}` takes no static rounding mode",
+            fmt.suffix()
+        )));
     }
-    Ok(Rm::Dyn)
+    ops.pop();
+    Ok(rm)
 }
 
 fn expect_operands(ops: &[&str], n: usize, mnem: &str) -> PResult<()> {
@@ -172,21 +201,21 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
             expect_operands(&ops, 2, mnem)?;
             Ok(Instr::Lui {
                 rd: xreg(ops[0])?,
-                imm20: imm(ops[1])?,
+                imm20: imm_in(ops[1], 0, 0xf_ffff, false)?,
             })
         }
         ("auipc", []) => {
             expect_operands(&ops, 2, mnem)?;
             Ok(Instr::Auipc {
                 rd: xreg(ops[0])?,
-                imm20: imm(ops[1])?,
+                imm20: imm_in(ops[1], 0, 0xf_ffff, false)?,
             })
         }
         ("jal", []) => {
             expect_operands(&ops, 2, mnem)?;
             Ok(Instr::Jal {
                 rd: xreg(ops[0])?,
-                offset: imm(ops[1])?,
+                offset: imm_in(ops[1], -(1 << 20), (1 << 20) - 1, true)?,
             })
         }
         ("jalr", []) => {
@@ -212,7 +241,7 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
                 cond,
                 rs1: xreg(ops[0])?,
                 rs2: xreg(ops[1])?,
-                offset: imm(ops[2])?,
+                offset: imm_in(ops[2], -4096, 4095, true)?,
             })
         }
         ("lb" | "lh" | "lw" | "lbu" | "lhu", []) => {
@@ -261,11 +290,15 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
                 "srli" => AluOp::Srl,
                 _ => AluOp::Sra,
             };
+            let imm = match op {
+                AluOp::Sll | AluOp::Srl | AluOp::Sra => imm_in(ops[2], 0, 31, false)?,
+                _ => imm12(ops[2])?,
+            };
             Ok(Instr::OpImm {
                 op,
                 rd: xreg(ops[0])?,
                 rs1: xreg(ops[1])?,
-                imm: imm(ops[2])?,
+                imm,
             })
         }
         ("add" | "sub" | "sll" | "slt" | "sltu" | "xor" | "srl" | "sra" | "or" | "and", []) => {
@@ -321,11 +354,7 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
                 _ => CsrOp::Rc,
             };
             let src = if base.ends_with('i') {
-                CsrSrc::Imm(
-                    imm(ops[2])?
-                        .try_into()
-                        .map_err(|_| ParseError::new("csr immediate out of range"))?,
-                )
+                CsrSrc::Imm(imm_in(ops[2], 0, 31, false)? as u8)
             } else {
                 CsrSrc::Reg(xreg(ops[2])?)
             };
@@ -367,7 +396,7 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
             })
         }
         ("fadd" | "fsub" | "fmul" | "fdiv", [f]) => {
-            let rm = take_rm(&mut ops)?;
+            let rm = take_rm(&mut ops, fmt_suffix(f)?)?;
             expect_operands(&ops, 3, mnem)?;
             let op = match base {
                 "fadd" => FpOp::Add,
@@ -385,7 +414,7 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
             })
         }
         ("fsqrt", [f]) => {
-            let rm = take_rm(&mut ops)?;
+            let rm = take_rm(&mut ops, fmt_suffix(f)?)?;
             expect_operands(&ops, 2, mnem)?;
             Ok(Instr::FSqrt {
                 fmt: fmt_suffix(f)?,
@@ -425,7 +454,7 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
             })
         }
         ("fmadd" | "fmsub" | "fnmsub" | "fnmadd", [f]) => {
-            let rm = take_rm(&mut ops)?;
+            let rm = take_rm(&mut ops, fmt_suffix(f)?)?;
             expect_operands(&ops, 4, mnem)?;
             let op = match base {
                 "fmadd" => FmaOp::Madd,
@@ -483,7 +512,7 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
             })
         }
         ("fcvt", [w @ ("w" | "wu"), f]) => {
-            let rm = take_rm(&mut ops)?;
+            let rm = take_rm(&mut ops, fmt_suffix(f)?)?;
             expect_operands(&ops, 2, mnem)?;
             Ok(Instr::FCvtFI {
                 fmt: fmt_suffix(f)?,
@@ -494,7 +523,7 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
             })
         }
         ("fcvt", [f, w @ ("w" | "wu")]) => {
-            let rm = take_rm(&mut ops)?;
+            let rm = take_rm(&mut ops, fmt_suffix(f)?)?;
             expect_operands(&ops, 2, mnem)?;
             Ok(Instr::FCvtIF {
                 fmt: fmt_suffix(f)?,
@@ -505,7 +534,7 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
             })
         }
         ("fcvt", [dst, src]) => {
-            let rm = take_rm(&mut ops)?;
+            let rm = take_rm(&mut ops, fmt_suffix(dst)?)?;
             expect_operands(&ops, 2, mnem)?;
             Ok(Instr::FCvtFF {
                 dst: fmt_suffix(dst)?,
@@ -516,7 +545,7 @@ pub fn parse_line(line: &str) -> PResult<Instr> {
             })
         }
         ("fmulex" | "fmacex", ["s", f]) => {
-            let rm = take_rm(&mut ops)?;
+            let rm = take_rm(&mut ops, fmt_suffix(f)?)?;
             expect_operands(&ops, 3, mnem)?;
             let fmt = fmt_suffix(f)?;
             let (rd, rs1, rs2) = (freg(ops[0])?, freg(ops[1])?, freg(ops[2])?);
@@ -702,7 +731,9 @@ fn csr_name(tok: &str) -> PResult<u16> {
                 .strip_prefix("0x")
                 .ok_or_else(|| ParseError::new(format!("unknown CSR `{tok}`")))?;
             u16::from_str_radix(hex, 16)
-                .map_err(|_| ParseError::new(format!("bad CSR number `{tok}`")))?
+                .ok()
+                .filter(|&n| n <= 0xfff)
+                .ok_or_else(|| ParseError::new(format!("bad CSR number `{tok}`")))?
         }
     })
 }

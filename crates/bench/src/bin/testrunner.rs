@@ -1,5 +1,5 @@
 //! Differential replay fleet: record every benchmark grid point on the
-//! reference interpreter, replay every segment on the block micro-op
+//! per-instruction path, replay every segment on the block micro-op
 //! cache in parallel, and bisect any divergence to the exact retired
 //! instruction.
 //!

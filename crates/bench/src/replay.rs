@@ -178,7 +178,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Record one grid point on the reference interpreter (block cache off).
+/// Record one grid point on the per-instruction path (block cache off).
 pub fn record_point(
     w: &dyn Workload,
     prec: &Precision,

@@ -15,7 +15,7 @@ const OUT: u32 = 0x9000;
 
 /// `out[i] = in[i] * scale + i` over `n` words — enough iterations that
 /// the loop body replays as a cached block, so cluster forks exercise the
-/// warmed block engine, not just the reference interpreter.
+/// warmed block engine, not just the per-instruction path.
 fn scale_program(n: i32, scale: i32) -> Vec<Instr> {
     let (i, p_in, p_out, v, sc) = (XReg::s(0), XReg::s(1), XReg::s(2), XReg::t(0), XReg::t(1));
     let mut asm = Assembler::new();

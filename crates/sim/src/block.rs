@@ -1,32 +1,40 @@
-//! The code window and its basic-block micro-op cache: everything the
-//! simulator derives from code bytes lives here.
+//! The code window, its basic-block micro-op cache, and the only
+//! definition of instruction semantics: everything the simulator derives
+//! from code bytes lives here.
 //!
 //! The window is one slot per half-word of the loaded program. A slot
 //! holds the instruction starting there, decoded from memory on first use
-//! by either tier (the per-instruction fetch or block lowering), and the
-//! tag of the block led by that half-word. [`BlockCache::reset`] starts a
-//! new window with every slot empty; [`BlockCache::invalidate`] forgets
-//! what was derived from a byte range. Those two are the only ways
-//! anything leaves the window.
+//! by either tier (the per-instruction fetch or block lowering), its
+//! lowered form, and the tag of the block led by that half-word.
+//! [`BlockCache::reset`] starts a new window with every slot empty;
+//! [`BlockCache::invalidate`] forgets what was derived from a byte range.
+//! Those two are the only ways anything leaves the window.
 //!
-//! The remaining per-retired-instruction tax of the reference path is the
-//! giant `exec` match plus PC/stat/timing bookkeeping. Blocks remove it
-//! the way production simulators do: on first execution of a leader PC,
-//! the straight-line run up to the next control transfer is lowered into
-//! a compact array of *micro-ops* — pre-resolved operand indices, a
-//! pre-bound (monomorphized) semantic function per op, and pre-computed
-//! per-op cycle costs — and subsequent executions replay the array with
-//! one aggregated stats commit per block.
+//! Lowering turns an instruction into either a *micro-op* — pre-resolved
+//! operand indices, a pre-bound (monomorphized) semantic function and a
+//! pre-computed cycle cost — or a control-transfer *tail* (`jal`, `jalr`,
+//! branches, `ecall`, and the traps known at decode time: `ebreak` and
+//! vector ops with no lanes). Each instruction is lowered once, when its
+//! slot fills, and both tiers run that one lowered form:
 //!
-//! Bit-identity with the reference path is an invariant, not a goal:
+//! * The per-instruction path ([`step`]) runs a slot's op with
+//!   per-instruction accounting — the block path at block length 1. It
+//!   serves `Cpu::step`, `Cpu::run_traced`, `replay::record_run`,
+//!   `SMALLFLOAT_NOBLOCKS=1`, and every leader the block tier declines.
+//! * Blocks copy the ops of a straight-line run out of its slots, up to
+//!   the next tail, and replay the array with one aggregated stats commit
+//!   per block.
+//!
+//! The two tiers agree bit for bit because they share the handlers; what
+//! remains tier-specific is accounting and control:
 //!
 //! * `u64` counters (instret, cycles, per-class counts) are associative,
 //!   so the block commits them in bulk. Energy is derived from those
 //!   counters when `Cpu::run` returns, so it needs nothing from here.
 //! * Trapping instructions retire nothing and leave `fflags`/`pc`
-//!   untouched, exactly like the early-return arms in `exec`: a handler
-//!   error commits only the preceding prefix and restores the trapping
-//!   PC.
+//!   untouched: handlers check every trap before their first write, and
+//!   a handler error in a block commits only the preceding prefix and
+//!   restores the trapping PC.
 //! * CSR instructions read live `cycle`/`instret` counters, which would
 //!   be stale before the block commit, so they terminate block discovery
 //!   and always execute on the per-instruction path.
@@ -38,13 +46,13 @@
 //! `SMALLFLOAT_NOBLOCKS=1` disables the block tier for bisection; the
 //! per-instruction path still fetches through the window.
 
-use crate::cpu::{decode_at, Cpu, ExitReason, SimError};
+use crate::cpu::{decode_at, Cpu, ExitReason, SimConfig, SimError};
 use crate::exec;
 use crate::mem::Memory;
 use crate::stats::HotBlock;
 use smallfloat_isa::{
-    vector_lanes, AluOp, BranchCond, CmpOp, CpkHalf, FReg, FmaOp, FpFmt, FpOp, Instr, InstrClass,
-    MemWidth, MinMaxOp, MulDivOp, Rm, SgnjKind, VCmpOp, VfOp,
+    vector_lanes, AluOp, BranchCond, CmpOp, CpkHalf, CsrOp, CsrSrc, FReg, FmaOp, FpFmt, FpOp,
+    Instr, InstrClass, MemWidth, MinMaxOp, MulDivOp, Rm, SgnjKind, VCmpOp, VfOp,
 };
 use smallfloat_softfp::{batch, fast, ops, Env, Format, Rounding};
 use std::sync::Arc;
@@ -66,6 +74,11 @@ const SLOT_NO_BLOCK: u32 = u32::MAX - 1;
 /// `MicroOp::rm` value selecting the dynamic rounding mode at run time;
 /// static modes are resolved to their `frm` encoding at lowering.
 const RM_DYN: u8 = 0xff;
+
+/// `csr` handler op id for an access that only reads (`csrrs`/`csrrc`
+/// with `x0` or a zero immediate): no write, so read-only CSRs do not
+/// trap.
+const CSR_READ: u8 = u8::MAX;
 
 fn default_enabled() -> bool {
     !crate::env::noblocks()
@@ -91,15 +104,16 @@ struct MicroOp {
     inval: u8,
     imm: i32,
     /// Per-op payload: replicate-scalar flag for vector ops, base lane
-    /// for `vfcpk`.
+    /// for `vfcpk`, CSR number for `csr*`.
     aux: u32,
     pc: u32,
-    cycles: u64,
+    cycles: u32,
 }
 
 /// Control transfer terminating a block. Branch direction is the one
 /// genuinely data-dependent cost, so taken and not-taken cycles are both
 /// pre-computed.
+#[derive(Clone, Copy)]
 enum TailKind {
     Jal {
         rd: u8,
@@ -115,12 +129,15 @@ enum TailKind {
         rs1: u8,
         rs2: u8,
         target: u32,
-        not_cycles: u64,
+        not_cycles: u32,
     },
     Ecall,
-    Ebreak,
+    /// A trap known at decode time (`ebreak`, a vector op on a format
+    /// with no lanes): raised without retiring anything.
+    Trap(SimError),
 }
 
+#[derive(Clone, Copy)]
 struct Tail {
     kind: TailKind,
     pc: u32,
@@ -128,7 +145,33 @@ struct Tail {
     next: u32,
     class: u8,
     /// Taken cycles for branches; fixed cost otherwise.
-    cycles: u64,
+    cycles: u32,
+}
+
+/// An instruction's lowered form: a straight-line micro-op or a tail.
+#[derive(Clone, Copy)]
+enum Lowered {
+    Op(MicroOp),
+    Tail(Tail),
+}
+
+/// What a code-window slot caches about the instruction starting there.
+#[derive(Clone, Copy)]
+pub(crate) struct Decoded {
+    pub(crate) instr: Instr,
+    /// Length in bytes (2 or 4).
+    pub(crate) len: u32,
+    op: Lowered,
+}
+
+/// Decode the instruction at `pc` from `mem` and lower it under `cfg`.
+fn decode_lowered(mem: &Memory, cfg: &SimConfig, pc: u32) -> Result<Decoded, SimError> {
+    let (instr, len) = decode_at(mem, pc)?;
+    Ok(Decoded {
+        instr,
+        len,
+        op: lower(cfg, pc, instr, len),
+    })
 }
 
 /// A lowered basic block: straight-line micro-ops plus an optional
@@ -160,10 +203,10 @@ struct Entry {
 /// One half-word of the code window.
 #[derive(Clone, Copy)]
 struct Slot {
-    /// The instruction starting here and its length in bytes, decoded on
-    /// first use; `None` until then, after invalidation, and while the
-    /// bytes here do not decode.
-    decoded: Option<(Instr, u32)>,
+    /// The instruction starting here, decoded and lowered on first use;
+    /// `None` until then, after invalidation, and while the bytes here do
+    /// not decode.
+    decoded: Option<Decoded>,
     /// Arena index of the block led by this half-word, or [`SLOT_EMPTY`]
     /// / [`SLOT_NO_BLOCK`].
     tag: u32,
@@ -246,30 +289,41 @@ impl BlockCache {
         self.index(pc) < self.slots.len()
     }
 
-    /// The instruction at `pc` and its length, from its slot when inside
-    /// the window — decoding from `mem` and filling the slot on first use
-    /// — or straight from `mem` outside it. The one routine that fills
-    /// slots, shared by the per-instruction fetch and block lowering.
+    /// The filled slot at `pc`, if there is one: the fetch fast path.
+    #[inline(always)]
+    fn filled(&self, pc: u32) -> Option<&Decoded> {
+        // An odd PC's slot index aliases the preceding even address; it
+        // must reach `decode_at`, which faults.
+        if pc & 1 != 0 {
+            return None;
+        }
+        self.slots.get(self.index(pc))?.decoded.as_ref()
+    }
+
+    /// The instruction at `pc`, its length and its lowered form, from its
+    /// slot when inside the window — decoding and lowering under `cfg`
+    /// and filling the slot on first use — or straight from `mem` outside
+    /// it. The one routine that fills slots, shared by the
+    /// per-instruction fetch and block lowering.
     ///
     /// # Errors
     ///
     /// [`SimError::FetchFault`] / [`SimError::IllegalInstruction`], as
     /// [`decode_at`] reports them; undecodable slots stay empty.
-    pub(crate) fn decode(&mut self, mem: &Memory, pc: u32) -> Result<(Instr, u32), SimError> {
-        // Odd PCs must fault before the slot lookup: their slot index
-        // aliases the preceding even address.
-        if pc & 1 != 0 {
-            return Err(SimError::FetchFault { pc });
+    pub(crate) fn decode(
+        &mut self,
+        mem: &Memory,
+        cfg: &SimConfig,
+        pc: u32,
+    ) -> Result<Decoded, SimError> {
+        if let Some(hit) = self.filled(pc) {
+            return Ok(*hit);
         }
+        let hit = decode_lowered(mem, cfg, pc)?;
         let idx = self.index(pc);
-        let Some(slot) = self.slots.get_mut(idx) else {
-            return decode_at(mem, pc);
-        };
-        if let Some(hit) = slot.decoded {
-            return Ok(hit);
+        if let Some(slot) = self.slots.get_mut(idx) {
+            slot.decoded = Some(hit);
         }
-        let hit = decode_at(mem, pc)?;
-        slot.decoded = Some(hit);
         Ok(hit)
     }
 
@@ -375,7 +429,7 @@ pub(crate) enum Dispatch {
 /// Try to execute the block starting at the current PC. `remaining` is
 /// the instruction budget left in the caller's `run` limit: a block that
 /// would overshoot it falls back to single-stepping so instruction-limit
-/// semantics match the reference path exactly.
+/// semantics match the per-instruction path exactly.
 pub(crate) fn dispatch(cpu: &mut Cpu, remaining: u64) -> Result<Dispatch, SimError> {
     let pc = cpu.pc;
     if pc & 1 != 0 {
@@ -414,8 +468,7 @@ fn exec_block(cpu: &mut Cpu, block: &Block) -> Result<Dispatch, SimError> {
     for (i, u) in uops.iter().enumerate() {
         if let Err(trap) = (u.run)(cpu, u) {
             // Trapping instructions retire nothing: commit the prefix and
-            // leave the PC at the trapping instruction, like `exec`'s
-            // early returns.
+            // leave the PC at the trapping instruction.
             commit_prefix(cpu, block, i);
             cpu.pc = u.pc;
             return Err(trap);
@@ -434,7 +487,10 @@ fn exec_block(cpu: &mut Cpu, block: &Block) -> Result<Dispatch, SimError> {
     }
     commit_body(cpu, block);
     match &block.tail {
-        Some(tail) => exec_tail(cpu, tail),
+        Some(tail) => Ok(match exec_tail(cpu, tail)? {
+            Some(reason) => Dispatch::Exit(reason),
+            None => Dispatch::Done,
+        }),
         None => {
             cpu.pc = block.end;
             Ok(Dispatch::Done)
@@ -442,12 +498,39 @@ fn exec_block(cpu: &mut Cpu, block: &Block) -> Result<Dispatch, SimError> {
     }
 }
 
+/// Execute the instruction at the current PC with per-instruction
+/// accounting: the block path at block length 1, and the whole
+/// per-instruction path. Returns `Some(reason)` when the program exits.
+#[inline(always)]
+pub(crate) fn step(cpu: &mut Cpu) -> Result<Option<ExitReason>, SimError> {
+    // Copy a filled slot's op straight out of the slot: through
+    // `decode`'s `Result` it is copied twice, which makes this path about
+    // a quarter slower. Anything else goes through `decode`.
+    let (op, len) = match cpu.blocks.filled(cpu.pc) {
+        Some(d) => (d.op, d.len),
+        None => {
+            let d = cpu.blocks.decode(&cpu.mem, &cpu.config, cpu.pc)?;
+            (d.op, d.len)
+        }
+    };
+    match &op {
+        Lowered::Op(u) => {
+            (u.run)(cpu, u)?;
+            account(cpu, u.class, u.cycles);
+            cpu.pc = u.pc.wrapping_add(len);
+            Ok(None)
+        }
+        Lowered::Tail(t) => exec_tail(cpu, t),
+    }
+}
+
 /// Per-op accounting for a partially executed body (trap or
 /// invalidation-abort).
 fn commit_prefix(cpu: &mut Cpu, block: &Block, n: usize) {
     for u in &block.uops[..n] {
-        cpu.stats.bulk_count(u.class as usize, 1, u.cycles);
-        cpu.stats.cycles += u.cycles;
+        cpu.stats
+            .bulk_count(u.class as usize, 1, u64::from(u.cycles));
+        cpu.stats.cycles += u64::from(u.cycles);
     }
     cpu.stats.instret += n as u64;
 }
@@ -462,19 +545,18 @@ fn commit_body(cpu: &mut Cpu, block: &Block) {
     }
 }
 
-fn account(cpu: &mut Cpu, class: u8, cycles: u64) {
-    cpu.stats.bulk_count(class as usize, 1, cycles);
+fn account(cpu: &mut Cpu, class: u8, cycles: u32) {
+    cpu.stats.bulk_count(class as usize, 1, u64::from(cycles));
     cpu.stats.instret += 1;
-    cpu.stats.cycles += cycles;
+    cpu.stats.cycles += u64::from(cycles);
 }
 
-fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Dispatch, SimError> {
+fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Option<ExitReason>, SimError> {
     match t.kind {
         TailKind::Jal { rd, target } => {
             set_xr(cpu, rd, t.next);
             account(cpu, t.class, t.cycles);
             cpu.pc = target;
-            Ok(Dispatch::Done)
         }
         TailKind::Jalr { rd, rs1, offset } => {
             // Read rs1 before linking: rd may alias rs1.
@@ -482,7 +564,6 @@ fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Dispatch, SimError> {
             set_xr(cpu, rd, t.next);
             account(cpu, t.class, t.cycles);
             cpu.pc = target;
-            Ok(Dispatch::Done)
         }
         TailKind::Branch {
             cond,
@@ -508,65 +589,46 @@ fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Dispatch, SimError> {
                 account(cpu, t.class, not_cycles);
                 cpu.pc = t.next;
             }
-            Ok(Dispatch::Done)
         }
         TailKind::Ecall => {
             account(cpu, t.class, t.cycles);
             cpu.pc = t.next;
-            Ok(Dispatch::Exit(ExitReason::Ecall))
+            return Ok(Some(ExitReason::Ecall));
         }
-        TailKind::Ebreak => {
+        TailKind::Trap(trap) => {
             cpu.pc = t.pc;
-            Err(SimError::Breakpoint { pc: t.pc })
+            return Err(trap);
         }
     }
+    Ok(None)
 }
 
 // ---------------------------------------------------------------------------
 // Lowering
 // ---------------------------------------------------------------------------
 
-/// Walk the code window from `leader`, lowering straight-line
-/// instructions until a control transfer (tail), a CSR (barrier), an
-/// undecodable slot, the window edge, or [`MAX_BODY`]. Slots decode (and
-/// fill) on the way. Returns `None` when nothing at all can be lowered
-/// here.
+/// Walk the code window from `leader`, copying lowered ops out of the
+/// slots until a tail, a CSR (barrier), an undecodable slot, the window
+/// edge, or [`MAX_BODY`]. Slots decode (and fill) on the way. Returns
+/// `None` when nothing at all can be lowered here.
 fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Block> {
     let mut uops: Vec<MicroOp> = Vec::new();
     let mut tail = None;
     let mut pc = leader;
-    let mut end = leader;
     while uops.len() < MAX_BODY && cpu.blocks.in_window(pc) {
-        let (instr, len) = match cpu.blocks.decode(&cpu.mem, pc) {
-            Ok(hit) => hit,
-            Err(_) => break,
+        let Ok(d) = cpu.blocks.decode(&cpu.mem, &cpu.config, pc) else {
+            break;
         };
-        match instr {
-            Instr::Jal { .. }
-            | Instr::Jalr { .. }
-            | Instr::Branch { .. }
-            | Instr::Ecall
-            | Instr::Ebreak => {
-                tail = Some(lower_tail(cpu, pc, instr, len));
-                end = pc.wrapping_add(len);
-                break;
-            }
-            // CSR reads observe live cycle/instret counters, stale before
-            // the block commit: always interpret them.
-            Instr::Csr { .. } => break,
-            _ => {}
+        // CSR reads observe live cycle/instret counters, stale before the
+        // block commit: always run them on the per-instruction path.
+        if matches!(d.instr, Instr::Csr { .. }) {
+            break;
         }
-        match lower_uop(cpu, pc, instr) {
-            Lowered::Op(u) => {
-                uops.push(u);
-                end = pc.wrapping_add(len);
-                pc = pc.wrapping_add(len);
-            }
-            Lowered::Trap(u) => {
-                // Statically-detected trap (vector op on `.s`, bad lane
-                // selector): nothing after it ever executes.
-                uops.push(u);
-                end = pc.wrapping_add(len);
+        pc = pc.wrapping_add(d.len);
+        match d.op {
+            Lowered::Op(u) => uops.push(u),
+            Lowered::Tail(t) => {
+                tail = Some(t);
                 break;
             }
         }
@@ -577,9 +639,9 @@ fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Block> {
     let mut body_cycles = 0u64;
     let mut totals = [(0u32, 0u64); InstrClass::ALL.len()];
     for u in &uops {
-        body_cycles += u.cycles;
+        body_cycles += u64::from(u.cycles);
         totals[u.class as usize].0 += 1;
-        totals[u.class as usize].1 += u.cycles;
+        totals[u.class as usize].1 += u64::from(u.cycles);
     }
     let class_counts: Box<[(u8, u32, u64)]> = totals
         .iter()
@@ -590,81 +652,13 @@ fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Block> {
     let retired = uops.len() as u64 + u64::from(tail.is_some());
     Some(Block {
         start: leader,
-        end,
+        end: pc,
         uops: uops.into_boxed_slice(),
         tail,
         retired,
         body_cycles,
         class_counts,
     })
-}
-
-fn lower_tail(cpu: &Cpu, pc: u32, instr: Instr, len: u32) -> Tail {
-    let t = &cpu.config.timing;
-    let class = instr.class().index() as u8;
-    let next = pc.wrapping_add(len);
-    match instr {
-        Instr::Jal { rd, offset } => Tail {
-            kind: TailKind::Jal {
-                rd: rd.num(),
-                target: pc.wrapping_add(offset as u32),
-            },
-            pc,
-            next,
-            class,
-            cycles: t.jump,
-        },
-        Instr::Jalr { rd, rs1, offset } => Tail {
-            kind: TailKind::Jalr {
-                rd: rd.num(),
-                rs1: rs1.num(),
-                offset,
-            },
-            pc,
-            next,
-            class,
-            cycles: t.jump,
-        },
-        Instr::Branch {
-            cond,
-            rs1,
-            rs2,
-            offset,
-        } => Tail {
-            kind: TailKind::Branch {
-                cond,
-                rs1: rs1.num(),
-                rs2: rs2.num(),
-                target: pc.wrapping_add(offset as u32),
-                not_cycles: t.branch_not_taken,
-            },
-            pc,
-            next,
-            class,
-            cycles: t.branch_taken,
-        },
-        Instr::Ecall => Tail {
-            kind: TailKind::Ecall,
-            pc,
-            next,
-            class,
-            cycles: t.int_alu,
-        },
-        // `ebreak` traps without retiring; costs are never accounted.
-        Instr::Ebreak => Tail {
-            kind: TailKind::Ebreak,
-            pc,
-            next,
-            class,
-            cycles: 0,
-        },
-        _ => unreachable!("not a block terminator"),
-    }
-}
-
-enum Lowered {
-    Op(MicroOp),
-    Trap(MicroOp),
 }
 
 /// Select the monomorphized handler instantiation for `$fmt`, appending
@@ -692,7 +686,7 @@ macro_rules! by_fmt {
 }
 
 /// Like [`by_fmt!`] for vector handlers: `.s` never reaches a handler
-/// (lowering emits a trap micro-op first).
+/// (lowering emits a trap tail first).
 macro_rules! by_vec {
     ($fmt:expr, $name:ident) => {
         match $fmt {
@@ -700,7 +694,7 @@ macro_rules! by_vec {
             FpFmt::H => $name::<{ FpFmt::H as u8 }>,
             FpFmt::B => $name::<{ FpFmt::B as u8 }>,
             FpFmt::Ab => $name::<{ FpFmt::Ab as u8 }>,
-            FpFmt::S => unreachable!("vector op on .s lowers to a trap micro-op"),
+            FpFmt::S => unreachable!("vector op on .s lowers to a trap tail"),
         }
     };
     ($fmt:expr, $name:ident, $pre:expr) => {
@@ -709,7 +703,7 @@ macro_rules! by_vec {
             FpFmt::H => $name::<{ $pre }, { FpFmt::H as u8 }>,
             FpFmt::B => $name::<{ $pre }, { FpFmt::B as u8 }>,
             FpFmt::Ab => $name::<{ $pre }, { FpFmt::Ab as u8 }>,
-            FpFmt::S => unreachable!("vector op on .s lowers to a trap micro-op"),
+            FpFmt::S => unreachable!("vector op on .s lowers to a trap tail"),
         }
     };
 }
@@ -768,6 +762,7 @@ from_u8_fn!(minmax_of, MinMaxOp, [Min, Max]);
 from_u8_fn!(fma_of, FmaOp, [Madd, Msub, Nmsub, Nmadd]);
 from_u8_fn!(cmp_of, CmpOp, [Eq, Lt, Le]);
 from_u8_fn!(vcmp_of, VCmpOp, [Eq, Ne, Lt, Le, Gt, Ge]);
+from_u8_fn!(csrop_of, CsrOp, [Rw, Rs, Rc]);
 from_u8_fn!(
     vfop_of,
     VfOp,
@@ -829,10 +824,31 @@ fn lower_rm(rm: Rm) -> u8 {
     }
 }
 
-fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
-    let t = &cpu.config.timing;
-    let mem_lat = cpu.config.mem_level.latency();
+/// `u32::try_from` for cycle costs; lowered ops store them narrow to keep
+/// code-window slots small.
+fn cost(cycles: u64) -> u32 {
+    u32::try_from(cycles).expect("per-instruction cycle cost fits in u32")
+}
+
+/// Lower one decoded instruction at `pc` under `cfg`'s timing. Static
+/// rounding modes, cycle costs, branch targets and decode-time traps are
+/// all resolved here, once per slot fill.
+fn lower(cfg: &SimConfig, pc: u32, instr: Instr, len: u32) -> Lowered {
+    let t = &cfg.timing;
+    let mem_lat = cfg.mem_level.latency();
     let class = instr.class().index() as u8;
+    let tail = |kind, cycles| {
+        Lowered::Tail(Tail {
+            kind,
+            pc,
+            next: pc.wrapping_add(len),
+            class,
+            cycles: cost(cycles),
+        })
+    };
+    // A vector op on a format with no SIMD lanes (or a lane selector out
+    // of range) traps without side effects.
+    let unsupported = tail(TailKind::Trap(SimError::VectorUnsupported { pc }), 0);
     let mut u = MicroOp {
         run: nop,
         rd: 0,
@@ -845,10 +861,54 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
         imm: 0,
         aux: 0,
         pc,
-        cycles: t.int_alu,
+        cycles: 0,
     };
-    let mut trap = false;
+    let mut cycles = t.int_alu;
     match instr {
+        Instr::Jal { rd, offset } => {
+            let (rd, target) = (rd.num(), pc.wrapping_add(offset as u32));
+            return tail(TailKind::Jal { rd, target }, t.jump);
+        }
+        Instr::Jalr { rd, rs1, offset } => {
+            let (rd, rs1) = (rd.num(), rs1.num());
+            return tail(TailKind::Jalr { rd, rs1, offset }, t.jump);
+        }
+        Instr::Branch {
+            cond,
+            rs1,
+            rs2,
+            offset,
+        } => {
+            let kind = TailKind::Branch {
+                cond,
+                rs1: rs1.num(),
+                rs2: rs2.num(),
+                target: pc.wrapping_add(offset as u32),
+                not_cycles: cost(t.branch_not_taken),
+            };
+            return tail(kind, t.branch_taken);
+        }
+        Instr::Ecall => return tail(TailKind::Ecall, t.int_alu),
+        // `ebreak` traps without retiring; costs are never accounted.
+        Instr::Ebreak => return tail(TailKind::Trap(SimError::Breakpoint { pc }), 0),
+        Instr::Csr { op, rd, src, csr } => {
+            // The source operand is `x[rs1] + imm`: a register with a zero
+            // immediate, or `x0` plus the 5-bit immediate.
+            let (rs1, imm) = match src {
+                CsrSrc::Reg(r) => (r.num(), 0),
+                CsrSrc::Imm(i) => (0, i),
+            };
+            u.rd = rd.num();
+            u.rs1 = rs1;
+            u.imm = i32::from(imm);
+            u.aux = u32::from(csr);
+            u.run = match op {
+                CsrOp::Rw => csr_op::<{ CsrOp::Rw as u8 }>,
+                _ if rs1 == 0 && imm == 0 => csr_op::<CSR_READ>,
+                CsrOp::Rs => csr_op::<{ CsrOp::Rs as u8 }>,
+                CsrOp::Rc => csr_op::<{ CsrOp::Rc as u8 }>,
+            };
+        }
         Instr::Lui { rd, imm20 } => {
             u.run = const_x;
             u.rd = rd.num();
@@ -877,7 +937,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.rs2 = rs2.num();
-            u.cycles = match op {
+            cycles = match op {
                 MulDivOp::Mul | MulDivOp::Mulh | MulDivOp::Mulhsu | MulDivOp::Mulhu => t.int_mul,
                 _ => t.int_div,
             };
@@ -892,7 +952,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.imm = offset;
-            u.cycles = mem_lat;
+            cycles = mem_lat;
             u.run = match (width, unsigned || width == MemWidth::W) {
                 (MemWidth::B, false) => load_int::<1, 1>,
                 (MemWidth::B, true) => load_int::<1, 0>,
@@ -910,7 +970,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs1 = rs1.num();
             u.rs2 = rs2.num();
             u.imm = offset;
-            u.cycles = mem_lat;
+            cycles = mem_lat;
             u.inval = 1;
             u.run = match width {
                 MemWidth::B => store_int::<1>,
@@ -928,7 +988,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.imm = offset;
-            u.cycles = mem_lat;
+            cycles = mem_lat;
         }
         Instr::FStore {
             fmt,
@@ -944,7 +1004,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs1 = rs1.num();
             u.rs2 = rs2.num();
             u.imm = offset;
-            u.cycles = mem_lat;
+            cycles = mem_lat;
             u.inval = 1;
         }
         Instr::FOp {
@@ -960,14 +1020,14 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs1 = rs1.num();
             u.rs2 = rs2.num();
             u.rm = lower_rm(rm);
-            u.cycles = if op == FpOp::Div { t.fp_div } else { t.fp_op };
+            cycles = if op == FpOp::Div { t.fp_div } else { t.fp_op };
         }
         Instr::FSqrt { fmt, rd, rs1, rm } => {
             u.run = by_fmt!(fmt, fsqrt);
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.rm = lower_rm(rm);
-            u.cycles = t.fp_sqrt;
+            cycles = t.fp_sqrt;
         }
         Instr::FSgnj {
             kind,
@@ -980,7 +1040,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.rs2 = rs2.num();
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FMinMax {
             op,
@@ -993,7 +1053,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.rs2 = rs2.num();
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FFma {
             op,
@@ -1010,7 +1070,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs2 = rs2.num();
             u.rs3 = rs3.num();
             u.rm = lower_rm(rm);
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FCmp {
             op,
@@ -1023,25 +1083,25 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.rs2 = rs2.num();
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FClass { fmt, rd, rs1 } => {
             u.run = by_fmt!(fmt, fclass);
             u.rd = rd.num();
             u.rs1 = rs1.num();
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FMvXF { fmt, rd, rs1 } => {
             u.run = by_fmt!(fmt, fmv_xf);
             u.rd = rd.num();
             u.rs1 = rs1.num();
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FMvFX { fmt, rd, rs1 } => {
             u.run = by_fmt!(fmt, fmv_fx);
             u.rd = rd.num();
             u.rs1 = rs1.num();
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FCvtFF {
             dst,
@@ -1060,7 +1120,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.rm = lower_rm(rm);
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FCvtFI {
             fmt,
@@ -1077,7 +1137,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.rm = lower_rm(rm);
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FCvtIF {
             fmt,
@@ -1094,7 +1154,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rd = rd.num();
             u.rs1 = rs1.num();
             u.rm = lower_rm(rm);
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FMulEx {
             fmt,
@@ -1108,7 +1168,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs1 = rs1.num();
             u.rs2 = rs2.num();
             u.rm = lower_rm(rm);
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::FMacEx {
             fmt,
@@ -1122,7 +1182,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs1 = rs1.num();
             u.rs2 = rs2.num();
             u.rm = lower_rm(rm);
-            u.cycles = t.fp_op;
+            cycles = t.fp_op;
         }
         Instr::VFOp {
             op,
@@ -1138,10 +1198,10 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.aux = u32::from(rep);
             u.rm = RM_DYN;
             if fmt == FpFmt::S {
-                trap = true;
+                return unsupported;
             } else {
                 u.run = vfop_fn(op, fmt);
-                u.cycles = if op == VfOp::Div { t.fp_div } else { t.fp_op };
+                cycles = if op == VfOp::Div { t.fp_div } else { t.fp_op };
             }
         }
         Instr::VFSqrt { fmt, rd, rs1 } => {
@@ -1149,10 +1209,10 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs1 = rs1.num();
             u.rm = RM_DYN;
             if fmt == FpFmt::S {
-                trap = true;
+                return unsupported;
             } else {
                 u.run = by_vec!(fmt, vfsqrt);
-                u.cycles = t.fp_sqrt;
+                cycles = t.fp_sqrt;
             }
         }
         Instr::VFCmp {
@@ -1168,10 +1228,10 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs2 = rs2.num();
             u.aux = u32::from(rep);
             if fmt == FpFmt::S {
-                trap = true;
+                return unsupported;
             } else {
                 u.run = vfcmp_fn(op, fmt);
-                u.cycles = t.fp_op;
+                cycles = t.fp_op;
             }
         }
         Instr::VFCvtFF { dst, src, rd, rs1 } => {
@@ -1179,7 +1239,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs1 = rs1.num();
             u.rm = RM_DYN;
             if dst.width() != src.width() || dst == FpFmt::S {
-                trap = true;
+                return unsupported;
             } else {
                 u.run = match (dst, src) {
                     (FpFmt::H, FpFmt::H) => vfcvt_ff16::<{ FpFmt::H as u8 }, { FpFmt::H as u8 }>,
@@ -1194,7 +1254,7 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
                     (FpFmt::Ab, FpFmt::Ab) => vfcvt_ff8::<{ FpFmt::Ab as u8 }, { FpFmt::Ab as u8 }>,
                     _ => unreachable!("equal-width pairs only"),
                 };
-                u.cycles = t.fp_op;
+                cycles = t.fp_op;
             }
         }
         Instr::VFCvtXF {
@@ -1207,14 +1267,14 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs1 = rs1.num();
             u.rm = RM_DYN;
             if fmt == FpFmt::S {
-                trap = true;
+                return unsupported;
             } else {
                 u.run = if signed {
                     by_vec!(fmt, vfcvt_xf, 1)
                 } else {
                     by_vec!(fmt, vfcvt_xf, 0)
                 };
-                u.cycles = t.fp_op;
+                cycles = t.fp_op;
             }
         }
         Instr::VFCvtFX {
@@ -1227,14 +1287,14 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.rs1 = rs1.num();
             u.rm = RM_DYN;
             if fmt == FpFmt::S {
-                trap = true;
+                return unsupported;
             } else {
                 u.run = if signed {
                     by_vec!(fmt, vfcvt_fx, 1)
                 } else {
                     by_vec!(fmt, vfcvt_fx, 0)
                 };
-                u.cycles = t.fp_op;
+                cycles = t.fp_op;
             }
         }
         Instr::VFCpk {
@@ -1256,9 +1316,9 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
                 Some(n) if base + 1 < n => {
                     u.run = by_vec!(fmt, vfcpk);
                     u.aux = base;
-                    u.cycles = t.fp_op;
+                    cycles = t.fp_op;
                 }
-                _ => trap = true,
+                _ => return unsupported,
             }
         }
         Instr::VFDotpEx {
@@ -1274,10 +1334,10 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.aux = u32::from(rep);
             u.rm = RM_DYN;
             if fmt == FpFmt::S {
-                trap = true;
+                return unsupported;
             } else {
                 u.run = by_vec!(fmt, vfdotpex);
-                u.cycles = t.fp_op;
+                cycles = t.fp_op;
             }
         }
         Instr::VFSdotpEx {
@@ -1293,25 +1353,15 @@ fn lower_uop(cpu: &Cpu, pc: u32, instr: Instr) -> Lowered {
             u.aux = u32::from(rep);
             u.rm = RM_DYN;
             if fmt == FpFmt::S {
-                trap = true;
+                return unsupported;
             } else {
                 u.run = by_vec!(fmt, vfsdotpex);
-                u.cycles = t.fp_op;
+                cycles = t.fp_op;
             }
         }
-        Instr::Jal { .. }
-        | Instr::Jalr { .. }
-        | Instr::Branch { .. }
-        | Instr::Ecall
-        | Instr::Ebreak
-        | Instr::Csr { .. } => unreachable!("terminators and barriers are handled by lower_block"),
     }
-    if trap {
-        u.run = trap_vec;
-        Lowered::Trap(u)
-    } else {
-        Lowered::Op(u)
-    }
+    u.cycles = cost(cycles);
+    Lowered::Op(u)
 }
 
 // ---------------------------------------------------------------------------
@@ -1345,15 +1395,12 @@ fn freg(r: u8) -> FReg {
     FReg::new(r & 31)
 }
 
-#[inline(always)]
-fn dyn_rm(cpu: &Cpu, pc: u32) -> Result<Rounding, SimError> {
-    cpu.frm().ok_or(SimError::InvalidRounding { pc })
-}
-
+/// The op's rounding mode: its static mode, or `fcsr.frm` for [`RM_DYN`]
+/// (trapping while `frm` holds a reserved value).
 #[inline(always)]
 fn uop_rm(cpu: &Cpu, u: &MicroOp) -> Result<Rounding, SimError> {
     if u.rm == RM_DYN {
-        dyn_rm(cpu, u.pc)
+        cpu.frm().ok_or(SimError::InvalidRounding { pc: u.pc })
     } else {
         Ok(Rounding::from_frm(u.rm).unwrap_or(Rounding::Rne))
     }
@@ -1363,11 +1410,23 @@ fn nop(_cpu: &mut Cpu, _u: &MicroOp) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Statically-detected `VectorUnsupported` (vector op on `.s`, lane
-/// selector out of range): trap without side effects, like the reference
-/// early returns.
-fn trap_vec(_cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
-    Err(SimError::VectorUnsupported { pc: u.pc })
+/// `csrr{w,s,c}[i]`: `aux` holds the CSR number and `OP` the `CsrOp` id,
+/// or [`CSR_READ`]. The old value reaches `rd` only once the write (if
+/// any) succeeded.
+fn csr_op<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+    let num = u.aux as u16;
+    let old = exec::read_csr(cpu, num, u.pc)?;
+    if OP != CSR_READ {
+        let src = xr(cpu, u.rs1).wrapping_add(u.imm as u32);
+        let new = match csrop_of(OP) {
+            CsrOp::Rw => src,
+            CsrOp::Rs => old | src,
+            CsrOp::Rc => old & !src,
+        };
+        exec::write_csr(cpu, num, new, u.pc)?;
+    }
+    set_xr(cpu, u.rd, old);
+    Ok(())
 }
 
 fn const_x(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
@@ -1840,6 +1899,9 @@ mod tests {
             VfOp::Sgnjx,
         ] {
             assert_eq!(vfop_of(op as u8), op);
+        }
+        for op in [CsrOp::Rw, CsrOp::Rs, CsrOp::Rc] {
+            assert_eq!(csrop_of(op as u8), op);
         }
         for fmt in FpFmt::ALL {
             assert_eq!(fmt_of(fmt as u8), fmt, "const id is the enum discriminant");

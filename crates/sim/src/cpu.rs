@@ -1,6 +1,6 @@
 //! CPU state, configuration and the fetch/execute loop.
 
-use crate::block::{BlockCache, Dispatch};
+use crate::block::{BlockCache, Decoded, Dispatch};
 use crate::energy::EnergyModel;
 use crate::mem::{MemSnapshot, Memory};
 use crate::stats::{HotBlock, Stats};
@@ -329,8 +329,8 @@ impl Cpu {
         decode_at(&self.mem, pc)
     }
 
-    fn fetch(&mut self) -> Result<(Instr, u32), SimError> {
-        self.blocks.decode(&self.mem, self.pc)
+    fn fetch(&mut self) -> Result<Decoded, SimError> {
+        self.blocks.decode(&self.mem, &self.config, self.pc)
     }
 
     /// Decode the instruction at the current PC without executing it.
@@ -339,7 +339,7 @@ impl Cpu {
     ///
     /// [`SimError::FetchFault`] / [`SimError::IllegalInstruction`].
     pub fn peek(&mut self) -> Result<Instr, SimError> {
-        self.fetch().map(|(i, _)| i)
+        self.fetch().map(|d| d.instr)
     }
 
     /// Like [`Cpu::peek`], but also returns the instruction length in
@@ -349,10 +349,12 @@ impl Cpu {
     ///
     /// [`SimError::FetchFault`] / [`SimError::IllegalInstruction`].
     pub fn peek_decoded(&mut self) -> Result<(Instr, u32), SimError> {
-        self.fetch()
+        self.fetch().map(|d| (d.instr, d.len))
     }
 
-    /// Execute one instruction.
+    /// Execute one instruction: the code window's lowered op for the
+    /// current PC with per-instruction accounting, exactly what a block
+    /// of length 1 would do.
     ///
     /// Returns `Ok(Some(reason))` when the program exits.
     ///
@@ -368,8 +370,7 @@ impl Cpu {
     /// [`Cpu::step`] without refreshing `energy_pj`: for loops that retire
     /// many instructions before handing control back.
     pub(crate) fn step_inner(&mut self) -> Result<Option<ExitReason>, SimError> {
-        let (instr, len) = self.fetch()?;
-        crate::exec::exec(self, instr, len)
+        crate::block::step(self)
     }
 
     /// Run like [`Cpu::run`], invoking `observer(pc, &instr)` before every
@@ -387,9 +388,8 @@ impl Cpu {
         let limit = self.stats.instret + max_instructions;
         let result = (|| {
             while self.stats.instret < limit {
-                let (instr, len) = self.fetch()?;
-                observer(self.pc, &instr);
-                if let Some(reason) = crate::exec::exec(self, instr, len)? {
+                observer(self.pc, &self.fetch()?.instr);
+                if let Some(reason) = crate::block::step(self)? {
                     return Ok(reason);
                 }
             }
@@ -403,10 +403,11 @@ impl Cpu {
     ///
     /// Hot code executes through the basic-block micro-op cache (see
     /// `block.rs`); leaders it declines to lower (CSR accesses, undecodable
-    /// bytes, blocks that would overshoot the budget) take the
-    /// per-instruction reference path one step at a time. Both tiers are
-    /// bit-identical in architectural state and counters, and energy is
-    /// derived from the counters on return.
+    /// bytes, code outside the window, blocks that would overshoot the
+    /// budget) take the per-instruction path ([`Cpu::step`]) one
+    /// instruction at a time. Both tiers run the same lowered ops, so they
+    /// are bit-identical in architectural state and counters, and energy
+    /// is derived from the counters on return.
     /// `SMALLFLOAT_NOBLOCKS=1` (or [`Cpu::set_block_cache`]`(false)`)
     /// forces the per-instruction path.
     ///

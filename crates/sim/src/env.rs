@@ -24,8 +24,8 @@ pub fn value(name: &str) -> Option<String> {
 }
 
 /// `SMALLFLOAT_NOBLOCKS`: disable the basic-block micro-op cache — every
-/// `Cpu::run` takes the per-instruction reference path. Cached at first
-/// read.
+/// `Cpu::run` takes the per-instruction path (the same lowered ops, one
+/// instruction at a time). Cached at first read.
 pub fn noblocks() -> bool {
     static CACHE: OnceLock<bool> = OnceLock::new();
     *CACHE.get_or_init(|| flag("SMALLFLOAT_NOBLOCKS"))

@@ -1,7 +1,7 @@
 //! Deterministic record-replay of simulated runs.
 //!
-//! [`record_run`] drives the per-instruction reference path (the
-//! [`Cpu::step`] semantics, which never consult the basic-block cache) and
+//! [`record_run`] drives the per-instruction path ([`Cpu::step`], which
+//! never dispatches a cached block) and
 //! produces a [`Recording`]: one [`Record`] per retired instruction — pc,
 //! the canonical re-encoding of the decoded instruction and the
 //! instruction's cycle cost — plus a [`CpuSnapshot`] every `snap_every`
@@ -187,12 +187,12 @@ impl Recording {
     }
 }
 
-/// Run `cpu` on the per-instruction reference path until exit, a trap, or
+/// Run `cpu` on the per-instruction path until exit, a trap, or
 /// `max_instructions` retirements, recording every retired instruction
 /// and snapshotting every `snap_every` retirements (clamped to ≥ 1).
 ///
-/// The block cache is not consulted — [`Cpu::step`] is the reference
-/// semantics a replaying engine is checked against. `energy_pj` is
+/// No cached block runs — each instruction retires on its own, which
+/// is what a replaying block engine is checked against. `energy_pj` is
 /// derived once, when the recording ends, not after every step.
 ///
 /// # Errors

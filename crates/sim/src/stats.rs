@@ -29,15 +29,10 @@ impl Stats {
         Stats::default()
     }
 
-    pub(crate) fn count(&mut self, class: InstrClass, cycles: u64) {
-        let i = class_index(class);
-        self.counts[i] += 1;
-        self.cycles_by_class[i] += cycles;
-    }
-
-    /// Bulk-commit `n` instructions of one class in a single update — the
-    /// block path's aggregated equivalent of [`Stats::count`] (the
-    /// counters are integers, so commit order does not matter).
+    /// Commit `n` instructions of one class in a single update: one from
+    /// the per-instruction path, a whole block body's worth from the
+    /// block path (the counters are integers, so commit order does not
+    /// matter).
     pub(crate) fn bulk_count(&mut self, class_idx: usize, n: u64, cycles: u64) {
         self.counts[class_idx] += n;
         self.cycles_by_class[class_idx] += cycles;
@@ -210,9 +205,9 @@ mod tests {
     #[test]
     fn counts_accumulate() {
         let mut s = Stats::new();
-        s.count(InstrClass::IntAlu, 1);
-        s.count(InstrClass::IntAlu, 1);
-        s.count(InstrClass::FpVecH, 1);
+        s.bulk_count(InstrClass::IntAlu.index(), 1, 1);
+        s.bulk_count(InstrClass::IntAlu.index(), 1, 1);
+        s.bulk_count(InstrClass::FpVecH.index(), 1, 1);
         assert_eq!(s.class_count(InstrClass::IntAlu), 2);
         assert_eq!(s.class_count(InstrClass::FpVecH), 1);
         assert_eq!(s.class_count(InstrClass::FpS), 0);
@@ -222,9 +217,9 @@ mod tests {
     #[test]
     fn aggregates() {
         let mut s = Stats::new();
-        s.count(InstrClass::Load, 10);
-        s.count(InstrClass::FpStore, 10);
-        s.count(InstrClass::FpVecB, 1);
+        s.bulk_count(InstrClass::Load.index(), 1, 10);
+        s.bulk_count(InstrClass::FpStore.index(), 1, 10);
+        s.bulk_count(InstrClass::FpVecB.index(), 1, 1);
         assert_eq!(s.mem_ops(), 2);
         assert_eq!(s.fp_ops(), 1);
         assert_eq!(s.class_cycles(InstrClass::Load), 10);
@@ -235,7 +230,7 @@ mod tests {
     #[test]
     fn display_contains_labels() {
         let mut s = Stats::new();
-        s.count(InstrClass::FpExpand, 1);
+        s.bulk_count(InstrClass::FpExpand.index(), 1, 1);
         s.cycles = 10;
         let text = s.to_string();
         assert!(text.contains("fp-expand"));

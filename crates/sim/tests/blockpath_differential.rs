@@ -245,7 +245,7 @@ fn vfsdotpex_all_formats_stay_bit_identical() {
 /// `addi a2, a2, 2` every iteration. The block engine must abort at the
 /// store (generation re-check), kill the overlapped block byte-precisely,
 /// and re-lower it on the next entry — while staying bit-identical to the
-/// reference interpreter throughout.
+/// per-instruction path throughout.
 #[test]
 fn store_into_own_block_body_stays_bit_identical() {
     let iters = 400;
@@ -382,7 +382,7 @@ fn snapshot_restore_rewind_lands_inside_lowered_block() {
         finished_a.first_difference(&finished_b).unwrap_or("?")
     );
 
-    // And a reference interpreter from the same snapshot.
+    // And the per-instruction path from the same snapshot.
     let mut reference = Cpu::new(small_config());
     Engine::Reference.apply(&mut reference);
     reference.restore(&mid);
@@ -414,7 +414,7 @@ fn replay_recording_is_identical_with_blocks_on() {
     assert_eq!(a.log.to_bytes(), b.log.to_bytes());
     assert_eq!(
         a.log, r.log,
-        "block-engine recording must match the reference interpreter"
+        "block-engine recording must match the per-instruction path"
     );
     assert_eq!(a.snaps.len(), r.snaps.len());
     for (i, (sa, sr)) in a.snaps.iter().zip(&r.snaps).enumerate() {

@@ -47,6 +47,61 @@ fn f8bits(v: f32) -> u64 {
     ops::from_f32(Format::BINARY8, v, &mut env)
 }
 
+/// The three ways to run a program. `Step` and `RunNoBlocks` take the
+/// per-instruction path; `RunBlocks` dispatches blocks and falls back to
+/// it for CSR accesses and for code outside the window.
+#[derive(Clone, Copy, Debug)]
+enum Mode {
+    Step,
+    RunNoBlocks,
+    RunBlocks,
+}
+
+const MODES: [Mode; 3] = [Mode::Step, Mode::RunNoBlocks, Mode::RunBlocks];
+
+/// Run the loaded program in `mode` for at most `max` instructions.
+fn run_in(c: &mut Cpu, mode: Mode, max: u64) -> Result<ExitReason, SimError> {
+    match mode {
+        Mode::Step => {
+            for _ in 0..max {
+                if let Some(reason) = c.step()? {
+                    return Ok(reason);
+                }
+            }
+            Ok(ExitReason::InstructionLimit)
+        }
+        Mode::RunNoBlocks => {
+            c.set_block_cache(false);
+            c.run(max)
+        }
+        Mode::RunBlocks => {
+            c.set_block_cache(true);
+            c.run(max)
+        }
+    }
+}
+
+/// Load `prog` plus a final `ecall` at `TEXT` and run it in `mode` to the exit.
+fn run_program_in(c: &mut Cpu, mode: Mode, prog: &[Instr]) {
+    let mut p = prog.to_vec();
+    p.push(Instr::Ecall);
+    c.load_program(TEXT, &p);
+    assert_eq!(
+        run_in(c, mode, 1_000_000),
+        Ok(ExitReason::Ecall),
+        "{mode:?}"
+    );
+}
+
+fn csr_read(rd: XReg, num: u16) -> Instr {
+    Instr::Csr {
+        op: CsrOp::Rs,
+        rd,
+        src: CsrSrc::Reg(XReg::ZERO),
+        csr: num,
+    }
+}
+
 #[test]
 fn arithmetic_loop_sums_1_to_100() {
     let mut c = cpu();
@@ -546,42 +601,75 @@ fn vector_h_ah_conversion() {
 
 #[test]
 fn fflags_accrue_and_csr_access() {
-    let mut c = cpu();
-    c.set_freg(fa(0), 1.0f32.to_bits());
-    c.set_freg(fa(1), 0.0f32.to_bits());
-    let prog = [
-        Instr::FOp {
+    for mode in MODES {
+        let mut c = cpu();
+        c.set_freg(fa(0), 1.0f32.to_bits());
+        c.set_freg(fa(1), 0.0f32.to_bits());
+        let prog = [
+            Instr::FOp {
+                op: FpOp::Div,
+                fmt: FpFmt::S,
+                rd: fa(2),
+                rs1: fa(0),
+                rs2: fa(1),
+                rm: Rm::Dyn,
+            },
+            csr_read(a(0), csr::FFLAGS),
+            // Clear flags, read again.
+            Instr::Csr {
+                op: CsrOp::Rw,
+                rd: a(1),
+                src: CsrSrc::Imm(0),
+                csr: csr::FFLAGS,
+            },
+            csr_read(a(2), csr::FFLAGS),
+        ];
+        run_program_in(&mut c, mode, &prog);
+        assert_eq!(c.xreg(a(0)), Flags::DZ.bits() as u32, "{mode:?}");
+        assert_eq!(c.xreg(a(2)), 0, "{mode:?}");
+        assert!(f32::from_bits(c.freg(fa(2))).is_infinite());
+
+        // Flags accrue between CSR accesses in straight-line code;
+        // `csrrci` clears only the named bits, and `fcsr` packs `frm`
+        // above them.
+        let mut c = cpu();
+        c.set_freg(fa(0), 1.0f32.to_bits());
+        c.set_freg(fa(1), 0.0f32.to_bits());
+        c.set_freg(fa(3), 3.0f32.to_bits());
+        c.set_frm(Rounding::Rup);
+        let div = |rs2| Instr::FOp {
             op: FpOp::Div,
             fmt: FpFmt::S,
             rd: fa(2),
             rs1: fa(0),
-            rs2: fa(1),
+            rs2,
             rm: Rm::Dyn,
-        },
-        Instr::Csr {
-            op: CsrOp::Rs,
-            rd: a(0),
-            src: CsrSrc::Reg(XReg::ZERO),
-            csr: csr::FFLAGS,
-        },
-        // Clear flags, read again.
-        Instr::Csr {
-            op: CsrOp::Rw,
-            rd: a(1),
-            src: CsrSrc::Imm(0),
-            csr: csr::FFLAGS,
-        },
-        Instr::Csr {
-            op: CsrOp::Rs,
-            rd: a(2),
-            src: CsrSrc::Reg(XReg::ZERO),
-            csr: csr::FFLAGS,
-        },
-    ];
-    run_program(&mut c, &prog);
-    assert_eq!(c.xreg(a(0)), Flags::DZ.bits() as u32);
-    assert_eq!(c.xreg(a(2)), 0);
-    assert!(f32::from_bits(c.freg(fa(2))).is_infinite());
+        };
+        let prog = [
+            div(fa(1)),
+            li(a(5), 1),
+            div(fa(3)),
+            Instr::Csr {
+                op: CsrOp::Rc,
+                rd: a(0),
+                src: CsrSrc::Imm(Flags::DZ.bits()),
+                csr: csr::FFLAGS,
+            },
+            csr_read(a(1), csr::FCSR),
+        ];
+        run_program_in(&mut c, mode, &prog);
+        assert_eq!(
+            c.xreg(a(0)),
+            (Flags::DZ | Flags::NX).bits() as u32,
+            "{mode:?}"
+        );
+        assert_eq!(
+            c.xreg(a(1)),
+            ((Rounding::Rup.to_frm() as u32) << 5) | Flags::NX.bits() as u32,
+            "{mode:?}"
+        );
+        assert_eq!(c.fflags(), Flags::NX, "{mode:?}");
+    }
 }
 
 #[test]
@@ -648,20 +736,105 @@ fn dynamic_rounding_via_frm_csr() {
 
 #[test]
 fn cycle_counter_via_csr() {
-    let mut c = cpu();
-    let prog = [
-        li(a(0), 1),
-        li(a(1), 2),
-        Instr::Csr {
-            op: CsrOp::Rs,
-            rd: a(2),
-            src: CsrSrc::Reg(XReg::ZERO),
-            csr: csr::CYCLE,
+    let t = smallfloat_sim::TimingModel::riscy();
+    for mode in MODES {
+        let mut c = cpu();
+        let prog = [li(a(0), 1), li(a(1), 2), csr_read(a(2), csr::CYCLE)];
+        run_program_in(&mut c, mode, &prog);
+        // Two 1-cycle ALU ops execute before the CSR read.
+        assert_eq!(c.xreg(a(2)), 2, "{mode:?}");
+
+        // Counter reads between straight-line ops see every instruction
+        // retired before them, including a multi-cycle divide.
+        let mut c = cpu();
+        let prog = [
+            li(a(0), 7),
+            Instr::MulDiv {
+                op: MulDivOp::Div,
+                rd: a(1),
+                rs1: a(0),
+                rs2: a(0),
+            },
+            csr_read(a(2), csr::CYCLE),
+            li(a(3), 3),
+            csr_read(a(4), csr::INSTRET),
+            csr_read(a(5), csr::CYCLEH),
+            li(a(6), 4),
+        ];
+        run_program_in(&mut c, mode, &prog);
+        assert_eq!(c.xreg(a(1)), 1);
+        assert_eq!(c.xreg(a(2)) as u64, t.int_alu + t.int_div, "{mode:?}");
+        assert_eq!(c.xreg(a(4)), 4, "{mode:?}");
+        assert_eq!(c.xreg(a(5)), 0, "{mode:?}");
+        assert_eq!(c.stats().instret, 8, "{mode:?}");
+        assert_eq!(
+            c.stats().cycles,
+            6 * t.int_alu + t.int_div + t.int_alu,
+            "{mode:?}"
+        );
+
+        // Code outside the loaded window: a jump into bytes written as
+        // data runs them on the per-instruction path, CSR read included.
+        let out = 0x4000u32;
+        let mut c = cpu();
+        c.load_program(
+            TEXT,
+            &[Instr::Jal {
+                rd: XReg::ZERO,
+                offset: (out - TEXT) as i32,
+            }],
+        );
+        for (i, instr) in [li(a(0), 7), csr_read(a(1), csr::INSTRET), Instr::Ecall]
+            .iter()
+            .enumerate()
+        {
+            c.write_data(out + 4 * i as u32, &encode(instr).to_le_bytes());
+        }
+        c.set_pc(TEXT);
+        assert_eq!(run_in(&mut c, mode, 100), Ok(ExitReason::Ecall), "{mode:?}");
+        assert_eq!(c.xreg(a(0)), 7, "{mode:?}");
+        assert_eq!(c.xreg(a(1)), 2, "{mode:?}");
+        assert_eq!(c.pc(), out + 12, "{mode:?}");
+        assert_eq!(c.stats().instret, 4, "{mode:?}");
+        assert_eq!(c.stats().cycles, t.jump + 3 * t.int_alu, "{mode:?}");
+    }
+}
+
+/// RVC code on every mode: each 2-byte instruction advances the pc by
+/// its own length, on the per-instruction path as in blocks.
+#[test]
+fn compressed_code_in_every_mode() {
+    let body = [
+        li(a(0), 5),
+        Instr::OpImm {
+            op: AluOp::Add,
+            rd: a(0),
+            rs1: a(0),
+            imm: 3,
+        },
+        Instr::Op {
+            op: AluOp::Add,
+            rd: a(0),
+            rs1: a(0),
+            rs2: a(0),
         },
     ];
-    run_program(&mut c, &prog);
-    // Two 1-cycle ALU ops execute before the CSR read.
-    assert_eq!(c.xreg(a(2)), 2);
+    let mut bytes = Vec::new();
+    for instr in &body {
+        let half = compress(instr).expect("compressible");
+        bytes.extend_from_slice(&half.to_le_bytes());
+    }
+    bytes.extend_from_slice(&encode(&Instr::Ecall).to_le_bytes());
+    for mode in MODES {
+        let mut c = cpu();
+        c.load_program(TEXT, &[Instr::Fence; 3]);
+        c.write_data(TEXT, &bytes);
+        c.set_pc(TEXT);
+        assert_eq!(run_in(&mut c, mode, 100), Ok(ExitReason::Ecall), "{mode:?}");
+        assert_eq!(c.xreg(a(0)), 16, "{mode:?}");
+        assert_eq!(c.pc(), TEXT + 10, "{mode:?}");
+        assert_eq!(c.stats().instret, 4, "{mode:?}");
+    }
 }
 
 #[test]
@@ -828,74 +1001,121 @@ fn stats_breakdown_classifies() {
 
 #[test]
 fn traps_reported() {
-    // Misaligned load.
-    let mut c = cpu();
-    c.load_program(
-        TEXT,
-        &[
-            li(a(1), 2),
-            Instr::Load {
-                width: MemWidth::W,
-                unsigned: false,
-                rd: a(0),
-                rs1: a(1),
-                offset: 0,
+    let t = smallfloat_sim::TimingModel::riscy();
+    let misaligned_lw = Instr::Load {
+        width: MemWidth::W,
+        unsigned: false,
+        rd: a(0),
+        rs1: a(1),
+        offset: 0,
+    };
+    let unknown_csr = Instr::Csr {
+        op: CsrOp::Rw,
+        rd: a(0),
+        src: CsrSrc::Imm(0),
+        csr: 0x123,
+    };
+    let reserved_frm = Instr::Csr {
+        op: CsrOp::Rw,
+        rd: XReg::ZERO,
+        src: CsrSrc::Imm(5),
+        csr: csr::FRM,
+    };
+    let fadd_dyn = Instr::FOp {
+        op: FpOp::Add,
+        fmt: FpFmt::S,
+        rd: fa(0),
+        rs1: fa(0),
+        rs2: fa(0),
+        rm: Rm::Dyn,
+    };
+    let vfadd_s = Instr::VFOp {
+        op: VfOp::Add,
+        fmt: FpFmt::S,
+        rd: fa(0),
+        rs1: fa(1),
+        rs2: fa(2),
+        rep: false,
+    };
+    let vfcpk_b_h = Instr::VFCpk {
+        fmt: FpFmt::H,
+        half: CpkHalf::B,
+        rd: fa(2),
+        rs1: fa(0),
+        rs2: fa(1),
+    };
+    // (1-cycle prefix, trapping word, trap).
+    let cases = [
+        (
+            vec![li(a(1), 2)],
+            encode(&misaligned_lw),
+            SimError::Misaligned { addr: 2 },
+        ),
+        (
+            vec![],
+            0xffff_ffff,
+            SimError::IllegalInstruction {
+                word: 0xffff_ffff,
+                pc: TEXT,
             },
-        ],
-    );
-    assert_eq!(c.run(10), Err(SimError::Misaligned { addr: 2 }));
-    // Illegal instruction.
-    let mut c = cpu();
-    c.write_data(TEXT, &0xffff_ffffu32.to_le_bytes());
-    c.set_pc(TEXT);
-    assert!(matches!(
-        c.run(10),
-        Err(SimError::IllegalInstruction { .. })
-    ));
-    // Breakpoint.
-    let mut c = cpu();
-    c.load_program(TEXT, &[Instr::Ebreak]);
-    assert_eq!(c.run(10), Err(SimError::Breakpoint { pc: TEXT }));
-    // Unknown CSR.
-    let mut c = cpu();
-    c.load_program(
-        TEXT,
-        &[Instr::Csr {
-            op: CsrOp::Rw,
-            rd: a(0),
-            src: CsrSrc::Imm(0),
-            csr: 0x123,
-        }],
-    );
-    assert_eq!(
-        c.run(10),
-        Err(SimError::UnknownCsr {
-            csr: 0x123,
-            pc: TEXT
-        })
-    );
-    // Reserved dynamic rounding mode.
-    let mut c = cpu();
-    c.load_program(
-        TEXT,
-        &[
-            Instr::Csr {
-                op: CsrOp::Rw,
-                rd: XReg::ZERO,
-                src: CsrSrc::Imm(5),
-                csr: csr::FRM,
+        ),
+        (
+            vec![],
+            encode(&Instr::Ebreak),
+            SimError::Breakpoint { pc: TEXT },
+        ),
+        (
+            vec![li(a(0), 1), li(a(1), 2)],
+            encode(&Instr::Ebreak),
+            SimError::Breakpoint { pc: TEXT + 8 },
+        ),
+        (
+            vec![],
+            encode(&unknown_csr),
+            SimError::UnknownCsr {
+                csr: 0x123,
+                pc: TEXT,
             },
-            Instr::FOp {
-                op: FpOp::Add,
-                fmt: FpFmt::S,
-                rd: fa(0),
-                rs1: fa(0),
-                rs2: fa(0),
-                rm: Rm::Dyn,
-            },
-        ],
-    );
-    assert_eq!(c.run(10), Err(SimError::InvalidRounding { pc: TEXT + 4 }));
+        ),
+        (
+            vec![reserved_frm],
+            encode(&fadd_dyn),
+            SimError::InvalidRounding { pc: TEXT + 4 },
+        ),
+        (
+            vec![li(a(0), 1)],
+            encode(&vfadd_s),
+            SimError::VectorUnsupported { pc: TEXT + 4 },
+        ),
+        (
+            vec![li(a(0), 1), li(a(1), 2)],
+            encode(&vfcpk_b_h),
+            SimError::VectorUnsupported { pc: TEXT + 8 },
+        ),
+    ];
+    for mode in MODES {
+        for (prefix, word, trap) in &cases {
+            let mut c = cpu();
+            c.set_fflags(Flags::OF);
+            let mut prog = prefix.clone();
+            prog.push(Instr::Ecall);
+            c.load_program(TEXT, &prog);
+            let at = TEXT + 4 * prefix.len() as u32;
+            c.write_data(at, &word.to_le_bytes());
+            assert_eq!(run_in(&mut c, mode, 10), Err(*trap), "{mode:?}");
+            // A trap retires nothing: the PC stays on the trapping
+            // instruction, and `fflags` and the counters are what the
+            // prefix left.
+            assert_eq!(c.pc(), at, "{trap:?} {mode:?}");
+            assert_eq!(c.fflags(), Flags::OF, "{trap:?} {mode:?}");
+            assert_eq!(c.stats().instret, prefix.len() as u64, "{trap:?}");
+            assert_eq!(
+                c.stats().cycles,
+                prefix.len() as u64 * t.int_alu,
+                "{trap:?} {mode:?}"
+            );
+        }
+    }
 }
 
 #[test]

@@ -251,6 +251,70 @@ fn four_lane_f8_family() {
     assert_eq!(f32::from_bits(c.freg(fa(2))), 4.0 + 4.0 - 3.0 + 2.0);
 }
 
+/// Replicated (`.r`) forms on the four-lane 8-bit formats: lane 0 of `rs2`
+/// feeds every lane (and every product of the expanding dot products).
+#[test]
+fn replicated_four_lane_f8_ops() {
+    for fmt in [FpFmt::B, FpFmt::Ab] {
+        let bits = |v: f32| {
+            let mut e = Env::new(Rounding::Rne);
+            ops::from_f32(fmt.format(), v, &mut e) as u32
+        };
+        let pack = |vals: [f32; 4]| {
+            vals.iter()
+                .enumerate()
+                .fold(0u32, |acc, (i, v)| acc | (bits(*v) << (8 * i)))
+        };
+        let mut c = cpu();
+        c.set_freg(fa(0), pack([1.0, 2.0, -3.0, 4.0]));
+        c.set_freg(fa(1), pack([2.0, 8.0, 8.0, 8.0])); // lane 0 (2.0) replicated
+        c.set_freg(fa(3), pack([0.5, 0.5, 0.5, 0.5]));
+        c.set_freg(fa(4), 0f32.to_bits());
+        c.set_freg(fa(5), 0);
+        let vf = |op, rd| Instr::VFOp {
+            op,
+            fmt,
+            rd,
+            rs1: fa(0),
+            rs2: fa(1),
+            rep: true,
+        };
+        let prog = [
+            vf(VfOp::Mul, fa(2)),
+            vf(VfOp::Mac, fa(3)),
+            Instr::VFCmp {
+                op: VCmpOp::Lt,
+                fmt,
+                rd: a(0),
+                rs1: fa(0),
+                rs2: fa(1),
+                rep: true,
+            },
+            Instr::VFDotpEx {
+                fmt,
+                rd: fa(4),
+                rs1: fa(0),
+                rs2: fa(1),
+                rep: true,
+            },
+            Instr::VFSdotpEx {
+                fmt,
+                rd: fa(5),
+                rs1: fa(0),
+                rs2: fa(1),
+                rep: true,
+            },
+        ];
+        run(&mut c, &prog);
+        assert_eq!(c.freg(fa(2)), pack([2.0, 4.0, -6.0, 8.0]), "{fmt:?}");
+        assert_eq!(c.freg(fa(3)), pack([2.5, 4.5, -5.5, 8.5]), "{fmt:?}");
+        assert_eq!(c.xreg(a(0)), 0b0101, "1<2 and -3<2 ({fmt:?})");
+        assert_eq!(f32::from_bits(c.freg(fa(4))), 8.0, "{fmt:?}");
+        // binary16 lanes: 1*2 + 2*2 and -3*2 + 4*2.
+        assert_eq!(c.freg(fa(5)), pack16(6.0, 2.0), "{fmt:?}");
+    }
+}
+
 #[test]
 fn fma_variants_signs() {
     let mut c = cpu();

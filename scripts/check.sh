@@ -18,8 +18,12 @@
 #
 # The basic-block micro-op cache is on by default; SMALLFLOAT_NOBLOCKS=1 forces
 # every Cpu::run onto the per-instruction path. Both tiers fetch through one
-# code window; its invalidation contract (tests/predecode.rs) runs in release
-# next to the two-tier differential grid and the golden trace.
+# code window and run the same lowered op per instruction (its one semantic
+# definition), so the two-tier grid pins accounting and control only. The
+# semantic oracles (tests/programs.rs, tests/vector_semantics.rs: hand-computed
+# expectations on a step() loop and on run() with blocks off and on) run in
+# release next to the grid, the golden trace and the code-window invalidation
+# contract (tests/predecode.rs).
 #
 # perfbench/ is a separate cargo workspace (the repository benchmark, see
 # BENCHMARK.json) built against crates/* by path: building it here means a
@@ -45,12 +49,12 @@ cargo test --release -q -p smallfloat-softfp --test fastpath_b8_exhaustive --tes
 echo "==> xcc: typed interpreter vs simulator differential suites (codegen_sim, fuzz_codegen) (release)"
 cargo test --release -q -p smallfloat-xcc
 
-echo "==> isa/asm round-trip property suites (.ab mnemonics, vfsdotpex, alt-bank edges)"
+echo "==> isa/asm round-trip property suites (.ab mnemonics, vfsdotpex, alt-bank edges) + asm parser boundary fuzzing"
 cargo test --release -q -p smallfloat-isa --test roundtrip
 cargo test --release -q -p smallfloat-asm
 
-echo "==> two-tier differential grid (reference vs blocks) + golden trace + code-window invalidation (release)"
-cargo test --release -q -p smallfloat-sim --test blockpath_differential --test golden_trace --test predecode
+echo "==> two-tier differential grid (per-instruction vs blocks) + semantic oracles (programs, vector_semantics) + golden trace + code-window invalidation (release)"
+cargo test --release -q -p smallfloat-sim --test blockpath_differential --test programs --test vector_semantics --test golden_trace --test predecode
 
 echo "==> snapshot/restore + record-replay gates (release)"
 cargo test --release -q -p smallfloat-sim --test snapshot_roundtrip --test replay
