@@ -30,12 +30,14 @@ macro_rules! reg_common {
             /// # Panics
             ///
             /// Panics if `n > 31`.
+            #[inline]
             pub const fn new(n: u8) -> $name {
                 assert!(n < 32, "register number out of range");
                 $name(n)
             }
 
             /// The register number, 0–31.
+            #[inline]
             pub const fn num(self) -> u8 {
                 self.0
             }

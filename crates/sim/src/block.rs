@@ -25,6 +25,12 @@
 //!   the next tail, and replay the array with one aggregated stats commit
 //!   per block.
 //!
+//! [`run`] is the engine's one run loop (`Cpu::run` is `run` plus energy
+//! derivation): it executes the block led by the current PC when it fits
+//! the budget and takes one [`step`] otherwise. A block is taken out of
+//! its arena entry while it executes and put back only while that entry
+//! is live, so dispatch costs no reference count.
+//!
 //! The two tiers agree bit for bit because they share the handlers; what
 //! remains tier-specific is accounting and control:
 //!
@@ -55,7 +61,6 @@ use smallfloat_isa::{
     Instr, InstrClass, MemWidth, MinMaxOp, MulDivOp, Rm, SgnjKind, VCmpOp, VfOp,
 };
 use smallfloat_softfp::{batch, fast, ops, Env, Format, Rounding};
-use std::sync::Arc;
 
 const FLEN: u32 = 32;
 
@@ -176,28 +181,33 @@ fn decode_lowered(mem: &Memory, cfg: &SimConfig, pc: u32) -> Result<Decoded, Sim
 
 /// A lowered basic block: straight-line micro-ops plus an optional
 /// control-transfer tail, with the associative parts of retirement
-/// accounting pre-aggregated.
+/// accounting pre-aggregated. Its extent lives in its [`Entry`].
 struct Block {
-    start: u32,
-    /// Exclusive byte end of the last lowered instruction (may reach two
-    /// bytes past the code window for a spanning final instruction).
-    end: u32,
     uops: Box<[MicroOp]>,
     tail: Option<Tail>,
-    /// Instructions retired by a full execution (body + tail).
-    retired: u64,
     /// Total body cycles (tail cycles are data-dependent for branches).
     body_cycles: u64,
     /// Non-zero per-class body totals: `(class index, count, cycles)`.
     class_counts: Box<[(u8, u32, u64)]>,
 }
 
+/// An arena entry: a block plus what invalidation, the budget check and
+/// the hot-block profile read without touching the block itself.
 struct Entry {
-    block: Arc<Block>,
+    /// Leader PC; its window slot's tag points at this entry until the
+    /// block is killed.
+    start: u32,
+    /// Exclusive byte end of the last lowered instruction (may reach two
+    /// bytes past the code window for a spanning final instruction).
+    end: u32,
+    /// Instructions retired by a full execution (body + tail).
+    retired: u64,
+    /// The block; `None` only while [`run`] executes it. A block that
+    /// kills itself leaves its arena slot `None` behind, so it is never
+    /// put back.
+    block: Option<Box<Block>>,
     /// Dispatch count, for the hot-block profile.
     execs: u64,
-    /// Window slot whose tag points at this block, cleared on kill.
-    leader_slot: usize,
 }
 
 /// One half-word of the code window.
@@ -355,7 +365,7 @@ impl BlockCache {
         }
         for idx in 0..self.arena.len() {
             let overlaps = match &self.arena[idx] {
-                Some(e) => e.block.start < hi && e.block.end > addr,
+                Some(e) => e.start < hi && e.end > addr,
                 None => false,
             };
             if overlaps {
@@ -366,18 +376,14 @@ impl BlockCache {
 
     fn kill(&mut self, idx: usize) {
         if let Some(e) = self.arena[idx].take() {
-            self.slots[e.leader_slot].tag = SLOT_EMPTY;
+            let leader = self.index(e.start);
+            self.slots[leader].tag = SLOT_EMPTY;
             self.free.push(idx as u32);
             self.gen = self.gen.wrapping_add(1);
         }
     }
 
-    fn install(&mut self, slot: usize, block: Block) -> u32 {
-        let entry = Entry {
-            block: Arc::new(block),
-            execs: 0,
-            leader_slot: slot,
-        };
+    fn install(&mut self, slot: usize, entry: Entry) -> usize {
         let idx = match self.free.pop() {
             Some(i) => {
                 self.arena[i as usize] = Some(entry);
@@ -389,7 +395,7 @@ impl BlockCache {
             }
         };
         self.slots[slot].tag = idx;
-        idx
+        idx as usize
     }
 
     /// Top-`n` live blocks by dynamic instruction count.
@@ -400,9 +406,9 @@ impl BlockCache {
             .flatten()
             .filter(|e| e.execs > 0)
             .map(|e| HotBlock {
-                start: e.block.start,
-                end: e.block.end,
-                instrs: e.block.retired as u32,
+                start: e.start,
+                end: e.end,
+                instrs: e.retired as u32,
                 execs: e.execs,
             })
             .collect();
@@ -416,53 +422,77 @@ impl BlockCache {
     }
 }
 
-/// Outcome of one block-dispatch attempt.
-pub(crate) enum Dispatch {
-    /// The program exited (`ecall` tail).
-    Exit(ExitReason),
-    /// A block (or prefix of one) executed; `cpu.pc` is up to date.
-    Done,
-    /// No block here — take the per-instruction path for one step.
-    Fallback,
+/// Run until `ecall`, a trap, or `max_instructions` more retired: the
+/// engine's one run loop. Each iteration looks up (or lowers) the block
+/// led by the current PC and executes it whole when it fits the budget
+/// left; anything else — a declined leader, code outside the window, a
+/// block that would overshoot the budget, the block tier switched off —
+/// takes one [`step`], so instruction-limit semantics match the
+/// per-instruction path exactly.
+///
+/// The block is taken out of its arena entry while it executes and put
+/// back only if the entry is still live afterwards. Nothing installs a
+/// block during [`exec_block`], so a live entry at that index is still
+/// the same one; a block whose store killed it left `None` there and is
+/// dropped here.
+pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<ExitReason, SimError> {
+    let limit = cpu.stats.instret.saturating_add(max_instructions);
+    while cpu.stats.instret < limit {
+        if let Some(idx) = leader_block(cpu) {
+            let remaining = limit - cpu.stats.instret;
+            let entry = cpu.blocks.arena[idx]
+                .as_mut()
+                .expect("slot tag points at a live block");
+            if entry.retired <= remaining {
+                entry.execs += 1;
+                let end = entry.end;
+                let block = entry
+                    .block
+                    .take()
+                    .expect("a block is not dispatched while it executes");
+                let result = exec_block(cpu, &block, end);
+                if let Some(entry) = &mut cpu.blocks.arena[idx] {
+                    entry.block = Some(block);
+                }
+                match result? {
+                    Some(reason) => return Ok(reason),
+                    None => continue,
+                }
+            }
+        }
+        if let Some(reason) = step(cpu)? {
+            return Ok(reason);
+        }
+    }
+    Ok(ExitReason::InstructionLimit)
 }
 
-/// Try to execute the block starting at the current PC. `remaining` is
-/// the instruction budget left in the caller's `run` limit: a block that
-/// would overshoot it falls back to single-stepping so instruction-limit
-/// semantics match the per-instruction path exactly.
-pub(crate) fn dispatch(cpu: &mut Cpu, remaining: u64) -> Result<Dispatch, SimError> {
+/// Arena index of the block led by the current PC, lowering and
+/// installing it on first use; `None` when the block tier is off or
+/// declines this leader.
+#[inline]
+fn leader_block(cpu: &mut Cpu) -> Option<usize> {
     let pc = cpu.pc;
-    if pc & 1 != 0 {
-        return Ok(Dispatch::Fallback);
+    if !cpu.blocks.enabled || pc & 1 != 0 {
+        return None;
     }
     let slot = cpu.blocks.index(pc);
-    let tag = match cpu.blocks.slots.get(slot) {
-        Some(s) => s.tag,
-        None => return Ok(Dispatch::Fallback),
-    };
-    let idx = match tag {
-        SLOT_NO_BLOCK => return Ok(Dispatch::Fallback),
+    match cpu.blocks.slots.get(slot)?.tag {
+        SLOT_NO_BLOCK => None,
         SLOT_EMPTY => match lower_block(cpu, pc) {
-            Some(block) => cpu.blocks.install(slot, block),
+            Some(entry) => Some(cpu.blocks.install(slot, entry)),
             None => {
                 cpu.blocks.slots[slot].tag = SLOT_NO_BLOCK;
-                return Ok(Dispatch::Fallback);
+                None
             }
         },
-        idx => idx,
-    };
-    let entry = cpu.blocks.arena[idx as usize]
-        .as_mut()
-        .expect("slot tag points at a live block");
-    if entry.block.retired > remaining {
-        return Ok(Dispatch::Fallback);
+        idx => Some(idx as usize),
     }
-    entry.execs += 1;
-    let block = Arc::clone(&entry.block);
-    exec_block(cpu, &block)
 }
 
-fn exec_block(cpu: &mut Cpu, block: &Block) -> Result<Dispatch, SimError> {
+/// Execute `block` (whose instructions end at `end`) from its first
+/// micro-op. Returns `Some(reason)` when the program exits.
+fn exec_block(cpu: &mut Cpu, block: &Block, end: u32) -> Result<Option<ExitReason>, SimError> {
     let gen0 = cpu.blocks.gen;
     let uops = &block.uops;
     for (i, u) in uops.iter().enumerate() {
@@ -480,20 +510,17 @@ fn exec_block(cpu: &mut Cpu, block: &Block) -> Result<Dispatch, SimError> {
             commit_prefix(cpu, block, i + 1);
             cpu.pc = match uops.get(i + 1) {
                 Some(next) => next.pc,
-                None => block.tail.as_ref().map_or(block.end, |t| t.pc),
+                None => block.tail.as_ref().map_or(end, |t| t.pc),
             };
-            return Ok(Dispatch::Done);
+            return Ok(None);
         }
     }
     commit_body(cpu, block);
     match &block.tail {
-        Some(tail) => Ok(match exec_tail(cpu, tail)? {
-            Some(reason) => Dispatch::Exit(reason),
-            None => Dispatch::Done,
-        }),
+        Some(tail) => exec_tail(cpu, tail),
         None => {
-            cpu.pc = block.end;
-            Ok(Dispatch::Done)
+            cpu.pc = end;
+            Ok(None)
         }
     }
 }
@@ -537,6 +564,7 @@ fn commit_prefix(cpu: &mut Cpu, block: &Block, n: usize) {
 
 /// Aggregated accounting for a fully executed body — the single bulk
 /// commit that replaces per-instruction bookkeeping.
+#[inline]
 fn commit_body(cpu: &mut Cpu, block: &Block) {
     cpu.stats.instret += block.uops.len() as u64;
     cpu.stats.cycles += block.body_cycles;
@@ -545,12 +573,14 @@ fn commit_body(cpu: &mut Cpu, block: &Block) {
     }
 }
 
+#[inline]
 fn account(cpu: &mut Cpu, class: u8, cycles: u32) {
     cpu.stats.bulk_count(class as usize, 1, u64::from(cycles));
     cpu.stats.instret += 1;
     cpu.stats.cycles += u64::from(cycles);
 }
 
+#[inline]
 fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Option<ExitReason>, SimError> {
     match t.kind {
         TailKind::Jal { rd, target } => {
@@ -611,7 +641,7 @@ fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Option<ExitReason>, SimError> {
 /// slots until a tail, a CSR (barrier), an undecodable slot, the window
 /// edge, or [`MAX_BODY`]. Slots decode (and fill) on the way. Returns
 /// `None` when nothing at all can be lowered here.
-fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Block> {
+fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Entry> {
     let mut uops: Vec<MicroOp> = Vec::new();
     let mut tail = None;
     let mut pc = leader;
@@ -649,15 +679,17 @@ fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Block> {
         .filter(|(_, &(n, _))| n > 0)
         .map(|(i, &(n, cycles))| (i as u8, n, cycles))
         .collect();
-    let retired = uops.len() as u64 + u64::from(tail.is_some());
-    Some(Block {
+    Some(Entry {
         start: leader,
         end: pc,
-        uops: uops.into_boxed_slice(),
-        tail,
-        retired,
-        body_cycles,
-        class_counts,
+        retired: uops.len() as u64 + u64::from(tail.is_some()),
+        block: Some(Box::new(Block {
+            uops: uops.into_boxed_slice(),
+            tail,
+            body_cycles,
+            class_counts,
+        })),
+        execs: 0,
     })
 }
 

@@ -1,6 +1,6 @@
 //! CPU state, configuration and the fetch/execute loop.
 
-use crate::block::{BlockCache, Decoded, Dispatch};
+use crate::block::{BlockCache, Decoded};
 use crate::energy::EnergyModel;
 use crate::mem::{MemSnapshot, Memory};
 use crate::stats::{HotBlock, Stats};
@@ -362,15 +362,9 @@ impl Cpu {
     ///
     /// Any [`SimError`] trap.
     pub fn step(&mut self) -> Result<Option<ExitReason>, SimError> {
-        let result = self.step_inner();
+        let result = crate::block::step(self);
         self.derive_energy();
         result
-    }
-
-    /// [`Cpu::step`] without refreshing `energy_pj`: for loops that retire
-    /// many instructions before handing control back.
-    pub(crate) fn step_inner(&mut self) -> Result<Option<ExitReason>, SimError> {
-        crate::block::step(self)
     }
 
     /// Run like [`Cpu::run`], invoking `observer(pc, &instr)` before every
@@ -385,7 +379,7 @@ impl Cpu {
         max_instructions: u64,
         mut observer: impl FnMut(u32, &Instr),
     ) -> Result<ExitReason, SimError> {
-        let limit = self.stats.instret + max_instructions;
+        let limit = self.stats.instret.saturating_add(max_instructions);
         let result = (|| {
             while self.stats.instret < limit {
                 observer(self.pc, &self.fetch()?.instr);
@@ -399,15 +393,17 @@ impl Cpu {
         result
     }
 
-    /// Run until `ecall`, a trap, or `max_instructions` retired.
+    /// Run until `ecall`, a trap, or `max_instructions` more retired (a
+    /// budget past `u64::MAX` total instructions saturates: the run is
+    /// then unbounded).
     ///
-    /// Hot code executes through the basic-block micro-op cache (see
-    /// `block.rs`); leaders it declines to lower (CSR accesses, undecodable
-    /// bytes, code outside the window, blocks that would overshoot the
-    /// budget) take the per-instruction path ([`Cpu::step`]) one
-    /// instruction at a time. Both tiers run the same lowered ops, so they
-    /// are bit-identical in architectural state and counters, and energy
-    /// is derived from the counters on return.
+    /// The run loop is `block.rs`'s: hot code executes through the
+    /// basic-block micro-op cache, and leaders it declines to lower (CSR
+    /// accesses, undecodable bytes, code outside the window, blocks that
+    /// would overshoot the budget) take the per-instruction path
+    /// ([`Cpu::step`]) one instruction at a time. Both tiers run the same
+    /// lowered ops, so they are bit-identical in architectural state and
+    /// counters, and energy is derived from the counters on return.
     /// `SMALLFLOAT_NOBLOCKS=1` (or [`Cpu::set_block_cache`]`(false)`)
     /// forces the per-instruction path.
     ///
@@ -415,26 +411,7 @@ impl Cpu {
     ///
     /// Any [`SimError`] trap.
     pub fn run(&mut self, max_instructions: u64) -> Result<ExitReason, SimError> {
-        let limit = self.stats.instret + max_instructions;
-        let result = (|| {
-            while self.stats.instret < limit {
-                let dispatched = if self.blocks.enabled() {
-                    crate::block::dispatch(self, limit - self.stats.instret)?
-                } else {
-                    Dispatch::Fallback
-                };
-                match dispatched {
-                    Dispatch::Exit(reason) => return Ok(reason),
-                    Dispatch::Done => {}
-                    Dispatch::Fallback => {
-                        if let Some(reason) = self.step_inner()? {
-                            return Ok(reason);
-                        }
-                    }
-                }
-            }
-            Ok(ExitReason::InstructionLimit)
-        })();
+        let result = crate::block::run(self, max_instructions);
         self.derive_energy();
         result
     }

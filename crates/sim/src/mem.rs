@@ -6,9 +6,11 @@
 //! slot, not one byte per byte. Taking a [`MemSnapshot`] clones the page
 //! *table* — O(pages) reference-count bumps, no data copies — and the
 //! first store to any shared page after that copies just that page
-//! (`Arc::make_mut`). This is what makes `Cpu::snapshot`/`Cpu::restore`
-//! cheap enough to fork one warmed-up machine state into thousands of
-//! replay segments (see `replay.rs` and DESIGN.md §14).
+//! (`Arc::make_mut`). Restoring replaces only the page-table slots that
+//! differ from the snapshot's. This is what makes
+//! `Cpu::snapshot`/`Cpu::restore` cheap enough to fork one warmed-up
+//! machine state into thousands of replay segments (see `replay.rs` and
+//! DESIGN.md §14).
 
 use crate::cpu::SimError;
 use std::sync::Arc;
@@ -93,6 +95,7 @@ impl Memory {
         }
     }
 
+    #[inline]
     fn check(&self, addr: u32, len: u32) -> Result<usize, SimError> {
         let a = addr as usize;
         if len > 1 && !addr.is_multiple_of(len) {
@@ -129,6 +132,7 @@ impl Memory {
     ///
     /// [`SimError::Misaligned`] for unaligned accesses,
     /// [`SimError::OutOfBounds`] past the end of memory.
+    #[inline]
     pub fn load(&self, addr: u32, len: u32) -> Result<u32, SimError> {
         let a = self.check(addr, len)?;
         let page = self.page(a);
@@ -146,6 +150,7 @@ impl Memory {
     /// # Errors
     ///
     /// Same conditions as [`Memory::load`].
+    #[inline]
     pub fn store(&mut self, addr: u32, len: u32, value: u32) -> Result<(), SimError> {
         let a = self.check(addr, len)?;
         let page = self.page_mut(a);
@@ -242,10 +247,31 @@ impl Memory {
     }
 
     /// Restore a previously taken snapshot (adopting its size if it
-    /// differs).
+    /// differs). Only the page-table slots that differ from the
+    /// snapshot's are replaced: a fork that wrote a handful of pages
+    /// pays for those, not a refcount round trip on every page it still
+    /// shares. A different page count falls back to copying the table.
     pub fn restore(&mut self, snap: &MemSnapshot) {
-        self.pages.clone_from(&snap.pages);
+        if self.pages.len() == snap.pages.len() {
+            for (mine, theirs) in self.pages.iter_mut().zip(&snap.pages) {
+                if !same_slot(mine, theirs) {
+                    mine.clone_from(theirs);
+                }
+            }
+        } else {
+            self.pages.clone_from(&snap.pages);
+        }
         self.size = snap.size;
+    }
+}
+
+/// Whether two page-table slots hold the same page: the same `Arc`, or
+/// both unbacked.
+fn same_slot(a: &Option<Page>, b: &Option<Page>) -> bool {
+    match (a, b) {
+        (Some(p), Some(q)) => Arc::ptr_eq(p, q),
+        (None, None) => true,
+        _ => false,
     }
 }
 
@@ -258,11 +284,9 @@ fn page_bytes(p: &Option<Page>) -> &[u8; PAGE_SIZE] {
 
 fn pages_eq(a: &[Option<Page>], b: &[Option<Page>]) -> bool {
     a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| match (x, y) {
-            (Some(p), Some(q)) if Arc::ptr_eq(p, q) => true,
-            (None, None) => true,
-            _ => page_bytes(x) == page_bytes(y),
-        })
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| same_slot(x, y) || page_bytes(x) == page_bytes(y))
 }
 
 impl MemSnapshot {
@@ -344,6 +368,28 @@ pub(crate) fn read_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smallfloat_devtools::Rng;
+
+    /// Whether every page slot of `m` is the snapshot's own: the same
+    /// `Arc` where the snapshot has a page, unbacked where it has none.
+    fn shares_every_page(m: &Memory, snap: &MemSnapshot) -> bool {
+        m.size == snap.size
+            && m.pages.len() == snap.pages.len()
+            && m.pages
+                .iter()
+                .zip(&snap.pages)
+                .all(|(a, b)| same_slot(a, b))
+    }
+
+    /// Random aligned word stores anywhere in `m`, so they hit pages the
+    /// last snapshot backs as well as pages it left unbacked.
+    fn scribble(m: &mut Memory, rng: &mut Rng, n: u64) {
+        let words = (m.size() / 4) as u64;
+        for _ in 0..n {
+            let addr = (rng.below(words) * 4) as u32;
+            m.store(addr, 4, rng.u32()).unwrap();
+        }
+    }
 
     #[test]
     fn load_store_widths() {
@@ -422,6 +468,43 @@ mod tests {
         assert!(!m.bytes_eq(&back));
         m.restore(&snap);
         assert!(m.bytes_eq(&back));
+    }
+
+    /// `restore` by pointer diff: after random stores into a fork, the
+    /// restored memory holds the snapshot's bytes and every page slot is
+    /// the snapshot's own page, so no private page is left over and no
+    /// page was copied. Restoring across a size change takes the
+    /// table-copy path to the same result.
+    #[test]
+    fn restore_shares_every_page_with_the_snapshot() {
+        let mut rng = Rng::new(0x5eed_0017);
+        for case in 0..64 {
+            let pages = 2 + rng.below(8) as usize;
+            let mut m = Memory::new(pages * PAGE_SIZE);
+            let n = rng.below(2 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            let snap = m.snapshot();
+            let n = rng.below(4 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            m.restore(&snap);
+            assert!(m.snapshot().bytes_eq(&snap), "case {case}: bytes");
+            assert!(shares_every_page(&m, &snap), "case {case}: pages");
+
+            // A memory of another size adopts the snapshot's geometry.
+            let other = if rng.bool() { pages + 3 } else { 1 };
+            let mut resized = Memory::new(other * PAGE_SIZE);
+            scribble(&mut resized, &mut rng, 8);
+            resized.restore(&snap);
+            assert_eq!(resized.size(), snap.size(), "case {case}: size");
+            assert!(
+                resized.snapshot().bytes_eq(&snap),
+                "case {case}: resized bytes"
+            );
+            assert!(
+                shares_every_page(&resized, &snap),
+                "case {case}: resized pages"
+            );
+        }
     }
 
     #[test]

@@ -216,7 +216,7 @@ pub fn record_run(
         let (instr, _len) = cpu.peek_decoded()?;
         let word = encode(&instr);
         let cycles_before = cpu.stats().cycles;
-        let done = cpu.step_inner()?;
+        let done = crate::block::step(cpu)?;
         records.push(Record {
             pc,
             word,

@@ -12,8 +12,10 @@
 //!
 //! Block-invalidation regressions ride along: a loop whose own body is
 //! patched by a store inside the block (invalidation + mid-block abort),
-//! a snapshot-restore rewind landing inside a lowered block, and replay
-//! determinism with the block engine on.
+//! the contract for taking a block out of the cache while it executes
+//! (a block killing itself or another block, a budget ending right after
+//! a self-kill), a snapshot-restore rewind landing inside a lowered
+//! block, and replay determinism with the block engine on.
 
 use smallfloat_asm::Assembler;
 use smallfloat_isa::{encode, AluOp, FpFmt, Instr, XReg};
@@ -268,18 +270,7 @@ fn store_into_own_block_body_stays_bit_identical() {
     let prog = asm.assemble().expect("fixed program assembles");
     // `load_program` encodes each instruction at 4 bytes.
     let payload_addr = TEXT + 4 * payload_index as u32;
-    let enc1 = encode(&Instr::OpImm {
-        op: AluOp::Add,
-        rd: a2,
-        rs1: a2,
-        imm: 1,
-    });
-    let enc2 = encode(&Instr::OpImm {
-        op: AluOp::Add,
-        rd: a2,
-        rs1: a2,
-        imm: 2,
-    });
+    let (enc1, enc2) = (addi_word(a2, 1), addi_word(a2, 2));
 
     let run = |engine: Engine| -> Cpu {
         let mut cpu = Cpu::new(small_config());
@@ -317,6 +308,186 @@ fn store_into_own_block_body_stays_bit_identical() {
             .any(|b| b.start > payload_addr && b.execs + 1 >= iters as u64),
         "the block after the payload must stay cached across iterations"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Taking a block out of the cache while it executes
+// ---------------------------------------------------------------------------
+//
+// The engine takes a block out of its arena entry while the block runs
+// and puts it back only if the entry is still live afterwards. These
+// programs kill blocks from inside a running block and compare every
+// outcome with the per-instruction path.
+
+const DATA: u32 = 0x8000;
+
+fn addi_word(rd: XReg, imm: i32) -> u32 {
+    encode(&Instr::OpImm {
+        op: AluOp::Add,
+        rd,
+        rs1: rd,
+        imm,
+    })
+}
+
+/// A loop whose first trip patches its own block: the store rewrites
+/// the `j next` at `payload` into `addi a2, a2, 2`, which makes the
+/// block led by the next instruction longer than the rest of the killed
+/// one. Later trips store to `DATA` and leave the code alone. Returns
+/// the program and the payload address; [`self_kill_setup`] sets the
+/// registers.
+fn self_killing_loop() -> (Vec<Instr>, u32) {
+    let (s0, s1, t0, t1) = (XReg::s(0), XReg::s(1), XReg::t(0), XReg::t(1));
+    let mut asm = Assembler::new();
+    asm.label("loop");
+    asm.sw(t0, t1, 0); // trip 1: patches `payload`; later: DATA
+    asm.addi(t1, s1, 0);
+    let payload_index = asm.len();
+    asm.j("next"); // becomes `addi a2, a2, 2`
+    asm.label("next");
+    asm.addi(s0, s0, -1);
+    asm.bnez("loop", s0);
+    asm.ecall();
+    let prog = asm.assemble().expect("fixed program assembles");
+    (prog, TEXT + 4 * payload_index as u32)
+}
+
+fn self_kill_setup(cpu: &mut Cpu, iters: u32, payload_addr: u32) {
+    cpu.set_xreg(XReg::s(0), iters);
+    cpu.set_xreg(XReg::s(1), DATA);
+    cpu.set_xreg(XReg::t(0), addi_word(XReg::a(2), 2));
+    cpu.set_xreg(XReg::t(1), payload_addr);
+}
+
+/// A block whose store kills the block itself: the rest of the trip runs
+/// on fresh lowering (the freed arena index is reused at once), the same
+/// leader re-lowers within the same `run` call, and the stale body — the
+/// unpatched jump — never executes again.
+#[test]
+fn self_killing_block_relowers_within_the_run() {
+    let iters = 50;
+    let (prog, payload_addr) = self_killing_loop();
+    let run = |engine: Engine| -> Cpu {
+        let mut cpu = Cpu::new(small_config());
+        engine.apply(&mut cpu);
+        cpu.load_program(TEXT, &prog);
+        self_kill_setup(&mut cpu, iters, payload_addr);
+        let exit = cpu.run(1_000_000).expect("self-killing loop must not trap");
+        assert_eq!(exit, ExitReason::Ecall);
+        cpu
+    };
+    let reference = run(Engine::Reference);
+    assert_eq!(
+        reference.xreg(XReg::a(2)),
+        2 * iters,
+        "patched payload runs"
+    );
+    let blocks = run(Engine::Blocks);
+    assert_identical("self-kill [blocks]", &blocks, &reference);
+    // One live block leads at the loop head: the re-lowered one, with
+    // the patched payload, dispatched on every trip after the first.
+    let hot = blocks.hot_blocks(usize::MAX);
+    let at_head: Vec<_> = hot.iter().filter(|b| b.start == TEXT).collect();
+    assert_eq!(at_head.len(), 1, "{hot:?}");
+    assert_eq!(
+        (at_head[0].instrs, at_head[0].execs),
+        (5, u64::from(iters) - 1),
+        "{hot:?}"
+    );
+}
+
+/// A block whose store kills a *different* live block: the storing block
+/// stops after the store and stays cached, and the killed block
+/// re-lowers on its next dispatch (into the arena index the kill freed).
+#[test]
+fn store_killing_another_block_relowers_it() {
+    let iters = 40;
+    let (s0, t0, t1, t2, a2) = (XReg::s(0), XReg::t(0), XReg::t(1), XReg::t(2), XReg::a(2));
+    let mut asm = Assembler::new();
+    asm.label("loop");
+    asm.sw(t0, t1, 0); // patch the callee's payload
+    asm.push(Instr::Op {
+        op: AluOp::Xor,
+        rd: t0,
+        rs1: t0,
+        rs2: t2,
+    });
+    asm.call("sub");
+    asm.addi(s0, s0, -1);
+    asm.bnez("loop", s0);
+    asm.ecall();
+    asm.label("sub");
+    let payload_index = asm.len();
+    asm.addi(a2, a2, 1); // toggled between +1 and +2 by the caller
+    asm.ret();
+    let prog = asm.assemble().expect("fixed program assembles");
+    let sub = TEXT + 4 * payload_index as u32;
+    let (enc1, enc2) = (addi_word(a2, 1), addi_word(a2, 2));
+
+    let run = |engine: Engine| -> Cpu {
+        let mut cpu = Cpu::new(small_config());
+        engine.apply(&mut cpu);
+        cpu.load_program(TEXT, &prog);
+        cpu.set_xreg(s0, iters);
+        cpu.set_xreg(t0, enc2);
+        cpu.set_xreg(t1, sub);
+        cpu.set_xreg(t2, enc1 ^ enc2);
+        let exit = cpu.run(1_000_000).expect("patching loop must not trap");
+        assert_eq!(exit, ExitReason::Ecall);
+        cpu
+    };
+    let reference = run(Engine::Reference);
+    // The callee adds 2, 1, 2, 1, ... over the trips.
+    assert_eq!(reference.xreg(a2), iters.div_ceil(2) * 2 + iters / 2);
+    let blocks = run(Engine::Blocks);
+    assert_identical("cross-kill [blocks]", &blocks, &reference);
+    let hot = blocks.hot_blocks(usize::MAX);
+    let execs_at = |pc: u32| -> Vec<u64> {
+        hot.iter()
+            .filter(|b| b.start == pc)
+            .map(|b| b.execs)
+            .collect()
+    };
+    // The storing block survives every trip; the callee's block is
+    // killed by every trip after the first and re-lowered each time.
+    assert_eq!(execs_at(TEXT), [u64::from(iters)], "{hot:?}");
+    assert_eq!(execs_at(sub), [1], "{hot:?}");
+}
+
+/// Every budget from 1 up through the first trips of the self-killing
+/// loop, including one that ends mid-block right after the self-kill:
+/// the stop point and every counter match the per-instruction path,
+/// and so does the run resumed from there.
+#[test]
+fn budget_ending_after_a_self_kill_matches_reference() {
+    let iters = 4;
+    let (prog, payload_addr) = self_killing_loop();
+    for budget in 1..=16u64 {
+        let start = |engine: Engine| -> Cpu {
+            let mut cpu = Cpu::new(small_config());
+            engine.apply(&mut cpu);
+            cpu.load_program(TEXT, &prog);
+            self_kill_setup(&mut cpu, iters, payload_addr);
+            let exit = cpu.run(budget).expect("no trap");
+            assert_eq!(exit, ExitReason::InstructionLimit, "budget {budget}");
+            assert_eq!(cpu.stats().instret, budget, "budget {budget}");
+            cpu
+        };
+        let mut reference = start(Engine::Reference);
+        let mut blocks = start(Engine::Blocks);
+        let label = format!("budget {budget} [blocks]");
+        assert_identical(&label, &blocks, &reference);
+        if budget == 3 {
+            // The first block (store, `addi`, jump) self-kills after the
+            // store; the longer block the patch created does not fit
+            // the two instructions left, so the run stops inside it.
+            assert_eq!(blocks.pc(), payload_addr + 4, "{label}");
+        }
+        for cpu in [&mut reference, &mut blocks] {
+            assert_eq!(cpu.run(1_000_000), Ok(ExitReason::Ecall), "{label}");
+        }
+        assert_identical(&format!("{label} resumed"), &blocks, &reference);
+    }
 }
 
 /// A clean hot loop for the snapshot/replay regressions: scalar +

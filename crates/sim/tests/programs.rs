@@ -1170,6 +1170,49 @@ fn instruction_limit() {
     assert_eq!(c.stats().instret, 100);
 }
 
+/// An unbounded budget (`u64::MAX`) after instructions have already
+/// retired — by a `step()`, or carried in by a restored snapshot — runs
+/// to the exit on every driver and on `run_traced`: the limit saturates
+/// instead of wrapping to below the retired count.
+#[test]
+fn unbounded_budget_after_retired_instructions() {
+    let bump = Instr::OpImm {
+        op: AluOp::Add,
+        rd: a(0),
+        rs1: a(0),
+        imm: 1,
+    };
+    let prog = [li(a(0), 1), bump, bump, Instr::Ecall];
+    for mode in MODES {
+        let mut c = cpu();
+        c.load_program(TEXT, &prog);
+        assert_eq!(c.step(), Ok(None), "{mode:?}");
+        let snap = c.snapshot();
+        assert_eq!(snap.instret(), 1);
+        for from in ["step", "restore"] {
+            if from == "restore" {
+                c.restore(&snap);
+            }
+            assert_eq!(
+                run_in(&mut c, mode, u64::MAX),
+                Ok(ExitReason::Ecall),
+                "{mode:?} after {from}"
+            );
+            assert_eq!(c.xreg(a(0)), 3, "{mode:?} after {from}");
+            assert_eq!(c.stats().instret, 4, "{mode:?} after {from}");
+        }
+    }
+    let mut c = cpu();
+    c.load_program(TEXT, &prog);
+    assert_eq!(c.step(), Ok(None));
+    let mut seen = 0;
+    assert_eq!(
+        c.run_traced(u64::MAX, |_, _| seen += 1),
+        Ok(ExitReason::Ecall)
+    );
+    assert_eq!((seen, c.xreg(a(0))), (3, 3));
+}
+
 #[test]
 fn fmv_moves_raw_bits() {
     let mut c = cpu();

@@ -22,8 +22,9 @@
 # definition), so the two-tier grid pins accounting and control only. The
 # semantic oracles (tests/programs.rs, tests/vector_semantics.rs: hand-computed
 # expectations on a step() loop and on run() with blocks off and on) run in
-# release next to the grid, the golden trace and the code-window invalidation
-# contract (tests/predecode.rs).
+# release next to the grid, the golden trace, the code-window invalidation
+# contract (tests/predecode.rs) and the sim crate's unit tests (--lib), so
+# budget arithmetic is also checked under release (wrapping) overflow.
 #
 # perfbench/ is a separate cargo workspace (the repository benchmark, see
 # BENCHMARK.json) built against crates/* by path: building it here means a
@@ -53,8 +54,8 @@ echo "==> isa/asm round-trip property suites (.ab mnemonics, vfsdotpex, alt-bank
 cargo test --release -q -p smallfloat-isa --test roundtrip
 cargo test --release -q -p smallfloat-asm
 
-echo "==> two-tier differential grid (per-instruction vs blocks) + semantic oracles (programs, vector_semantics) + golden trace + code-window invalidation (release)"
-cargo test --release -q -p smallfloat-sim --test blockpath_differential --test programs --test vector_semantics --test golden_trace --test predecode
+echo "==> sim unit tests (block.rs, mem.rs under release overflow semantics) + two-tier differential grid (per-instruction vs blocks) + semantic oracles (programs, vector_semantics) + golden trace + code-window invalidation (release)"
+cargo test --release -q -p smallfloat-sim --lib --test blockpath_differential --test programs --test vector_semantics --test golden_trace --test predecode
 
 echo "==> snapshot/restore + record-replay gates (release)"
 cargo test --release -q -p smallfloat-sim --test snapshot_roundtrip --test replay
