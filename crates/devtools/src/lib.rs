@@ -1,23 +1,20 @@
 //! Dependency-free development support for the workspace.
 //!
 //! The build environment is fully offline (no crates.io mirror), so the
-//! usual `proptest`/`criterion`/`rand` stack is unavailable. This crate
-//! provides the three pieces the workspace actually needs from them:
+//! usual `proptest`/`rand` stack is unavailable. This crate provides the
+//! three pieces the workspace actually needs from it:
 //!
 //! * [`Rng`] — a small, fast, *seeded* PRNG (SplitMix64 core) with the
 //!   handful of distribution helpers the tests use;
 //! * [`prop`] — a property-test runner: N deterministic cases per
 //!   property, failure reports that print the case seed so a failing
 //!   input can be replayed in isolation;
-//! * [`mod@bench`] — a wall-clock benchmark harness with warmup, multiple
-//!   samples, median/mean reporting, throughput support and JSON export;
 //! * [`stats`] — order statistics (nearest-rank [`percentile`]) for the
 //!   serving harness's latency reporting.
 //!
 //! Everything is deterministic by construction: the same seed always
 //! produces the same case sequence, on every platform.
 
-pub mod bench;
 pub mod prop;
 pub mod stats;
 

@@ -4,8 +4,8 @@
 //! module (the full table lives in README.md). A *flag* variable is
 //! enabled when it is set to anything other than `0` or the empty string
 //! — `SMALLFLOAT_NOBLOCKS=1` and `SMALLFLOAT_NOBLOCKS=yes` both count,
-//! `SMALLFLOAT_NOBLOCKS=0` and an unset variable do not. Value variables
-//! (`SMALLFLOAT_BENCH_JSON`, a path) are read with [`value`].
+//! `SMALLFLOAT_NOBLOCKS=0` and an unset variable do not. Every knob is a
+//! flag.
 //!
 //! The engine-tier kill switch ([`noblocks`]) sits on the simulator's
 //! hottest dispatch path, so its first read is cached for the life of
@@ -18,11 +18,6 @@ pub fn flag(name: &str) -> bool {
     std::env::var_os(name).is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Live read of one value variable (`None` when unset or empty).
-pub fn value(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|v| !v.is_empty())
-}
-
 /// `SMALLFLOAT_NOBLOCKS`: disable the basic-block micro-op cache — every
 /// `Cpu::run` takes the per-instruction path (the same lowered ops, one
 /// instruction at a time). Cached at first read.
@@ -31,8 +26,10 @@ pub fn noblocks() -> bool {
     *CACHE.get_or_init(|| flag("SMALLFLOAT_NOBLOCKS"))
 }
 
-/// `SMALLFLOAT_SERIAL`: pin every parallel fan-out (`bench::par`, the
-/// cluster's host threads) to the calling thread.
+/// `SMALLFLOAT_SERIAL`: pin every parallel fan-out to the calling thread.
+/// Read by `bench::par` and by `serve_bench`'s driver
+/// (`bench::serving`), which then hands the cluster one host worker;
+/// `Cluster` itself takes `host_workers` from its caller.
 pub fn serial() -> bool {
     flag("SMALLFLOAT_SERIAL")
 }
@@ -59,10 +56,6 @@ mod tests {
             std::env::set_var(name, val);
             assert_eq!(flag(name), want, "value {val:?}");
         }
-        std::env::remove_var(name);
-        assert_eq!(value(name), None);
-        std::env::set_var(name, "out.json");
-        assert_eq!(value(name).as_deref(), Some("out.json"));
         std::env::remove_var(name);
     }
 }

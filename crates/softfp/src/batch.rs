@@ -24,9 +24,8 @@
 //!   then chain single-rounding binary32 FMAs lane 0 first (FPnew SDOTP
 //!   accumulation order).
 //!
-//! Named convenience wrappers ([`vadd2_f16`], [`vfma4_f8`], …) are
-//! re-exported from [`crate::ops`] for discoverability next to the scalar
-//! entry points.
+//! The widening dot products are re-exported from [`crate::ops`] next to
+//! the scalar entry points.
 
 use crate::env::Env;
 use crate::fast;
@@ -528,46 +527,6 @@ pub fn vsdotp4_f8(
     pack16(r0, r1)
 }
 
-// ---------------------------------------------------------------------------
-// Named convenience wrappers (re-exported from `ops`)
-// ---------------------------------------------------------------------------
-
-/// Packed `a + b` on two binary16 lanes.
-#[inline]
-pub fn vadd2_f16(va: u32, vb: u32, env: &mut Env) -> u32 {
-    vfop2_f16(LaneOp::Add, va, vb, 0, false, env)
-}
-
-/// Packed `a * b` on two binary16 lanes.
-#[inline]
-pub fn vmul2_f16(va: u32, vb: u32, env: &mut Env) -> u32 {
-    vfop2_f16(LaneOp::Mul, va, vb, 0, false, env)
-}
-
-/// Packed fused `a * b + d` on two binary16 lanes.
-#[inline]
-pub fn vfma2_f16(va: u32, vb: u32, vd: u32, env: &mut Env) -> u32 {
-    vfop2_f16(LaneOp::Mac, va, vb, vd, false, env)
-}
-
-/// Packed `a + b` on four binary8 lanes.
-#[inline]
-pub fn vadd4_f8(va: u32, vb: u32, env: &mut Env) -> u32 {
-    vfop4_f8(Format::BINARY8, LaneOp::Add, va, vb, 0, false, env)
-}
-
-/// Packed `a * b` on four binary8 lanes.
-#[inline]
-pub fn vmul4_f8(va: u32, vb: u32, env: &mut Env) -> u32 {
-    vfop4_f8(Format::BINARY8, LaneOp::Mul, va, vb, 0, false, env)
-}
-
-/// Packed fused `a * b + d` on four binary8 lanes.
-#[inline]
-pub fn vfma4_f8(va: u32, vb: u32, vd: u32, env: &mut Env) -> u32 {
-    vfop4_f8(Format::BINARY8, LaneOp::Mac, va, vb, vd, false, env)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,7 +541,7 @@ mod tests {
         let va = 0x4000_3c00; // [1.0, 2.0]
         let vb = 0x3c00_4200; // [3.0, 1.0]
         let mut e = env();
-        let sum = vadd2_f16(va, vb, &mut e);
+        let sum = vfop2_f16(LaneOp::Add, va, vb, 0, false, &mut e);
         let mut es = env();
         let lo = ops::add(Format::BINARY16, 0x3c00, 0x4200, &mut es);
         let hi = ops::add(Format::BINARY16, 0x4000, 0x3c00, &mut es);

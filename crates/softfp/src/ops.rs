@@ -11,14 +11,10 @@ use crate::format::Format;
 use crate::round::{isqrt_u128, round_pack, shift_right_jam};
 use crate::unpack::{propagate_nan, unpack, Unpacked};
 
-// Packed vector entry points (batched lane execution over the fast path),
-// re-exported here so the scalar and vector op surfaces sit side by side.
-// See [`crate::batch`] for the full set, including the `LaneOp`-driven
-// forms used by the simulator.
-pub use crate::batch::{
-    vadd2_f16, vadd4_f8, vdotpex2_f16, vdotpex2_f16alt, vdotpex4_f8, vfma2_f16, vfma4_f8,
-    vmul2_f16, vmul4_f8,
-};
+// The packed widening dot products (batched lane execution over the fast
+// path), re-exported here next to the scalar ops. See [`crate::batch`] for
+// the `LaneOp`-driven vector forms used by the simulator.
+pub use crate::batch::{vdotpex2_f16, vdotpex2_f16alt, vdotpex4_f8};
 
 // ---------------------------------------------------------------------------
 // Addition / subtraction

@@ -8,13 +8,14 @@
 #   scripts/check.sh --full   # also rustfmt + clippy + release test run
 #                             # + the perfbench tests
 #
-# The figure/table binaries and benches are exercised by the test suite;
-# BENCH_sim_dispatch.json / BENCH_sim_blocks.json are refreshed manually via
-#   SMALLFLOAT_BENCH_JSON=out.json cargo bench -p smallfloat-bench --bench <name>
-# and BENCH_serving.json via
+# The figure/table binaries are exercised by the test suite. Each committed
+# BENCH_*.json names its generator in its "methodology" (checked by
+# tests/records.rs) and is refreshed manually, e.g.
+#   cargo run --release -p smallfloat-bench --bin nn_table -- --json BENCH_nn.json
 #   cargo run --release -p smallfloat-bench --bin serve_bench -- --json BENCH_serving.json
-# and BENCH_training.json via
 #   cargo run --release -p smallfloat-bench --bin train_table -- --json BENCH_training.json
+# Host speed is measured end to end by perfbench/ (see below); the workspace
+# has no `cargo bench` targets.
 #
 # The basic-block micro-op cache is on by default; SMALLFLOAT_NOBLOCKS=1 forces
 # every Cpu::run onto the per-instruction path. Both tiers fetch through one
@@ -38,6 +39,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+# No bench targets remain; this still compiles every target's test harness
+# under the bench profile.
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
