@@ -604,25 +604,16 @@ pub fn fig6_mixed() -> String {
 
 /// The §V-C tuner run on the SVM, with its trace (complements Fig. 6).
 pub fn tuner_case_study() -> String {
-    use smallfloat_tuner::{tune, TunerConfig};
-    use smallfloat_xcc::interp::{run_typed, TypedState};
+    use smallfloat_tuner::{tune_kernel, TunerConfig};
     let svm = Svm::new();
     let base = svm.base_kernel();
-    let mut qor = |typed: &smallfloat_xcc::ir::Kernel| {
-        let mut st = TypedState::for_kernel(typed);
-        for (name, values) in svm.inputs() {
-            st.set_array(&name, &values);
-        }
-        run_typed(typed, &mut st);
-        error_rate(&st.array_f64("scores"), &svm.data().labels)
-    };
     let mut out = String::new();
     for (label, max_error) in [("strict (no errors)", 0.0), ("relaxed (~5% errors)", 0.07)] {
         let config = TunerConfig {
             candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
             max_error,
         };
-        let result = tune(&base, &config, &mut qor);
+        let result = tune_kernel(&base, &config, |k| svm.typed_error(k));
         writeln!(out, "precision tuning, {label}:").unwrap();
         out.push_str(&result.trace_text());
         write!(out, "  assignment:").unwrap();

@@ -205,7 +205,7 @@ pub fn training_json(cfg: &TrainConfig, rows: &[TrainRow], tunes: &[TrainTuneRow
         "  \"unit\": \"total simulated cycles / retired instructions / energy (pJ) over one full training run; loss_parity is the max per-step deviation from the f64 reference loss relative to max(|reference|, 0.25); accuracy is top-1 on the task's 64-sample set after training\",\n",
     );
     out.push_str(
-        "  \"methodology\": \"cargo run --release -p smallfloat-bench --bin train_table -- --json BENCH_training.json. Both smallfloat-nn tasks train from scratch (seeded binary32 init) on the cycle-accurate simulator: binary32 master weights with SGD/momentum, activations and gradients stored at the row's format, every accumulation through a binary32 accumulator (vfsdotpex/vfdotpex via the auto-vectorizer's expanding lowering), loss head at f64 on the host. The five registry formats run uniformly plus the per-pass tuned assignment (independent forward/backward formats per layer, greedy under max 5% loss parity, candidates evaluated by complete simulated training runs forking warmed Cpu snapshots). Phases attribute each (layer, fwd/bwd/update) cycles, energy and SQNR vs the f64 shadow. All numbers are deterministic simulator outputs: the file must regenerate byte-identically.\",\n",
+        "  \"methodology\": \"cargo run --release -p smallfloat-bench --bin train_table -- --json BENCH_training.json. Both smallfloat-nn tasks train from scratch (seeded binary32 init) on the cycle-accurate simulator: binary32 master weights with SGD/momentum, activations and gradients stored at the row's format, every accumulation through a binary32 accumulator (vfsdotpex/vfdotpex via the auto-vectorizer's expanding lowering), loss head at f64 on the host. The five registry formats run uniformly plus the per-pass tuned assignment (independent forward/backward formats per layer, greedy under max 5% loss parity, candidates evaluated by complete simulated training runs forking warmed Cpu snapshots; evaluations counts the greedy protocol's evaluations, each candidate up to and including the accepted one). Phases attribute each (layer, fwd/bwd/update) cycles, energy and SQNR vs the f64 shadow. All numbers are deterministic simulator outputs: the file must regenerate byte-identically.\",\n",
     );
     writeln!(
         out,

@@ -49,8 +49,9 @@ const BUDGET: u64 = 200_000_000;
 /// this thread's launches forked a warmed snapshot vs. retrained a
 /// simulator from reset. The counts describe the pool they count, so a
 /// measurement on one thread is not disturbed by launches on others; a
-/// harness fanning launches out over worker threads sums each worker's
-/// deltas (as `nn::train::tune_training` does).
+/// harness whose launches run on several threads sums the deltas each
+/// thread takes around its own launches (as the evaluator in
+/// `nn::train::tune_training` does).
 pub fn pool_counters() -> (u64, u64) {
     POOL.with(|p| {
         let p = p.borrow();

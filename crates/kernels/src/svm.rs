@@ -25,6 +25,7 @@ use crate::bench::Workload;
 use crate::mg::Mg;
 use smallfloat_isa::{BranchCond, FReg, FpFmt, XReg};
 use smallfloat_xcc::codegen::Compiled;
+use smallfloat_xcc::interp::{run_typed, TypedState};
 use smallfloat_xcc::ir::{Bound, Expr, IdxExpr, Kernel, Stmt};
 
 /// Number of gesture classes.
@@ -199,6 +200,20 @@ impl Svm {
     /// The underlying data set.
     pub fn data(&self) -> &SvmData {
         &self.data
+    }
+
+    /// Classification error rate of a retyped [`Workload::base_kernel`]
+    /// on the typed interpreter — the QoR of the §V-C precision-tuning
+    /// case study.
+    pub fn typed_error(&self, typed: &Kernel) -> f64 {
+        let mut st = TypedState::for_kernel(typed);
+        for (name, values) in self.inputs() {
+            st.set_array(&name, &values);
+        }
+        run_typed(typed, &mut st);
+        let scores = st.array_f64("scores");
+        assert_eq!(scores.len(), SAMPLES * CLASSES);
+        error_rate(&scores, &self.data.labels)
     }
 }
 

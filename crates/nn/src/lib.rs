@@ -17,8 +17,9 @@
 //!    binary8 independently, accumulators staying binary32.
 //! 3. [`infer`] — execution on `smallfloat-sim` with per-layer
 //!    cycle/energy/SQNR attribution, plus the fast typed-interpreter path.
-//! 4. [`qor`] + [`tune`] — top-1 accuracy and prediction churn, wired
-//!    into the `smallfloat-tuner` greedy search so a per-layer
+//! 4. [`qor`] + [`tune`] — top-1 accuracy and prediction churn as the
+//!    evaluator of the `smallfloat-tuner` greedy search, which treats each
+//!    layer as one named variable costed by its storage, so a per-layer
 //!    mixed-precision assignment is derived under an accuracy constraint.
 //!
 //! The `nn_table` binary in `smallfloat-bench` sweeps
@@ -42,7 +43,7 @@ pub use train::{
     loss_parity_error, train, train_f64, training_init, training_tuner_config, tune_training, Exec,
     PassAssignment, Phase, PhaseRun, TrainConfig, TrainTune, Training, TrainingF64,
 };
-pub use tune::{proxy_kernel, tune_network, NetTune};
+pub use tune::{tune_network, NetTune};
 
 // Heavy end-to-end regressions (full evaluation set on the simulator,
 // exact tuned assignments). Debug-mode softfp is ~50× slower, so these
@@ -244,9 +245,10 @@ mod release_tests {
     }
 
     /// The per-pass tuner's outcome is a pure function of the task — the
-    /// host worker count used to fan out candidate evaluations must not
-    /// leak into the tuned assignment (each candidate's training run is
-    /// an independent deterministic simulation).
+    /// host worker count the tuner evaluates candidates on must not leak
+    /// into the trace or the tuned assignment (each candidate's training
+    /// run is an independent deterministic simulation, and speculative
+    /// runs past an accepted candidate are discarded).
     #[test]
     fn per_pass_tuning_is_worker_count_independent() {
         use crate::train::{tune_training, TrainConfig};
@@ -265,6 +267,7 @@ mod release_tests {
                 "assignment changed at host_workers={workers} (trace:\n{})",
                 again.result.trace_text()
             );
+            assert_eq!(again.result.trace, baseline.result.trace);
             assert_eq!(again.result.evaluations, baseline.result.evaluations);
         }
     }

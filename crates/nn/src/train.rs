@@ -21,14 +21,14 @@
 //! kernel replaced by its `f64` reference — the ground-truth loss curve
 //! mixed runs are measured against ([`loss_parity_error`]).
 //!
-//! [`tune_training`] extends the greedy tuner to per-pass variables: each
-//! layer contributes a `name@fwd` and a `name@bwd` variable, candidate
-//! evaluations run complete short training runs on the simulator, and the
-//! batch of candidates for one variable is fanned out across host worker
-//! threads ([`smallfloat_tuner::tune_batched`]). Re-launches inside those
+//! [`tune_training`] runs the greedy tuner ([`smallfloat_tuner::tune`])
+//! over per-pass variables: each layer contributes a `name@fwd` and a
+//! `name@bwd` variable, and each candidate evaluation is a complete short
+//! training run on the simulator. The tuner evaluates a variable's
+//! candidates on up to `host_workers` threads. Re-launches inside those
 //! runs fork the runner's warmed `Cpu` snapshots instead of re-running
 //! from reset (`smallfloat_kernels::pool_counters` observes this), and
-//! the tuned assignment is independent of the worker count.
+//! the tuner's trace and assignment are independent of the worker count.
 
 use crate::grad::{
     conv_bwd_w, conv_bwd_x, cross_entropy, dense_bwd_w, dense_bwd_x, flip_w, layer_backward_f64,
@@ -40,13 +40,11 @@ use crate::qor::{accuracy, argmax};
 use smallfloat_isa::FpFmt;
 use smallfloat_kernels::{launch, pool_counters, Precision, VecMode};
 use smallfloat_sim::{MemLevel, Stats};
-use smallfloat_tuner::{tune_batched, TuneResult, TunerConfig};
+use smallfloat_tuner::{tune, TuneResult, TunerConfig};
 use smallfloat_xcc::codegen::{compile, CodegenOptions, Compiled};
 use smallfloat_xcc::interp::{TypedProgram, TypedState};
 use smallfloat_xcc::ir::Kernel;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One of the three phases of a training step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -861,46 +859,27 @@ pub fn loss_parity_error(losses: &[f64], reference: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// The greedy per-pass tuner's proxy kernel: two binary32 arrays per
-/// layer, `name@fwd` and `name@bwd`, sized by the layer's storage cost —
-/// so `tunable_names` enumerates every (layer, pass) variable in network
-/// order, forward before backward.
-pub fn pass_proxy_kernel(net: &Network) -> Kernel {
-    let mut k = Kernel::new(net.name);
-    for layer in &net.layers {
-        k.array(
-            &format!("{}@fwd", layer.name()),
-            FpFmt::S,
-            layer.cost_elems(),
-        );
-        k.array(
-            &format!("{}@bwd", layer.name()),
-            FpFmt::S,
-            layer.cost_elems(),
-        );
-    }
-    k
+/// The per-pass tuner's variables: `name@fwd` then `name@bwd` for every
+/// layer in network order, each costed by the layer's storage.
+fn pass_vars(net: &Network) -> Vec<(String, usize)> {
+    net.layers
+        .iter()
+        .flat_map(|l| ["fwd", "bwd"].map(|pass| (format!("{}@{pass}", l.name()), l.cost_elems())))
+        .collect()
 }
 
-/// Read a retyped [`pass_proxy_kernel`] back into a [`PassAssignment`].
-fn proxy_assignment(net: &Network, proxy: &Kernel) -> PassAssignment {
-    let of = |suffix: &str| -> Assignment {
-        net.layers
-            .iter()
-            .map(|l| {
-                (
-                    l.name().to_string(),
-                    proxy
-                        .type_of(&format!("{}@{suffix}", l.name()))
-                        .expect("proxy declares every pass variable"),
-                )
-            })
-            .collect()
-    };
-    PassAssignment {
-        fwd: of("fwd"),
-        bwd: of("bwd"),
-    }
+/// An assignment over [`pass_vars`] as a [`PassAssignment`].
+fn pass_assignment(net: &Network, vars: &[(String, FpFmt)]) -> PassAssignment {
+    let (fwd, bwd) = net
+        .layers
+        .iter()
+        .zip(vars.chunks(2))
+        .map(|(l, pair)| {
+            let name = l.name().to_string();
+            ((name.clone(), pair[0].1), (name, pair[1].1))
+        })
+        .unzip();
+    PassAssignment { fwd, bwd }
 }
 
 /// The per-pass training tuner's default constraint: the loss curve must
@@ -922,7 +901,8 @@ pub struct TrainTune {
     pub assignment: PassAssignment,
     /// Simulator launches during tuning that forked a warmed `Cpu`
     /// snapshot vs. retrained one from reset (the
-    /// `smallfloat_kernels::pool_counters` deltas of every worker, summed).
+    /// `smallfloat_kernels::pool_counters` deltas of every evaluation,
+    /// speculative ones included, summed).
     pub warm_forks: u64,
     /// See [`TrainTune::warm_forks`].
     pub cold_trains: u64,
@@ -934,11 +914,11 @@ pub struct TrainTune {
 /// the cycle-accurate simulator and comparing its loss curve against the
 /// `f64` reference.
 ///
-/// The candidates of each variable are evaluated concurrently across
-/// `host_workers` threads; each worker's launches fork the per-thread
+/// The tuner evaluates the candidates of each variable on up to
+/// `host_workers` threads; each thread's launches fork its own
 /// warmed-simulator pool instead of re-running from reset. Candidate
-/// errors depend only on the (deterministic) candidate run, so the tuned
-/// assignment is identical for every worker count.
+/// errors depend only on the (deterministic) candidate run, so the trace
+/// and the tuned assignment are identical for every worker count.
 pub fn tune_training(
     net: &Network,
     ds: &Dataset,
@@ -947,53 +927,27 @@ pub fn tune_training(
     host_workers: usize,
 ) -> TrainTune {
     let reference = train_f64(net, ds, cfg).losses;
-    let proxy = pass_proxy_kernel(net);
     let exec = Exec::Sim {
         mode: VecMode::Auto,
         level: MemLevel::L1,
     };
-    // Summed over the workers' own pools.
-    let (warm_forks, cold_trains) = (AtomicU64::new(0), AtomicU64::new(0));
-    let result = tune_batched(&proxy, tcfg, |batch| {
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<f64>>> = Mutex::new(vec![None; batch.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..host_workers.max(1) {
-                scope.spawn(|| {
-                    let (f0, c0) = pool_counters();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= batch.len() {
-                            break;
-                        }
-                        let pa = proxy_assignment(net, &batch[i]);
-                        let t = train(net, ds, &pa, cfg, &exec);
-                        slots.lock().unwrap()[i] = Some(loss_parity_error(&t.losses, &reference));
-                    }
-                    let (f1, c1) = pool_counters();
-                    warm_forks.fetch_add(f1 - f0, Ordering::Relaxed);
-                    cold_trains.fetch_add(c1 - c0, Ordering::Relaxed);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|e| e.expect("every candidate evaluated"))
-            .collect()
+    // Every evaluation reports the pool deltas of the thread it ran on.
+    let (deltas, tally) = std::sync::mpsc::channel();
+    let result = tune(&pass_vars(net), tcfg, host_workers, |a| {
+        let (f0, c0) = pool_counters();
+        let t = train(net, ds, &pass_assignment(net, a), cfg, &exec);
+        let (f1, c1) = pool_counters();
+        deltas.send((f1 - f0, c1 - c0)).unwrap();
+        loss_parity_error(&t.losses, &reference)
     });
-    let mut proxy_final = proxy;
-    for (name, fmt) in &result.assignment {
-        if let Some(a) = proxy_final.arrays.iter_mut().find(|a| &a.name == name) {
-            a.ty = *fmt;
-        }
-    }
+    let (warm_forks, cold_trains) = tally
+        .try_iter()
+        .fold((0, 0), |(w, c), (dw, dc)| (w + dw, c + dc));
     TrainTune {
-        assignment: proxy_assignment(net, &proxy_final),
+        assignment: pass_assignment(net, &result.assignment),
         result,
-        warm_forks: warm_forks.into_inner(),
-        cold_trains: cold_trains.into_inner(),
+        warm_forks,
+        cold_trains,
     }
 }
 
@@ -1001,6 +955,7 @@ pub fn tune_training(
 mod tests {
     use super::*;
     use crate::graph::mlp;
+    use crate::infer::uniform_assignment;
 
     /// The f64 reference run learns: loss falls and accuracy beats chance
     /// by a wide margin.
@@ -1036,15 +991,42 @@ mod tests {
         assert!(err < 1e-3, "binary32 parity error {err}: {:?}", t.losses);
     }
 
-    /// Proxy kernel declares fwd and bwd variables per layer, in order.
+    /// Forward then backward variable per layer, in network order, both
+    /// costed by the layer's storage; an assignment over them reads back
+    /// pass by pass.
     #[test]
-    fn pass_proxy_enumerates_both_passes() {
+    fn pass_vars_enumerate_both_passes() {
         let (net, _) = mlp();
-        let proxy = pass_proxy_kernel(&net);
-        let names = smallfloat_xcc::retype::tunable_names(&proxy);
-        assert_eq!(names[0], "fc1@fwd");
-        assert_eq!(names[1], "fc1@bwd");
-        assert_eq!(names.len(), 2 * net.layers.len());
+        let vars = pass_vars(&net);
+        let names: Vec<&str> = vars.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "fc1@fwd",
+                "fc1@bwd",
+                "relu1@fwd",
+                "relu1@bwd",
+                "fc2@fwd",
+                "fc2@bwd",
+                "relu2@fwd",
+                "relu2@bwd",
+                "fc3@fwd",
+                "fc3@bwd"
+            ]
+        );
+        for (pair, layer) in vars.chunks(2).zip(&net.layers) {
+            assert_eq!(pair[0].1, layer.cost_elems());
+            assert_eq!(pair[1].1, layer.cost_elems());
+        }
+        let fmts = [FpFmt::H, FpFmt::B];
+        let a: Vec<(String, FpFmt)> = vars
+            .iter()
+            .enumerate()
+            .map(|(i, (n, _))| (n.clone(), fmts[i % 2]))
+            .collect();
+        let pa = pass_assignment(&net, &a);
+        assert_eq!(pa.fwd, uniform_assignment(&net, FpFmt::H));
+        assert_eq!(pa.bwd, uniform_assignment(&net, FpFmt::B));
     }
 
     #[test]

@@ -1,31 +1,26 @@
 //! Per-layer mixed-precision tuning via the `smallfloat-tuner` greedy
 //! search.
 //!
-//! The tuner operates on kernel variable names. To tune a *network* we
-//! build a [`proxy_kernel`] that declares one array per layer — named
-//! after the layer, sized by its storage cost — and hand it to
-//! [`smallfloat_tuner::tune`]. The tuner retypes proxy arrays; the QoR
-//! callback reads the per-layer formats back off the proxy, runs the whole
-//! network through the typed interpreter at that assignment, and reports
+//! Each layer is one tuner variable, named after the layer and costed by
+//! its parameter/activation storage. The evaluator runs the whole network
+//! through the typed interpreter at the assignment under test and reports
 //! prediction churn against the `f64` reference. The resulting
 //! `TuneResult::assignment` therefore *is* the per-layer format map, and
-//! `total_bits` prices it by real parameter/activation storage.
+//! `total_bits` prices it by real storage.
 
 use crate::graph::{Dataset, Network};
 use crate::infer::{infer_typed, reference_predictions, Assignment};
 use crate::qor::{accuracy, argmax, churn};
-use smallfloat_isa::FpFmt;
 use smallfloat_tuner::{tune, TuneResult, TunerConfig};
-use smallfloat_xcc::ir::Kernel;
 
-/// One binary32 array per layer, named after it and sized by
-/// [`crate::graph::Layer::cost_elems`] — the tuner's view of the network.
-pub fn proxy_kernel(net: &Network) -> Kernel {
-    let mut k = Kernel::new(net.name);
-    for layer in &net.layers {
-        k.array(layer.name(), FpFmt::S, layer.cost_elems());
-    }
-    k
+/// The tuner's view of the network: one variable per layer, in network
+/// order, named after it and costed by
+/// [`crate::graph::Layer::cost_elems`].
+fn network_vars(net: &Network) -> Vec<(String, usize)> {
+    net.layers
+        .iter()
+        .map(|l| (l.name().to_string(), l.cost_elems()))
+        .collect()
 }
 
 /// A tuned network: the greedy trace plus the end metrics of the chosen
@@ -52,24 +47,13 @@ impl NetTune {
 /// Greedily derive a per-layer format assignment whose prediction churn
 /// against the `f64` reference stays within `config.max_error`. Layers
 /// are visited in network order; candidates are tried cheapest-first
-/// (the default `[B, H, Ah]`), falling back to binary32 when all fail —
+/// (the default `[B, Ab, H, Ah]`), falling back to binary32 when all fail —
 /// the same protocol the paper's §V-C precision-tuning study applies to
 /// kernel variables.
 pub fn tune_network(net: &Network, ds: &Dataset, config: &TunerConfig) -> NetTune {
     let reference = reference_predictions(net, &ds.inputs);
-    let proxy = proxy_kernel(net);
-    let result = tune(&proxy, config, |typed_proxy| {
-        let assignment: Assignment = net
-            .layers
-            .iter()
-            .map(|l| {
-                (
-                    l.name().to_string(),
-                    typed_proxy.type_of(l.name()).expect("proxy declares layer"),
-                )
-            })
-            .collect();
-        let outs = infer_typed(net, &ds.inputs, &assignment);
+    let result = tune(&network_vars(net), config, 1, |assignment| {
+        let outs = infer_typed(net, &ds.inputs, &assignment.to_vec());
         let preds: Vec<usize> = outs.iter().map(|o| argmax(o)).collect();
         churn(&preds, &reference)
     });
@@ -87,15 +71,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn proxy_mirrors_layers() {
+    fn network_vars_mirror_layers() {
         let (net, _) = crate::graph::mlp();
-        let proxy = proxy_kernel(&net);
-        assert_eq!(proxy.arrays.len(), net.layers.len());
-        assert_eq!(proxy.array_decl("fc1").unwrap().len, 64 * 32 + 32);
-        assert_eq!(proxy.array_decl("relu1").unwrap().len, 32);
-        assert_eq!(
-            smallfloat_xcc::retype::tunable_names(&proxy),
-            ["fc1", "relu1", "fc2", "relu2", "fc3"]
-        );
+        let vars = network_vars(&net);
+        let names: Vec<&str> = vars.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["fc1", "relu1", "fc2", "relu2", "fc3"]);
+        for ((_, cost), layer) in vars.iter().zip(&net.layers) {
+            assert_eq!(*cost, layer.cost_elems());
+        }
+        assert_eq!(vars[0].1, 64 * 32 + 32);
+        assert_eq!(vars[1].1, 32);
     }
 }

@@ -8,18 +8,21 @@
 //! equivalent of the tools' instrumented runs) under a user-supplied
 //! quality-of-result constraint.
 //!
-//! For every tunable variable, in declaration order, the tuner tries the
-//! candidate types from cheapest to widest and locks in the first one that
-//! keeps the measured QoR error within the constraint; variables that
-//! tolerate nothing smaller stay at binary32. On the paper's SVM workload
-//! with a strict constraint (zero classification errors) this reproduces
-//! the published outcome: every variable drops to `float16` except the
-//! dot-product accumulator, which must stay `float`; relaxing the
-//! constraint to ≈5 % lets the accumulator drop to `float16alt`.
+//! The search runs over named variables, each with a storage cost, and an
+//! evaluator that measures the QoR error of a complete variable→type
+//! assignment. For every variable, in order, the tuner tries the candidate
+//! types from cheapest to widest and locks in the first one that keeps the
+//! measured error within the constraint; variables that tolerate nothing
+//! smaller stay at binary32. [`tune_kernel`] tunes the arrays and scalars
+//! of an xcc kernel this way. On the paper's SVM workload with a strict
+//! constraint (zero classification errors) this reproduces the published
+//! outcome: every variable drops to `float16` except the dot-product
+//! accumulator, which must stay `float`; relaxing the constraint to ≈5 %
+//! lets the accumulator drop to `float16alt`.
 //!
 //! ```
 //! use smallfloat_isa::FpFmt;
-//! use smallfloat_tuner::{tune, TunerConfig};
+//! use smallfloat_tuner::{tune_kernel, TunerConfig};
 //! use smallfloat_xcc::ir::Kernel;
 //!
 //! let mut kernel = Kernel::new("toy");
@@ -30,14 +33,13 @@
 //!     FpFmt::B | FpFmt::Ab => 1.0,
 //!     _ => 0.0,
 //! };
-//! let result = tune(&kernel, &TunerConfig::default(), qor);
+//! let result = tune_kernel(&kernel, &TunerConfig::default(), qor);
 //! assert_eq!(result.assignment_for("data"), FpFmt::H);
 //! ```
 
 use smallfloat_isa::FpFmt;
 use smallfloat_xcc::ir::Kernel;
 use smallfloat_xcc::retype;
-use std::collections::HashMap;
 
 /// Tuner configuration.
 #[derive(Clone, Debug)]
@@ -79,11 +81,16 @@ pub struct TuneStep {
 /// The tuner's output.
 #[derive(Clone, Debug)]
 pub struct TuneResult {
-    /// Final variable→type assignment (every tunable name appears).
+    /// Final variable→type assignment, one entry per variable in search
+    /// order.
     pub assignment: Vec<(String, FpFmt)>,
-    /// Number of program evaluations performed.
+    /// Storage cost (elements) of each variable, parallel to `assignment`.
+    pub costs: Vec<usize>,
+    /// Number of evaluations of the greedy protocol (the length of
+    /// `trace`).
     pub evaluations: usize,
-    /// Full search trace.
+    /// Search trace: every candidate up to and including each variable's
+    /// accepted one.
     pub trace: Vec<TuneStep>,
 }
 
@@ -97,19 +104,12 @@ impl TuneResult {
             .unwrap_or(FpFmt::S)
     }
 
-    /// The assignment as a map, for `smallfloat_xcc::retype::retype`.
-    pub fn as_map(&self) -> HashMap<String, FpFmt> {
-        self.assignment.iter().cloned().collect()
-    }
-
     /// Total storage bits across the assignment (the tuner's cost metric).
-    pub fn total_bits(&self, kernel: &Kernel) -> usize {
+    pub fn total_bits(&self) -> usize {
         self.assignment
             .iter()
-            .map(|(name, fmt)| {
-                let elems = kernel.array_decl(name).map(|a| a.len).unwrap_or(1);
-                elems * fmt.width() as usize
-            })
+            .zip(&self.costs)
+            .map(|((_, fmt), cost)| cost * fmt.width() as usize)
             .sum()
     }
 
@@ -129,189 +129,90 @@ impl TuneResult {
     }
 }
 
-/// Greedily tune the kernel's variables under `qor` (which must return the
-/// QoR *error* of running the given typed kernel — lower is better).
+/// Greedily tune `vars` (name, storage cost in elements) under `eval`,
+/// which returns the QoR *error* of a complete assignment — lower is
+/// better.
 ///
-/// All variables start at binary32; each is then minimized in declaration
-/// order with earlier decisions locked in — the iterative-refinement
-/// strategy of the dynamic tuning tools the paper builds on.
+/// All variables start at binary32; each is then minimized in order with
+/// earlier decisions locked in — the iterative-refinement strategy of the
+/// dynamic tuning tools the paper builds on. The candidates of a variable
+/// are evaluated in chunks of `workers`: the first of a chunk on the
+/// calling thread, the rest concurrently on scoped threads. The first
+/// candidate within the bound, in candidate order, is accepted; errors
+/// measured past it are discarded, so the trace, `evaluations` and the
+/// assignment are those of the sequential search at any worker count.
 pub fn tune(
-    base: &Kernel,
+    vars: &[(String, usize)],
     config: &TunerConfig,
-    mut qor: impl FnMut(&Kernel) -> f64,
+    workers: usize,
+    eval: impl Fn(&[(String, FpFmt)]) -> f64 + Sync,
 ) -> TuneResult {
-    let names = retype::tunable_names(base);
-    let mut assignment: HashMap<String, FpFmt> =
-        names.iter().map(|n| (n.clone(), FpFmt::S)).collect();
+    let mut assignment: Vec<(String, FpFmt)> =
+        vars.iter().map(|(n, _)| (n.clone(), FpFmt::S)).collect();
     let mut trace = Vec::new();
-    let mut evaluations = 0;
-    let all_s = retype::retype_all(base, FpFmt::S);
-    for name in &names {
-        for &candidate in &config.candidates {
-            let mut attempt = assignment.clone();
-            attempt.insert(name.clone(), candidate);
-            let typed = retype::retype(&all_s, &attempt);
-            let error = qor(&typed);
-            evaluations += 1;
-            let accepted = error <= config.max_error;
-            trace.push(TuneStep {
-                name: name.clone(),
-                tried: candidate,
-                error,
-                accepted,
+    for i in 0..vars.len() {
+        let attempt = |candidate: FpFmt| {
+            let mut a = assignment.clone();
+            a[i].1 = candidate;
+            eval(&a)
+        };
+        let attempt = &attempt;
+        'search: for chunk in config.candidates.chunks(workers.max(1)) {
+            let errors: Vec<f64> = std::thread::scope(|scope| {
+                let rest: Vec<_> = chunk[1..]
+                    .iter()
+                    .map(|&c| scope.spawn(move || attempt(c)))
+                    .collect();
+                let first = attempt(chunk[0]);
+                let rest = rest.into_iter().map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                });
+                std::iter::once(first).chain(rest).collect()
             });
-            if accepted {
-                assignment.insert(name.clone(), candidate);
-                break;
-            }
-        }
-    }
-    let assignment = names
-        .into_iter()
-        .map(|n| {
-            let f = assignment[&n];
-            (n, f)
-        })
-        .collect();
-    TuneResult {
-        assignment,
-        evaluations,
-        trace,
-    }
-}
-
-/// [`tune`] with *batched* candidate evaluation: for every variable, all
-/// candidate kernels are handed to `eval_batch` together (one `Kernel` per
-/// candidate, in `config.candidates` order) and the cheapest candidate
-/// whose returned error fits `config.max_error` is locked in — the same
-/// greedy protocol and the same final assignment as [`tune`], since the
-/// sequential search also accepts the first (cheapest) fitting candidate.
-///
-/// The point of the batch is the caller's parallelism: a harness can fan
-/// the candidate runs out across worker threads (each with its own warmed
-/// simulator pool) and return the errors in order. The price is
-/// speculation — candidates past the accepted one are evaluated too, so
-/// `evaluations` counts every candidate of every variable, where [`tune`]
-/// stops each variable at its first accept.
-pub fn tune_batched(
-    base: &Kernel,
-    config: &TunerConfig,
-    mut eval_batch: impl FnMut(&[Kernel]) -> Vec<f64>,
-) -> TuneResult {
-    let names = retype::tunable_names(base);
-    let mut assignment: HashMap<String, FpFmt> =
-        names.iter().map(|n| (n.clone(), FpFmt::S)).collect();
-    let mut trace = Vec::new();
-    let mut evaluations = 0;
-    let all_s = retype::retype_all(base, FpFmt::S);
-    for name in &names {
-        let batch: Vec<Kernel> = config
-            .candidates
-            .iter()
-            .map(|&candidate| {
-                let mut attempt = assignment.clone();
-                attempt.insert(name.clone(), candidate);
-                retype::retype(&all_s, &attempt)
-            })
-            .collect();
-        let errors = eval_batch(&batch);
-        assert_eq!(
-            errors.len(),
-            batch.len(),
-            "eval_batch must return one error per candidate"
-        );
-        evaluations += errors.len();
-        let chosen = errors.iter().position(|e| *e <= config.max_error);
-        for (i, (&candidate, &error)) in config.candidates.iter().zip(&errors).enumerate() {
-            trace.push(TuneStep {
-                name: name.clone(),
-                tried: candidate,
-                error,
-                accepted: chosen == Some(i),
-            });
-        }
-        if let Some(i) = chosen {
-            assignment.insert(name.clone(), config.candidates[i]);
-        }
-    }
-    let assignment = names
-        .into_iter()
-        .map(|n| {
-            let f = assignment[&n];
-            (n, f)
-        })
-        .collect();
-    TuneResult {
-        assignment,
-        evaluations,
-        trace,
-    }
-}
-
-/// Exhaustively search every assignment over `config.candidates ∪ {S}` and
-/// return the cheapest one (by [`TuneResult::total_bits`]) satisfying the
-/// constraint — the oracle the greedy search approximates. Exponential in
-/// the variable count; intended for kernels with a handful of variables
-/// and for validating [`tune`].
-pub fn tune_exhaustive(
-    base: &Kernel,
-    config: &TunerConfig,
-    mut qor: impl FnMut(&Kernel) -> f64,
-) -> TuneResult {
-    let names = retype::tunable_names(base);
-    let mut candidates = config.candidates.clone();
-    if !candidates.contains(&FpFmt::S) {
-        candidates.push(FpFmt::S);
-    }
-    let all_s = retype::retype_all(base, FpFmt::S);
-    let mut best: Option<(usize, Vec<(String, FpFmt)>)> = None;
-    let mut evaluations = 0;
-    let mut trace = Vec::new();
-    let total = candidates.len().pow(names.len() as u32);
-    for idx in 0..total {
-        let mut rem = idx;
-        let assignment: HashMap<String, FpFmt> = names
-            .iter()
-            .map(|n| {
-                let c = candidates[rem % candidates.len()];
-                rem /= candidates.len();
-                (n.clone(), c)
-            })
-            .collect();
-        let typed = retype::retype(&all_s, &assignment);
-        let error = qor(&typed);
-        evaluations += 1;
-        let accepted = error <= config.max_error;
-        if accepted {
-            let vec: Vec<(String, FpFmt)> =
-                names.iter().map(|n| (n.clone(), assignment[n])).collect();
-            let cost = TuneResult {
-                assignment: vec.clone(),
-                evaluations: 0,
-                trace: vec![],
-            }
-            .total_bits(base);
-            if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-                for (n, f) in &vec {
-                    trace.push(TuneStep {
-                        name: n.clone(),
-                        tried: *f,
-                        error,
-                        accepted: true,
-                    });
+            for (&tried, error) in chunk.iter().zip(errors) {
+                let accepted = error <= config.max_error;
+                trace.push(TuneStep {
+                    name: vars[i].0.clone(),
+                    tried,
+                    error,
+                    accepted,
+                });
+                if accepted {
+                    assignment[i].1 = tried;
+                    break 'search;
                 }
-                best = Some((cost, vec));
             }
         }
     }
-    let assignment = best
-        .map(|(_, a)| a)
-        .unwrap_or_else(|| names.iter().map(|n| (n.clone(), FpFmt::S)).collect());
     TuneResult {
         assignment,
-        evaluations,
+        costs: vars.iter().map(|(_, c)| *c).collect(),
+        evaluations: trace.len(),
         trace,
     }
+}
+
+/// [`tune`] over a kernel's arrays and scalars ([`retype::tunable_names`]
+/// order; an array costs its length, a scalar 1), one evaluation at a
+/// time. `qor` gets the kernel retyped to the assignment under test, with
+/// every other variable at binary32.
+pub fn tune_kernel(
+    base: &Kernel,
+    config: &TunerConfig,
+    qor: impl Fn(&Kernel) -> f64 + Sync,
+) -> TuneResult {
+    let vars: Vec<(String, usize)> = retype::tunable_names(base)
+        .into_iter()
+        .map(|n| {
+            let cost = base.array_decl(&n).map_or(1, |a| a.len);
+            (n, cost)
+        })
+        .collect();
+    let all_s = retype::retype_all(base, FpFmt::S);
+    tune(&vars, config, 1, |a| {
+        qor(&retype::retype(&all_s, &a.iter().cloned().collect()))
+    })
 }
 
 #[cfg(test)]
@@ -319,6 +220,51 @@ mod tests {
     use super::*;
     use smallfloat_xcc::interp::{run_typed, TypedState};
     use smallfloat_xcc::ir::{Bound, Expr, IdxExpr, Stmt};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Every assignment over `config.candidates ∪ {S}`; returns the
+    /// cheapest one (by [`TuneResult::total_bits`]) within the bound, or
+    /// binary32 everywhere when none is — the oracle the greedy search
+    /// approximates. Exponential in the variable count.
+    fn tune_exhaustive(
+        vars: &[(String, usize)],
+        config: &TunerConfig,
+        eval: impl Fn(&[(String, FpFmt)]) -> f64,
+    ) -> TuneResult {
+        let mut candidates = config.candidates.clone();
+        if !candidates.contains(&FpFmt::S) {
+            candidates.push(FpFmt::S);
+        }
+        let total = candidates.len().pow(vars.len() as u32);
+        let result = |assignment| TuneResult {
+            assignment,
+            costs: vars.iter().map(|(_, c)| *c).collect(),
+            evaluations: total,
+            trace: vec![],
+        };
+        let mut best: Option<TuneResult> = None;
+        for idx in 0..total {
+            let mut rem = idx;
+            let assignment: Vec<(String, FpFmt)> = vars
+                .iter()
+                .map(|(n, _)| {
+                    let c = candidates[rem % candidates.len()];
+                    rem /= candidates.len();
+                    (n.clone(), c)
+                })
+                .collect();
+            if eval(&assignment) <= config.max_error {
+                let r = result(assignment);
+                if best
+                    .as_ref()
+                    .is_none_or(|b| r.total_bits() < b.total_bits())
+                {
+                    best = Some(r);
+                }
+            }
+        }
+        best.unwrap_or_else(|| result(vars.iter().map(|(n, _)| (n.clone(), FpFmt::S)).collect()))
+    }
 
     /// y[i] = x[i] * 30000: results reach 120000, beyond binary16 range.
     fn range_kernel() -> Kernel {
@@ -356,13 +302,26 @@ mod tests {
             .fold(0.0f64, f64::max)
     }
 
+    /// `range_kernel`'s variables and [`rel_error`] as an evaluator, for
+    /// calling [`tune`] directly.
+    fn range_vars() -> Vec<(String, usize)> {
+        vec![("x".to_string(), 4), ("y".to_string(), 4)]
+    }
+
+    fn range_error(a: &[(String, FpFmt)]) -> f64 {
+        rel_error(&retype::retype(
+            &range_kernel(),
+            &a.iter().cloned().collect(),
+        ))
+    }
+
     #[test]
     fn tuner_finds_range_constrained_assignment() {
         let config = TunerConfig {
             candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
             max_error: 0.02,
         };
-        let result = tune(&range_kernel(), &config, rel_error);
+        let result = tune_kernel(&range_kernel(), &config, rel_error);
         // Products overflow binary16 and binary8 → both variables need
         // binary16alt's range: the product is computed at x's type (the
         // constant adapts to its sibling), so even x cannot drop below it,
@@ -418,7 +377,7 @@ mod tests {
         // Default candidates try E5M2 first; it rounds 1.125 away and is
         // rejected at zero tolerance, so the greedy search lands on the
         // equal-width, equal-energy E4M3 bank for both variables.
-        let result = tune(
+        let result = tune_kernel(
             &precision_kernel(),
             &TunerConfig::default(),
             precision_error,
@@ -443,7 +402,7 @@ mod tests {
             candidates: vec![FpFmt::B, FpFmt::H],
             max_error: 0.0,
         };
-        let result = tune(&range_kernel(), &config, rel_error);
+        let result = tune_kernel(&range_kernel(), &config, rel_error);
         assert_eq!(
             result.assignment_for("y"),
             FpFmt::S,
@@ -454,84 +413,96 @@ mod tests {
     #[test]
     fn trace_records_every_evaluation() {
         let config = TunerConfig::default();
-        let result = tune(&range_kernel(), &config, rel_error);
+        let result = tune_kernel(&range_kernel(), &config, rel_error);
         assert_eq!(result.evaluations, result.trace.len());
         assert!(result.trace_text().contains("try"));
     }
 
     #[test]
-    fn batched_matches_sequential_assignment() {
-        let k = range_kernel();
+    fn trace_is_worker_count_independent() {
         let config = TunerConfig {
             candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
             max_error: 0.02,
         };
-        let sequential = tune(&k, &config, rel_error);
-        let batched = tune_batched(&k, &config, |batch| batch.iter().map(rel_error).collect());
-        assert_eq!(batched.assignment, sequential.assignment);
-        // Speculation: the batch evaluates every candidate of every
-        // variable, the sequential search stops each variable at its
-        // first accept.
-        assert_eq!(batched.evaluations, 2 * config.candidates.len());
-        assert!(batched.evaluations >= sequential.evaluations);
-        assert_eq!(batched.trace.len(), batched.evaluations);
-        // Exactly one accepted step per variable that found a format.
-        for name in ["x", "y"] {
-            assert_eq!(
-                batched
-                    .trace
-                    .iter()
-                    .filter(|s| s.name == name && s.accepted)
-                    .count(),
-                1
-            );
+        let sequential = tune(&range_vars(), &config, 1, range_error);
+        assert_eq!(
+            sequential.assignment,
+            tune_kernel(&range_kernel(), &config, rel_error).assignment
+        );
+        for workers in [2, 4] {
+            let r = tune(&range_vars(), &config, workers, range_error);
+            assert_eq!(r.trace, sequential.trace, "workers={workers}");
+            assert_eq!(r.evaluations, sequential.evaluations);
+            assert_eq!(r.assignment, sequential.assignment);
         }
     }
 
     #[test]
-    fn batched_falls_back_to_f32() {
-        let k = range_kernel();
+    fn speculative_candidates_are_discarded() {
+        // Every error is at most 1.0, so binary8 is accepted first and the
+        // chunk's binary16 and binary16alt runs are speculation.
+        let config = TunerConfig {
+            candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
+            max_error: 1.0,
+        };
+        let calls = AtomicUsize::new(0);
+        let r = tune(&range_vars(), &config, 4, |a| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            range_error(a)
+        });
+        assert_eq!(calls.into_inner(), 2 * config.candidates.len());
+        assert_eq!(r.evaluations, 2);
+        let tried: Vec<(&str, FpFmt, bool)> = r
+            .trace
+            .iter()
+            .map(|s| (s.name.as_str(), s.tried, s.accepted))
+            .collect();
+        assert_eq!(tried, [("x", FpFmt::B, true), ("y", FpFmt::B, true)]);
+    }
+
+    #[test]
+    fn falls_back_to_f32_when_nothing_fits() {
         let config = TunerConfig {
             candidates: vec![FpFmt::B],
             max_error: 0.0,
         };
-        let r = tune_batched(&k, &config, |batch| batch.iter().map(rel_error).collect());
-        assert_eq!(r.assignment_for("x"), FpFmt::S);
-        assert_eq!(r.assignment_for("y"), FpFmt::S);
-        assert!(r.trace.iter().all(|s| !s.accepted));
+        for workers in [1, 2] {
+            let r = tune(&range_vars(), &config, workers, range_error);
+            assert_eq!(r.assignment_for("x"), FpFmt::S);
+            assert_eq!(r.assignment_for("y"), FpFmt::S);
+            assert_eq!(r.evaluations, 2);
+            assert!(r.trace.iter().all(|s| !s.accepted));
+        }
     }
 
     #[test]
     fn exhaustive_is_no_worse_than_greedy() {
-        let k = range_kernel();
         let config = TunerConfig {
             candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
             max_error: 0.02,
         };
-        let greedy = tune(&k, &config, rel_error);
-        let oracle = tune_exhaustive(&k, &config, rel_error);
+        let greedy = tune(&range_vars(), &config, 1, range_error);
+        let oracle = tune_exhaustive(&range_vars(), &config, range_error);
         assert!(
-            oracle.total_bits(&k) <= greedy.total_bits(&k),
+            oracle.total_bits() <= greedy.total_bits(),
             "oracle {} bits vs greedy {} bits",
-            oracle.total_bits(&k),
-            greedy.total_bits(&k)
+            oracle.total_bits(),
+            greedy.total_bits()
         );
         // The oracle's pick must itself satisfy the constraint.
-        let typed = retype::retype(&retype::retype_all(&k, FpFmt::S), &oracle.as_map());
-        assert!(rel_error(&typed) <= config.max_error);
+        assert!(range_error(&oracle.assignment) <= config.max_error);
         // Exhaustive enumerates (|candidates|+1)^n assignments.
         assert_eq!(oracle.evaluations, 4usize.pow(2));
     }
 
     #[test]
     fn exhaustive_falls_back_to_f32_when_nothing_fits() {
-        let k = range_kernel();
         // Impossible constraint with no exact candidate.
         let config = TunerConfig {
             candidates: vec![FpFmt::B],
             max_error: 0.0,
         };
-        let r = tune_exhaustive(&k, &config, rel_error);
+        let r = tune_exhaustive(&range_vars(), &config, range_error);
         assert_eq!(r.assignment_for("x"), FpFmt::S);
         assert_eq!(r.assignment_for("y"), FpFmt::S);
     }
@@ -543,8 +514,8 @@ mod tests {
             candidates: vec![FpFmt::H],
             max_error: 1.0,
         };
-        let result = tune(&k, &config, rel_error);
+        let result = tune_kernel(&k, &config, rel_error);
         // Both arrays at binary16: 4 elements × 16 bits × 2 arrays.
-        assert_eq!(result.total_bits(&k), 2 * 4 * 16);
+        assert_eq!(result.total_bits(), 2 * 4 * 16);
     }
 }

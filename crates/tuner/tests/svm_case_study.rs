@@ -11,33 +11,55 @@
 
 use smallfloat_isa::FpFmt;
 use smallfloat_kernels::bench::Workload;
-use smallfloat_kernels::svm::{error_rate, Svm, CLASSES, SAMPLES};
-use smallfloat_tuner::{tune, TunerConfig};
-use smallfloat_xcc::interp::{run_typed, TypedState};
-use smallfloat_xcc::ir::Kernel;
+use smallfloat_kernels::svm::Svm;
+use smallfloat_tuner::{tune_kernel, TuneResult, TunerConfig};
 
-fn svm_qor(svm: &Svm) -> impl FnMut(&Kernel) -> f64 + '_ {
-    |typed: &Kernel| {
-        let mut st = TypedState::for_kernel(typed);
-        for (name, values) in svm.inputs() {
-            st.set_array(&name, &values);
-        }
-        run_typed(typed, &mut st);
-        let scores = st.array_f64("scores");
-        assert_eq!(scores.len(), SAMPLES * CLASSES);
-        error_rate(&scores, &svm.data().labels)
+fn tune_svm(svm: &Svm, max_error: f64) -> TuneResult {
+    let config = TunerConfig {
+        candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
+        max_error,
+    };
+    tune_kernel(&svm.base_kernel(), &config, |k| svm.typed_error(k))
+}
+
+/// The search `fig6_mixed` prints: every step of both constraints'
+/// traces. Errors are misclassified fractions of the 64 samples.
+#[test]
+fn tuner_trace_is_pinned() {
+    let svm = Svm::new();
+    for (max_error, acc_ah_accepted) in [(0.0, false), (0.07, true)] {
+        let result = tune_svm(&svm, max_error);
+        let steps: Vec<(&str, FpFmt, f64, bool)> = result
+            .trace
+            .iter()
+            .map(|s| (s.name.as_str(), s.tried, s.error, s.accepted))
+            .collect();
+        assert_eq!(
+            steps,
+            [
+                ("x", FpFmt::B, 0.75, false),
+                ("x", FpFmt::H, 0.0, true),
+                ("w", FpFmt::B, 0.75, false),
+                ("w", FpFmt::H, 0.0, true),
+                ("bias", FpFmt::B, 0.75, false),
+                ("bias", FpFmt::H, 0.0, true),
+                ("scores", FpFmt::B, 0.4375, false),
+                ("scores", FpFmt::H, 0.0, true),
+                ("acc", FpFmt::B, 0.75, false),
+                ("acc", FpFmt::H, 0.75, false),
+                ("acc", FpFmt::Ah, 1.0 / 64.0, acc_ah_accepted),
+            ],
+            "max_error {max_error}; trace:\n{}",
+            result.trace_text()
+        );
+        assert_eq!(result.evaluations, 11);
     }
 }
 
 #[test]
 fn strict_tuning_matches_paper_outcome() {
-    let svm = Svm::new();
-    let base = svm.base_kernel();
-    let config = TunerConfig {
-        candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
-        max_error: 0.0, // "avoid classification errors on our data set"
-    };
-    let result = tune(&base, &config, svm_qor(&svm));
+    // "avoid classification errors on our data set"
+    let result = tune_svm(&Svm::new(), 0.0);
     // Inputs, weights, biases and the scores array all drop to float16...
     assert_eq!(
         result.assignment_for("x"),
@@ -75,13 +97,8 @@ fn strict_tuning_matches_paper_outcome() {
 
 #[test]
 fn relaxed_tuning_allows_alt_half_accumulator() {
-    let svm = Svm::new();
-    let base = svm.base_kernel();
-    let config = TunerConfig {
-        candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
-        max_error: 0.07, // "around 5%" in the paper (6.25% here: 4/64)
-    };
-    let result = tune(&base, &config, svm_qor(&svm));
+    // "around 5%" in the paper (6.25% here: 4/64)
+    let result = tune_svm(&Svm::new(), 0.07);
     assert_eq!(
         result.assignment_for("acc"),
         FpFmt::Ah,
@@ -97,11 +114,7 @@ fn relaxed_tuning_allows_alt_half_accumulator() {
 fn tuned_assignment_is_cheaper_than_float() {
     let svm = Svm::new();
     let base = svm.base_kernel();
-    let config = TunerConfig {
-        candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
-        max_error: 0.0,
-    };
-    let result = tune(&base, &config, svm_qor(&svm));
+    let result = tune_svm(&svm, 0.0);
     let all_f32_bits: usize = base
         .arrays
         .iter()
@@ -109,7 +122,7 @@ fn tuned_assignment_is_cheaper_than_float() {
         .chain(base.scalars.iter().map(|_| 32))
         .sum();
     assert!(
-        result.total_bits(&base) < all_f32_bits / 2 + 64,
+        result.total_bits() < all_f32_bits / 2 + 64,
         "tuning must roughly halve the storage footprint"
     );
 }

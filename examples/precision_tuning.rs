@@ -6,21 +6,12 @@
 
 use smallfloat::FpFmt;
 use smallfloat_kernels::bench::Workload;
-use smallfloat_kernels::svm::{error_rate, Svm};
-use smallfloat_tuner::{tune, TunerConfig};
-use smallfloat_xcc::interp::{run_typed, TypedState};
+use smallfloat_kernels::svm::Svm;
+use smallfloat_tuner::{tune_kernel, TunerConfig};
 
 fn main() {
     let svm = Svm::new();
     let base = svm.base_kernel();
-    let mut qor = |typed: &smallfloat_xcc::ir::Kernel| {
-        let mut st = TypedState::for_kernel(typed);
-        for (name, values) in svm.inputs() {
-            st.set_array(&name, &values);
-        }
-        run_typed(typed, &mut st);
-        error_rate(&st.array_f64("scores"), &svm.data().labels)
-    };
 
     for (label, max_error) in [
         ("strict: no classification errors", 0.0),
@@ -31,7 +22,7 @@ fn main() {
             candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
             max_error,
         };
-        let result = tune(&base, &config, &mut qor);
+        let result = tune_kernel(&base, &config, |k| svm.typed_error(k));
         print!("{}", result.trace_text());
         println!("final assignment ({} evaluations):", result.evaluations);
         for (name, fmt) in &result.assignment {
@@ -41,9 +32,9 @@ fn main() {
             base.arrays.iter().map(|a| a.len * 32).sum::<usize>() + base.scalars.len() * 32;
         println!(
             "storage: {} bits vs {} bits all-float ({:.0}% smaller)\n",
-            result.total_bits(&base),
+            result.total_bits(),
             f32_bits,
-            (1.0 - result.total_bits(&base) as f64 / f32_bits as f64) * 100.0
+            (1.0 - result.total_bits() as f64 / f32_bits as f64) * 100.0
         );
     }
     println!("Both runs keep the accumulator wide (binary32 strictly, or the");
