@@ -260,30 +260,29 @@ impl Cluster {
 
     /// Execute `descs` on `workers` host threads, results in `descs`
     /// order. Each worker owns one [`WorkerPool`]; tasks are claimed from
-    /// a shared atomic counter exactly like `smallfloat_bench::par`.
+    /// a shared atomic counter exactly like `smallfloat_bench::par`. The
+    /// calling thread is worker 0: only `workers - 1` threads are spawned
+    /// (none for a serial run).
     fn exec_all(&mut self, descs: &[WorkDescriptor], workers: usize) -> Vec<WorkResult> {
         let config = &self.config;
         let images = &self.images;
-        if workers <= 1 {
-            let pool = &mut self.pools[0];
-            return descs.iter().map(|d| pool.exec(config, images, d)).collect();
-        }
         let next = AtomicUsize::new(0);
         let out: Mutex<Vec<Option<WorkResult>>> =
             Mutex::new((0..descs.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for pool in self.pools.iter_mut().take(workers) {
-                let next = &next;
-                let out = &out;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= descs.len() {
-                        break;
-                    }
-                    let r = pool.exec(config, images, &descs[i]);
-                    out.lock().expect("no poisoned result slots")[i] = Some(r);
-                });
+        let work = |pool: &mut WorkerPool| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= descs.len() {
+                break;
             }
+            let r = pool.exec(config, images, &descs[i]);
+            out.lock().expect("no poisoned result slots")[i] = Some(r);
+        };
+        let (own, rest) = self.pools.split_first_mut().expect("one pool per worker");
+        std::thread::scope(|scope| {
+            for pool in rest.iter_mut().take(workers - 1) {
+                scope.spawn(|| work(pool));
+            }
+            work(own);
         });
         out.into_inner()
             .expect("workers joined")

@@ -7,12 +7,16 @@
 //! *table* — O(pages) reference-count bumps, no data copies — and the
 //! first store to any shared page after that copies just that page
 //! (`Arc::make_mut`). Restoring replaces only the page-table slots that
-//! differ from the snapshot's. This is what makes
+//! differ from the snapshot's; restoring the snapshot the memory was last
+//! restored from visits only the slots written since (the memory keeps
+//! their indices), so a fork pays for the pages it wrote, not for the size
+//! of the address space. This is what makes
 //! `Cpu::snapshot`/`Cpu::restore` cheap enough to fork one warmed-up
 //! machine state into thousands of replay segments (see `replay.rs` and
 //! DESIGN.md §14).
 
 use crate::cpu::SimError;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Bytes per copy-on-write page. Aligned accesses (≤ 4 bytes) never cross
@@ -24,6 +28,15 @@ type Page = Arc<[u8; PAGE_SIZE]>;
 
 static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 
+/// Source of [`MemSnapshot`] ids: process-unique and never reused, so a
+/// snapshot allocated where a dropped one lived cannot be mistaken for it.
+/// 0 is never handed out and means "no snapshot".
+static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
+
+fn next_snapshot_id() -> u64 {
+    NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed)
+}
+
 /// Simulator memory: a flat little-endian byte array starting at address 0,
 /// stored as copy-on-write pages (`None` = an all-zero page with no
 /// backing).
@@ -34,6 +47,13 @@ static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 pub struct Memory {
     pages: Vec<Option<Page>>,
     size: usize,
+    /// Id of the snapshot this memory was last restored from (0: none).
+    /// Every slot not listed in `written` is that snapshot's own.
+    base: u64,
+    /// Indices of the slots materialized or copy-on-write-split since the
+    /// restore from `base` (possibly repeated; tracking stops, dropping
+    /// `base`, once the list is as long as the page table).
+    written: Vec<u32>,
 }
 
 /// A point-in-time copy of a [`Memory`]: the shared page table. Cheap to
@@ -43,6 +63,9 @@ pub struct Memory {
 pub struct MemSnapshot {
     pages: Vec<Option<Page>>,
     size: usize,
+    /// Process-unique id (clones share it: they hold the same pages). Not
+    /// serialized; a deserialized snapshot gets a fresh one.
+    id: u64,
 }
 
 impl std::fmt::Debug for Memory {
@@ -67,6 +90,8 @@ impl Memory {
         Memory {
             pages: vec![None; page_count(size)],
             size,
+            base: 0,
+            written: Vec::new(),
         }
     }
 
@@ -85,6 +110,7 @@ impl Memory {
     /// (keeping their allocation for the next run); shared pages are
     /// dropped back to the zero representation. O(resident pages).
     pub fn clear(&mut self) {
+        self.forget_base();
         for slot in &mut self.pages {
             if let Some(p) = slot {
                 match Arc::get_mut(p) {
@@ -118,12 +144,31 @@ impl Memory {
     }
 
     /// Writable backing for the page containing offset `a`, materializing
-    /// zero pages and copy-on-write-splitting shared ones.
+    /// zero pages and copy-on-write-splitting shared ones. A slot that
+    /// changes page here is listed in `written` while a base is tracked.
     #[inline]
     fn page_mut(&mut self, a: usize) -> &mut [u8; PAGE_SIZE] {
-        let slot = &mut self.pages[a >> PAGE_SHIFT];
-        let p = slot.get_or_insert_with(|| Arc::new([0u8; PAGE_SIZE]));
+        let i = a >> PAGE_SHIFT;
+        if self.base != 0 && !matches!(&self.pages[i], Some(p) if Arc::strong_count(p) == 1) {
+            self.note_written(i);
+        }
+        let p = self.pages[i].get_or_insert_with(|| Arc::new([0u8; PAGE_SIZE]));
         Arc::make_mut(p)
+    }
+
+    #[cold]
+    fn note_written(&mut self, i: usize) {
+        if self.written.len() < self.pages.len() {
+            self.written.push(i as u32);
+        } else {
+            // As many entries as slots: a full diff costs no more.
+            self.forget_base();
+        }
+    }
+
+    fn forget_base(&mut self) {
+        self.base = 0;
+        self.written.clear();
     }
 
     /// Load `len` ∈ {1, 2, 4} bytes, zero-extended.
@@ -243,6 +288,7 @@ impl Memory {
         MemSnapshot {
             pages: self.pages.clone(),
             size: self.size,
+            id: next_snapshot_id(),
         }
     }
 
@@ -250,9 +296,23 @@ impl Memory {
     /// differs). Only the page-table slots that differ from the
     /// snapshot's are replaced: a fork that wrote a handful of pages
     /// pays for those, not a refcount round trip on every page it still
-    /// shares. A different page count falls back to copying the table.
+    /// shares. Restoring the snapshot this memory was last restored from
+    /// visits only the slots written since — O(pages written), not
+    /// O(pages). Any other snapshot is diffed slot by slot (a different
+    /// page count copies the table) and becomes the tracked base.
+    ///
+    /// The written-slot list is sound because every slot outside it still
+    /// holds the base snapshot's page, which that snapshot keeps shared:
+    /// a store to it copy-on-write-splits the slot, and splits are listed.
+    /// A page only becomes writable in place after all copies of the
+    /// snapshot are dropped, and then no restore can name its id again.
     pub fn restore(&mut self, snap: &MemSnapshot) {
-        if self.pages.len() == snap.pages.len() {
+        if self.base == snap.id && self.pages.len() == snap.pages.len() {
+            for &i in &self.written {
+                let i = i as usize;
+                self.pages[i].clone_from(&snap.pages[i]);
+            }
+        } else if self.pages.len() == snap.pages.len() {
             for (mine, theirs) in self.pages.iter_mut().zip(&snap.pages) {
                 if !same_slot(mine, theirs) {
                     mine.clone_from(theirs);
@@ -262,6 +322,8 @@ impl Memory {
             self.pages.clone_from(&snap.pages);
         }
         self.size = snap.size;
+        self.base = snap.id;
+        self.written.clear();
     }
 }
 
@@ -355,7 +417,11 @@ impl MemSnapshot {
             *pos += PAGE_SIZE;
             pages[idx] = Some(Arc::new(page));
         }
-        Some(MemSnapshot { pages, size })
+        Some(MemSnapshot {
+            pages,
+            size,
+            id: next_snapshot_id(),
+        })
     }
 }
 
@@ -474,10 +540,16 @@ mod tests {
     /// restored memory holds the snapshot's bytes and every page slot is
     /// the snapshot's own page, so no private page is left over and no
     /// page was copied. Restoring across a size change takes the
-    /// table-copy path to the same result.
+    /// table-copy path to the same result. The written-slot path (a
+    /// restore from the snapshot last restored) must hold through
+    /// interleaved restores from two snapshots, `clear`, a cloned memory,
+    /// a deserialized snapshot and a dropped one.
     #[test]
     fn restore_shares_every_page_with_the_snapshot() {
         let mut rng = Rng::new(0x5eed_0017);
+        let restored = |m: &Memory, snap: &MemSnapshot| {
+            m.snapshot().bytes_eq(snap) && shares_every_page(m, snap)
+        };
         for case in 0..64 {
             let pages = 2 + rng.below(8) as usize;
             let mut m = Memory::new(pages * PAGE_SIZE);
@@ -489,6 +561,75 @@ mod tests {
             m.restore(&snap);
             assert!(m.snapshot().bytes_eq(&snap), "case {case}: bytes");
             assert!(shares_every_page(&m, &snap), "case {case}: pages");
+
+            // Interleaved restores from two snapshots, each fork
+            // scribbled, some restored twice in a row (the written-slot
+            // path) and some after a switch (the full diff).
+            let n = rng.below(4 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            let other_snap = m.snapshot();
+            for step in 0..8 {
+                let target = if rng.bool() { &snap } else { &other_snap };
+                let n = rng.below(4 * pages as u64);
+                scribble(&mut m, &mut rng, n);
+                m.restore(target);
+                assert!(restored(&m, target), "case {case} step {step}: interleaved");
+            }
+
+            // `clear` forgets the tracked snapshot: the next restore
+            // diffs every slot.
+            m.restore(&snap);
+            m.clear();
+            let n = rng.below(2 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            m.restore(&snap);
+            assert!(restored(&m, &snap), "case {case}: after clear");
+
+            // A clone carries the tracked snapshot and its written list;
+            // both copies restore on their own.
+            let n = rng.below(4 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            let mut twin = m.clone();
+            let n = rng.below(4 * pages as u64);
+            scribble(&mut twin, &mut rng, n);
+            let n = rng.below(4 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            twin.restore(&snap);
+            m.restore(&snap);
+            assert!(restored(&twin, &snap), "case {case}: clone");
+            assert!(restored(&m, &snap), "case {case}: cloned-from");
+
+            // A deserialized snapshot has its own id: restoring it diffs
+            // every slot even though its bytes equal the tracked one's.
+            let mut buf = Vec::new();
+            snap.write_to(&mut buf);
+            let loaded = MemSnapshot::read_from(&buf, &mut 0).expect("parses");
+            let n = rng.below(4 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            m.restore(&loaded);
+            assert!(restored(&m, &loaded), "case {case}: deserialized");
+            let n = rng.below(4 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            m.restore(&loaded);
+            assert!(restored(&m, &loaded), "case {case}: deserialized again");
+
+            // Once every copy of the tracked snapshot is dropped its pages
+            // become writable in place, unlisted; a new snapshot (a fresh
+            // id, even at a reused address) must still restore exactly.
+            let dropped = m.snapshot();
+            m.restore(&dropped);
+            drop(dropped);
+            drop(loaded);
+            let n = rng.below(4 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            let fresh = m.snapshot();
+            let n = rng.below(4 * pages as u64);
+            scribble(&mut m, &mut rng, n);
+            m.restore(&fresh);
+            assert!(
+                restored(&m, &fresh),
+                "case {case}: after a dropped snapshot"
+            );
 
             // A memory of another size adopts the snapshot's geometry.
             let other = if rng.bool() { pages + 3 } else { 1 };
@@ -505,6 +646,31 @@ mod tests {
                 "case {case}: resized pages"
             );
         }
+    }
+
+    /// A restore from the tracked snapshot visits only the listed slots:
+    /// with one page written since, one slot is listed, and the list is
+    /// empty again afterwards.
+    #[test]
+    fn repeated_restore_lists_only_written_pages() {
+        let mut m = Memory::new(64 * PAGE_SIZE);
+        for p in 0..8 {
+            m.store((p * PAGE_SIZE) as u32, 4, p as u32 + 1).unwrap();
+        }
+        let snap = m.snapshot();
+        m.restore(&snap);
+        assert!(m.written.is_empty());
+        m.store(3 * PAGE_SIZE as u32, 4, 99).unwrap();
+        m.store(3 * PAGE_SIZE as u32 + 4, 4, 98).unwrap();
+        m.store(40 * PAGE_SIZE as u32, 4, 97).unwrap();
+        assert_eq!(m.written, vec![3, 40], "split and materialized, once each");
+        m.restore(&snap);
+        assert!(m.written.is_empty());
+        assert!(shares_every_page(&m, &snap));
+        // Untracked memory keeps no list.
+        m.clear();
+        m.store(0, 4, 1).unwrap();
+        assert!(m.written.is_empty());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!    conversions (an O(1) load replaces the whole unpack/round pipeline);
 //! 2. **binary16 / binary16alt / binary32** (and the remaining 8-bit
 //!    ops, e.g. fused multiply-add) → the monomorphized `u64` kernels of
-//!    `crate::kernels`, where every format constant has been folded;
+//!    `crate::kernels`, where every format constant has been folded (and
+//!    which, under round-to-nearest-even, try the host FPU first);
 //! 3. **anything else** (binary64, custom layouts) → the generic
 //!    runtime-`Format` reference in [`crate::ops`].
 //!
@@ -306,50 +307,21 @@ pub fn cvt_f_f(dst: Format, src: Format, bits: u64, env: &mut Env) -> u64 {
     }
 }
 
-/// Exact widening of a concrete `(E, M)` encoding to `f64` by bit
-/// assembly: every value of an 8-, 16- or 32-bit format is an `f64`
-/// normal, so only the exponent is re-biased (subnormals are scaled by an
-/// exact power of two) and NaNs collapse to the canonical quiet NaN, as
-/// [`ops::to_f64`] does.
-#[inline(always)]
-fn widen<const E: u32, const M: u32>(bits: u64) -> f64 {
-    let exp_max = (1u64 << E) - 1;
-    let bias = (1i64 << (E - 1)) - 1;
-    let sign = (bits >> (E + M)) & 1;
-    let exp = (bits >> M) & exp_max;
-    let man = bits & ((1u64 << M) - 1);
-    if exp == exp_max {
-        return if man != 0 {
-            f64::from_bits(0x7ff8_0000_0000_0000)
-        } else {
-            f64::from_bits(sign << 63 | 0x7ff0_0000_0000_0000)
-        };
-    }
-    if exp == 0 {
-        // ±0 or a subnormal `man · 2^(1 - bias - M)`, exact in f64.
-        let scale = f64::from_bits(((1 - bias - M as i64 + 1023) as u64) << 52);
-        let v = man as f64 * scale;
-        return if sign == 1 { -v } else { v };
-    }
-    let exp64 = (exp as i64 - bias + 1023) as u64;
-    f64::from_bits(sign << 63 | exp64 << 52 | man << (52 - M))
-}
-
 /// Fast-path exact widening to host `f64` (see [`ops::to_f64`]). Bits
 /// above the format width are ignored.
 #[inline]
 pub fn to_f64(fmt: Format, bits: u64) -> f64 {
     let bits = bits & fmt.mask();
     if fmt == Format::BINARY8 {
-        widen::<5, 2>(bits)
+        k::widen::<5, 2>(bits)
     } else if fmt == Format::BINARY8ALT {
-        widen::<4, 3>(bits)
+        k::widen::<4, 3>(bits)
     } else if fmt == Format::BINARY16 {
-        widen::<5, 10>(bits)
+        k::widen::<5, 10>(bits)
     } else if fmt == Format::BINARY16ALT {
-        widen::<8, 7>(bits)
+        k::widen::<8, 7>(bits)
     } else if fmt == Format::BINARY32 {
-        widen::<8, 23>(bits)
+        k::widen::<8, 23>(bits)
     } else {
         ops::to_f64(fmt, bits)
     }

@@ -12,6 +12,12 @@
 //!   aligned FMA sums (<2^63, see [`fma`]) all fit, avoiding 128-bit shifts
 //!   and the `u128` division libcall.
 //!
+//! Under round-to-nearest-even the binary32, binary16 and binary16alt
+//! add/sub/mul/fma kernels and every conversion kernel first try the host
+//! FPU (see "Host-FPU round-to-nearest fast path" below), which returns
+//! the same bits and flags whenever it applies and otherwise falls through
+//! to the integer code.
+//!
 //! The generic functions in [`crate::ops`] remain the reference
 //! implementation and the fallback for exotic layouts; the differential
 //! suites in `crates/softfp/tests/fastpath_*.rs` prove these kernels bit-
@@ -353,12 +359,149 @@ fn round_pack_k<const E: u32, const M: u32>(
 }
 
 // ---------------------------------------------------------------------------
+// Host-FPU round-to-nearest fast path
+// ---------------------------------------------------------------------------
+//
+// Under RNE the binary32, binary16 and binary16alt kernels first compute on
+// the host's binary64 FPU, where the exact result is known:
+//
+// * every operand widens exactly to `f64` ([`widen`]);
+// * a product of two significands of at most 24 bits has at most 48 bits,
+//   so `x * y` is exact;
+// * a sum `s = x + y` is rounded once by the host, and Knuth's TwoSum
+//   recovers the exact error `e` with `x + y = s + e`. binary16 sums need
+//   no TwoSum: every binary16 value is a multiple of 2^-24 below 2^16, so
+//   any sum spans at most 41 bits and `e = 0`.
+//
+// [`round_host_rne`] then rounds `s` into the format. Rounding `s` instead
+// of the exact `s + e` changes nothing unless `s` is a midpoint of the
+// format: `s` is the binary64 value nearest to `s + e`, and every midpoint
+// of a format with at most 24 significand bits is itself a binary64 value,
+// so no midpoint lies strictly between `s` and `s + e`. The one
+// double-rounding case, `e != 0` with `s` on a midpoint, falls back, as does
+// every result that is zero, subnormal, overflowing or not finite (NaN and
+// infinity operands give non-finite `s`). What is left cannot raise UF, OF
+// or NV, and it is inexact iff rounding dropped nonzero bits or `e != 0`.
+// Anything that falls back runs the integer kernel below it, unchanged.
+
+/// Whether the `<E, M>` arithmetic kernels take the host path under `env`:
+/// binary32, binary16 and binary16alt at round-to-nearest-even (binary8
+/// has its tables and [`fma_b8`]). The format test folds per instantiation.
+#[inline(always)]
+fn host_rne<const E: u32, const M: u32>(env: &Env) -> bool {
+    matches!((E, M), (8, 23) | (5, 10) | (8, 7)) && env.rm == Rounding::Rne
+}
+
+/// Exact widening of a concrete `(E, M)` encoding to `f64` by bit
+/// assembly: every value of an 8-, 16- or 32-bit format is an `f64`
+/// normal, so only the exponent is re-biased (subnormals are scaled by an
+/// exact power of two) and NaNs collapse to the canonical quiet NaN, as
+/// [`crate::ops::to_f64`] does. Bits above the format width are ignored.
+#[inline(always)]
+pub(crate) fn widen<const E: u32, const M: u32>(bits: u64) -> f64 {
+    let exp_max = (1u64 << E) - 1;
+    let bias = (1i64 << (E - 1)) - 1;
+    let sign = (bits >> (E + M)) & 1;
+    let exp = (bits >> M) & exp_max;
+    let man = bits & ((1u64 << M) - 1);
+    if exp == exp_max {
+        return if man != 0 {
+            f64::from_bits(0x7ff8_0000_0000_0000)
+        } else {
+            f64::from_bits(sign << 63 | 0x7ff0_0000_0000_0000)
+        };
+    }
+    if exp == 0 {
+        // ±0 or a subnormal `man · 2^(1 - bias - M)`, exact in f64.
+        let scale = f64::from_bits(((1 - bias - M as i64 + 1023) as u64) << 52);
+        let v = man as f64 * scale;
+        return if sign == 1 { -v } else { v };
+    }
+    let exp64 = (exp as i64 - bias + 1023) as u64;
+    f64::from_bits(sign << 63 | exp64 << 52 | man << (52 - M))
+}
+
+/// Knuth's TwoSum: the exact error `e` of the host sum `s = a + b`, so
+/// that `a + b = s + e` (no overflow is possible for the formats here).
+#[inline(always)]
+fn two_sum_err(a: f64, b: f64, s: f64) -> f64 {
+    let bb = s - a;
+    (a - (s - bb)) + (b - bb)
+}
+
+/// Round the host value `s` into `<E, M>` at round-to-nearest-even when
+/// the result is a normal number, accruing NX iff rounding dropped nonzero
+/// bits or `inexact` (a nonzero TwoSum error) is set. `None` — with no
+/// flag touched — for zero, subnormal, overflowing and non-finite results
+/// and for a midpoint `s` with `inexact` set (the double-rounding case).
+#[inline(always)]
+fn round_host_rne<const E: u32, const M: u32>(
+    s: f64,
+    inexact: bool,
+    flags: &mut Flags,
+) -> Option<u64> {
+    const { assert!(M < 52) };
+    let drop = 52 - M;
+    let half = 1u64 << (drop - 1);
+    let bits = s.to_bits();
+    let abs = bits & !(1u64 << 63);
+    let exp = (abs >> 52) as i32 - 1023;
+    let rem = abs & ((1u64 << drop) - 1);
+    if exp < emin::<E>() || exp > bias::<E>() || (inexact && rem == half) {
+        return None;
+    }
+    // Round the magnitude at bit `drop`, ties to even (half - 1 plus the
+    // kept LSB carries exactly when the dropped bits exceed half, or equal
+    // it with an odd LSB); a carry out of the significand bumps the
+    // exponent field, which is the correctly rounded encoding. Then
+    // re-bias the exponent field from binary64's to the format's.
+    let lsb = (abs >> drop) & 1;
+    let rounded = (abs + (half - 1) + lsb) >> drop;
+    let mag = rounded - (((1023 - bias::<E>()) as u64) << M);
+    if mag >> M == exp_field_max::<E>() {
+        return None; // rounded up to infinity
+    }
+    // NX is bit 0 of the flag byte: accrue it without a branch.
+    flags.set(Flags::from_bits(u8::from((rem != 0) | inexact)));
+    Some(mag | ((bits >> 63) << (E + M)))
+}
+
+/// Host-path `a + b`, or `None` to fall back (see the section comment).
+#[inline(always)]
+fn host_add<const E: u32, const M: u32>(a: u64, b: u64, flags: &mut Flags) -> Option<u64> {
+    let (x, y) = (widen::<E, M>(a), widen::<E, M>(b));
+    let s = x + y;
+    let inexact = E != 5 && two_sum_err(x, y, s) != 0.0;
+    round_host_rne::<E, M>(s, inexact, flags)
+}
+
+/// Host-path `a * b`: the product is exact in `f64`.
+#[inline(always)]
+fn host_mul<const E: u32, const M: u32>(a: u64, b: u64, flags: &mut Flags) -> Option<u64> {
+    round_host_rne::<E, M>(widen::<E, M>(a) * widen::<E, M>(b), false, flags)
+}
+
+/// Host-path fused `a * b + c`: exact product, then one TwoSum.
+#[inline(always)]
+fn host_fma<const E: u32, const M: u32>(a: u64, b: u64, c: u64, flags: &mut Flags) -> Option<u64> {
+    let p = widen::<E, M>(a) * widen::<E, M>(b);
+    let z = widen::<E, M>(c);
+    let s = p + z;
+    round_host_rne::<E, M>(s, two_sum_err(p, z, s) != 0.0, flags)
+}
+
+// ---------------------------------------------------------------------------
 // Addition / subtraction
 // ---------------------------------------------------------------------------
 
 /// Monomorphized `a + b`.
 #[inline]
 pub(crate) fn add<const E: u32, const M: u32>(a: u64, b: u64, env: &mut Env) -> u64 {
+    if host_rne::<E, M>(env) {
+        if let Some(r) = host_add::<E, M>(a, b, &mut env.flags) {
+            return r;
+        }
+    }
     let ua = unpack_k::<E, M>(a);
     let ub = unpack_k::<E, M>(b);
     if ua.is_nan() || ub.is_nan() {
@@ -430,6 +573,11 @@ fn add_finite_k<const E: u32, const M: u32>(ua: &Un, ub: &Un, env: &mut Env) -> 
 /// Monomorphized `a * b`.
 #[inline]
 pub(crate) fn mul<const E: u32, const M: u32>(a: u64, b: u64, env: &mut Env) -> u64 {
+    if host_rne::<E, M>(env) {
+        if let Some(r) = host_mul::<E, M>(a, b, &mut env.flags) {
+            return r;
+        }
+    }
     let ua = unpack_k::<E, M>(a);
     let ub = unpack_k::<E, M>(b);
     let sign = ua.sign ^ ub.sign;
@@ -564,9 +712,15 @@ fn align64(m: u64, e: i32, e_t: i32) -> u64 {
 /// Monomorphized fused `a * b + c` with a single rounding.
 ///
 /// binary8 (`<5, 2>`) instantiations take the fixed-point fast path of
-/// [`fma_b8`]; the check is on const parameters, so it folds away.
+/// [`fma_b8`]; the check is on const parameters, so it folds away. The
+/// binary32, binary16 and binary16alt ones try [`host_fma`] first.
 #[inline]
 pub(crate) fn fma<const E: u32, const M: u32>(a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
+    if host_rne::<E, M>(env) {
+        if let Some(r) = host_fma::<E, M>(a, b, c, &mut env.flags) {
+            return r;
+        }
+    }
     if E == 5 && M == 2 {
         return fma_b8(a, b, c, env);
     }
@@ -724,11 +878,24 @@ fn fma_core<const E: u32, const M: u32>(a: u64, b: u64, c: u64, env: &mut Env) -
 // ---------------------------------------------------------------------------
 
 /// Monomorphized float-to-float conversion from `(SE, SM)` to `(DE, DM)`.
+/// Under round-to-nearest-even a source that lands in the destination's
+/// normal range is rounded by [`round_host_rne`] (every concrete source,
+/// binary64 included, widens exactly to `f64`).
 #[inline]
 pub(crate) fn cvt<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
     bits: u64,
     env: &mut Env,
 ) -> u64 {
+    if env.rm == Rounding::Rne {
+        let v = if SE == 11 && SM == 52 {
+            f64::from_bits(bits)
+        } else {
+            widen::<SE, SM>(bits)
+        };
+        if let Some(r) = round_host_rne::<DE, DM>(v, false, &mut env.flags) {
+            return r;
+        }
+    }
     let u = unpack_k::<SE, SM>(bits);
     if u.is_nan() {
         if u.is_snan() {
@@ -894,6 +1061,7 @@ mod tests {
     use super::*;
     use crate::format::Format;
     use crate::ops;
+    use smallfloat_devtools::Rng;
 
     const B16E: u32 = 5;
     const B16M: u32 = 10;
@@ -969,6 +1137,74 @@ mod tests {
                 assert_eq!(e1.flags, e2.flags, "flags rm={rm}");
             }
         }
+    }
+
+    /// Operands with exponents within ±4 binades of 1: under RNE almost
+    /// every add, mul, fma and binary64-source conversion has a normal,
+    /// nonzero result, so at least 90 % of them must take the host path
+    /// (one that always fell back would still pass every differential
+    /// suite), and every result it gives must match the reference, flags
+    /// included.
+    #[test]
+    fn host_path_takes_most_narrow_window_rne_cases() {
+        type Host<'a> = &'a dyn Fn(&mut Flags) -> Option<u64>;
+        type Reference<'a> = &'a dyn Fn(&mut Env) -> u64;
+        fn window<const E: u32, const M: u32>(rng: &mut Rng) -> u64 {
+            let exp = (bias::<E>() + rng.range_i32(-4, 5)) as u64;
+            let sign = u64::from(rng.bool());
+            (sign << (E + M)) | (exp << M) | (rng.u64() & man_mask::<M>())
+        }
+        fn check<const E: u32, const M: u32>(fmt: Format) {
+            const N: u32 = 4096;
+            assert!(
+                host_rne::<E, M>(&env()),
+                "{}: kernels skip the host path",
+                fmt.name()
+            );
+            let mut rng = Rng::new(0x0f57_9a7e ^ u64::from(M));
+            let mut taken = [0u32; 4];
+            for _ in 0..N {
+                let (a, b, c) = (
+                    window::<E, M>(&mut rng),
+                    window::<E, M>(&mut rng),
+                    window::<E, M>(&mut rng),
+                );
+                let wide = widen::<E, M>(a) * 2f64.powi(rng.range_i32(-8, 8));
+                let ops: [(Host, Reference); 4] = [
+                    (&|fl| host_add::<E, M>(a, b, fl), &|e| {
+                        ops::add(fmt, a, b, e)
+                    }),
+                    (&|fl| host_mul::<E, M>(a, b, fl), &|e| {
+                        ops::mul(fmt, a, b, e)
+                    }),
+                    (&|fl| host_fma::<E, M>(a, b, c, fl), &|e| {
+                        ops::fmadd(fmt, a, b, c, e)
+                    }),
+                    (&|fl| round_host_rne::<E, M>(wide, false, fl), &|e| {
+                        ops::from_f64(fmt, wide, e)
+                    }),
+                ];
+                for (i, (host, reference)) in ops.into_iter().enumerate() {
+                    let mut flags = Flags::NONE;
+                    if let Some(bits) = host(&mut flags) {
+                        taken[i] += 1;
+                        let mut e = env();
+                        let want = reference(&mut e);
+                        assert_eq!((bits, flags), (want, e.flags), "{} op {i}", fmt.name());
+                    }
+                }
+            }
+            for (op, t) in ["add", "mul", "fma", "from_f64"].iter().zip(taken) {
+                assert!(
+                    t * 10 >= N * 9,
+                    "{} {op}: host path taken {t} of {N} times",
+                    fmt.name()
+                );
+            }
+        }
+        check::<8, 23>(Format::BINARY32);
+        check::<5, 10>(Format::BINARY16);
+        check::<8, 7>(Format::BINARY16ALT);
     }
 
     #[test]

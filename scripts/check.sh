@@ -8,6 +8,11 @@
 #   scripts/check.sh --full   # also rustfmt + clippy + release test run
 #                             # + the perfbench tests
 #
+# The softfp kernels are gated against the generic reference in release:
+# the binary8 exhaustive suites, the host-f64 bridge, the >=1M-case sampled
+# 16/32-bit suite and the host-FPU round-to-nearest suite (its exhaustive
+# binary16 sweep is #[ignore]d: `-- --ignored` runs it).
+#
 # The figure/table binaries are exercised by the test suite. Each committed
 # BENCH_*.json names its generator in its "methodology" (checked by
 # tests/records.rs) and is refreshed manually, e.g.
@@ -47,8 +52,8 @@ cargo bench --workspace --no-run
 echo "==> perfbench build (release)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> binary8 + binary8alt (E4M3) exhaustive differential suites + host-f64 bridge (release)"
-cargo test --release -q -p smallfloat-softfp --test fastpath_b8_exhaustive --test fastpath_b8alt_exhaustive --test fastpath_f64_bridge
+echo "==> softfp differential suites (release): binary8 + binary8alt (E4M3) exhaustive, host-f64 bridge, >=1M-case sampled 16/32-bit kernels, host-FPU round-to-nearest path"
+cargo test --release -q -p smallfloat-softfp --test fastpath_b8_exhaustive --test fastpath_b8alt_exhaustive --test fastpath_f64_bridge --test fastpath_sampled --test fastpath_host_rne
 
 echo "==> xcc: typed interpreter vs simulator differential suites (codegen_sim, fuzz_codegen) (release)"
 cargo test --release -q -p smallfloat-xcc
