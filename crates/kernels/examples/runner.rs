@@ -1,7 +1,8 @@
 //! Kernel runner CLI: execute one benchmark variant on the simulator and
 //! print its statistics; `--hot-blocks` additionally prints the top-10
-//! basic blocks by dynamic instruction count (pc range, static length,
-//! execution count and share of retired instructions).
+//! basic blocks by dynamic instruction count (byte hull, leader, static
+//! length with followed jumps, execution count and share of retired
+//! instructions).
 //!
 //!     cargo run --release -p smallfloat-kernels --example runner -- \
 //!         GEMM float16 auto --hot-blocks

@@ -21,32 +21,38 @@
 //!   per-instruction accounting — the block path at block length 1. It
 //!   serves `Cpu::step`, `Cpu::run_traced`, `replay::record_run`,
 //!   `SMALLFLOAT_NOBLOCKS=1`, and every leader the block tier declines.
-//! * Blocks copy the ops of a straight-line run out of its slots, up to
-//!   the next tail, and replay the array with one aggregated stats commit
-//!   per block.
+//! * Blocks copy the ops of a run of code out of its slots, up to the
+//!   next tail, and replay the array. A direct jump (`jal x0`) to an even
+//!   PC inside the window does not end a block: it stays in the array as
+//!   a retiring micro-op and lowering continues at its target, so a
+//!   top-tested loop runs as one block per iteration.
 //!
 //! [`run`] is the engine's one run loop (`Cpu::run` is `run` plus energy
 //! derivation): it executes the block led by the current PC when it fits
 //! the budget and takes one [`step`] otherwise. A block is taken out of
 //! its arena entry while it executes and put back only while that entry
-//! is live, so dispatch costs no reference count.
+//! is live, so dispatch costs no reference count, and each entry's
+//! successor links find the next block without the slot-tag lookup.
 //!
 //! The two tiers agree bit for bit because they share the handlers; what
 //! remains tier-specific is accounting and control:
 //!
-//! * `u64` counters (instret, cycles, per-class counts) are associative,
-//!   so the block commits them in bulk. Energy is derived from those
+//! * A block dispatch adds to `instret` and `cycles` only: CSR reads and
+//!   the budget need those live. Per-class counts are associative, so
+//!   they are deferred: each entry tallies its completed executions and
+//!   taken branch tails, and the tallies fold into `Stats` when [`run`]
+//!   returns and when a block is killed. Energy is derived from the
 //!   counters when `Cpu::run` returns, so it needs nothing from here.
 //! * Trapping instructions retire nothing and leave `fflags`/`pc`
 //!   untouched: handlers check every trap before their first write, and
-//!   a handler error in a block commits only the preceding prefix and
-//!   restores the trapping PC.
+//!   a trap in a block commits only the preceding prefix and restores
+//!   the trapping PC.
 //! * CSR instructions read live `cycle`/`instret` counters, which would
 //!   be stale before the block commit, so they terminate block discovery
 //!   and always execute on the per-instruction path.
 //! * Stores (and `Cpu::write_data`) invalidate overlapping slots and
-//!   blocks byte-precisely, and killing a block bumps a generation
-//!   counter so a block that invalidates *itself* stops after the current
+//!   blocks byte-precisely. A store that killed a block says so in its
+//!   [`Status`], so a block that invalidates *itself* stops after that
 //!   micro-op.
 //!
 //! `SMALLFLOAT_NOBLOCKS=1` disables the block tier for bisection; the
@@ -55,7 +61,7 @@
 use crate::cpu::{decode_at, Cpu, ExitReason, SimConfig, SimError};
 use crate::exec;
 use crate::mem::Memory;
-use crate::stats::HotBlock;
+use crate::stats::{HotBlock, Stats};
 use smallfloat_isa::{
     vector_lanes, AluOp, BranchCond, CmpOp, CpkHalf, CsrOp, CsrSrc, FReg, FmaOp, FpFmt, FpOp,
     Instr, InstrClass, MemWidth, MinMaxOp, MulDivOp, Rm, SgnjKind, VCmpOp, VfOp,
@@ -64,9 +70,10 @@ use smallfloat_softfp::{batch, fast, ops, Env, Format, Rounding};
 
 const FLEN: u32 = 32;
 
-/// Longest straight-line body lowered into one block. Caps lowering cost
-/// for degenerate branch-free code; runs past the cap chain into the
-/// block starting at the fall-through PC.
+/// Longest body (micro-ops, followed jumps included) lowered into one
+/// block. Caps lowering cost for degenerate branch-free code and bounds a
+/// `j .` self-loop; runs past the cap chain into the block at the PC
+/// where lowering stopped.
 const MAX_BODY: usize = 128;
 
 /// Slot tag: no block lowered at this leader yet.
@@ -75,6 +82,9 @@ const SLOT_EMPTY: u32 = u32::MAX;
 /// falls through to the per-instruction path without retrying until
 /// [`BlockCache::invalidate`] reports the slot's bytes changed.
 const SLOT_NO_BLOCK: u32 = u32::MAX - 1;
+
+/// Successor link: no successor recorded yet (never an arena index).
+const NO_LINK: u32 = u32::MAX;
 
 /// `MicroOp::rm` value selecting the dynamic rounding mode at run time;
 /// static modes are resolved to their `frm` encoding at lowering.
@@ -89,7 +99,47 @@ fn default_enabled() -> bool {
     !crate::env::noblocks()
 }
 
-type UopFn = fn(&mut Cpu, &MicroOp) -> Result<(), SimError>;
+/// What a handler reports to the code running it, in one register. The
+/// trap itself, the rare case, waits in `BlockCache::trap`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
+enum Status {
+    /// The instruction retired.
+    Ok,
+    /// The instruction (a store) retired and killed at least one cached
+    /// block, possibly the running one: a block stops after it.
+    Killed,
+    /// The instruction trapped without retiring; [`take_trap`] has it.
+    Trap,
+}
+
+type UopFn = fn(&mut Cpu, &MicroOp) -> Status;
+
+/// Record `trap` for the caller and report [`Status::Trap`].
+#[cold]
+#[inline(never)]
+fn raise(cpu: &mut Cpu, trap: SimError) -> Status {
+    cpu.blocks.trap = Some(trap);
+    Status::Trap
+}
+
+/// The trap recorded by the handler that just returned [`Status::Trap`].
+fn take_trap(cpu: &mut Cpu) -> SimError {
+    cpu.blocks
+        .trap
+        .take()
+        .expect("a trapping handler records its trap")
+}
+
+/// `?` for handlers: the `Ok` value, or return the raised trap.
+macro_rules! tri {
+    ($cpu:ident, $e:expr) => {
+        match $e {
+            Ok(v) => v,
+            Err(trap) => return raise($cpu, trap),
+        }
+    };
+}
 
 /// One lowered instruction: semantic function plus pre-resolved operands
 /// and pre-computed retirement costs.
@@ -104,15 +154,33 @@ struct MicroOp {
     rm: u8,
     /// `InstrClass::index()` of the source instruction.
     class: u8,
-    /// 1 iff this op can invalidate cached code (stores): only then does
-    /// replay need to re-check the cache generation.
-    inval: u8,
     imm: i32,
     /// Per-op payload: replicate-scalar flag for vector ops, base lane
     /// for `vfcpk`, CSR number for `csr*`.
     aux: u32,
     pc: u32,
     cycles: u32,
+}
+
+impl MicroOp {
+    /// An op at `pc` that changes no register and retires as `class` for
+    /// `cycles`: the template `lower` fills in, and the whole form of a
+    /// jump a block follows.
+    fn bare(pc: u32, class: u8, cycles: u32) -> MicroOp {
+        MicroOp {
+            run: nop,
+            rd: 0,
+            rs1: 0,
+            rs2: 0,
+            rs3: 0,
+            rm: 0,
+            class,
+            imm: 0,
+            aux: 0,
+            pc,
+            cycles,
+        }
+    }
 }
 
 /// Control transfer terminating a block. Branch direction is the one
@@ -179,28 +247,35 @@ fn decode_lowered(mem: &Memory, cfg: &SimConfig, pc: u32) -> Result<Decoded, Sim
     })
 }
 
-/// A lowered basic block: straight-line micro-ops plus an optional
-/// control-transfer tail, with the associative parts of retirement
-/// accounting pre-aggregated. Its extent lives in its [`Entry`].
+/// A lowered block: micro-ops (followed jumps included) plus an optional
+/// control-transfer tail. What accounting, invalidation and the budget
+/// check need lives in its [`Entry`].
 struct Block {
     uops: Box<[MicroOp]>,
     tail: Option<Tail>,
-    /// Total body cycles (tail cycles are data-dependent for branches).
+    /// Where a block without a tail continues: the PC after its last
+    /// lowered instruction, or the target of a jump lowering followed
+    /// last.
+    next: u32,
+    /// Total micro-op cycles; the tail adds its own (a branch's depend on
+    /// its direction).
     body_cycles: u64,
-    /// Non-zero per-class body totals: `(class index, count, cycles)`.
-    class_counts: Box<[(u8, u32, u64)]>,
 }
 
-/// An arena entry: a block plus what invalidation, the budget check and
-/// the hot-block profile read without touching the block itself.
+/// An arena entry: a block plus what invalidation, the budget check, the
+/// deferred per-class stats and the hot-block profile read without
+/// touching the block itself.
 struct Entry {
     /// Leader PC; its window slot's tag points at this entry until the
     /// block is killed.
     start: u32,
-    /// Exclusive byte end of the last lowered instruction (may reach two
-    /// bytes past the code window for a spanning final instruction).
-    end: u32,
-    /// Instructions retired by a full execution (body + tail).
+    /// Byte hull `[lo, hi)` of every instruction lowered into the block,
+    /// followed jumps' targets included: the invalidation extent. `hi`
+    /// may reach two bytes past the code window for a spanning final
+    /// instruction.
+    lo: u32,
+    hi: u32,
+    /// Instructions retired by a full execution (micro-ops + tail).
     retired: u64,
     /// The block; `None` only while [`run`] executes it. A block that
     /// kills itself leaves its arena slot `None` behind, so it is never
@@ -208,6 +283,45 @@ struct Entry {
     block: Option<Box<Block>>,
     /// Dispatch count, for the hot-block profile.
     execs: u64,
+    /// Dispatches that stopped early (a trap, or a store that killed
+    /// code). They commit their per-class counts as they stop.
+    cut: u64,
+    /// Completed executions already folded into `Stats`.
+    folded: u64,
+    /// Taken branch tails not yet folded into `Stats`.
+    taken: u64,
+    /// Per-class totals of one completed execution — every micro-op plus
+    /// a tail that is neither a branch nor a trap: `(class index, count,
+    /// cycles)`, non-zero classes only.
+    classes: Box<[(u8, u32, u64)]>,
+    /// A branch tail's class index and its taken / not-taken cycles.
+    branch: Option<(u8, u32, u32)>,
+    /// Successor links: the arena index of the block reached last by
+    /// falling through or jumping (`[0]`) and by a taken branch (`[1]`),
+    /// or [`NO_LINK`]. A link is only a hint, used while the entry it
+    /// names is live and led by the current PC.
+    succ: [u32; 2],
+}
+
+impl Entry {
+    /// Add the completed executions not yet folded to `stats`' per-class
+    /// counters.
+    fn fold(&mut self, stats: &mut Stats) {
+        let done = self.execs - self.cut;
+        let n = done - self.folded;
+        if n == 0 {
+            return;
+        }
+        self.folded = done;
+        for &(class, count, cycles) in self.classes.iter() {
+            stats.bulk_count(class as usize, n * u64::from(count), n * cycles);
+        }
+        if let Some((class, taken_cycles, not_cycles)) = self.branch {
+            let taken = std::mem::take(&mut self.taken);
+            let cycles = taken * u64::from(taken_cycles) + (n - taken) * u64::from(not_cycles);
+            stats.bulk_count(class as usize, n, cycles);
+        }
+    }
 }
 
 /// One half-word of the code window.
@@ -221,6 +335,12 @@ struct Slot {
     /// / [`SLOT_NO_BLOCK`].
     tag: u32,
 }
+
+// A micro-op is half a cache line and a window slot a whole one: both
+// are copied on every lowering and the window is allocated per program,
+// so growing either shows in lowering time and `peak_rss_mb`.
+const _: () = assert!(std::mem::size_of::<MicroOp>() == 32);
+const _: () = assert!(std::mem::size_of::<Slot>() == 64);
 
 const FRESH_SLOT: Slot = Slot {
     decoded: None,
@@ -238,10 +358,9 @@ pub(crate) struct BlockCache {
     slots: Vec<Slot>,
     arena: Vec<Option<Entry>>,
     free: Vec<u32>,
-    /// Bumped whenever any block is killed; executing blocks compare it
-    /// after every store micro-op so self-modifying code stops replay at
-    /// the first possibly-stale op.
-    gen: u64,
+    /// The trap of the handler that last returned [`Status::Trap`], until
+    /// [`take_trap`] takes it.
+    trap: Option<SimError>,
 }
 
 impl BlockCache {
@@ -252,7 +371,7 @@ impl BlockCache {
             slots: Vec::new(),
             arena: Vec::new(),
             free: Vec::new(),
-            gen: 0,
+            trap: None,
         }
     }
 
@@ -270,7 +389,8 @@ impl BlockCache {
     /// Start a window over `[base, base + len_bytes)` with every slot
     /// undecoded and no blocks. An odd base can never be fetched (every
     /// fetch there faults), so it is rounded down to keep slot arithmetic
-    /// alias-free.
+    /// alias-free. Called only between runs, when every entry's tallies
+    /// are folded, so dropping the arena loses no count.
     pub(crate) fn reset(&mut self, base: u32, len_bytes: u32) {
         self.base = base & !1;
         self.slots.clear();
@@ -278,7 +398,6 @@ impl BlockCache {
             .resize(((len_bytes + (base & 1)) >> 1) as usize, FRESH_SLOT);
         self.arena.clear();
         self.free.clear();
-        self.gen = self.gen.wrapping_add(1);
     }
 
     /// First byte of the window (always even).
@@ -341,19 +460,21 @@ impl BlockCache {
     /// decoded slots whose instruction may cover them (a 32-bit
     /// instruction *starting* up to two bytes before `addr` spans into
     /// the range, so the slot range extends one slot backwards), the
-    /// declined-leader markers there, and every block whose instruction
-    /// bytes overlap the range. The only invalidation: simulated stores
-    /// and `Cpu::write_data` both come here, and writes that miss the
-    /// window exit after two compares.
-    pub(crate) fn invalidate(&mut self, addr: u32, len: u32) {
+    /// declined-leader markers there, and every block whose byte hull
+    /// overlaps the range, folding a killed block's pending tallies into
+    /// `stats`. Returns whether any block was killed. The only
+    /// invalidation: simulated stores and `Cpu::write_data` both come
+    /// here, and writes that miss the window exit after two compares.
+    pub(crate) fn invalidate(&mut self, stats: &mut Stats, addr: u32, len: u32) -> bool {
         let hi = addr.saturating_add(len);
         let lo = addr.saturating_sub(2).max(self.base);
         let slots_hi = hi.min(self.base + self.len_bytes());
-        // A block ends at most two bytes past the window (a spanning final
-        // instruction), so any write overlapping a block also reaches a
-        // slot through the backward extension and passes this test.
+        // A block's hull ends at most two bytes past the window (a
+        // spanning final instruction), so any write overlapping a block
+        // also reaches a slot through the backward extension and passes
+        // this test.
         if lo >= slots_hi {
-            return;
+            return false;
         }
         let first = self.index(lo);
         let last = self.index(slots_hi - 1);
@@ -363,23 +484,22 @@ impl BlockCache {
                 slot.tag = SLOT_EMPTY;
             }
         }
+        let mut killed = false;
         for idx in 0..self.arena.len() {
-            let overlaps = match &self.arena[idx] {
-                Some(e) => e.start < hi && e.end > addr,
-                None => false,
-            };
-            if overlaps {
-                self.kill(idx);
+            if matches!(&self.arena[idx], Some(e) if e.lo < hi && e.hi > addr) {
+                self.kill(stats, idx);
+                killed = true;
             }
         }
+        killed
     }
 
-    fn kill(&mut self, idx: usize) {
-        if let Some(e) = self.arena[idx].take() {
+    fn kill(&mut self, stats: &mut Stats, idx: usize) {
+        if let Some(mut e) = self.arena[idx].take() {
+            e.fold(stats);
             let leader = self.index(e.start);
             self.slots[leader].tag = SLOT_EMPTY;
             self.free.push(idx as u32);
-            self.gen = self.gen.wrapping_add(1);
         }
     }
 
@@ -398,6 +518,31 @@ impl BlockCache {
         idx as usize
     }
 
+    /// Fold every live entry's pending tallies into `stats`: [`run`] calls
+    /// this before it returns, so `stats` is complete outside a run.
+    fn fold(&mut self, stats: &mut Stats) {
+        for e in self.arena.iter_mut().flatten() {
+            e.fold(stats);
+        }
+    }
+
+    /// The live block that successor link `k` of the live entry `from`
+    /// names, if it is led by `pc`.
+    #[inline(always)]
+    fn follow(&self, from: usize, k: usize, pc: u32) -> Option<usize> {
+        let to = self.arena[from].as_ref()?.succ[k] as usize;
+        match self.arena.get(to) {
+            Some(Some(e)) if e.start == pc => Some(to),
+            _ => None,
+        }
+    }
+
+    fn link(&mut self, from: usize, k: usize, to: usize) {
+        if let Some(e) = &mut self.arena[from] {
+            e.succ[k] = to as u32;
+        }
+    }
+
     /// Top-`n` live blocks by dynamic instruction count.
     pub(crate) fn hot(&self, n: usize) -> Vec<HotBlock> {
         let mut v: Vec<HotBlock> = self
@@ -406,8 +551,9 @@ impl BlockCache {
             .flatten()
             .filter(|e| e.execs > 0)
             .map(|e| HotBlock {
-                start: e.start,
-                end: e.end,
+                start: e.lo,
+                end: e.hi,
+                leader: e.start,
                 instrs: e.retired as u32,
                 execs: e.execs,
             })
@@ -415,48 +561,93 @@ impl BlockCache {
         v.sort_by(|a, b| {
             b.dynamic_instrs()
                 .cmp(&a.dynamic_instrs())
-                .then(a.start.cmp(&b.start))
+                .then(a.leader.cmp(&b.leader))
         });
         v.truncate(n);
         v
     }
 }
 
+/// How a block dispatch or a tail ended, short of a trap.
+#[derive(Clone, Copy)]
+enum Flow {
+    /// Ran to the end; the current PC is the target of successor link
+    /// `k` (`1` iff a branch tail was taken).
+    Next(usize),
+    /// Stopped after a store that killed cached code; the executed prefix
+    /// is committed.
+    Cut,
+    /// Retired an `ecall` tail: the program exits.
+    Exit,
+}
+
 /// Run until `ecall`, a trap, or `max_instructions` more retired: the
-/// engine's one run loop. Each iteration looks up (or lowers) the block
-/// led by the current PC and executes it whole when it fits the budget
-/// left; anything else — a declined leader, code outside the window, a
-/// block that would overshoot the budget, the block tier switched off —
-/// takes one [`step`], so instruction-limit semantics match the
-/// per-instruction path exactly.
+/// engine's one run loop plus the fold of the deferred per-class stats,
+/// which leaves `cpu.stats` complete on every exit.
+pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<ExitReason, SimError> {
+    let result = dispatch(cpu, max_instructions);
+    cpu.blocks.fold(&mut cpu.stats);
+    result
+}
+
+/// The run loop. Each iteration finds the block led by the current PC —
+/// through the successor link the previous block left by, else the slot
+/// tag (lowering and installing it on first use) — and executes it whole
+/// when it fits the budget left; anything else — a declined leader, code
+/// outside the window, a block that would overshoot the budget, the
+/// block tier switched off — takes one [`step`], so instruction-limit
+/// semantics match the per-instruction path exactly.
 ///
 /// The block is taken out of its arena entry while it executes and put
 /// back only if the entry is still live afterwards. Nothing installs a
 /// block during [`exec_block`], so a live entry at that index is still
 /// the same one; a block whose store killed it left `None` there and is
 /// dropped here.
-pub(crate) fn run(cpu: &mut Cpu, max_instructions: u64) -> Result<ExitReason, SimError> {
+fn dispatch(cpu: &mut Cpu, max_instructions: u64) -> Result<ExitReason, SimError> {
     let limit = cpu.stats.instret.saturating_add(max_instructions);
+    // The block that just completed and the successor link it left by.
+    let mut from: Option<(usize, usize)> = None;
     while cpu.stats.instret < limit {
-        if let Some(idx) = leader_block(cpu) {
+        let found = match from.take() {
+            Some((idx, k)) => match cpu.blocks.follow(idx, k, cpu.pc) {
+                Some(to) => Some(to),
+                None => {
+                    let to = leader_block(cpu);
+                    if let Some(to) = to {
+                        cpu.blocks.link(idx, k, to);
+                    }
+                    to
+                }
+            },
+            None => leader_block(cpu),
+        };
+        if let Some(idx) = found {
             let remaining = limit - cpu.stats.instret;
             let entry = cpu.blocks.arena[idx]
                 .as_mut()
                 .expect("slot tag points at a live block");
             if entry.retired <= remaining {
-                entry.execs += 1;
-                let end = entry.end;
+                let retired = entry.retired;
                 let block = entry
                     .block
                     .take()
                     .expect("a block is not dispatched while it executes");
-                let result = exec_block(cpu, &block, end);
+                let result = exec_block(cpu, &block, retired);
                 if let Some(entry) = &mut cpu.blocks.arena[idx] {
                     entry.block = Some(block);
+                    entry.execs += 1;
+                    match result {
+                        Ok(Flow::Next(k)) => {
+                            entry.taken += k as u64;
+                            from = Some((idx, k));
+                        }
+                        Ok(Flow::Exit) => {}
+                        Ok(Flow::Cut) | Err(_) => entry.cut += 1,
+                    }
                 }
                 match result? {
-                    Some(reason) => return Ok(reason),
-                    None => continue,
+                    Flow::Exit => return Ok(ExitReason::Ecall),
+                    Flow::Next(_) | Flow::Cut => continue,
                 }
             }
         }
@@ -490,39 +681,59 @@ fn leader_block(cpu: &mut Cpu) -> Option<usize> {
     }
 }
 
-/// Execute `block` (whose instructions end at `end`) from its first
-/// micro-op. Returns `Some(reason)` when the program exits.
-fn exec_block(cpu: &mut Cpu, block: &Block, end: u32) -> Result<Option<ExitReason>, SimError> {
-    let gen0 = cpu.blocks.gen;
-    let uops = &block.uops;
-    for (i, u) in uops.iter().enumerate() {
-        if let Err(trap) = (u.run)(cpu, u) {
-            // Trapping instructions retire nothing: commit the prefix and
-            // leave the PC at the trapping instruction.
-            commit_prefix(cpu, block, i);
-            cpu.pc = u.pc;
-            return Err(trap);
-        }
-        // Only stores can invalidate cached code, so only they need the
-        // generation re-check (possibly against this very block).
-        if u.inval != 0 && cpu.blocks.gen != gen0 {
-            // Commit what ran and resume on fresh lowering/decoding.
-            commit_prefix(cpu, block, i + 1);
-            cpu.pc = match uops.get(i + 1) {
-                Some(next) => next.pc,
-                None => block.tail.as_ref().map_or(end, |t| t.pc),
-            };
-            return Ok(None);
+/// Execute `block`, which retires `retired` instructions when it
+/// completes, from its first micro-op. A completed execution adds to
+/// `instret` and `cycles` only; its per-class counts wait in the entry's
+/// tallies.
+#[inline(always)]
+fn exec_block(cpu: &mut Cpu, block: &Block, retired: u64) -> Result<Flow, SimError> {
+    for (i, u) in block.uops.iter().enumerate() {
+        let status = (u.run)(cpu, u);
+        if status != Status::Ok {
+            return stop(cpu, block, i, status);
         }
     }
-    commit_body(cpu, block);
-    match &block.tail {
-        Some(tail) => exec_tail(cpu, tail),
-        None => {
-            cpu.pc = end;
-            Ok(None)
+    let Some(t) = &block.tail else {
+        retire(cpu, retired, block.body_cycles);
+        cpu.pc = block.next;
+        return Ok(Flow::Next(0));
+    };
+    match transfer(cpu, t) {
+        Ok((pc, cycles, flow)) => {
+            retire(cpu, retired, block.body_cycles + u64::from(cycles));
+            cpu.pc = pc;
+            Ok(flow)
+        }
+        Err(trap) => {
+            // The body retired; the tail traps without retiring.
+            commit_prefix(cpu, block, block.uops.len());
+            cpu.pc = t.pc;
+            Err(trap)
         }
     }
+}
+
+/// Micro-op `i` of `block` returned `status` (a trap or a kill): commit
+/// what retired with per-op accounting and leave the PC where the
+/// per-instruction path would.
+#[cold]
+#[inline(never)]
+fn stop(cpu: &mut Cpu, block: &Block, i: usize, status: Status) -> Result<Flow, SimError> {
+    if status == Status::Trap {
+        // Trapping instructions retire nothing: leave the PC at the
+        // trapping instruction.
+        commit_prefix(cpu, block, i);
+        cpu.pc = block.uops[i].pc;
+        return Err(take_trap(cpu));
+    }
+    // A store killed cached code, perhaps this very block: resume after
+    // it on fresh lowering and decoding.
+    commit_prefix(cpu, block, i + 1);
+    cpu.pc = match block.uops.get(i + 1) {
+        Some(next) => next.pc,
+        None => block.tail.as_ref().map_or(block.next, |t| t.pc),
+    };
+    Ok(Flow::Cut)
 }
 
 /// Execute the instruction at the current PC with per-instruction
@@ -542,58 +753,57 @@ pub(crate) fn step(cpu: &mut Cpu) -> Result<Option<ExitReason>, SimError> {
     };
     match &op {
         Lowered::Op(u) => {
-            (u.run)(cpu, u)?;
+            if (u.run)(cpu, u) == Status::Trap {
+                return Err(take_trap(cpu));
+            }
             account(cpu, u.class, u.cycles);
             cpu.pc = u.pc.wrapping_add(len);
             Ok(None)
         }
-        Lowered::Tail(t) => exec_tail(cpu, t),
+        Lowered::Tail(t) => {
+            let (pc, cycles, flow) = transfer(cpu, t)?;
+            account(cpu, t.class, cycles);
+            cpu.pc = pc;
+            Ok(matches!(flow, Flow::Exit).then_some(ExitReason::Ecall))
+        }
     }
 }
 
-/// Per-op accounting for a partially executed body (trap or
-/// invalidation-abort).
+/// Per-op accounting for a partially executed body (a trap or a kill).
 fn commit_prefix(cpu: &mut Cpu, block: &Block, n: usize) {
     for u in &block.uops[..n] {
-        cpu.stats
-            .bulk_count(u.class as usize, 1, u64::from(u.cycles));
-        cpu.stats.cycles += u64::from(u.cycles);
+        account(cpu, u.class, u.cycles);
     }
-    cpu.stats.instret += n as u64;
 }
 
-/// Aggregated accounting for a fully executed body — the single bulk
-/// commit that replaces per-instruction bookkeeping.
-#[inline]
-fn commit_body(cpu: &mut Cpu, block: &Block) {
-    cpu.stats.instret += block.uops.len() as u64;
-    cpu.stats.cycles += block.body_cycles;
-    for &(class, n, cycles) in block.class_counts.iter() {
-        cpu.stats.bulk_count(class as usize, n as u64, cycles);
-    }
+#[inline(always)]
+fn retire(cpu: &mut Cpu, instrs: u64, cycles: u64) {
+    cpu.stats.instret += instrs;
+    cpu.stats.cycles += cycles;
 }
 
 #[inline]
 fn account(cpu: &mut Cpu, class: u8, cycles: u32) {
     cpu.stats.bulk_count(class as usize, 1, u64::from(cycles));
-    cpu.stats.instret += 1;
-    cpu.stats.cycles += u64::from(cycles);
+    retire(cpu, 1, u64::from(cycles));
 }
 
-#[inline]
-fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Option<ExitReason>, SimError> {
-    match t.kind {
+/// Execute tail `t`'s control transfer — the link register written, the
+/// branch decided — and return the next PC, the cycles the tail costs
+/// and how dispatch continues. A decode-time trap returns its trap
+/// without side effects. Both tiers run tails through here.
+#[inline(always)]
+fn transfer(cpu: &mut Cpu, t: &Tail) -> Result<(u32, u32, Flow), SimError> {
+    Ok(match t.kind {
         TailKind::Jal { rd, target } => {
             set_xr(cpu, rd, t.next);
-            account(cpu, t.class, t.cycles);
-            cpu.pc = target;
+            (target, t.cycles, Flow::Next(0))
         }
         TailKind::Jalr { rd, rs1, offset } => {
             // Read rs1 before linking: rd may alias rs1.
             let target = xr(cpu, rs1).wrapping_add(offset as u32) & !1;
             set_xr(cpu, rd, t.next);
-            account(cpu, t.class, t.cycles);
-            cpu.pc = target;
+            (target, t.cycles, Flow::Next(0))
         }
         TailKind::Branch {
             cond,
@@ -613,24 +823,14 @@ fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Option<ExitReason>, SimError> {
                 BranchCond::Geu => a >= b,
             };
             if taken {
-                account(cpu, t.class, t.cycles);
-                cpu.pc = target;
+                (target, t.cycles, Flow::Next(1))
             } else {
-                account(cpu, t.class, not_cycles);
-                cpu.pc = t.next;
+                (t.next, not_cycles, Flow::Next(0))
             }
         }
-        TailKind::Ecall => {
-            account(cpu, t.class, t.cycles);
-            cpu.pc = t.next;
-            return Ok(Some(ExitReason::Ecall));
-        }
-        TailKind::Trap(trap) => {
-            cpu.pc = t.pc;
-            return Err(trap);
-        }
-    }
-    Ok(None)
+        TailKind::Ecall => (t.next, t.cycles, Flow::Exit),
+        TailKind::Trap(trap) => return Err(trap),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -639,12 +839,15 @@ fn exec_tail(cpu: &mut Cpu, t: &Tail) -> Result<Option<ExitReason>, SimError> {
 
 /// Walk the code window from `leader`, copying lowered ops out of the
 /// slots until a tail, a CSR (barrier), an undecodable slot, the window
-/// edge, or [`MAX_BODY`]. Slots decode (and fill) on the way. Returns
+/// edge, or [`MAX_BODY`] micro-ops. A `jal x0` to an even PC inside the
+/// window is no tail here: it becomes a retiring micro-op and the walk
+/// continues at its target. Slots decode (and fill) on the way. Returns
 /// `None` when nothing at all can be lowered here.
 fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Entry> {
     let mut uops: Vec<MicroOp> = Vec::new();
     let mut tail = None;
     let mut pc = leader;
+    let (mut lo, mut hi) = (leader, leader);
     while uops.len() < MAX_BODY && cpu.blocks.in_window(pc) {
         let Ok(d) = cpu.blocks.decode(&cpu.mem, &cpu.config, pc) else {
             break;
@@ -654,9 +857,22 @@ fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Entry> {
         if matches!(d.instr, Instr::Csr { .. }) {
             break;
         }
-        pc = pc.wrapping_add(d.len);
+        lo = lo.min(pc);
+        hi = hi.max(pc.wrapping_add(d.len));
         match d.op {
-            Lowered::Op(u) => uops.push(u),
+            Lowered::Op(u) => {
+                uops.push(u);
+                pc = pc.wrapping_add(d.len);
+            }
+            Lowered::Tail(Tail {
+                kind: TailKind::Jal { rd: 0, target },
+                class,
+                cycles,
+                ..
+            }) if target & 1 == 0 && cpu.blocks.in_window(target) => {
+                uops.push(MicroOp::bare(pc, class, cycles));
+                pc = target;
+            }
             Lowered::Tail(t) => {
                 tail = Some(t);
                 break;
@@ -666,14 +882,24 @@ fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Entry> {
     if uops.is_empty() && tail.is_none() {
         return None;
     }
-    let mut body_cycles = 0u64;
     let mut totals = [(0u32, 0u64); InstrClass::ALL.len()];
+    let mut count = |class: u8, cycles: u32| {
+        totals[class as usize].0 += 1;
+        totals[class as usize].1 += u64::from(cycles);
+    };
     for u in &uops {
-        body_cycles += u64::from(u.cycles);
-        totals[u.class as usize].0 += 1;
-        totals[u.class as usize].1 += u64::from(u.cycles);
+        count(u.class, u.cycles);
     }
-    let class_counts: Box<[(u8, u32, u64)]> = totals
+    let mut branch = None;
+    if let Some(t) = &tail {
+        match t.kind {
+            TailKind::Branch { not_cycles, .. } => branch = Some((t.class, t.cycles, not_cycles)),
+            // A trap tail never completes: its body commits per op.
+            TailKind::Trap(_) => {}
+            _ => count(t.class, t.cycles),
+        }
+    }
+    let classes: Box<[(u8, u32, u64)]> = totals
         .iter()
         .enumerate()
         .filter(|(_, &(n, _))| n > 0)
@@ -681,15 +907,22 @@ fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Entry> {
         .collect();
     Some(Entry {
         start: leader,
-        end: pc,
+        lo,
+        hi,
         retired: uops.len() as u64 + u64::from(tail.is_some()),
         block: Some(Box::new(Block {
+            body_cycles: uops.iter().map(|u| u64::from(u.cycles)).sum(),
             uops: uops.into_boxed_slice(),
             tail,
-            body_cycles,
-            class_counts,
+            next: pc,
         })),
         execs: 0,
+        cut: 0,
+        folded: 0,
+        taken: 0,
+        classes,
+        branch,
+        succ: [NO_LINK; 2],
     })
 }
 
@@ -881,20 +1114,7 @@ fn lower(cfg: &SimConfig, pc: u32, instr: Instr, len: u32) -> Lowered {
     // A vector op on a format with no SIMD lanes (or a lane selector out
     // of range) traps without side effects.
     let unsupported = tail(TailKind::Trap(SimError::VectorUnsupported { pc }), 0);
-    let mut u = MicroOp {
-        run: nop,
-        rd: 0,
-        rs1: 0,
-        rs2: 0,
-        rs3: 0,
-        rm: 0,
-        class,
-        inval: 0,
-        imm: 0,
-        aux: 0,
-        pc,
-        cycles: 0,
-    };
+    let mut u = MicroOp::bare(pc, class, 0);
     let mut cycles = t.int_alu;
     match instr {
         Instr::Jal { rd, offset } => {
@@ -1003,7 +1223,6 @@ fn lower(cfg: &SimConfig, pc: u32, instr: Instr, len: u32) -> Lowered {
             u.rs2 = rs2.num();
             u.imm = offset;
             cycles = mem_lat;
-            u.inval = 1;
             u.run = match width {
                 MemWidth::B => store_int::<1>,
                 MemWidth::H => store_int::<2>,
@@ -1037,7 +1256,6 @@ fn lower(cfg: &SimConfig, pc: u32, instr: Instr, len: u32) -> Lowered {
             u.rs2 = rs2.num();
             u.imm = offset;
             cycles = mem_lat;
-            u.inval = 1;
         }
         Instr::FOp {
             op,
@@ -1438,16 +1656,16 @@ fn uop_rm(cpu: &Cpu, u: &MicroOp) -> Result<Rounding, SimError> {
     }
 }
 
-fn nop(_cpu: &mut Cpu, _u: &MicroOp) -> Result<(), SimError> {
-    Ok(())
+fn nop(_cpu: &mut Cpu, _u: &MicroOp) -> Status {
+    Status::Ok
 }
 
 /// `csrr{w,s,c}[i]`: `aux` holds the CSR number and `OP` the `CsrOp` id,
 /// or [`CSR_READ`]. The old value reaches `rd` only once the write (if
 /// any) succeeded.
-fn csr_op<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn csr_op<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let num = u.aux as u16;
-    let old = exec::read_csr(cpu, num, u.pc)?;
+    let old = tri!(cpu, exec::read_csr(cpu, num, u.pc));
     if OP != CSR_READ {
         let src = xr(cpu, u.rs1).wrapping_add(u.imm as u32);
         let new = match csrop_of(OP) {
@@ -1455,72 +1673,81 @@ fn csr_op<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
             CsrOp::Rs => old | src,
             CsrOp::Rc => old & !src,
         };
-        exec::write_csr(cpu, num, new, u.pc)?;
+        tri!(cpu, exec::write_csr(cpu, num, new, u.pc));
     }
     set_xr(cpu, u.rd, old);
-    Ok(())
+    Status::Ok
 }
 
-fn const_x(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn const_x(cpu: &mut Cpu, u: &MicroOp) -> Status {
     set_xr(cpu, u.rd, u.imm as u32);
-    Ok(())
+    Status::Ok
 }
 
-fn alu_ri<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn alu_ri<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let v = exec::alu(aluop_of(OP), xr(cpu, u.rs1), u.imm as u32);
     set_xr(cpu, u.rd, v);
-    Ok(())
+    Status::Ok
 }
 
-fn alu_rr<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn alu_rr<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let v = exec::alu(aluop_of(OP), xr(cpu, u.rs1), xr(cpu, u.rs2));
     set_xr(cpu, u.rd, v);
-    Ok(())
+    Status::Ok
 }
 
-fn muldiv_rr<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn muldiv_rr<const OP: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let v = exec::muldiv(muldivop_of(OP), xr(cpu, u.rs1), xr(cpu, u.rs2));
     set_xr(cpu, u.rd, v);
-    Ok(())
+    Status::Ok
 }
 
-fn load_int<const BYTES: u32, const SG: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn load_int<const BYTES: u32, const SG: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let addr = xr(cpu, u.rs1).wrapping_add(u.imm as u32);
-    let raw = cpu.mem.load(addr, BYTES)?;
+    let raw = tri!(cpu, cpu.mem.load(addr, BYTES));
     let v = if SG == 1 {
         exec::sext(raw, BYTES * 8)
     } else {
         raw
     };
     set_xr(cpu, u.rd, v);
-    Ok(())
+    Status::Ok
 }
 
-fn store_int<const BYTES: u32>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+/// Finish a store of `bytes` at `addr`: invalidate the cached code it
+/// overwrote, and report a killed block so a running block stops.
+#[inline(always)]
+fn stored(cpu: &mut Cpu, addr: u32, bytes: u32) -> Status {
+    if cpu.blocks.invalidate(&mut cpu.stats, addr, bytes) {
+        Status::Killed
+    } else {
+        Status::Ok
+    }
+}
+
+fn store_int<const BYTES: u32>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let addr = xr(cpu, u.rs1).wrapping_add(u.imm as u32);
-    cpu.mem.store(addr, BYTES, xr(cpu, u.rs2))?;
-    cpu.blocks.invalidate(addr, BYTES);
-    Ok(())
+    tri!(cpu, cpu.mem.store(addr, BYTES, xr(cpu, u.rs2)));
+    stored(cpu, addr, BYTES)
 }
 
-fn load_fp<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn load_fp<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let addr = xr(cpu, u.rs1).wrapping_add(u.imm as u32);
-    let raw = cpu.mem.load(addr, fmt.width() / 8)? as u64;
+    let raw = u64::from(tri!(cpu, cpu.mem.load(addr, fmt.width() / 8)));
     exec::write_boxed(cpu, fmt, freg(u.rd), raw);
-    Ok(())
+    Status::Ok
 }
 
-fn store_fp<const BYTES: u32>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn store_fp<const BYTES: u32>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let addr = xr(cpu, u.rs1).wrapping_add(u.imm as u32);
-    cpu.mem.store(addr, BYTES, fr(cpu, u.rs2))?;
-    cpu.blocks.invalidate(addr, BYTES);
-    Ok(())
+    tri!(cpu, cpu.mem.store(addr, BYTES, fr(cpu, u.rs2)));
+    stored(cpu, addr, BYTES)
 }
 
-fn fop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
     let b = exec::unbox(cpu, fmt, freg(u.rs2));
     let f = fmt.format();
@@ -1532,19 +1759,19 @@ fn fop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimE
     };
     exec::write_boxed(cpu, fmt, freg(u.rd), r);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn fsqrt<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fsqrt<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let r = fast::sqrt(fmt.format(), exec::unbox(cpu, fmt, freg(u.rs1)), &mut env);
     exec::write_boxed(cpu, fmt, freg(u.rd), r);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn fsgnj<const K: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fsgnj<const K: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
     let b = exec::unbox(cpu, fmt, freg(u.rs2));
@@ -1555,10 +1782,10 @@ fn fsgnj<const K: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), Sim
         SgnjKind::Sgnjx => fast::fsgnjx(f, a, b),
     };
     exec::write_boxed(cpu, fmt, freg(u.rd), r);
-    Ok(())
+    Status::Ok
 }
 
-fn fminmax<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fminmax<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let mut env = Env::new(Rounding::Rne);
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
@@ -1569,12 +1796,12 @@ fn fminmax<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), 
     };
     exec::write_boxed(cpu, fmt, freg(u.rd), r);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn ffma<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn ffma<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
     let b = exec::unbox(cpu, fmt, freg(u.rs2));
     let c = exec::unbox(cpu, fmt, freg(u.rs3));
@@ -1587,10 +1814,10 @@ fn ffma<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), Sim
     };
     exec::write_boxed(cpu, fmt, freg(u.rd), r);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn fcmp<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fcmp<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let mut env = Env::new(Rounding::Rne);
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
@@ -1603,24 +1830,24 @@ fn fcmp<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), Sim
     };
     set_xr(cpu, u.rd, r as u32);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn fclass<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fclass<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let r = fast::classify(fmt.format(), exec::unbox(cpu, fmt, freg(u.rs1)));
     set_xr(cpu, u.rd, r);
-    Ok(())
+    Status::Ok
 }
 
-fn fmv_xf<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fmv_xf<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let raw = (fr(cpu, u.rs1) as u64 & fmt.format().mask()) as u32;
     set_xr(cpu, u.rd, exec::sext(raw, fmt.width()));
-    Ok(())
+    Status::Ok
 }
 
-fn fmv_fx<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fmv_fx<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     exec::write_boxed(
         cpu,
@@ -1628,12 +1855,12 @@ fn fmv_fx<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
         freg(u.rd),
         xr(cpu, u.rs1) as u64 & fmt.format().mask(),
     );
-    Ok(())
+    Status::Ok
 }
 
-fn fcvt_ff<const DST: u8, const SRC: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fcvt_ff<const DST: u8, const SRC: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let (dst, src) = (fmt_of(DST), fmt_of(SRC));
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let r = fast::cvt_f_f(
         dst.format(),
         src.format(),
@@ -1642,12 +1869,12 @@ fn fcvt_ff<const DST: u8, const SRC: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(
     );
     exec::write_boxed(cpu, dst, freg(u.rd), r);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn fcvt_fi<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fcvt_fi<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let r = ops::to_int(
         fmt.format(),
         exec::unbox(cpu, fmt, freg(u.rs1)),
@@ -1657,12 +1884,12 @@ fn fcvt_fi<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), 
     );
     set_xr(cpu, u.rd, r as u32);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn fcvt_if<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fcvt_if<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let x = xr(cpu, u.rs1);
     let r = if SG == 1 {
         ops::from_i64(fmt.format(), x as i32 as i64, &mut env)
@@ -1671,35 +1898,35 @@ fn fcvt_if<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), 
     };
     exec::write_boxed(cpu, fmt, freg(u.rd), r);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn fmulex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fmulex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let a = exec::widen_to_s(fmt, exec::unbox(cpu, fmt, freg(u.rs1)));
     let b = exec::widen_to_s(fmt, exec::unbox(cpu, fmt, freg(u.rs2)));
     let r = fast::mul(Format::BINARY32, a, b, &mut env);
     set_fr(cpu, u.rd, r as u32);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn fmacex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn fmacex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let a = exec::widen_to_s(fmt, exec::unbox(cpu, fmt, freg(u.rs1)));
     let b = exec::widen_to_s(fmt, exec::unbox(cpu, fmt, freg(u.rs2)));
     let acc = fr(cpu, u.rd) as u64;
     let r = fast::fmadd(Format::BINARY32, a, b, acc, &mut env);
     set_fr(cpu, u.rd, r as u32);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let va = fr(cpu, u.rs1);
     let vb = fr(cpu, u.rs2);
     let vd = fr(cpu, u.rd);
@@ -1713,12 +1940,12 @@ fn vfop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), Sim
     };
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfsqrt<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfsqrt<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let va = fr(cpu, u.rs1);
     let out = match fmt {
         FpFmt::H => batch::vsqrt2_f16(va, &mut env),
@@ -1728,10 +1955,10 @@ fn vfsqrt<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     };
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfcmp<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfcmp<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let mut env = Env::new(Rounding::Rne);
     let va = fr(cpu, u.rs1);
@@ -1746,30 +1973,30 @@ fn vfcmp<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), Si
     };
     set_xr(cpu, u.rd, mask);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfcvt_ff16<const DST: u8, const SRC: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfcvt_ff16<const DST: u8, const SRC: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let (dst, src) = (fmt_of(DST), fmt_of(SRC));
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let out = batch::vcvt2_ff(dst.format(), src.format(), fr(cpu, u.rs1), &mut env);
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfcvt_ff8<const DST: u8, const SRC: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfcvt_ff8<const DST: u8, const SRC: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let (dst, src) = (fmt_of(DST), fmt_of(SRC));
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let out = batch::vcvt4_ff(dst.format(), src.format(), fr(cpu, u.rs1), &mut env);
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfcvt_xf<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfcvt_xf<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let va = fr(cpu, u.rs1);
     let out = match fmt {
         FpFmt::H | FpFmt::Ah => batch::vcvt2_x_f(fmt.format(), va, SG == 1, &mut env),
@@ -1778,12 +2005,12 @@ fn vfcvt_xf<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(),
     };
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfcvt_fx<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfcvt_fx<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let va = fr(cpu, u.rs1);
     let out = match fmt {
         FpFmt::H | FpFmt::Ah => batch::vcvt2_f_x(fmt.format(), va, SG == 1, &mut env),
@@ -1792,13 +2019,13 @@ fn vfcvt_fx<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(),
     };
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfcpk<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfcpk<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let w = fmt.width();
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let a = fast::cvt_f_f(
         fmt.format(),
         Format::BINARY32,
@@ -1817,12 +2044,12 @@ fn vfcpk<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     out = exec::set_lane(out, base + 1, w, b);
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let va = fr(cpu, u.rs1);
     let vb = fr(cpu, u.rs2);
     let rep = u.aux != 0;
@@ -1835,12 +2062,12 @@ fn vfdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     };
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
-fn vfsdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
+fn vfsdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
-    let mut env = Env::new(uop_rm(cpu, u)?);
+    let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let va = fr(cpu, u.rs1);
     let vb = fr(cpu, u.rs2);
     let rep = u.aux != 0;
@@ -1856,7 +2083,7 @@ fn vfsdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Result<(), SimError> {
     };
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
-    Ok(())
+    Status::Ok
 }
 
 #[cfg(test)]

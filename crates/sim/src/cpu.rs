@@ -245,7 +245,8 @@ impl Cpu {
     /// Panics if the range exceeds the memory size.
     pub fn write_data(&mut self, addr: u32, data: &[u8]) {
         self.mem.write_bytes(addr, data);
-        self.blocks.invalidate(addr, data.len() as u32);
+        self.blocks
+            .invalidate(&mut self.stats, addr, data.len() as u32);
     }
 
     /// Read an integer register (`x0` reads as 0).
@@ -429,7 +430,9 @@ impl Cpu {
     }
 
     /// Top-`n` cached blocks by dynamic instruction count
-    /// (`execs × block length`) — the hot-block profile. Counts cover
+    /// (`execs × block length`) — the hot-block profile. A block that
+    /// follows a jump reports its byte hull as `start..end` and counts the
+    /// jump in `instrs`; `leader` is where it is entered. Counts cover
     /// currently cached blocks: [`Cpu::reset`], [`Cpu::load_program`], a
     /// restore that does not keep the window, and code invalidation drop
     /// blocks along with their counters, so harvest the profile right

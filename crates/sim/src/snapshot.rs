@@ -267,9 +267,8 @@ impl Cpu {
     /// counters under this engine's energy model. The live code window
     /// survives only when it covers byte-identical code (see below);
     /// otherwise a fresh, empty window starts over the captured range and
-    /// every cached block is dropped (the block-cache generation counter
-    /// advances), so decoded slots or lowered blocks from a different code
-    /// image can never execute.
+    /// every cached block is dropped, so decoded slots or lowered blocks
+    /// from a different code image can never execute.
     ///
     /// The simulator configuration (timing/energy models, memory level,
     /// block-cache enablement) is engine state, not machine state: it is
@@ -293,9 +292,8 @@ impl Cpu {
         self.mem.restore(&snap.mem);
         if !keep {
             // A fresh window over the captured range decodes the restored
-            // bytes on use; dropping every block (and bumping the
-            // generation) is what makes restore safe against
-            // self-modifying-code history.
+            // bytes on use; dropping every block is what makes restore
+            // safe against self-modifying-code history.
             self.blocks.reset(snap.code_base, snap.code_len_bytes);
         }
         self.derive_energy();

@@ -127,11 +127,16 @@ fn class_index(class: InstrClass) -> usize {
 /// was dispatched. Produced by `Cpu::hot_blocks`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HotBlock {
-    /// Leader PC (first byte of the block).
+    /// First byte of the block's byte hull: the lowest address of any
+    /// instruction lowered into it. Below [`HotBlock::leader`] when the
+    /// block follows a jump backwards.
     pub start: u32,
-    /// Exclusive byte end of the block's last instruction.
+    /// Exclusive end of the byte hull: the highest instruction end.
     pub end: u32,
-    /// Instructions retired by one full execution of the block.
+    /// Leader PC: where execution enters the block.
+    pub leader: u32,
+    /// Instructions retired by one full execution of the block, followed
+    /// jumps included.
     pub instrs: u32,
     /// Times the block was dispatched.
     pub execs: u64,
@@ -144,16 +149,16 @@ impl HotBlock {
     }
 }
 
-/// Render a hot-block profile as a table: PC range, static length,
-/// execution count and share of `instret` (the run's total retired
-/// instructions).
+/// Render a hot-block profile as a table: byte hull (`pc range`), leader
+/// PC, static length (followed jumps included), execution count and
+/// share of `instret` (the run's total retired instructions).
 pub fn hot_block_report(blocks: &[HotBlock], instret: u64) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>4}  {:>21}  {:>6}  {:>12}  {:>14}  {:>6}",
-        "#", "pc range", "instrs", "execs", "dyn instrs", "%dyn"
+        "{:>4}  {:>21}  {:>10}  {:>6}  {:>12}  {:>14}  {:>6}",
+        "#", "pc range", "leader", "instrs", "execs", "dyn instrs", "%dyn"
     );
     for (i, b) in blocks.iter().enumerate() {
         let share = if instret == 0 {
@@ -163,10 +168,11 @@ pub fn hot_block_report(blocks: &[HotBlock], instret: u64) -> String {
         };
         let _ = writeln!(
             out,
-            "{:>4}  0x{:08x}-0x{:08x}  {:>6}  {:>12}  {:>14}  {:>5.1}%",
+            "{:>4}  0x{:08x}-0x{:08x}  0x{:08x}  {:>6}  {:>12}  {:>14}  {:>5.1}%",
             i + 1,
             b.start,
             b.end,
+            b.leader,
             b.instrs,
             b.execs,
             b.dynamic_instrs(),

@@ -15,14 +15,17 @@
 //! the contract for taking a block out of the cache while it executes
 //! (a block killing itself or another block, a budget ending right after
 //! a self-kill), a snapshot-restore rewind landing inside a lowered
-//! block, and replay determinism with the block engine on.
+//! block, and replay determinism with the block engine on. So do the
+//! cases of blocks that follow direct jumps and of successor links, and
+//! the per-class stats after every way a block exits (they are folded in
+//! from per-block tallies rather than counted per dispatch).
 
 use smallfloat_asm::Assembler;
-use smallfloat_isa::{encode, AluOp, FpFmt, Instr, XReg};
+use smallfloat_isa::{csr, encode, AluOp, BranchCond, FpFmt, Instr, InstrClass, XReg};
 use smallfloat_kernels::bench::{build, suite, Precision, VecMode, Workload};
 use smallfloat_kernels::runner::load_workload;
 use smallfloat_sim::replay::record_run;
-use smallfloat_sim::{Cpu, ExitReason, SimConfig};
+use smallfloat_sim::{hot_block_report, Cpu, ExitReason, SimConfig, SimError};
 use smallfloat_xcc::codegen::Compiled;
 
 /// The execution tier under test.
@@ -331,11 +334,12 @@ fn addi_word(rd: XReg, imm: i32) -> u32 {
 }
 
 /// A loop whose first trip patches its own block: the store rewrites
-/// the `j next` at `payload` into `addi a2, a2, 2`, which makes the
-/// block led by the next instruction longer than the rest of the killed
-/// one. Later trips store to `DATA` and leave the code alone. Returns
-/// the program and the payload address; [`self_kill_setup`] sets the
-/// registers.
+/// the never-taken `bne zero, zero, next` at `payload` into
+/// `addi a2, a2, 2`. A branch ends a block (a jump would not: blocks
+/// follow direct jumps), so the patch makes the block led by the next
+/// instruction longer than the rest of the killed one. Later trips store
+/// to `DATA` and leave the code alone. Returns the program and the
+/// payload address; [`self_kill_setup`] sets the registers.
 fn self_killing_loop() -> (Vec<Instr>, u32) {
     let (s0, s1, t0, t1) = (XReg::s(0), XReg::s(1), XReg::t(0), XReg::t(1));
     let mut asm = Assembler::new();
@@ -343,7 +347,7 @@ fn self_killing_loop() -> (Vec<Instr>, u32) {
     asm.sw(t0, t1, 0); // trip 1: patches `payload`; later: DATA
     asm.addi(t1, s1, 0);
     let payload_index = asm.len();
-    asm.j("next"); // becomes `addi a2, a2, 2`
+    asm.branch(BranchCond::Ne, XReg::ZERO, XReg::ZERO, "next"); // becomes `addi a2, a2, 2`
     asm.label("next");
     asm.addi(s0, s0, -1);
     asm.bnez("loop", s0);
@@ -362,7 +366,7 @@ fn self_kill_setup(cpu: &mut Cpu, iters: u32, payload_addr: u32) {
 /// A block whose store kills the block itself: the rest of the trip runs
 /// on fresh lowering (the freed arena index is reused at once), the same
 /// leader re-lowers within the same `run` call, and the stale body — the
-/// unpatched jump — never executes again.
+/// unpatched branch — never executes again.
 #[test]
 fn self_killing_block_relowers_within_the_run() {
     let iters = 50;
@@ -387,7 +391,7 @@ fn self_killing_block_relowers_within_the_run() {
     // One live block leads at the loop head: the re-lowered one, with
     // the patched payload, dispatched on every trip after the first.
     let hot = blocks.hot_blocks(usize::MAX);
-    let at_head: Vec<_> = hot.iter().filter(|b| b.start == TEXT).collect();
+    let at_head: Vec<_> = hot.iter().filter(|b| b.leader == TEXT).collect();
     assert_eq!(at_head.len(), 1, "{hot:?}");
     assert_eq!(
         (at_head[0].instrs, at_head[0].execs),
@@ -444,7 +448,7 @@ fn store_killing_another_block_relowers_it() {
     let hot = blocks.hot_blocks(usize::MAX);
     let execs_at = |pc: u32| -> Vec<u64> {
         hot.iter()
-            .filter(|b| b.start == pc)
+            .filter(|b| b.leader == pc)
             .map(|b| b.execs)
             .collect()
     };
@@ -478,8 +482,8 @@ fn budget_ending_after_a_self_kill_matches_reference() {
         let label = format!("budget {budget} [blocks]");
         assert_identical(&label, &blocks, &reference);
         if budget == 3 {
-            // The first block (store, `addi`, jump) self-kills after the
-            // store; the longer block the patch created does not fit
+            // The first block (store, `addi`, branch) self-kills after
+            // the store; the longer block the patch created does not fit
             // the two instructions left, so the run stops inside it.
             assert_eq!(blocks.pc(), payload_addr + 4, "{label}");
         }
@@ -595,4 +599,470 @@ fn replay_recording_is_identical_with_blocks_on() {
             sa.first_difference(sr).unwrap_or("nothing?!")
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Jump-following and successor links
+// ---------------------------------------------------------------------------
+
+/// Run `prog` (loaded at [`TEXT`]) on `engine`: `setup` sets registers
+/// or patches memory, then one `run(budget)`.
+fn run_on(
+    engine: Engine,
+    prog: &[Instr],
+    budget: u64,
+    setup: impl Fn(&mut Cpu),
+) -> (Cpu, Result<ExitReason, SimError>) {
+    let mut cpu = Cpu::new(small_config());
+    engine.apply(&mut cpu);
+    cpu.load_program(TEXT, prog);
+    setup(&mut cpu);
+    let result = cpu.run(budget);
+    (cpu, result)
+}
+
+/// Run `prog` on both tiers and assert the same outcome and state;
+/// returns the block-tier CPU.
+fn differential(label: &str, prog: &[Instr], budget: u64, setup: impl Fn(&mut Cpu)) -> Cpu {
+    let (reference, expect) = run_on(Engine::Reference, prog, budget, &setup);
+    let (blocks, got) = run_on(Engine::Blocks, prog, budget, &setup);
+    assert_eq!(got, expect, "{label}: run outcome");
+    assert_identical(&format!("{label} [blocks]"), &blocks, &reference);
+    assert_class_stats(label, &blocks, &reference);
+    blocks
+}
+
+/// The per-class view of the stats — [`smallfloat_sim::Stats::breakdown`]
+/// and every class's cycles — on the block tier against the reference.
+fn assert_class_stats(label: &str, on: &Cpu, off: &Cpu) {
+    assert_eq!(
+        on.stats().breakdown(),
+        off.stats().breakdown(),
+        "{label}: breakdown"
+    );
+    for &class in InstrClass::ALL.iter() {
+        assert_eq!(
+            on.stats().class_cycles(class),
+            off.stats().class_cycles(class),
+            "{label}: {class:?} cycles"
+        );
+    }
+}
+
+fn pc_at(asm: &Assembler) -> u32 {
+    TEXT + 4 * asm.len() as u32
+}
+
+/// A top-tested loop as xcc lays it out: the header `bge` leaves the
+/// loop and the body ends in `j header`. Returns the program and the
+/// header and body addresses.
+fn top_tested_loop(iters: i32) -> (Vec<Instr>, u32, u32) {
+    let (i, n, acc) = (XReg::t(0), XReg::s(0), XReg::a(0));
+    let mut asm = Assembler::new();
+    asm.li(n, iters);
+    asm.li(i, 0);
+    let header = pc_at(&asm);
+    asm.label("header");
+    asm.branch(BranchCond::Ge, i, n, "exit");
+    let body = pc_at(&asm);
+    asm.addi(acc, acc, 3);
+    asm.addi(i, i, 1);
+    asm.j("header");
+    asm.label("exit");
+    asm.ecall();
+    let prog = asm.assemble().expect("fixed program assembles");
+    (prog, header, body)
+}
+
+/// Following `j header` puts the header's `bge` into the body's block,
+/// so each iteration is one dispatch: the block led by the body runs
+/// once per iteration, the entry block (whose tail is the header `bge`)
+/// once for the loop entry, and no block is led by the header. The
+/// profile reports the body block's hull — from the header up — with
+/// the jump counted in `instrs`.
+#[test]
+fn top_tested_loop_runs_one_block_per_iteration() {
+    let iters = 100;
+    let (prog, header, body) = top_tested_loop(iters);
+    let blocks = differential("top-tested loop", &prog, 1_000_000, |_| {});
+    assert_eq!(blocks.xreg(XReg::a(0)), 3 * iters as u32);
+    let hot = blocks.hot_blocks(usize::MAX);
+    let led_by = |pc: u32| hot.iter().find(|b| b.leader == pc).copied();
+    let body_block = led_by(body).expect("a block is led by the body");
+    assert_eq!(
+        (body_block.start, body_block.end, body_block.instrs),
+        (header, body + 12, 4),
+        "hull from the header's bge to the jump; addi, addi, j, bge"
+    );
+    assert_eq!(body_block.execs, iters as u64, "one dispatch per iteration");
+    assert_eq!(
+        led_by(TEXT).map(|b| b.execs),
+        Some(1),
+        "the entry block, ending in the header bge, runs for the loop entry only"
+    );
+    assert_eq!(led_by(header), None, "no block is led by the header");
+    assert_eq!(
+        hot.iter().map(|b| b.execs).sum::<u64>(),
+        iters as u64 + 2,
+        "{hot:?}"
+    );
+    let report = hot_block_report(&hot, blocks.stats().instret);
+    let row = format!(
+        "0x{header:08x}-0x{:08x}  0x{body:08x}  {:>6}  {:>12}",
+        body + 12,
+        4,
+        iters
+    );
+    assert!(report.contains(&row), "{report}");
+}
+
+/// Every budget through a loop whose blocks follow a jump — including
+/// ones that end between the jump and the header it leads to — stops at
+/// the per-instruction path's state, and the run resumed from there
+/// ends the same way.
+#[test]
+fn every_budget_through_a_followed_jump_matches_reference() {
+    let (prog, _, _) = top_tested_loop(3);
+    // li, li, 4 × bge, 3 × (addi, addi, j), ecall.
+    let total = 2 + 4 + 9 + 1;
+    for budget in 0..total {
+        let start = |engine: Engine| {
+            let (cpu, exit) = run_on(engine, &prog, budget, |_| {});
+            assert_eq!(exit, Ok(ExitReason::InstructionLimit), "budget {budget}");
+            assert_eq!(cpu.stats().instret, budget, "budget {budget}");
+            cpu
+        };
+        let mut reference = start(Engine::Reference);
+        let mut blocks = start(Engine::Blocks);
+        let label = format!("budget {budget}");
+        assert_identical(&label, &blocks, &reference);
+        assert_class_stats(&label, &blocks, &reference);
+        for cpu in [&mut reference, &mut blocks] {
+            assert_eq!(cpu.run(1_000), Ok(ExitReason::Ecall), "{label}");
+        }
+        assert_identical(&format!("{label} resumed"), &blocks, &reference);
+        assert_class_stats(&format!("{label} resumed"), &blocks, &reference);
+    }
+}
+
+/// A store that patches an instruction on the jump-target side of a
+/// block — outside the bytes between its leader and its jump — kills the
+/// block, because its invalidation extent is the hull of everything it
+/// lowered. A stale block would keep adding the first payload.
+#[test]
+fn store_patching_the_jump_target_side_kills_the_block() {
+    let iters = 40;
+    let (s0, t0, t1, t2, a2) = (XReg::s(0), XReg::t(0), XReg::t(1), XReg::t(2), XReg::a(2));
+    let mut asm = Assembler::new();
+    asm.label("loop");
+    asm.sw(t0, t1, 0); // patch `payload` for this trip
+    asm.push(Instr::Op {
+        op: AluOp::Xor,
+        rd: t0,
+        rs1: t0,
+        rs2: t2,
+    });
+    asm.j("far");
+    asm.label("back");
+    asm.ecall();
+    asm.label("far");
+    let payload = pc_at(&asm);
+    asm.addi(a2, a2, 1); // toggled between +1 and +2 by the store
+    asm.addi(s0, s0, -1);
+    asm.bnez("loop", s0);
+    asm.j("back");
+    let prog = asm.assemble().expect("fixed program assembles");
+    let (enc1, enc2) = (addi_word(a2, 1), addi_word(a2, 2));
+    let blocks = differential("jump-target patch", &prog, 1_000_000, |cpu| {
+        cpu.set_xreg(s0, iters);
+        cpu.set_xreg(t0, enc2);
+        cpu.set_xreg(t1, payload);
+        cpu.set_xreg(t2, enc1 ^ enc2);
+    });
+    // Trips add 2, 1, 2, 1, ...
+    assert_eq!(blocks.xreg(a2), iters.div_ceil(2) * 2 + iters / 2);
+}
+
+/// `j .` never reaches a tail: lowering stops at the body cap (128
+/// micro-ops), so each dispatch retires 128 jumps and a budget that is
+/// not a multiple of 128 ends on the per-instruction path.
+#[test]
+fn self_loop_is_bounded_by_the_body_cap() {
+    let mut asm = Assembler::new();
+    asm.label("spin");
+    asm.j("spin");
+    let prog = asm.assemble().expect("fixed program assembles");
+    let budget = 1_000;
+    let blocks = differential("j .", &prog, budget, |_| {});
+    assert_eq!(blocks.pc(), TEXT);
+    assert_eq!(blocks.stats().instret, budget);
+    let hot = blocks.hot_blocks(usize::MAX);
+    assert_eq!(hot.len(), 1, "{hot:?}");
+    assert_eq!(
+        (hot[0].leader, hot[0].start, hot[0].end, hot[0].instrs),
+        (TEXT, TEXT, TEXT + 4, 128)
+    );
+    assert_eq!(hot[0].execs, budget / 128);
+}
+
+/// A `jal x0` whose target lies outside the window — in memory or past
+/// its end — or inside it but undecodable retires the jump and then
+/// faults at the target, as on the per-instruction path.
+#[test]
+fn jump_to_an_unlowerable_target_retires_then_faults_there() {
+    let a0 = XReg::a(0);
+    for offset in [0x800, 0xf_fffc] {
+        let mut asm = Assembler::new();
+        asm.addi(a0, a0, 1);
+        asm.push(Instr::Jal {
+            rd: XReg::ZERO,
+            offset,
+        });
+        let prog = asm.assemble().expect("fixed program assembles");
+        let target = TEXT + 4 + offset as u32;
+        let label = format!("jal to 0x{target:x}");
+        let blocks = differential(&label, &prog, 1_000, |_| {});
+        assert_eq!(
+            (blocks.pc(), blocks.stats().instret),
+            (target, 2),
+            "{label}"
+        );
+    }
+    let mut asm = Assembler::new();
+    asm.addi(a0, a0, 1);
+    asm.j("target");
+    asm.ecall();
+    asm.label("target");
+    let target = pc_at(&asm);
+    asm.nop(); // overwritten with an illegal word
+    let prog = asm.assemble().expect("fixed program assembles");
+    let (_, outcome) = run_on(Engine::Reference, &prog, 1_000, |cpu| {
+        cpu.write_data(target, &u32::MAX.to_le_bytes())
+    });
+    assert!(
+        matches!(outcome, Err(SimError::IllegalInstruction { pc, .. }) if pc == target),
+        "{outcome:?}"
+    );
+    let blocks = differential("jal to an undecodable target", &prog, 1_000, |cpu| {
+        cpu.write_data(target, &u32::MAX.to_le_bytes())
+    });
+    assert_eq!((blocks.pc(), blocks.stats().instret), (target, 2));
+    let hot = blocks.hot_blocks(usize::MAX);
+    assert_eq!(
+        hot.iter().map(|b| (b.leader, b.instrs)).collect::<Vec<_>>(),
+        [(TEXT, 2)],
+        "the block ends where lowering fails: addi and the jump"
+    );
+}
+
+/// A successor link names an arena index. When its target is killed and
+/// the index is reused by a block led elsewhere, the link must not be
+/// followed: the target re-lowers at another index. Block `a` links to
+/// `b` in the first run; the host then patches `b`, and the second run
+/// lowers `c` first (into `b`'s freed index) before `a` reaches `b`.
+#[test]
+fn link_to_a_relowered_block_is_not_followed() {
+    let (a0, a1, a2) = (XReg::a(0), XReg::a(1), XReg::a(2));
+    let mut asm = Assembler::new();
+    asm.addi(a1, a1, 1); // c
+    asm.branch(BranchCond::Eq, XReg::ZERO, XReg::ZERO, "a");
+    asm.ecall();
+    asm.label("a");
+    let a = pc_at(&asm);
+    asm.addi(a0, a0, 1);
+    asm.branch(BranchCond::Eq, XReg::ZERO, XReg::ZERO, "b");
+    asm.label("b");
+    let b = pc_at(&asm);
+    asm.addi(a2, a2, 1); // patched to +5 between the runs
+    asm.ecall();
+    let prog = asm.assemble().expect("fixed program assembles");
+    let two_runs = |engine: Engine| {
+        let (mut cpu, first) = run_on(engine, &prog, 1_000, |cpu| cpu.set_pc(a));
+        assert_eq!(first, Ok(ExitReason::Ecall));
+        cpu.write_data(b, &addi_word(a2, 5).to_le_bytes());
+        cpu.set_pc(TEXT);
+        assert_eq!(cpu.run(1_000), Ok(ExitReason::Ecall));
+        cpu
+    };
+    let reference = two_runs(Engine::Reference);
+    let blocks = two_runs(Engine::Blocks);
+    assert_eq!(
+        (blocks.xreg(a0), blocks.xreg(a1), blocks.xreg(a2)),
+        (2, 1, 6),
+        "c ran once, a twice, b once unpatched and once patched"
+    );
+    assert_identical("stale link [blocks]", &blocks, &reference);
+    assert_class_stats("stale link", &blocks, &reference);
+}
+
+// ---------------------------------------------------------------------------
+// Deferred per-class stats
+// ---------------------------------------------------------------------------
+//
+// A completed block dispatch adds to `instret` and `cycles` only; its
+// per-class counts are tallied on the block and folded into `Stats` when
+// `run` returns or the block is killed. These runs end blocks in every
+// way there is and compare `breakdown()` and `class_cycles` with the
+// per-instruction path.
+
+/// A loop that exits through `ecall`.
+#[test]
+fn class_stats_after_ecall() {
+    differential("ecall", &hot_loop(50), 1_000_000, |_| {});
+}
+
+/// A loop whose load walks off the end of memory: the trap comes in the
+/// middle of a block that already completed several times.
+#[test]
+fn class_stats_after_a_mid_block_trap() {
+    let (s0, t0, t1, a0) = (XReg::s(0), XReg::t(0), XReg::t(1), XReg::a(0));
+    let mut asm = Assembler::new();
+    asm.label("loop");
+    asm.addi(a0, a0, 1);
+    asm.lw(t0, t1, 0);
+    asm.addi(t1, t1, 4);
+    asm.addi(s0, s0, -1);
+    asm.bnez("loop", s0);
+    asm.ecall();
+    let prog = asm.assemble().expect("fixed program assembles");
+    let end = small_config().mem_size as u32;
+    let blocks = differential("mid-block trap", &prog, 1_000_000, |cpu| {
+        cpu.set_xreg(s0, 100);
+        cpu.set_xreg(t1, end - 16);
+    });
+    assert_eq!(blocks.xreg(a0), 5, "four clean trips, the fifth traps");
+}
+
+/// A hot loop, then a block whose tail is `ebreak` (a trap known at
+/// decode time): the body before it retires, the tail does not.
+#[test]
+fn class_stats_after_a_decode_time_trap_tail() {
+    let (s0, a0, a1) = (XReg::s(0), XReg::a(0), XReg::a(1));
+    let mut asm = Assembler::new();
+    asm.li(s0, 20);
+    asm.label("loop");
+    asm.addi(a0, a0, 1);
+    asm.addi(s0, s0, -1);
+    asm.bnez("loop", s0);
+    asm.addi(a1, a1, 1);
+    asm.push(Instr::Ebreak);
+    let prog = asm.assemble().expect("fixed program assembles");
+    let blocks = differential("ebreak tail", &prog, 1_000_000, |_| {});
+    assert_eq!(blocks.xreg(a1), 1);
+}
+
+/// A budget that runs out in the middle of a hot loop.
+#[test]
+fn class_stats_after_the_instruction_limit() {
+    differential("instruction limit", &hot_loop(2_000), 4_321, |_| {});
+}
+
+/// A loop whose store, on its last trip, rewrites the loop's first
+/// instruction (with the same word): the kill drops a block with every
+/// earlier trip still tallied, and the kill must fold those counts.
+#[test]
+fn class_stats_after_a_self_invalidating_store() {
+    let (s0, t1, t3, t4, t5, t6) = (
+        XReg::s(0),
+        XReg::t(1),
+        XReg::t(3),
+        XReg::t(4),
+        XReg::t(5),
+        XReg::t(6),
+    );
+    let last_trip = Instr::OpImm {
+        op: AluOp::Sltu,
+        rd: t4,
+        rs1: s0,
+        imm: 2,
+    };
+    let mut asm = Assembler::new();
+    asm.label("loop");
+    asm.push(last_trip); // t4 = (s0 == 1)
+    asm.mul(t4, t4, t5);
+    asm.add(t1, t6, t4); // DATA, or the loop head on the last trip
+    asm.sw(t3, t1, 0);
+    asm.addi(s0, s0, -1);
+    asm.bnez("loop", s0);
+    asm.ecall();
+    let prog = asm.assemble().expect("fixed program assembles");
+    let blocks = differential("self-invalidating store", &prog, 1_000_000, |cpu| {
+        cpu.set_xreg(s0, 30);
+        cpu.set_xreg(t3, encode(&last_trip));
+        cpu.set_xreg(t5, TEXT.wrapping_sub(DATA));
+        cpu.set_xreg(t6, DATA);
+    });
+    assert!(
+        blocks
+            .hot_blocks(usize::MAX)
+            .iter()
+            .all(|b| b.leader != TEXT),
+        "the last trip's store killed the loop block"
+    );
+}
+
+/// `csrr instret` / `csrr cycle` inside a hot loop read the live
+/// counters, which a block dispatch keeps current.
+#[test]
+fn class_stats_and_counter_reads_mid_run() {
+    let (s0, t0, t1, a0, a1, a2) = (
+        XReg::s(0),
+        XReg::t(0),
+        XReg::t(1),
+        XReg::a(0),
+        XReg::a(1),
+        XReg::a(2),
+    );
+    let mut asm = Assembler::new();
+    asm.li(s0, 30);
+    asm.label("loop");
+    asm.addi(a0, a0, 1);
+    asm.csrr(t0, csr::INSTRET);
+    asm.csrr(t1, csr::CYCLE);
+    asm.add(a1, a1, t0);
+    asm.add(a2, a2, t1);
+    asm.addi(s0, s0, -1);
+    asm.bnez("loop", s0);
+    asm.ecall();
+    let prog = asm.assemble().expect("fixed program assembles");
+    let blocks = differential("counter reads", &prog, 1_000_000, |_| {});
+    assert_ne!(blocks.xreg(a2), 0, "the cycle reads were summed");
+}
+
+/// A second `run` after `reset_stats`, and after `restore` to a snapshot
+/// that keeps the warm window: nothing counted in one run leaks into the
+/// next.
+#[test]
+fn class_stats_of_a_second_run_after_reset_stats_or_restore() {
+    let prog = hot_loop(500);
+    let after_reset = |engine: Engine| {
+        let (mut cpu, first) = run_on(engine, &prog, 1_234, |_| {});
+        assert_eq!(first, Ok(ExitReason::InstructionLimit));
+        cpu.reset_stats();
+        assert_eq!(cpu.run(1_000_000), Ok(ExitReason::Ecall));
+        cpu
+    };
+    let (blocks, reference) = (after_reset(Engine::Blocks), after_reset(Engine::Reference));
+    assert_identical("after reset_stats", &blocks, &reference);
+    assert_class_stats("after reset_stats", &blocks, &reference);
+
+    let twice = |engine: Engine| {
+        let mut cpu = Cpu::new(small_config());
+        engine.apply(&mut cpu);
+        cpu.load_program(TEXT, &prog);
+        let start = cpu.snapshot();
+        assert_eq!(cpu.run(1_000_000), Ok(ExitReason::Ecall));
+        let first = cpu.stats().clone();
+        cpu.restore(&start);
+        assert_eq!(cpu.run(1_000_000), Ok(ExitReason::Ecall));
+        assert_eq!(
+            cpu.stats(),
+            &first,
+            "the second run counts what the first did"
+        );
+        cpu
+    };
+    let (blocks, reference) = (twice(Engine::Blocks), twice(Engine::Reference));
+    assert_identical("after restore", &blocks, &reference);
+    assert_class_stats("after restore", &blocks, &reference);
 }

@@ -135,7 +135,7 @@ fn lazy_fill_agrees_everywhere() {
             }
             assert_eq!(cpu.run(100), Ok(ExitReason::Ecall));
             assert!(
-                cpu.hot_blocks(1).first().is_some_and(|b| b.start == BASE),
+                cpu.hot_blocks(1).first().is_some_and(|b| b.leader == BASE),
                 "the run lowered a block over the window"
             );
             check_all(&mut cpu, "after the run");
@@ -196,7 +196,7 @@ fn declined_leader_retries_after_invalidation() {
         assert!(
             cpu.hot_blocks(usize::MAX)
                 .iter()
-                .any(|b| b.start == victim && b.execs > 0),
+                .any(|b| b.leader == victim && b.execs > 0),
             "a block led by the once-declined pc ran (by_store={by_store})"
         );
     }

@@ -40,6 +40,7 @@
 use smallfloat_isa::FpFmt;
 use smallfloat_xcc::ir::Kernel;
 use smallfloat_xcc::retype;
+use std::sync::mpsc;
 
 /// Tuner configuration.
 #[derive(Clone, Debug)]
@@ -137,59 +138,110 @@ impl TuneResult {
 /// earlier decisions locked in — the iterative-refinement strategy of the
 /// dynamic tuning tools the paper builds on. The candidates of a variable
 /// are evaluated in chunks of `workers`: the first of a chunk on the
-/// calling thread, the rest concurrently on scoped threads. The first
-/// candidate within the bound, in candidate order, is accepted; errors
-/// measured past it are discarded, so the trace, `evaluations` and the
-/// assignment are those of the sequential search at any worker count.
+/// calling thread, the rest concurrently on `workers − 1` scoped threads
+/// that live for the whole search, chunk position `k` always on the same
+/// thread, so thread-local state an evaluator keeps (a warm simulator
+/// pool) carries over from one variable to the next. The first candidate
+/// within the bound, in candidate order, is accepted; errors measured
+/// past it are discarded, so the trace, `evaluations` and the assignment
+/// are those of the sequential search at any worker count.
 pub fn tune(
     vars: &[(String, usize)],
     config: &TunerConfig,
     workers: usize,
     eval: impl Fn(&[(String, FpFmt)]) -> f64 + Sync,
 ) -> TuneResult {
+    let width = workers.max(1);
     let mut assignment: Vec<(String, FpFmt)> =
         vars.iter().map(|(n, _)| (n.clone(), FpFmt::S)).collect();
     let mut trace = Vec::new();
-    for i in 0..vars.len() {
-        let attempt = |candidate: FpFmt| {
-            let mut a = assignment.clone();
-            a[i].1 = candidate;
-            eval(&a)
-        };
-        let attempt = &attempt;
-        'search: for chunk in config.candidates.chunks(workers.max(1)) {
-            let errors: Vec<f64> = std::thread::scope(|scope| {
-                let rest: Vec<_> = chunk[1..]
-                    .iter()
-                    .map(|&c| scope.spawn(move || attempt(c)))
+    std::thread::scope(|scope| {
+        let eval = &eval;
+        let mut helpers: Vec<Helper<'_>> = (1..width.min(config.candidates.len()))
+            .map(|_| Helper::spawn(scope, eval))
+            .collect();
+        for i in 0..vars.len() {
+            let with = |candidate: FpFmt| {
+                let mut a = assignment.clone();
+                a[i].1 = candidate;
+                a
+            };
+            'search: for chunk in config.candidates.chunks(width) {
+                for (helper, &c) in helpers.iter().zip(&chunk[1..]) {
+                    helper.send(with(c));
+                }
+                let first = eval(&with(chunk[0]));
+                let errors: Vec<f64> = std::iter::once(first)
+                    .chain(helpers[..chunk.len() - 1].iter_mut().map(Helper::recv))
                     .collect();
-                let first = attempt(chunk[0]);
-                let rest = rest.into_iter().map(|h| {
-                    h.join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                });
-                std::iter::once(first).chain(rest).collect()
-            });
-            for (&tried, error) in chunk.iter().zip(errors) {
-                let accepted = error <= config.max_error;
-                trace.push(TuneStep {
-                    name: vars[i].0.clone(),
-                    tried,
-                    error,
-                    accepted,
-                });
-                if accepted {
-                    assignment[i].1 = tried;
-                    break 'search;
+                for (&tried, error) in chunk.iter().zip(errors) {
+                    let accepted = error <= config.max_error;
+                    trace.push(TuneStep {
+                        name: vars[i].0.clone(),
+                        tried,
+                        error,
+                        accepted,
+                    });
+                    if accepted {
+                        assignment[i].1 = tried;
+                        break 'search;
+                    }
                 }
             }
         }
-    }
+    });
     TuneResult {
         assignment,
         costs: vars.iter().map(|(_, c)| *c).collect(),
         evaluations: trace.len(),
         trace,
+    }
+}
+
+/// One long-lived evaluation thread of [`tune`]: assignments in, errors
+/// out, in order. It exits when its job channel closes.
+struct Helper<'scope> {
+    jobs: mpsc::Sender<Vec<(String, FpFmt)>>,
+    errors: mpsc::Receiver<f64>,
+    thread: Option<std::thread::ScopedJoinHandle<'scope, ()>>,
+}
+
+impl<'scope> Helper<'scope> {
+    fn spawn<F>(scope: &'scope std::thread::Scope<'scope, '_>, eval: &'scope F) -> Self
+    where
+        F: Fn(&[(String, FpFmt)]) -> f64 + Sync,
+    {
+        let (jobs, job_rx) = mpsc::channel::<Vec<(String, FpFmt)>>();
+        let (error_tx, errors) = mpsc::channel();
+        let thread = scope.spawn(move || {
+            for a in job_rx {
+                if error_tx.send(eval(&a)).is_err() {
+                    break;
+                }
+            }
+        });
+        Helper {
+            jobs,
+            errors,
+            thread: Some(thread),
+        }
+    }
+
+    fn send(&self, assignment: Vec<(String, FpFmt)>) {
+        // A send fails only once the thread is gone, which `recv` reports.
+        let _ = self.jobs.send(assignment);
+    }
+
+    /// The error of the oldest outstanding job; re-raises the thread's
+    /// panic if its evaluator panicked.
+    fn recv(&mut self) -> f64 {
+        match self.errors.recv() {
+            Ok(error) => error,
+            Err(_) => match self.thread.take().map(|t| t.join()) {
+                Some(Err(panic)) => std::panic::resume_unwind(panic),
+                _ => unreachable!("a tuner thread exits early only by panicking"),
+            },
+        }
     }
 }
 

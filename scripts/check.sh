@@ -51,6 +51,17 @@ cargo bench --workspace --no-run
 
 echo "==> perfbench build (release)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+# perfbench divides host times by a calibration loop whose speed depends on
+# where the linker puts it (its address mod 64; 8-13 % apart between
+# placements), so print the placement: normalised figures of two builds
+# compare only with it in view.
+perfbench_bin=perfbench/target/release/perfbench
+if command -v nm >/dev/null && [[ -f "$perfbench_bin" ]]; then
+    calib=$(nm -C "$perfbench_bin" | awk '$3 == "perfbench::calib::work" && !n++ { print $1 }')
+    if [[ -n "$calib" ]]; then
+        echo "perfbench::calib::work at 0x$calib: $((16#$calib % 64)) mod 64"
+    fi
+fi
 
 echo "==> softfp differential suites (release): binary8 + binary8alt (E4M3) exhaustive, host-f64 bridge, >=1M-case sampled 16/32-bit kernels, host-FPU round-to-nearest path"
 cargo test --release -q -p smallfloat-softfp --test fastpath_b8_exhaustive --test fastpath_b8alt_exhaustive --test fastpath_f64_bridge --test fastpath_sampled --test fastpath_host_rne
