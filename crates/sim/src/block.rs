@@ -609,16 +609,11 @@ fn dispatch(cpu: &mut Cpu, max_instructions: u64) -> Result<ExitReason, SimError
     let mut from: Option<(usize, usize)> = None;
     while cpu.stats.instret < limit {
         let found = match from.take() {
-            Some((idx, k)) => match cpu.blocks.follow(idx, k, cpu.pc) {
-                Some(to) => Some(to),
-                None => {
-                    let to = leader_block(cpu);
-                    if let Some(to) = to {
-                        cpu.blocks.link(idx, k, to);
-                    }
-                    to
-                }
-            },
+            Some((idx, k)) => cpu.blocks.follow(idx, k, cpu.pc).or_else(|| {
+                let to = leader_block(cpu)?;
+                cpu.blocks.link(idx, k, to);
+                Some(to)
+            }),
             None => leader_block(cpu),
         };
         if let Some(idx) = found {
