@@ -1899,9 +1899,9 @@ fn fcvt_if<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 fn fmulex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
-    let a = exec::widen_to_s(fmt, exec::unbox(cpu, fmt, freg(u.rs1)));
-    let b = exec::widen_to_s(fmt, exec::unbox(cpu, fmt, freg(u.rs2)));
-    let r = fast::mul(Format::BINARY32, a, b, &mut env);
+    let a = exec::unbox(cpu, fmt, freg(u.rs1));
+    let b = exec::unbox(cpu, fmt, freg(u.rs2));
+    let r = fast::mulex(fmt.format(), a, b, &mut env);
     set_fr(cpu, u.rd, r as u32);
     cpu.fflags.set(env.flags);
     Status::Ok
@@ -1910,10 +1910,10 @@ fn fmulex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 fn fmacex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
-    let a = exec::widen_to_s(fmt, exec::unbox(cpu, fmt, freg(u.rs1)));
-    let b = exec::widen_to_s(fmt, exec::unbox(cpu, fmt, freg(u.rs2)));
+    let a = exec::unbox(cpu, fmt, freg(u.rs1));
+    let b = exec::unbox(cpu, fmt, freg(u.rs2));
     let acc = fr(cpu, u.rd) as u64;
-    let r = fast::fmadd(Format::BINARY32, a, b, acc, &mut env);
+    let r = fast::macex(fmt.format(), a, b, acc, &mut env);
     set_fr(cpu, u.rd, r as u32);
     cpu.fflags.set(env.flags);
     Status::Ok

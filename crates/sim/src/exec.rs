@@ -4,7 +4,7 @@
 
 use crate::cpu::{Cpu, SimError};
 use smallfloat_isa::{csr, AluOp, FpFmt, MulDivOp, VCmpOp, VfOp};
-use smallfloat_softfp::{batch, fast, Env, Format, Rounding};
+use smallfloat_softfp::batch;
 
 // `unbox`/`write_boxed` are the FLEN = 32 specialization of
 // `nanbox::unboxed`/`nanbox::boxed`: the generic helpers recompute the
@@ -79,14 +79,6 @@ pub(crate) fn sext(v: u32, bits: u32) -> u32 {
     } else {
         (((v << (32 - bits)) as i32) >> (32 - bits)) as u32
     }
-}
-
-/// Widen a smallFloat bit pattern to binary32 — exact for every supported
-/// format, so no flags can be raised.
-#[inline(always)]
-pub(crate) fn widen_to_s(fmt: FpFmt, bits: u64) -> u64 {
-    let mut env = Env::new(Rounding::Rne);
-    fast::cvt_f_f(Format::BINARY32, fmt.format(), bits, &mut env)
 }
 
 #[inline(always)]

@@ -22,7 +22,11 @@
 //! * the widening dot-product helpers convert lanes to binary32 exactly as
 //!   the interpreter's scalar path does, discarding the conversion's flags,
 //!   then chain single-rounding binary32 FMAs lane 0 first (FPnew SDOTP
-//!   accumulation order).
+//!   accumulation order). Under round-to-nearest-even the lanes widen
+//!   straight to `f64` and the chain runs on the host FPU
+//!   (`kernels::host_dot`), falling back to this integer chain when a
+//!   step's result is subnormal, overflows, is not finite or sits on the
+//!   double-rounding midpoint.
 //!
 //! The widening dot products are re-exported from [`crate::ops`] next to
 //! the scalar entry points.
@@ -401,6 +405,35 @@ pub fn vcvt4_f8_x(fmt: Format, va: u32, signed: bool, env: &mut Env) -> u32 {
 // Widening dot-product accumulate (vfdotpex)
 // ---------------------------------------------------------------------------
 
+/// Exact `f64` products of the `N` lane pairs of `va` and `vb` (`<E, M>`
+/// lanes of `32 / N` bits, lane 0 of `vb` replicated under `rep`): lanes
+/// of at most 16 bits carry at most 11 significand bits, so every product
+/// is exact. NaN lanes widen to the quiet NaN, whose product makes the
+/// host chain fall back.
+#[inline(always)]
+fn lane_products<const E: u32, const M: u32, const N: usize>(
+    va: u32,
+    vb: u32,
+    rep: bool,
+) -> [f64; N] {
+    let w = |v: u32, i: usize| k::widen::<E, M>(u64::from(v >> (i * 32 / N)));
+    let b0 = w(vb, 0);
+    std::array::from_fn(|i| w(va, i) * if rep { b0 } else { w(vb, i) })
+}
+
+/// [`lane_products`] of four 8-bit lanes of `fmt`; `None` for a layout
+/// other than binary8 and binary8alt.
+#[inline(always)]
+fn lane_products8(fmt: Format, va: u32, vb: u32, rep: bool) -> Option<[f64; 4]> {
+    if fmt == Format::BINARY8 {
+        Some(lane_products::<5, 2, 4>(va, vb, rep))
+    } else if fmt == Format::BINARY8ALT {
+        Some(lane_products::<4, 3, 4>(va, vb, rep))
+    } else {
+        None
+    }
+}
+
 macro_rules! dotpex2 {
     ($name:ident, $se:literal, $sm:literal, $doc:literal) => {
         #[doc = $doc]
@@ -409,8 +442,15 @@ macro_rules! dotpex2 {
         /// lane 0 first, each step a single-rounding FMA (FPnew SDOTP
         /// order). Lane widening is exact; its (at most `NV`-on-sNaN) flags
         /// are discarded, matching the interpreter's scalar widening path.
+        /// Under round-to-nearest-even the lanes widen straight to `f64`
+        /// and the chain runs on the host FPU; if any step falls back, the
+        /// whole op reruns on the integer kernels.
         #[inline]
         pub fn $name(acc: u32, va: u32, vb: u32, rep: bool, env: &mut Env) -> u32 {
+            let p = lane_products::<$se, $sm, 2>(va, vb, rep);
+            if let Some(r) = k::host_dot::<8, 23, 2>(p, acc as u64, env) {
+                return r as u32;
+            }
             let mut scratch = Env::new(env.rm);
             let a0 = k::cvt::<$se, $sm, 8, 23>(lo16(va), &mut scratch);
             let a1 = k::cvt::<$se, $sm, 8, 23>(hi16(va), &mut scratch);
@@ -441,9 +481,15 @@ dotpex2!(
 
 /// Widening dot-product accumulate of four 8-bit lane pairs of `fmt` into
 /// a binary32 accumulator (lane 0 first, single-rounding FMA chain; exact
-/// widening flags discarded as in the interpreter's scalar path).
+/// widening flags discarded as in the interpreter's scalar path). The
+/// host chain and its fallback are those of [`vdotpex2_f16`].
 #[inline]
 pub fn vdotpex4_f8(fmt: Format, acc: u32, va: u32, vb: u32, rep: bool, env: &mut Env) -> u32 {
+    let host =
+        lane_products8(fmt, va, vb, rep).and_then(|p| k::host_dot::<8, 23, 4>(p, acc as u64, env));
+    if let Some(r) = host {
+        return r as u32;
+    }
     let mut scratch = Env::new(env.rm);
     let wide = |i: u32, v: u32, scratch: &mut Env| -> u64 {
         tables::cvt_widen(Format::BINARY32, fmt, lane8(v, i), scratch)
@@ -494,6 +540,9 @@ pub fn vsdotp2_f16alt(acc: u32, va: u32, vb: u32, rep: bool, env: &mut Env) -> u
 /// discarded as in the scalar widening path); each destination lane then
 /// chains two single-rounding FMAs in `wide`, even source lane first.
 /// `rep` replicates `b` lane 0 across all products (the `.r` variant).
+/// Under round-to-nearest-even each destination lane's chain runs on the
+/// host FPU as in [`vdotpex2_f16`]; the two chains are independent, so
+/// each falls back to the integer kernels on its own.
 #[inline]
 pub fn vsdotp4_f8(
     fmt: Format,
@@ -504,16 +553,26 @@ pub fn vsdotp4_f8(
     rep: bool,
     env: &mut Env,
 ) -> u32 {
-    let mut scratch = Env::new(env.rm);
-    let w = |i: u32, v: u32, scratch: &mut Env| -> u64 {
-        tables::cvt_widen(wide, fmt, lane8(v, i), scratch)
-    };
-    let b0 = w(0, vb, &mut scratch);
-    let half = |lo: u32, acc16: u64, scratch: &mut Env, env: &mut Env| -> u64 {
-        let a0 = w(lo, va, scratch);
-        let a1 = w(lo + 1, va, scratch);
-        let p0 = if rep { b0 } else { w(lo, vb, scratch) };
-        let p1 = if rep { b0 } else { w(lo + 1, vb, scratch) };
+    let p = lane_products8(fmt, va, vb, rep);
+    let half = |lo: u32, acc16: u64, env: &mut Env| -> u64 {
+        let host = p.and_then(|p| {
+            let pair = [p[lo as usize], p[lo as usize + 1]];
+            if wide == Format::BINARY16ALT {
+                k::host_dot::<8, 7, 2>(pair, acc16, env)
+            } else {
+                k::host_dot::<5, 10, 2>(pair, acc16, env)
+            }
+        });
+        if let Some(r) = host {
+            return r;
+        }
+        let mut scratch = Env::new(env.rm);
+        let mut w = |i: u32, v: u32| tables::cvt_widen(wide, fmt, lane8(v, i), &mut scratch);
+        let b0 = w(0, vb);
+        let a0 = w(lo, va);
+        let a1 = w(lo + 1, va);
+        let p0 = if rep { b0 } else { w(lo, vb) };
+        let p1 = if rep { b0 } else { w(lo + 1, vb) };
         if wide == Format::BINARY16ALT {
             let t = k::fma::<8, 7>(a0, p0, acc16, env);
             k::fma::<8, 7>(a1, p1, t, env)
@@ -522,8 +581,8 @@ pub fn vsdotp4_f8(
             k::fma::<5, 10>(a1, p1, t, env)
         }
     };
-    let r0 = half(0, lo16(acc), &mut scratch, env);
-    let r1 = half(2, hi16(acc), &mut scratch, env);
+    let r0 = half(0, lo16(acc), env);
+    let r1 = half(2, hi16(acc), env);
     pack16(r0, r1)
 }
 

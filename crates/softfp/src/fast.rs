@@ -22,7 +22,8 @@
 //! exhaustively for binary8 (`tests/fastpath_b8_exhaustive.rs`) and for
 //! 16-bit unary ops, sampled with replayable seeds otherwise
 //! (`tests/fastpath_sampled.rs`); the host-`f64` bridges [`to_f64`] and
-//! [`from_f64`] by `tests/fastpath_f64_bridge.rs`.
+//! [`from_f64`] by `tests/fastpath_f64_bridge.rs`; the expanding ops
+//! [`mulex`] and [`macex`] by `tests/dotp_differential.rs`.
 
 use crate::env::Env;
 use crate::format::Format;
@@ -155,6 +156,54 @@ pub fn fnmadd(fmt: Format, a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
     let na = fmt.negate(a);
     let nc = fmt.negate(c);
     dispatch_fma!(fmt, na, b, nc, env).unwrap_or_else(|| ops::fmadd(fmt, na, b, nc, env))
+}
+
+/// Dispatch an expanding op on its source format: the monomorphized
+/// kernel into binary32 for the four narrow concrete formats, `None`
+/// otherwise.
+macro_rules! dispatch_ex {
+    ($src:expr, $kernel:ident, $($arg:expr),+) => {{
+        let src = $src;
+        if src == Format::BINARY16 {
+            Some(k::$kernel::<5, 10>($($arg),+))
+        } else if src == Format::BINARY16ALT {
+            Some(k::$kernel::<8, 7>($($arg),+))
+        } else if src == Format::BINARY8 {
+            Some(k::$kernel::<5, 2>($($arg),+))
+        } else if src == Format::BINARY8ALT {
+            Some(k::$kernel::<4, 3>($($arg),+))
+        } else {
+            None
+        }
+    }};
+}
+
+/// Exact widening of a `src` value to binary32, flags discarded.
+fn widen_s(src: Format, bits: u64, env: &Env) -> u64 {
+    ops::cvt_f_f(Format::BINARY32, src, bits, &mut Env::new(env.rm))
+}
+
+/// Fast-path expanding multiply (`fmulex.s.*`): `a * b` of two `src`
+/// values rounded once into binary32. The reference is [`ops::mul`] at
+/// binary32 of the factors widened by [`ops::cvt_f_f`], whose flags (at
+/// most NV on a signaling NaN) are discarded.
+#[inline]
+pub fn mulex(src: Format, a: u64, b: u64, env: &mut Env) -> u64 {
+    dispatch_ex!(src, mulex, a, b, env).unwrap_or_else(|| {
+        let (a, b) = (widen_s(src, a, env), widen_s(src, b, env));
+        ops::mul(Format::BINARY32, a, b, env)
+    })
+}
+
+/// Fast-path expanding multiply-accumulate (`fmacex.s.*`): `a * b + acc`
+/// with `src` factors and a binary32 `acc`, rounded once (the reference is
+/// [`ops::fmadd`] at binary32, factors widened as in [`mulex`]).
+#[inline]
+pub fn macex(src: Format, a: u64, b: u64, acc: u64, env: &mut Env) -> u64 {
+    dispatch_ex!(src, fmaex, a, b, acc, env).unwrap_or_else(|| {
+        let (a, b) = (widen_s(src, a, env), widen_s(src, b, env));
+        ops::fmadd(Format::BINARY32, a, b, acc, env)
+    })
 }
 
 macro_rules! dispatch_cmp {

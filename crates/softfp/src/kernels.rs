@@ -379,10 +379,22 @@ fn round_pack_k<const E: u32, const M: u32>(
 // of a format with at most 24 significand bits is itself a binary64 value,
 // so no midpoint lies strictly between `s` and `s + e`. The one
 // double-rounding case, `e != 0` with `s` on a midpoint, falls back, as does
-// every result that is zero, subnormal, overflowing or not finite (NaN and
+// every result that is subnormal, overflowing or not finite (NaN and
 // infinity operands give non-finite `s`). What is left cannot raise UF, OF
 // or NV, and it is inexact iff rounding dropped nonzero bits or `e != 0`.
-// Anything that falls back runs the integer kernel below it, unchanged.
+//
+// A zero `s` is exact: binary64 has gradual underflow and every product
+// here is exact, so a host sum or product is zero only when the exact
+// result is. The host's round-to-nearest then also gives IEEE 754's zero
+// signs (`x + (-x) = +0`, `(-0) + (-0) = -0`, the XOR of the signs for a
+// product, the sum rule for an fma), so [`round_host_rne`] returns the
+// format's zero of the same sign, with no flag. Anything that falls back
+// runs the integer kernel below it, unchanged.
+//
+// The expanding ops (`fmulex`/`fmacex` and the `vfdotpex`/`vfsdotpex` dot
+// products) use the same rounding: their narrower lanes widen straight to
+// `f64`, every lane product is exact there, and each accumulate step is
+// [`host_acc`], an fma with that exact product.
 
 /// Whether the `<E, M>` arithmetic kernels take the host path under `env`:
 /// binary32, binary16 and binary16alt at round-to-nearest-even (binary8
@@ -430,10 +442,11 @@ fn two_sum_err(a: f64, b: f64, s: f64) -> f64 {
 }
 
 /// Round the host value `s` into `<E, M>` at round-to-nearest-even when
-/// the result is a normal number, accruing NX iff rounding dropped nonzero
-/// bits or `inexact` (a nonzero TwoSum error) is set. `None` — with no
-/// flag touched — for zero, subnormal, overflowing and non-finite results
-/// and for a midpoint `s` with `inexact` set (the double-rounding case).
+/// the result is a normal number or an exact zero, accruing NX iff
+/// rounding dropped nonzero bits or `inexact` (a nonzero TwoSum error) is
+/// set. `None` — with no flag touched — for subnormal, overflowing and
+/// non-finite results and for a midpoint `s` with `inexact` set (the
+/// double-rounding case).
 #[inline(always)]
 fn round_host_rne<const E: u32, const M: u32>(
     s: f64,
@@ -448,7 +461,8 @@ fn round_host_rne<const E: u32, const M: u32>(
     let exp = (abs >> 52) as i32 - 1023;
     let rem = abs & ((1u64 << drop) - 1);
     if exp < emin::<E>() || exp > bias::<E>() || (inexact && rem == half) {
-        return None;
+        // An exact zero keeps its sign (see the section comment).
+        return (abs == 0 && !inexact).then_some((bits >> 63) << (E + M));
     }
     // Round the magnitude at bit `drop`, ties to even (half - 1 plus the
     // kept LSB carries exactly when the dropped bits exceed half, or equal
@@ -481,13 +495,42 @@ fn host_mul<const E: u32, const M: u32>(a: u64, b: u64, flags: &mut Flags) -> Op
     round_host_rne::<E, M>(widen::<E, M>(a) * widen::<E, M>(b), false, flags)
 }
 
-/// Host-path fused `a * b + c`: exact product, then one TwoSum.
+/// Host-path fused `a * b + c`.
 #[inline(always)]
 fn host_fma<const E: u32, const M: u32>(a: u64, b: u64, c: u64, flags: &mut Flags) -> Option<u64> {
-    let p = widen::<E, M>(a) * widen::<E, M>(b);
-    let z = widen::<E, M>(c);
+    host_acc::<E, M>(widen::<E, M>(a) * widen::<E, M>(b), c, flags)
+}
+
+/// Host-path accumulate step `p + acc`, rounded once into `<E, M>`: an
+/// fma whose product `p` is already exact in `f64`. One TwoSum.
+#[inline(always)]
+fn host_acc<const E: u32, const M: u32>(p: f64, acc: u64, flags: &mut Flags) -> Option<u64> {
+    let z = widen::<E, M>(acc);
     let s = p + z;
     round_host_rne::<E, M>(s, two_sum_err(p, z, s) != 0.0, flags)
+}
+
+/// Host-path chain `acc + p[0] + p[1] + …`, each step an fma with an exact
+/// product rounded once into `<E, M>`, `p[0]` first (the expanding dot
+/// products' order). Flags reach `env` only when every step stays on the
+/// host path: `None` leaves `env` untouched, so the caller reruns the
+/// whole op on its integer path.
+#[inline(always)]
+pub(crate) fn host_dot<const E: u32, const M: u32, const N: usize>(
+    products: [f64; N],
+    acc: u64,
+    env: &mut Env,
+) -> Option<u64> {
+    if !host_rne::<E, M>(env) {
+        return None;
+    }
+    let mut flags = Flags::NONE;
+    let mut acc = acc;
+    for p in products {
+        acc = host_acc::<E, M>(p, acc, &mut flags)?;
+    }
+    env.flags.set(flags);
+    Some(acc)
 }
 
 // ---------------------------------------------------------------------------
@@ -913,6 +956,49 @@ pub(crate) fn cvt<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
 }
 
 // ---------------------------------------------------------------------------
+// Expanding multiply / multiply-accumulate
+// ---------------------------------------------------------------------------
+
+/// Expanding `a * b`: two `<SE, SM>` factors (an 8- or 16-bit format),
+/// rounded once into binary32. Under round-to-nearest-even the factors
+/// widen straight to `f64`, where their product is exact; the integer path
+/// widens them with [`cvt`] and discards its flags (at most NV on a
+/// signaling NaN), as the scalar widening path does.
+#[inline]
+pub(crate) fn mulex<const SE: u32, const SM: u32>(a: u64, b: u64, env: &mut Env) -> u64 {
+    const { assert!(SM < 26) }; // the f64 product is exact
+    if host_rne::<8, 23>(env) {
+        let p = widen::<SE, SM>(a) * widen::<SE, SM>(b);
+        if let Some(r) = round_host_rne::<8, 23>(p, false, &mut env.flags) {
+            return r;
+        }
+    }
+    let mut scratch = Env::new(env.rm);
+    let (a, b) = (
+        cvt::<SE, SM, 8, 23>(a, &mut scratch),
+        cvt::<SE, SM, 8, 23>(b, &mut scratch),
+    );
+    mul::<8, 23>(a, b, env)
+}
+
+/// Expanding fused `a * b + c`: `<SE, SM>` factors, a binary32 addend and
+/// result (see [`mulex`]).
+#[inline]
+pub(crate) fn fmaex<const SE: u32, const SM: u32>(a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
+    const { assert!(SM < 26) };
+    let p = widen::<SE, SM>(a) * widen::<SE, SM>(b);
+    if let Some(r) = host_dot::<8, 23, 1>([p], c, env) {
+        return r;
+    }
+    let mut scratch = Env::new(env.rm);
+    let (a, b) = (
+        cvt::<SE, SM, 8, 23>(a, &mut scratch),
+        cvt::<SE, SM, 8, 23>(b, &mut scratch),
+    );
+    fma::<8, 23>(a, b, c, env)
+}
+
+// ---------------------------------------------------------------------------
 // Comparisons, min/max, sign injection, classification
 // ---------------------------------------------------------------------------
 
@@ -1139,21 +1225,23 @@ mod tests {
         }
     }
 
+    /// A random `<E, M>` encoding within ±4 binades of 1.
+    fn window<const E: u32, const M: u32>(rng: &mut Rng) -> u64 {
+        let exp = (bias::<E>() + rng.range_i32(-4, 5)) as u64;
+        let sign = u64::from(rng.bool());
+        (sign << (E + M)) | (exp << M) | (rng.u64() & man_mask::<M>())
+    }
+
     /// Operands with exponents within ±4 binades of 1: under RNE almost
     /// every add, mul, fma and binary64-source conversion has a normal,
     /// nonzero result, so at least 90 % of them must take the host path
     /// (one that always fell back would still pass every differential
     /// suite), and every result it gives must match the reference, flags
-    /// included.
+    /// included. Exact zero results must take it every time.
     #[test]
     fn host_path_takes_most_narrow_window_rne_cases() {
         type Host<'a> = &'a dyn Fn(&mut Flags) -> Option<u64>;
         type Reference<'a> = &'a dyn Fn(&mut Env) -> u64;
-        fn window<const E: u32, const M: u32>(rng: &mut Rng) -> u64 {
-            let exp = (bias::<E>() + rng.range_i32(-4, 5)) as u64;
-            let sign = u64::from(rng.bool());
-            (sign << (E + M)) | (exp << M) | (rng.u64() & man_mask::<M>())
-        }
         fn check<const E: u32, const M: u32>(fmt: Format) {
             const N: u32 = 4096;
             assert!(
@@ -1201,10 +1289,105 @@ mod tests {
                     fmt.name()
                 );
             }
+            // Exact zeros, with IEEE 754's signs and no flag.
+            let zero = |op: &str, host: Host, reference: Reference| {
+                let mut flags = Flags::NONE;
+                let got = host(&mut flags);
+                let mut e = env();
+                let want = reference(&mut e);
+                assert_eq!(
+                    want & !sign_bit::<E, M>(),
+                    0,
+                    "{} {op} is not zero",
+                    fmt.name()
+                );
+                assert_eq!(got, Some(want), "{} {op}", fmt.name());
+                assert_eq!(flags, e.flags, "{} {op}", fmt.name());
+            };
+            let (pz, nz, one) = (0, sign_bit::<E, M>(), (bias::<E>() as u64) << M);
+            for _ in 0..64 {
+                let x = window::<E, M>(&mut rng);
+                let nx = negate::<E, M>(x);
+                zero("x + (-x)", &|fl| host_add::<E, M>(x, nx, fl), &|e| {
+                    ops::add(fmt, x, nx, e)
+                });
+                zero("x * 1 - x", &|fl| host_fma::<E, M>(x, one, nx, fl), &|e| {
+                    ops::fmadd(fmt, x, one, nx, e)
+                });
+                for a in [pz, nz] {
+                    zero("0 * x", &|fl| host_mul::<E, M>(a, x, fl), &|e| {
+                        ops::mul(fmt, a, x, e)
+                    });
+                    zero("x * 0", &|fl| host_mul::<E, M>(nx, a, fl), &|e| {
+                        ops::mul(fmt, nx, a, e)
+                    });
+                    for b in [pz, nz] {
+                        zero("(±0) + (±0)", &|fl| host_add::<E, M>(a, b, fl), &|e| {
+                            ops::add(fmt, a, b, e)
+                        });
+                        zero(
+                            "fma(±0, x, ±0)",
+                            &|fl| host_fma::<E, M>(a, x, b, fl),
+                            &|e| ops::fmadd(fmt, a, x, b, e),
+                        );
+                    }
+                }
+            }
         }
         check::<8, 23>(Format::BINARY32);
         check::<5, 10>(Format::BINARY16);
         check::<8, 7>(Format::BINARY16ALT);
+    }
+
+    /// Two-step dot chains from the narrow window (the expanding dot
+    /// products' shape: 16-bit lanes into binary32, 8-bit lanes into
+    /// binary16 and binary16alt) take the host path at least 90 % of the
+    /// time, and match the generic widen-then-fma chain when they do.
+    #[test]
+    fn host_dot_takes_most_narrow_window_chains() {
+        fn check<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
+            src: Format,
+            dst: Format,
+        ) {
+            const N: u32 = 4096;
+            let mut rng = Rng::new(0xd07 ^ u64::from(SM << 8 | DM));
+            let mut taken = 0;
+            for _ in 0..N {
+                let l: [u64; 4] = std::array::from_fn(|_| window::<SE, SM>(&mut rng));
+                let acc = window::<DE, DM>(&mut rng);
+                let w = |v: u64| widen::<SE, SM>(v);
+                let mut e = env();
+                let Some(got) =
+                    host_dot::<DE, DM, 2>([w(l[0]) * w(l[1]), w(l[2]) * w(l[3])], acc, &mut e)
+                else {
+                    continue;
+                };
+                taken += 1;
+                let up = |v: u64| ops::cvt_f_f(dst, src, v, &mut env());
+                let mut er = env();
+                let t = ops::fmadd(dst, up(l[0]), up(l[1]), acc, &mut er);
+                let want = ops::fmadd(dst, up(l[2]), up(l[3]), t, &mut er);
+                assert_eq!(
+                    (got, e.flags),
+                    (want, er.flags),
+                    "{} -> {}",
+                    src.name(),
+                    dst.name()
+                );
+            }
+            assert!(
+                taken * 10 >= N * 9,
+                "{} -> {}: host path taken {taken} of {N} times",
+                src.name(),
+                dst.name()
+            );
+        }
+        check::<5, 10, 8, 23>(Format::BINARY16, Format::BINARY32);
+        check::<8, 7, 8, 23>(Format::BINARY16ALT, Format::BINARY32);
+        check::<5, 2, 5, 10>(Format::BINARY8, Format::BINARY16);
+        check::<4, 3, 5, 10>(Format::BINARY8ALT, Format::BINARY16);
+        check::<5, 2, 8, 7>(Format::BINARY8, Format::BINARY16ALT);
+        check::<4, 3, 8, 7>(Format::BINARY8ALT, Format::BINARY16ALT);
     }
 
     #[test]

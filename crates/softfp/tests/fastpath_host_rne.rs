@@ -1,7 +1,8 @@
 //! Differential suite for the host-FPU round-to-nearest path of the
 //! binary32, binary16 and binary16alt kernels (add/sub/mul/fma and the
 //! float-to-float conversions): `fast::*` against the generic `ops::*`
-//! reference, results and flags.
+//! reference, results and flags. The expanding ops, which share the
+//! path, have their own suite (`dotp_differential.rs`).
 //!
 //! Uniformly drawn encodings (`fastpath_sampled.rs`) mostly land on
 //! operands whose results overflow, underflow or are far apart, so this
@@ -12,8 +13,10 @@
 //! * boundary cases built on purpose: fma sums on a format midpoint with a
 //!   nonzero TwoSum error (the double-rounding case that must fall back),
 //!   results at the smallest normal and at the largest finite value,
-//!   `x + (-x)` and signed zeros, subnormal, NaN and infinite operands, and
-//!   garbage above the format width;
+//!   exact zero results (`x + (-x)`, signed-zero sums, zero products and
+//!   exact fma cancellation, which the host path returns with IEEE 754's
+//!   signs), subnormal, NaN and infinite operands, and garbage above the
+//!   format width;
 //! * an `#[ignore]`d exhaustive sweep of binary16 add and mul over all 2^32
 //!   operand pairs at round-to-nearest-even (`cargo test --release -p
 //!   smallfloat-softfp --test fastpath_host_rne -- --ignored`).
