@@ -677,7 +677,7 @@ mod tests {
         par::set_workers(4);
         let fig1_par = fig1_speedups();
         let fig2_par = fig2_latency();
-        par::set_serial(true);
+        par::set_workers(1);
         let fig1_ser = fig1_speedups();
         let fig2_ser = fig2_latency();
         par::set_workers(0);

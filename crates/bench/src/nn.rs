@@ -5,10 +5,11 @@
 //! number is a deterministic simulator output, so the file regenerates
 //! bit-identically.
 
+use crate::par::par_map;
 use smallfloat::{MemLevel, VecMode};
 use smallfloat_isa::FpFmt;
 use smallfloat_nn::qor::accuracy;
-use smallfloat_nn::{infer_sim, tune_network, uniform_assignment, Assignment, NetTune};
+use smallfloat_nn::{infer_sim, tune_network, uniform_assignment, Dataset, NetTune, Network};
 use smallfloat_tuner::TunerConfig;
 use std::fmt::Write as _;
 
@@ -36,6 +37,18 @@ pub struct NnRow {
 /// Lower-case paper-style name of a format (the registry's IEEE name).
 pub fn fmt_name(fmt: FpFmt) -> &'static str {
     fmt.name()
+}
+
+/// Both `smallfloat-nn` tasks, in row order (MLP, CNN): the network
+/// axis of the inference and training grids.
+pub(crate) fn nets() -> [(Network, Dataset); 2] {
+    [smallfloat_nn::mlp(), smallfloat_nn::cnn()]
+}
+
+/// The precision axis of both grids: the registry formats in order, then
+/// the tuned assignment (`None`, index `FpFmt::ALL.len()`).
+pub(crate) fn scheme(i: usize) -> Option<FpFmt> {
+    FpFmt::ALL.get(i).copied()
 }
 
 /// One point of a network's accuracy-vs-energy frontier: a uniform format
@@ -110,39 +123,41 @@ fn mem_name(mem: MemLevel) -> &'static str {
     }
 }
 
-/// The full sweep: for each network, the four uniform formats plus the
+/// The full sweep: for each network, the five uniform formats plus the
 /// tuned assignment, at every vectorization mode and memory level.
-/// Returns the rows and the per-network tuner outcomes.
+/// Returns the rows and the per-network tuner outcomes. The two tuners
+/// run as one grid, then every (net × scheme × mode × level) point as
+/// another; rows come back in grid order.
 pub fn nn_sweep() -> (Vec<NnRow>, Vec<(String, NetTune)>) {
+    const MODES: [VecMode; 3] = [VecMode::Scalar, VecMode::Auto, VecMode::Manual];
+    const MEMS: [MemLevel; 3] = [MemLevel::L1, MemLevel::L2, MemLevel::L3];
     let config = TunerConfig::default();
-    let mut rows = Vec::new();
-    let mut tunes = Vec::new();
-    for (net, ds) in [smallfloat_nn::mlp(), smallfloat_nn::cnn()] {
-        let tuned = tune_network(&net, &ds, &config);
-        let mut schemes: Vec<(String, Assignment)> = FpFmt::ALL
-            .into_iter()
-            .map(|f| (fmt_name(f).to_string(), uniform_assignment(&net, f)))
-            .collect();
-        schemes.push(("tuned".to_string(), tuned.assignment()));
-        tunes.push((net.name.to_string(), tuned));
-        for (precision, assignment) in &schemes {
-            for mode in [VecMode::Scalar, VecMode::Auto, VecMode::Manual] {
-                for mem in [MemLevel::L1, MemLevel::L2, MemLevel::L3] {
-                    let r = infer_sim(&net, &ds.inputs, assignment, mode, mem);
-                    rows.push(NnRow {
-                        network: net.name.to_string(),
-                        precision: precision.clone(),
-                        mode,
-                        mem,
-                        cycles: r.cycles,
-                        instret: r.instret,
-                        energy_pj: r.energy_pj,
-                        accuracy: accuracy(&r.predictions, &ds.labels),
-                    });
-                }
-            }
+    let nets = nets();
+    let tunes = par_map(nets.len(), |n| {
+        let (net, ds) = &nets[n];
+        (net.name.to_string(), tune_network(net, ds, &config))
+    });
+    let configs = MODES.len() * MEMS.len();
+    let per_net = (FpFmt::ALL.len() + 1) * configs;
+    let rows = par_map(nets.len() * per_net, |i| {
+        let (net, ds) = &nets[i / per_net];
+        let (mode, mem) = (MODES[i / MEMS.len() % MODES.len()], MEMS[i % MEMS.len()]);
+        let (precision, assignment) = match scheme(i % per_net / configs) {
+            Some(f) => (fmt_name(f), uniform_assignment(net, f)),
+            None => ("tuned", tunes[i / per_net].1.assignment()),
+        };
+        let r = infer_sim(net, &ds.inputs, &assignment, mode, mem);
+        NnRow {
+            network: net.name.to_string(),
+            precision: precision.to_string(),
+            mode,
+            mem,
+            cycles: r.cycles,
+            instret: r.instret,
+            energy_pj: r.energy_pj,
+            accuracy: accuracy(&r.predictions, &ds.labels),
         }
-    }
+    });
     (rows, tunes)
 }
 

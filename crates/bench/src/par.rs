@@ -26,11 +26,6 @@ pub fn set_workers(n: usize) {
     FORCE_WORKERS.store(n, Ordering::SeqCst);
 }
 
-/// Shorthand for [`set_workers`]`(1)` / `(0)`.
-pub fn set_serial(serial: bool) {
-    set_workers(if serial { 1 } else { 0 });
-}
-
 fn worker_count(tasks: usize) -> usize {
     let forced = FORCE_WORKERS.load(Ordering::SeqCst);
     if forced != 0 {
@@ -95,9 +90,9 @@ mod tests {
     fn serial_toggle_matches_parallel() {
         set_workers(3);
         let par = par_map(23, |i| (i, i as u64 * 3));
-        set_serial(true);
+        set_workers(1);
         let ser = par_map(23, |i| (i, i as u64 * 3));
-        set_serial(false);
+        set_workers(0);
         assert_eq!(par, ser);
     }
 

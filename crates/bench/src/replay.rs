@@ -345,9 +345,9 @@ mod tests {
         let w = &suite[2]; // ATAX
         let point =
             |snap: u64| verify_point(w.as_ref(), &Precision::F16Alt, VecMode::Scalar, snap, None);
-        crate::par::set_serial(true);
+        crate::par::set_workers(1);
         let serial = point(3_000);
-        crate::par::set_serial(false);
+        crate::par::set_workers(0);
         let parallel = point(3_000);
         let again = point(3_000);
         assert!(serial.divergences.is_empty(), "{:?}", serial.divergences);

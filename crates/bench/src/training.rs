@@ -3,11 +3,12 @@
 //! storage formats plus the per-pass tuned assignment, against the `f64`
 //! host reference loss curve. The `train_table` binary renders the table
 //! and exports the committed `BENCH_training.json` record — every number
-//! is a deterministic simulator output (the tuner runs single-worker
-//! here so even the fork counters are reproducible), so the file
-//! regenerates byte-identically.
+//! is a deterministic simulator output, so the file regenerates
+//! byte-identically at any worker count. The host-side warm-pool
+//! counters are not simulator outputs and stay out of the record.
 
-use crate::nn::fmt_name;
+use crate::nn::{fmt_name, nets, scheme};
+use crate::par::par_map;
 use smallfloat::{MemLevel, VecMode};
 use smallfloat_isa::FpFmt;
 use smallfloat_nn::train::{
@@ -45,7 +46,7 @@ pub struct TrainRow {
 pub struct TrainTuneRow {
     /// Network name.
     pub network: String,
-    /// Tuner outcome (assignment, trace, fork counters).
+    /// Tuner outcome (assignment, trace).
     pub tune: TrainTune,
     /// Final loss of the `f64` reference run.
     pub reference_final_loss: f64,
@@ -55,7 +56,9 @@ pub struct TrainTuneRow {
 
 /// The full sweep: for each network, the five uniform formats plus the
 /// per-pass tuned assignment, trained with the default configuration
-/// (auto-vectorized with expanding accumulation, L1).
+/// (auto-vectorized with expanding accumulation, L1). The two nets'
+/// references and tuners run as one grid, then every (net × scheme)
+/// training run as another; rows come back in grid order.
 pub fn training_sweep() -> (TrainConfig, Vec<TrainRow>, Vec<TrainTuneRow>) {
     let cfg = TrainConfig::default();
     let tcfg = training_tuner_config();
@@ -63,39 +66,41 @@ pub fn training_sweep() -> (TrainConfig, Vec<TrainRow>, Vec<TrainTuneRow>) {
         mode: VecMode::Auto,
         level: MemLevel::L1,
     };
-    let mut rows = Vec::new();
-    let mut tunes = Vec::new();
-    for (net, ds) in [smallfloat_nn::mlp(), smallfloat_nn::cnn()] {
-        let reference = train_f64(&net, &ds, &cfg);
-        // Single worker keeps the pool counters deterministic (each
-        // worker thread's warmed-snapshot pool is thread-local).
-        let tuned = tune_training(&net, &ds, &cfg, &tcfg, 1);
-        let mut schemes: Vec<(String, PassAssignment)> = FpFmt::ALL
-            .into_iter()
-            .map(|f| (fmt_name(f).to_string(), PassAssignment::uniform(&net, f)))
-            .collect();
-        schemes.push(("tuned".to_string(), tuned.assignment.clone()));
-        tunes.push(TrainTuneRow {
+    let nets = nets();
+    let (references, tunes): (Vec<Vec<f64>>, Vec<TrainTuneRow>) = par_map(nets.len(), |i| {
+        let (net, ds) = &nets[i];
+        let reference = train_f64(net, ds, &cfg);
+        let tune = TrainTuneRow {
             network: net.name.to_string(),
-            tune: tuned,
+            tune: tune_training(net, ds, &cfg, &tcfg, 1),
             reference_final_loss: reference.losses[cfg.steps - 1],
             reference_accuracy: reference.accuracy,
-        });
-        for (precision, pa) in &schemes {
-            let t = train(&net, &ds, pa, &cfg, &exec);
-            rows.push(TrainRow {
-                network: net.name.to_string(),
-                precision: precision.clone(),
-                loss_parity: loss_parity_error(&t.losses, &reference.losses),
-                final_loss: t.losses[cfg.steps - 1],
-                accuracy: t.accuracy,
-                cycles: t.cycles,
-                instret: t.instret,
-                energy_pj: t.energy_pj,
-                phases: t.phases,
-            });
+        };
+        (reference.losses, tune)
+    })
+    .into_iter()
+    .unzip();
+    let schemes = FpFmt::ALL.len() + 1;
+    let rows = par_map(nets.len() * schemes, |i| {
+        let (n, s) = (i / schemes, i % schemes);
+        let (net, ds) = &nets[n];
+        let (precision, pa) = match scheme(s) {
+            Some(f) => (fmt_name(f), PassAssignment::uniform(net, f)),
+            None => ("tuned", tunes[n].tune.assignment.clone()),
+        };
+        let t = train(net, ds, &pa, &cfg, &exec);
+        TrainRow {
+            network: net.name.to_string(),
+            precision: precision.to_string(),
+            loss_parity: loss_parity_error(&t.losses, &references[n]),
+            final_loss: t.losses[cfg.steps - 1],
+            accuracy: t.accuracy,
+            cycles: t.cycles,
+            instret: t.instret,
+            energy_pj: t.energy_pj,
+            phases: t.phases,
         }
-    }
+    });
     (cfg, rows, tunes)
 }
 
@@ -117,11 +122,9 @@ pub fn training_render(cfg: &TrainConfig, rows: &[TrainRow], tunes: &[TrainTuneR
         .unwrap();
         writeln!(
             out,
-            "{} — per-pass tuned ({} evaluations, {} warm forks / {} cold trains): {}",
+            "{} — per-pass tuned ({} evaluations): {}",
             tune.network,
             tune.tune.result.evaluations,
-            tune.tune.warm_forks,
-            tune.tune.cold_trains,
             tune.tune
                 .result
                 .assignment
@@ -205,7 +208,7 @@ pub fn training_json(cfg: &TrainConfig, rows: &[TrainRow], tunes: &[TrainTuneRow
         "  \"unit\": \"total simulated cycles / retired instructions / energy (pJ) over one full training run; loss_parity is the max per-step deviation from the f64 reference loss relative to max(|reference|, 0.25); accuracy is top-1 on the task's 64-sample set after training\",\n",
     );
     out.push_str(
-        "  \"methodology\": \"cargo run --release -p smallfloat-bench --bin train_table -- --json BENCH_training.json. Both smallfloat-nn tasks train from scratch (seeded binary32 init) on the cycle-accurate simulator: binary32 master weights with SGD/momentum, activations and gradients stored at the row's format, every accumulation through a binary32 accumulator (vfsdotpex/vfdotpex via the auto-vectorizer's expanding lowering), loss head at f64 on the host. The five registry formats run uniformly plus the per-pass tuned assignment (independent forward/backward formats per layer, greedy under max 5% loss parity, candidates evaluated by complete simulated training runs forking warmed Cpu snapshots; evaluations counts the greedy protocol's evaluations, each candidate up to and including the accepted one). Phases attribute each (layer, fwd/bwd/update) cycles, energy and SQNR vs the f64 shadow. All numbers are deterministic simulator outputs: the file must regenerate byte-identically.\",\n",
+        "  \"methodology\": \"cargo run --release -p smallfloat-bench --bin train_table -- --json BENCH_training.json. Both smallfloat-nn tasks train from scratch (seeded binary32 init) on the cycle-accurate simulator: binary32 master weights with SGD/momentum, activations and gradients stored at the row's format, every accumulation through a binary32 accumulator (vfsdotpex/vfdotpex via the auto-vectorizer's expanding lowering), loss head at f64 on the host. The five registry formats run uniformly plus the per-pass tuned assignment (independent forward/backward formats per layer, greedy under max 5% loss parity, candidates evaluated by complete simulated training runs; evaluations counts the greedy protocol's evaluations, each candidate up to and including the accepted one). Phases attribute each (layer, fwd/bwd/update) cycles, energy and SQNR vs the f64 shadow. All numbers are deterministic simulator outputs (host-cache counters such as the runner's warm forks and cold trains are not, and are not recorded): the file must regenerate byte-identically at any host worker count.\",\n",
     );
     writeln!(
         out,
@@ -217,7 +220,7 @@ pub fn training_json(cfg: &TrainConfig, rows: &[TrainRow], tunes: &[TrainTuneRow
     for (i, t) in tunes.iter().enumerate() {
         writeln!(
             out,
-            "    \"{}\": {{\"assignment\": {{{}}}, \"evaluations\": {}, \"warm_forks\": {}, \"cold_trains\": {}, \"reference_final_loss\": {}, \"reference_accuracy\": {}}}{}",
+            "    \"{}\": {{\"assignment\": {{{}}}, \"evaluations\": {}, \"reference_final_loss\": {}, \"reference_accuracy\": {}}}{}",
             t.network,
             t.tune
                 .result
@@ -227,8 +230,6 @@ pub fn training_json(cfg: &TrainConfig, rows: &[TrainRow], tunes: &[TrainTuneRow
                 .collect::<Vec<_>>()
                 .join(", "),
             t.tune.result.evaluations,
-            t.tune.warm_forks,
-            t.tune.cold_trains,
             json_opt_f64(t.reference_final_loss),
             json_opt_f64(t.reference_accuracy),
             if i + 1 < tunes.len() { "," } else { "" }

@@ -213,15 +213,6 @@ mod release_tests {
             "MLP per-pass tuned assignment moved (trace:\n{})",
             tuned.result.trace_text()
         );
-        // Tuning forks warmed simulator snapshots instead of re-running
-        // programs from reset: the per-step re-launches of the same ~18
-        // kernels hit the pool's snapshots overwhelmingly.
-        assert!(
-            tuned.cold_trains > 0 && tuned.warm_forks >= 10 * tuned.cold_trains,
-            "warm forks must dominate: {} forks vs {} cold trains",
-            tuned.warm_forks,
-            tuned.cold_trains
-        );
         let exec = Exec::Sim {
             mode: VecMode::Auto,
             level: MemLevel::L1,
@@ -242,6 +233,45 @@ mod release_tests {
                 t.energy_pj
             );
         }
+    }
+
+    /// One `train` call re-launches the same few kernels every step, and
+    /// the runner forks their warmed simulator snapshots instead of
+    /// re-running from reset: on a fresh thread (the pool is per thread)
+    /// the call cold-trains each of its distinct programs once and forks
+    /// every other launch. Repeating the call on the same thread forks
+    /// every launch, so no program of the first call was trained twice.
+    #[test]
+    fn train_call_forks_warm_snapshots() {
+        use crate::train::{train, Exec, PassAssignment, TrainConfig};
+        use smallfloat_kernels::pool_counters;
+        std::thread::spawn(|| {
+            let (net, ds) = mlp();
+            let pa = PassAssignment::uniform(&net, FpFmt::H);
+            let cfg = TrainConfig::default();
+            let exec = Exec::Sim {
+                mode: VecMode::Auto,
+                level: MemLevel::L1,
+            };
+            let run = || {
+                let (w0, c0) = pool_counters();
+                train(&net, &ds, &pa, &cfg, &exec);
+                let (w1, c1) = pool_counters();
+                (w1 - w0, c1 - c0)
+            };
+            let (warm, cold) = run();
+            // Forward, weight gradient and the two updates of fc1..fc3,
+            // the input gradients of fc2 and fc3, and the forward and
+            // input gradient of relu1 and relu2.
+            assert_eq!(cold, 18, "one cold train per distinct program");
+            assert!(
+                warm >= 10 * cold,
+                "warm forks must dominate: {warm} forks vs {cold} cold trains"
+            );
+            assert_eq!(run(), (warm + cold, 0), "a repeat call forks every launch");
+        })
+        .join()
+        .unwrap();
     }
 
     /// The per-pass tuner's outcome is a pure function of the task — the

@@ -25,10 +25,8 @@
 //! over per-pass variables: each layer contributes a `name@fwd` and a
 //! `name@bwd` variable, and each candidate evaluation is a complete short
 //! training run on the simulator. The tuner evaluates a variable's
-//! candidates on up to `host_workers` threads. Re-launches inside those
-//! runs fork the runner's warmed `Cpu` snapshots instead of re-running
-//! from reset (`smallfloat_kernels::pool_counters` observes this), and
-//! the tuner's trace and assignment are independent of the worker count.
+//! candidates on up to `host_workers` threads, and its trace and
+//! assignment are independent of the worker count.
 
 use crate::grad::{
     conv_bwd_w, conv_bwd_x, cross_entropy, dense_bwd_w, dense_bwd_x, flip_w, layer_backward_f64,
@@ -38,7 +36,7 @@ use crate::graph::{layer_forward_f64, uniform, Dataset, Layer, Network, Params, 
 use crate::infer::{infer_typed, Assignment};
 use crate::qor::{accuracy, argmax};
 use smallfloat_isa::FpFmt;
-use smallfloat_kernels::{launch, pool_counters, Precision, VecMode};
+use smallfloat_kernels::{launch, Precision, VecMode};
 use smallfloat_sim::{MemLevel, Stats};
 use smallfloat_tuner::{tune, TuneResult, TunerConfig};
 use smallfloat_xcc::codegen::{compile, CodegenOptions, Compiled};
@@ -899,13 +897,6 @@ pub struct TrainTune {
     pub result: TuneResult,
     /// The tuned per-pass assignment.
     pub assignment: PassAssignment,
-    /// Simulator launches during tuning that forked a warmed `Cpu`
-    /// snapshot vs. retrained one from reset (the
-    /// `smallfloat_kernels::pool_counters` deltas of every evaluation,
-    /// speculative ones included, summed).
-    pub warm_forks: u64,
-    /// See [`TrainTune::warm_forks`].
-    pub cold_trains: u64,
 }
 
 /// Greedy per-pass format tuning under a loss-parity constraint: each
@@ -915,10 +906,9 @@ pub struct TrainTune {
 /// `f64` reference.
 ///
 /// The tuner evaluates the candidates of each variable on up to
-/// `host_workers` threads; each thread's launches fork its own
-/// warmed-simulator pool instead of re-running from reset. Candidate
-/// errors depend only on the (deterministic) candidate run, so the trace
-/// and the tuned assignment are identical for every worker count.
+/// `host_workers` threads. Candidate errors depend only on the
+/// (deterministic) candidate run, so the trace and the tuned assignment
+/// are identical for every worker count.
 pub fn tune_training(
     net: &Network,
     ds: &Dataset,
@@ -931,23 +921,15 @@ pub fn tune_training(
         mode: VecMode::Auto,
         level: MemLevel::L1,
     };
-    // Every evaluation reports the pool deltas of the thread it ran on.
-    let (deltas, tally) = std::sync::mpsc::channel();
     let result = tune(&pass_vars(net), tcfg, host_workers, |a| {
-        let (f0, c0) = pool_counters();
-        let t = train(net, ds, &pass_assignment(net, a), cfg, &exec);
-        let (f1, c1) = pool_counters();
-        deltas.send((f1 - f0, c1 - c0)).unwrap();
-        loss_parity_error(&t.losses, &reference)
+        loss_parity_error(
+            &train(net, ds, &pass_assignment(net, a), cfg, &exec).losses,
+            &reference,
+        )
     });
-    let (warm_forks, cold_trains) = tally
-        .try_iter()
-        .fold((0, 0), |(w, c), (dw, dc)| (w + dw, c + dc));
     TrainTune {
         assignment: pass_assignment(net, &result.assignment),
         result,
-        warm_forks,
-        cold_trains,
     }
 }
 

@@ -38,11 +38,11 @@ fn main() {
 
     // Per-pass tuning: each layer gets independent forward and backward
     // formats under a loss-parity constraint; candidate runs execute on
-    // the simulator, forking warmed Cpu snapshots per launch.
+    // the simulator.
     let tuned = tune_training(&net, &ds, &cfg, &training_tuner_config(), 4);
     println!(
-        "\nper-pass tuned assignment ({} evaluations, {} warm forks / {} cold trains):",
-        tuned.result.evaluations, tuned.warm_forks, tuned.cold_trains
+        "\nper-pass tuned assignment ({} evaluations):",
+        tuned.result.evaluations
     );
     println!(
         "  {}",

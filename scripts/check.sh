@@ -20,6 +20,9 @@
 #   cargo run --release -p smallfloat-bench --bin nn_table -- --json BENCH_nn.json
 #   cargo run --release -p smallfloat-bench --bin serve_bench -- --json BENCH_serving.json
 #   cargo run --release -p smallfloat-bench --bin train_table -- --json BENCH_training.json
+# --full regenerates BENCH_nn.json and BENCH_training.json (simulator outputs
+# only) at the default worker count and with SMALLFLOAT_SERIAL=1, and requires
+# each to match the committed file byte for byte.
 # Host speed is measured end to end by perfbench/ (see below); the workspace
 # has no `cargo bench` targets.
 #
@@ -103,6 +106,15 @@ if [[ "${1:-}" == "--full" ]]; then
     cargo clippy --workspace --all-targets -- -D warnings
     echo "==> cargo test --workspace --release -q (includes the per-pass training tuner grid: pinned MLP assignment, frontier dominance, worker-count independence)"
     cargo test --workspace --release -q
+    echo "==> BENCH_nn.json + BENCH_training.json regenerate byte-identically (default workers, then SMALLFLOAT_SERIAL=1)"
+    regen=$(mktemp -d)
+    trap 'rm -rf "$regen"' EXIT
+    for serial in 0 1; do
+        SMALLFLOAT_SERIAL=$serial ./target/release/nn_table --json "$regen/nn.json" >/dev/null
+        SMALLFLOAT_SERIAL=$serial ./target/release/train_table --json "$regen/training.json" >/dev/null
+        cmp "$regen/nn.json" BENCH_nn.json
+        cmp "$regen/training.json" BENCH_training.json
+    done
     echo "==> replay fleet: full workload x precision x mode grid on the block engine"
     cargo run --release -q -p smallfloat-bench --bin testrunner -- --full
     echo "==> perfbench tests (release)"
