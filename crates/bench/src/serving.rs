@@ -9,8 +9,8 @@
 //! the **simulated clock domain** (cycles, at the [`CLOCK_GHZ`]
 //! convention): the deterministic schedule pass assigns every request a
 //! start/end cycle, and those are a pure function of the submitted work —
-//! not of the host thread count or the engine tier. The host-side wall
-//! clock is reported separately per point (simulation speed).
+//! not of the host thread count or the engine tier. Host-side speed is
+//! not part of the record; perfbench's `serve` workload measures it.
 //!
 //! Two load models share one execution pass per point (service cycles are
 //! arrival-independent):
@@ -36,7 +36,6 @@ use smallfloat_nn::graph::{cnn, mlp, Dataset, Network};
 use smallfloat_nn::ServingModel;
 use smallfloat_sim::MemLevel;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Simulated clock the cycle-domain rates are quoted at (PULP-class).
 pub const CLOCK_GHZ: f64 = 1.0;
@@ -52,7 +51,7 @@ const SAMPLE_EVERY: usize = 8;
 const OPEN_UTILIZATION: f64 = 0.7;
 
 /// One serving measurement point.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServingRow {
     /// Network name (`mlp` / `cnn`).
     pub net: &'static str,
@@ -78,8 +77,6 @@ pub struct ServingRow {
     pub open_p99_cycles: u64,
     /// Sampled requests that failed the single-core bit-identity gate.
     pub divergences: usize,
-    /// Host wall-clock for the batch execution.
-    pub host_ms: f64,
 }
 
 /// Serve one batch on an N-core cluster and measure it. `sample_every`
@@ -107,9 +104,7 @@ pub fn serve_point(
     } else {
         cores.min(4)
     };
-    let t0 = Instant::now();
     let results = cluster.run(host_workers);
-    let host_ms = t0.elapsed().as_secs_f64() * 1e3;
     let report = cluster.report().expect("cluster ran").clone();
     let mut divergences = 0;
     for i in (0..descs.len()).step_by(sample_every.max(1)) {
@@ -135,7 +130,6 @@ pub fn serve_point(
         open_p50_cycles: percentile(&open_lat, 50.0),
         open_p99_cycles: percentile(&open_lat, 99.0),
         divergences,
-        host_ms,
     }
 }
 
@@ -220,24 +214,14 @@ pub fn serving_render(rows: &[ServingRow]) -> String {
     .unwrap();
     writeln!(
         out,
-        "{:<5} {:<11} {:>5} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>4} {:>9}",
-        "net",
-        "fmt",
-        "cores",
-        "req",
-        "rps",
-        "p50(cyc)",
-        "p99(cyc)",
-        "o-p50",
-        "o-p99",
-        "div",
-        "host(ms)"
+        "{:<5} {:<11} {:>5} {:>4} {:>10} {:>10} {:>10} {:>10} {:>10} {:>4}",
+        "net", "fmt", "cores", "req", "rps", "p50(cyc)", "p99(cyc)", "o-p50", "o-p99", "div"
     )
     .unwrap();
     for r in rows {
         writeln!(
             out,
-            "{:<5} {:<11} {:>5} {:>4} {:>10.0} {:>10} {:>10} {:>10} {:>10} {:>4} {:>9.1}",
+            "{:<5} {:<11} {:>5} {:>4} {:>10.0} {:>10} {:>10} {:>10} {:>10} {:>4}",
             r.net,
             fmt_name(r.fmt),
             r.cores,
@@ -247,8 +231,7 @@ pub fn serving_render(rows: &[ServingRow]) -> String {
             r.p99_cycles,
             r.open_p50_cycles,
             r.open_p99_cycles,
-            r.divergences,
-            r.host_ms
+            r.divergences
         )
         .unwrap();
     }
@@ -278,16 +261,16 @@ pub fn serving_json(rows: &[ServingRow]) -> String {
     out.push_str("  \"bench\": \"serving\",\n");
     writeln!(out, "  \"clock_ghz\": {CLOCK_GHZ},").unwrap();
     out.push_str(
-        "  \"unit\": \"requests/second and latency percentiles in the simulated clock domain; host_ms is wall-clock of the batch execution\",\n",
+        "  \"unit\": \"requests/second and latency percentiles in the simulated clock domain\",\n",
     );
     out.push_str(
-        "  \"methodology\": \"cargo run --release -p smallfloat-bench --bin serve_bench -- --json BENCH_serving.json. Each point serves a batch of nn inference requests as multi-stage cluster work descriptors (one stage per layer, activations piped as raw bytes) over {1,2,4,8} simulated cores on the block micro-op cache engine. Closed-loop latency is the completion cycle under arrivals at cycle 0; open-loop uses seeded exponential arrivals at 70% utilization replayed through the same earliest-free-core schedule. Every 8th request is replayed on a single-core reference and must match bit for bit (outputs, fflags, cycles, energy) — the divergences column. Simulated-domain numbers are identical across engine tiers and host thread counts; the file must regenerate byte-identically apart from host_ms.\",\n",
+        "  \"methodology\": \"cargo run --release -p smallfloat-bench --bin serve_bench -- --json BENCH_serving.json. Each point serves a batch of nn inference requests as multi-stage cluster work descriptors (one stage per layer, activations piped as raw bytes) over {1,2,4,8} simulated cores on the block micro-op cache engine. Closed-loop latency is the completion cycle under arrivals at cycle 0; open-loop uses seeded exponential arrivals at 70% utilization replayed through the same earliest-free-core schedule. Every 8th request is replayed on a single-core reference and must match bit for bit (outputs, fflags, cycles, energy) — the divergences column. Simulated-domain numbers are identical across engine tiers and host thread counts; the file must regenerate byte-identically.\",\n",
     );
     out.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         writeln!(
             out,
-            "    {{\"net\": \"{}\", \"fmt\": \"{}\", \"cores\": {}, \"requests\": {}, \"makespan_cycles\": {}, \"rps\": {:.0}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"open_rps\": {:.0}, \"open_p50_cycles\": {}, \"open_p99_cycles\": {}, \"divergences\": {}, \"host_ms\": {:.1}}}{}",
+            "    {{\"net\": \"{}\", \"fmt\": \"{}\", \"cores\": {}, \"requests\": {}, \"makespan_cycles\": {}, \"rps\": {:.0}, \"p50_cycles\": {}, \"p99_cycles\": {}, \"open_rps\": {:.0}, \"open_p50_cycles\": {}, \"open_p99_cycles\": {}, \"divergences\": {}}}{}",
             r.net,
             fmt_name(r.fmt),
             r.cores,
@@ -300,7 +283,6 @@ pub fn serving_json(rows: &[ServingRow]) -> String {
             r.open_p50_cycles,
             r.open_p99_cycles,
             r.divergences,
-            r.host_ms,
             if i + 1 < rows.len() { "," } else { "" }
         )
         .unwrap();
@@ -354,8 +336,8 @@ mod tests {
         assert!(msg.contains("0/24 divergences"), "{msg}");
     }
 
-    /// A tiny two-core sweep point served twice: simulated metrics and the
-    /// open-loop generator are deterministic.
+    /// A tiny two-core sweep point served twice: every field (all
+    /// simulated, plus the open-loop generator's) is deterministic.
     #[test]
     fn simulated_metrics_are_deterministic() {
         let (net, ds) = mlp();
@@ -364,17 +346,7 @@ mod tests {
         let rows: Vec<ServingRow> = (0..2)
             .map(|_| serve_point(&model, net.name, &samples, 2, SEED, 4))
             .collect();
-        let simulated = |r: &ServingRow| {
-            (
-                r.divergences,
-                r.makespan_cycles,
-                r.p50_cycles,
-                r.p99_cycles,
-                r.open_p50_cycles,
-                r.open_p99_cycles,
-            )
-        };
-        assert_eq!(simulated(&rows[0]), simulated(&rows[1]));
+        assert_eq!(rows[0], rows[1]);
         assert_eq!(rows[0].divergences, 0);
         assert!(rows[0].rps > 0.0 && rows[0].p99_cycles >= rows[0].p50_cycles);
     }

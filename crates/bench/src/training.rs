@@ -72,7 +72,7 @@ pub fn training_sweep() -> (TrainConfig, Vec<TrainRow>, Vec<TrainTuneRow>) {
         let reference = train_f64(net, ds, &cfg);
         let tune = TrainTuneRow {
             network: net.name.to_string(),
-            tune: tune_training(net, ds, &cfg, &tcfg, 1),
+            tune: tune_training(net, ds, &cfg, &tcfg, &reference.losses),
             reference_final_loss: reference.losses[cfg.steps - 1],
             reference_accuracy: reference.accuracy,
         };

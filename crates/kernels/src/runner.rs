@@ -48,10 +48,9 @@ const BUDGET: u64 = 200_000_000;
 /// `(warm_forks, cold_trains)` of the calling thread's pool: how many of
 /// this thread's launches forked a warmed snapshot vs. retrained a
 /// simulator from reset. The counts describe the pool they count, so a
-/// measurement on one thread is not disturbed by launches on others; a
-/// harness whose launches run on several threads sums the deltas each
-/// thread takes around its own launches (as the evaluator in
-/// `nn::train::tune_training` does).
+/// measurement on one thread is not disturbed by launches on others;
+/// take the deltas around calls on one thread (perfbench and the nn
+/// test `train_call_forks_warm_snapshots` do).
 pub fn pool_counters() -> (u64, u64) {
     POOL.with(|p| {
         let p = p.borrow();

@@ -24,9 +24,8 @@
 //! [`tune_training`] runs the greedy tuner ([`smallfloat_tuner::tune`])
 //! over per-pass variables: each layer contributes a `name@fwd` and a
 //! `name@bwd` variable, and each candidate evaluation is a complete short
-//! training run on the simulator. The tuner evaluates a variable's
-//! candidates on up to `host_workers` threads, and its trace and
-//! assignment are independent of the worker count.
+//! training run on the simulator, scored against the caller's `f64`
+//! reference loss curve.
 
 use crate::grad::{
     conv_bwd_w, conv_bwd_x, cross_entropy, dense_bwd_w, dense_bwd_x, flip_w, layer_backward_f64,
@@ -902,29 +901,24 @@ pub struct TrainTune {
 /// Greedy per-pass format tuning under a loss-parity constraint: each
 /// `(layer, pass)` variable is minimized in network order, candidates
 /// cheapest-first, by running a complete training run per candidate on
-/// the cycle-accurate simulator and comparing its loss curve against the
-/// `f64` reference.
-///
-/// The tuner evaluates the candidates of each variable on up to
-/// `host_workers` threads. Candidate errors depend only on the
-/// (deterministic) candidate run, so the trace and the tuned assignment
-/// are identical for every worker count.
+/// the cycle-accurate simulator and comparing its loss curve against
+/// `reference`, the `f64` loss curve of [`train_f64`] under the same
+/// `cfg`.
 pub fn tune_training(
     net: &Network,
     ds: &Dataset,
     cfg: &TrainConfig,
     tcfg: &TunerConfig,
-    host_workers: usize,
+    reference: &[f64],
 ) -> TrainTune {
-    let reference = train_f64(net, ds, cfg).losses;
     let exec = Exec::Sim {
         mode: VecMode::Auto,
         level: MemLevel::L1,
     };
-    let result = tune(&pass_vars(net), tcfg, host_workers, |a| {
+    let result = tune(&pass_vars(net), tcfg, |a| {
         loss_parity_error(
             &train(net, ds, &pass_assignment(net, a), cfg, &exec).losses,
-            &reference,
+            reference,
         )
     });
     TrainTune {

@@ -52,7 +52,7 @@ impl NetTune {
 /// kernel variables.
 pub fn tune_network(net: &Network, ds: &Dataset, config: &TunerConfig) -> NetTune {
     let reference = reference_predictions(net, &ds.inputs);
-    let result = tune(&network_vars(net), config, 1, |assignment| {
+    let result = tune(&network_vars(net), config, |assignment| {
         let outs = infer_typed(net, &ds.inputs, &assignment.to_vec());
         let preds: Vec<usize> = outs.iter().map(|o| argmax(o)).collect();
         churn(&preds, &reference)

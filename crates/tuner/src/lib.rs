@@ -40,7 +40,6 @@
 use smallfloat_isa::FpFmt;
 use smallfloat_xcc::ir::Kernel;
 use smallfloat_xcc::retype;
-use std::sync::mpsc;
 
 /// Tuner configuration.
 #[derive(Clone, Debug)]
@@ -136,60 +135,35 @@ impl TuneResult {
 ///
 /// All variables start at binary32; each is then minimized in order with
 /// earlier decisions locked in — the iterative-refinement strategy of the
-/// dynamic tuning tools the paper builds on. The candidates of a variable
-/// are evaluated in chunks of `workers`: the first of a chunk on the
-/// calling thread, the rest concurrently on `workers − 1` scoped threads
-/// that live for the whole search, chunk position `k` always on the same
-/// thread, so thread-local state an evaluator keeps (a warm simulator
-/// pool) carries over from one variable to the next. The first candidate
-/// within the bound, in candidate order, is accepted; errors measured
-/// past it are discarded, so the trace, `evaluations` and the assignment
-/// are those of the sequential search at any worker count.
+/// dynamic tuning tools the paper builds on. A variable's candidates are
+/// evaluated in candidate order, and the first within the bound is
+/// accepted; no candidate past it is evaluated.
 pub fn tune(
     vars: &[(String, usize)],
     config: &TunerConfig,
-    workers: usize,
-    eval: impl Fn(&[(String, FpFmt)]) -> f64 + Sync,
+    eval: impl Fn(&[(String, FpFmt)]) -> f64,
 ) -> TuneResult {
-    let width = workers.max(1);
     let mut assignment: Vec<(String, FpFmt)> =
         vars.iter().map(|(n, _)| (n.clone(), FpFmt::S)).collect();
     let mut trace = Vec::new();
-    std::thread::scope(|scope| {
-        let eval = &eval;
-        let mut helpers: Vec<Helper<'_>> = (1..width.min(config.candidates.len()))
-            .map(|_| Helper::spawn(scope, eval))
-            .collect();
-        for i in 0..vars.len() {
-            let with = |candidate: FpFmt| {
-                let mut a = assignment.clone();
-                a[i].1 = candidate;
-                a
-            };
-            'search: for chunk in config.candidates.chunks(width) {
-                for (helper, &c) in helpers.iter().zip(&chunk[1..]) {
-                    helper.send(with(c));
-                }
-                let first = eval(&with(chunk[0]));
-                let errors: Vec<f64> = std::iter::once(first)
-                    .chain(helpers[..chunk.len() - 1].iter_mut().map(Helper::recv))
-                    .collect();
-                for (&tried, error) in chunk.iter().zip(errors) {
-                    let accepted = error <= config.max_error;
-                    trace.push(TuneStep {
-                        name: vars[i].0.clone(),
-                        tried,
-                        error,
-                        accepted,
-                    });
-                    if accepted {
-                        assignment[i].1 = tried;
-                        break 'search;
-                    }
-                }
+    for (i, (name, _)) in vars.iter().enumerate() {
+        for &tried in &config.candidates {
+            let mut a = assignment.clone();
+            a[i].1 = tried;
+            let error = eval(&a);
+            let accepted = error <= config.max_error;
+            trace.push(TuneStep {
+                name: name.clone(),
+                tried,
+                error,
+                accepted,
+            });
+            if accepted {
+                assignment = a;
+                break;
             }
         }
-    });
+    }
     TuneResult {
         assignment,
         costs: vars.iter().map(|(_, c)| *c).collect(),
@@ -198,61 +172,14 @@ pub fn tune(
     }
 }
 
-/// One long-lived evaluation thread of [`tune`]: assignments in, errors
-/// out, in order. It exits when its job channel closes.
-struct Helper<'scope> {
-    jobs: mpsc::Sender<Vec<(String, FpFmt)>>,
-    errors: mpsc::Receiver<f64>,
-    thread: Option<std::thread::ScopedJoinHandle<'scope, ()>>,
-}
-
-impl<'scope> Helper<'scope> {
-    fn spawn<F>(scope: &'scope std::thread::Scope<'scope, '_>, eval: &'scope F) -> Self
-    where
-        F: Fn(&[(String, FpFmt)]) -> f64 + Sync,
-    {
-        let (jobs, job_rx) = mpsc::channel::<Vec<(String, FpFmt)>>();
-        let (error_tx, errors) = mpsc::channel();
-        let thread = scope.spawn(move || {
-            for a in job_rx {
-                if error_tx.send(eval(&a)).is_err() {
-                    break;
-                }
-            }
-        });
-        Helper {
-            jobs,
-            errors,
-            thread: Some(thread),
-        }
-    }
-
-    fn send(&self, assignment: Vec<(String, FpFmt)>) {
-        // A send fails only once the thread is gone, which `recv` reports.
-        let _ = self.jobs.send(assignment);
-    }
-
-    /// The error of the oldest outstanding job; re-raises the thread's
-    /// panic if its evaluator panicked.
-    fn recv(&mut self) -> f64 {
-        match self.errors.recv() {
-            Ok(error) => error,
-            Err(_) => match self.thread.take().map(|t| t.join()) {
-                Some(Err(panic)) => std::panic::resume_unwind(panic),
-                _ => unreachable!("a tuner thread exits early only by panicking"),
-            },
-        }
-    }
-}
-
 /// [`tune`] over a kernel's arrays and scalars ([`retype::tunable_names`]
-/// order; an array costs its length, a scalar 1), one evaluation at a
-/// time. `qor` gets the kernel retyped to the assignment under test, with
-/// every other variable at binary32.
+/// order; an array costs its length, a scalar 1). `qor` gets the kernel
+/// retyped to the assignment under test, with every other variable at
+/// binary32.
 pub fn tune_kernel(
     base: &Kernel,
     config: &TunerConfig,
-    qor: impl Fn(&Kernel) -> f64 + Sync,
+    qor: impl Fn(&Kernel) -> f64,
 ) -> TuneResult {
     let vars: Vec<(String, usize)> = retype::tunable_names(base)
         .into_iter()
@@ -262,7 +189,7 @@ pub fn tune_kernel(
         })
         .collect();
     let all_s = retype::retype_all(base, FpFmt::S);
-    tune(&vars, config, 1, |a| {
+    tune(&vars, config, |a| {
         qor(&retype::retype(&all_s, &a.iter().cloned().collect()))
     })
 }
@@ -429,11 +356,15 @@ mod tests {
         // Default candidates try E5M2 first; it rounds 1.125 away and is
         // rejected at zero tolerance, so the greedy search lands on the
         // equal-width, equal-energy E4M3 bank for both variables.
-        let result = tune_kernel(
-            &precision_kernel(),
-            &TunerConfig::default(),
-            precision_error,
-        );
+        let calls = AtomicUsize::new(0);
+        let result = tune_kernel(&precision_kernel(), &TunerConfig::default(), |k| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            precision_error(k)
+        });
+        // Two tries per variable, and no evaluation past an accepted
+        // candidate.
+        assert_eq!(result.evaluations, 4);
+        assert_eq!(calls.into_inner(), result.evaluations);
         assert_eq!(
             result.assignment_for("x"),
             FpFmt::Ab,
@@ -471,60 +402,16 @@ mod tests {
     }
 
     #[test]
-    fn trace_is_worker_count_independent() {
-        let config = TunerConfig {
-            candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
-            max_error: 0.02,
-        };
-        let sequential = tune(&range_vars(), &config, 1, range_error);
-        assert_eq!(
-            sequential.assignment,
-            tune_kernel(&range_kernel(), &config, rel_error).assignment
-        );
-        for workers in [2, 4] {
-            let r = tune(&range_vars(), &config, workers, range_error);
-            assert_eq!(r.trace, sequential.trace, "workers={workers}");
-            assert_eq!(r.evaluations, sequential.evaluations);
-            assert_eq!(r.assignment, sequential.assignment);
-        }
-    }
-
-    #[test]
-    fn speculative_candidates_are_discarded() {
-        // Every error is at most 1.0, so binary8 is accepted first and the
-        // chunk's binary16 and binary16alt runs are speculation.
-        let config = TunerConfig {
-            candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
-            max_error: 1.0,
-        };
-        let calls = AtomicUsize::new(0);
-        let r = tune(&range_vars(), &config, 4, |a| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            range_error(a)
-        });
-        assert_eq!(calls.into_inner(), 2 * config.candidates.len());
-        assert_eq!(r.evaluations, 2);
-        let tried: Vec<(&str, FpFmt, bool)> = r
-            .trace
-            .iter()
-            .map(|s| (s.name.as_str(), s.tried, s.accepted))
-            .collect();
-        assert_eq!(tried, [("x", FpFmt::B, true), ("y", FpFmt::B, true)]);
-    }
-
-    #[test]
     fn falls_back_to_f32_when_nothing_fits() {
         let config = TunerConfig {
             candidates: vec![FpFmt::B],
             max_error: 0.0,
         };
-        for workers in [1, 2] {
-            let r = tune(&range_vars(), &config, workers, range_error);
-            assert_eq!(r.assignment_for("x"), FpFmt::S);
-            assert_eq!(r.assignment_for("y"), FpFmt::S);
-            assert_eq!(r.evaluations, 2);
-            assert!(r.trace.iter().all(|s| !s.accepted));
-        }
+        let r = tune(&range_vars(), &config, range_error);
+        assert_eq!(r.assignment_for("x"), FpFmt::S);
+        assert_eq!(r.assignment_for("y"), FpFmt::S);
+        assert_eq!(r.evaluations, 2);
+        assert!(r.trace.iter().all(|s| !s.accepted));
     }
 
     #[test]
@@ -533,7 +420,11 @@ mod tests {
             candidates: vec![FpFmt::B, FpFmt::H, FpFmt::Ah],
             max_error: 0.02,
         };
-        let greedy = tune(&range_vars(), &config, 1, range_error);
+        let greedy = tune(&range_vars(), &config, range_error);
+        assert_eq!(
+            greedy.assignment,
+            tune_kernel(&range_kernel(), &config, rel_error).assignment
+        );
         let oracle = tune_exhaustive(&range_vars(), &config, range_error);
         assert!(
             oracle.total_bits() <= greedy.total_bits(),

@@ -37,9 +37,9 @@ fn main() {
     );
 
     // Per-pass tuning: each layer gets independent forward and backward
-    // formats under a loss-parity constraint; candidate runs execute on
-    // the simulator.
-    let tuned = tune_training(&net, &ds, &cfg, &training_tuner_config(), 4);
+    // formats under a loss-parity constraint against the reference;
+    // candidate runs execute on the simulator.
+    let tuned = tune_training(&net, &ds, &cfg, &training_tuner_config(), &reference.losses);
     println!(
         "\nper-pass tuned assignment ({} evaluations):",
         tuned.result.evaluations

@@ -20,9 +20,10 @@
 #   cargo run --release -p smallfloat-bench --bin nn_table -- --json BENCH_nn.json
 #   cargo run --release -p smallfloat-bench --bin serve_bench -- --json BENCH_serving.json
 #   cargo run --release -p smallfloat-bench --bin train_table -- --json BENCH_training.json
-# --full regenerates BENCH_nn.json and BENCH_training.json (simulator outputs
-# only) at the default worker count and with SMALLFLOAT_SERIAL=1, and requires
-# each to match the committed file byte for byte.
+# --full regenerates every record (simulator outputs only) at the default
+# worker count and with SMALLFLOAT_SERIAL=1, and requires each to match the
+# committed file byte for byte (tests/records.rs checks that every root
+# BENCH_*.json is a `cmp` target of that step).
 # Host speed is measured end to end by perfbench/ (see below); the workspace
 # has no `cargo bench` targets.
 #
@@ -104,16 +105,18 @@ if [[ "${1:-}" == "--full" ]]; then
     cargo fmt --check
     echo "==> cargo clippy --workspace --all-targets -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
-    echo "==> cargo test --workspace --release -q (includes the per-pass training tuner grid: pinned MLP assignment, frontier dominance, worker-count independence)"
+    echo "==> cargo test --workspace --release -q (includes the per-pass training tuner grid: pinned MLP assignment, frontier dominance)"
     cargo test --workspace --release -q
-    echo "==> BENCH_nn.json + BENCH_training.json regenerate byte-identically (default workers, then SMALLFLOAT_SERIAL=1)"
+    echo "==> BENCH_nn.json + BENCH_training.json + BENCH_serving.json regenerate byte-identically (default workers, then SMALLFLOAT_SERIAL=1)"
     regen=$(mktemp -d)
     trap 'rm -rf "$regen"' EXIT
     for serial in 0 1; do
         SMALLFLOAT_SERIAL=$serial ./target/release/nn_table --json "$regen/nn.json" >/dev/null
         SMALLFLOAT_SERIAL=$serial ./target/release/train_table --json "$regen/training.json" >/dev/null
+        SMALLFLOAT_SERIAL=$serial ./target/release/serve_bench --json "$regen/serving.json" >/dev/null
         cmp "$regen/nn.json" BENCH_nn.json
         cmp "$regen/training.json" BENCH_training.json
+        cmp "$regen/serving.json" BENCH_serving.json
     done
     echo "==> replay fleet: full workload x precision x mode grid on the block engine"
     cargo run --release -q -p smallfloat-bench --bin testrunner -- --full

@@ -1,6 +1,7 @@
 //! Workspace-level records and knobs stay honest: every root
 //! `BENCH_*.json` names, in its `"methodology"`, the bin that regenerates
-//! it (`--bin <b> -- --json <its own file name>`), and README's
+//! it (`--bin <b> -- --json <its own file name>`) and is a `cmp` target
+//! of `scripts/check.sh --full`'s regenerate step, and README's
 //! "Environment variables" table lists exactly the `SMALLFLOAT_*` string
 //! literals in `crates/*/src`.
 
@@ -16,6 +17,15 @@ fn read(path: &Path) -> String {
     fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
 }
 
+/// File names of the root `BENCH_*.json` records.
+fn records() -> Vec<String> {
+    entries(&root())
+        .iter()
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .collect()
+}
+
 fn entries(dir: &Path) -> Vec<PathBuf> {
     let mut paths: Vec<_> = fs::read_dir(dir)
         .unwrap()
@@ -27,12 +37,8 @@ fn entries(dir: &Path) -> Vec<PathBuf> {
 
 #[test]
 fn committed_records_name_their_generator() {
-    for path in entries(&root()) {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
-            continue;
-        }
-        let text = read(&path);
+    for name in records() {
+        let text = read(&root().join(&name));
         let Some(method) = text.split("\"methodology\": \"").nth(1) else {
             panic!("{name}: no \"methodology\"");
         };
@@ -44,6 +50,23 @@ fn committed_records_name_their_generator() {
         let bin = method[..end].rsplit("--bin ").next().unwrap();
         let src = root().join(format!("crates/bench/src/bin/{bin}.rs"));
         assert!(src.is_file(), "{name}: no generator {}", src.display());
+    }
+}
+
+/// A record that is regenerated but never compared can drift from its
+/// generator unnoticed: `check.sh --full` must `cmp` every record.
+#[test]
+fn every_record_is_compared_by_the_full_gate() {
+    let check = read(&root().join("scripts/check.sh"));
+    let compared: BTreeSet<&str> = check
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("cmp ")?.split_whitespace().last())
+        .collect();
+    for name in records() {
+        assert!(
+            compared.contains(name.as_str()),
+            "{name}: scripts/check.sh --full has no `cmp <regenerated> {name}`"
+        );
     }
 }
 
