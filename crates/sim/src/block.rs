@@ -66,7 +66,7 @@ use smallfloat_isa::{
     vector_lanes, AluOp, BranchCond, CmpOp, CpkHalf, CsrOp, CsrSrc, FReg, FmaOp, FpFmt, FpOp,
     Instr, InstrClass, MemWidth, MinMaxOp, MulDivOp, Rm, SgnjKind, VCmpOp, VfOp,
 };
-use smallfloat_softfp::{batch, fast, ops, Env, Format, Rounding};
+use smallfloat_softfp::{batch, fast, host, ops, Env, Format, Rounding};
 
 const FLEN: u32 = 32;
 
@@ -1651,6 +1651,74 @@ fn uop_rm(cpu: &Cpu, u: &MicroOp) -> Result<Rounding, SimError> {
     }
 }
 
+/// Whether the op rounds to nearest-even: a static RNE, or [`RM_DYN`]
+/// while `fcsr.frm` holds RNE. Such ops first try a host leaf
+/// ([`smallfloat_softfp::host`]); every other mode, a reserved `frm`
+/// included (it traps there), takes the op's `Env` path.
+#[inline(always)]
+fn rne(cpu: &Cpu, u: &MicroOp) -> bool {
+    let rne = Rounding::Rne.to_frm();
+    if u.rm == RM_DYN {
+        cpu.frm_raw == u32::from(rne)
+    } else {
+        u.rm == rne
+    }
+}
+
+/// The sign bit of `fmt`'s encoding.
+#[inline(always)]
+fn sign_bit(fmt: FpFmt) -> u64 {
+    1 << (fmt.width() - 1)
+}
+
+/// Call the host leaf `host::$f` at the `<E, M>` layout of `$fmt`, a
+/// per-instantiation constant. The plain form serves the scalar
+/// arithmetic ops, whose 8-bit formats keep their lookup tables (`None`);
+/// `@narrow` serves the expanding ops, whose sources are the four narrow
+/// formats.
+macro_rules! leaf {
+    ($fmt:expr, $f:ident($($arg:expr),*)) => {
+        match $fmt {
+            FpFmt::S => host::$f::<8, 23>($($arg),*),
+            FpFmt::H => host::$f::<5, 10>($($arg),*),
+            FpFmt::Ah => host::$f::<8, 7>($($arg),*),
+            FpFmt::B | FpFmt::Ab => None,
+        }
+    };
+    (@narrow $fmt:expr, $f:ident($($arg:expr),*)) => {
+        match $fmt {
+            FpFmt::H => host::$f::<5, 10>($($arg),*),
+            FpFmt::Ah => host::$f::<8, 7>($($arg),*),
+            FpFmt::B => host::$f::<5, 2>($($arg),*),
+            FpFmt::Ab => host::$f::<4, 3>($($arg),*),
+            FpFmt::S => None,
+        }
+    };
+}
+
+/// [`host::cvt`] from `$src` to `$dst` (both per-instantiation
+/// constants) of `$bits`.
+macro_rules! cvt_leaf {
+    ($dst:expr, $src:expr, $bits:expr) => {
+        match $src {
+            FpFmt::S => cvt_leaf!(@to $dst, 8, 23, $bits),
+            FpFmt::H => cvt_leaf!(@to $dst, 5, 10, $bits),
+            FpFmt::Ah => cvt_leaf!(@to $dst, 8, 7, $bits),
+            FpFmt::B => cvt_leaf!(@to $dst, 5, 2, $bits),
+            FpFmt::Ab => cvt_leaf!(@to $dst, 4, 3, $bits),
+        }
+    };
+    (@to $dst:expr, $se:literal, $sm:literal, $bits:expr) => {
+        match $dst {
+            FpFmt::S => host::cvt::<$se, $sm, 8, 23>($bits),
+            FpFmt::H => host::cvt::<$se, $sm, 5, 10>($bits),
+            FpFmt::Ah => host::cvt::<$se, $sm, 8, 7>($bits),
+            FpFmt::B => host::cvt::<$se, $sm, 5, 2>($bits),
+            FpFmt::Ab => host::cvt::<$se, $sm, 4, 3>($bits),
+        }
+    };
+}
+
 fn nop(_cpu: &mut Cpu, _u: &MicroOp) -> Status {
     Status::Ok
 }
@@ -1742,6 +1810,28 @@ fn store_fp<const BYTES: u32>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 
 fn fop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
+    if rne(cpu, u) {
+        let a = exec::unbox(cpu, fmt, freg(u.rs1));
+        let b = exec::unbox(cpu, fmt, freg(u.rs2));
+        let leaf = match fpop_of(OP) {
+            FpOp::Add => leaf!(fmt, add(a, b)),
+            FpOp::Sub => leaf!(fmt, sub(a, b)),
+            FpOp::Mul => leaf!(fmt, mul(a, b)),
+            FpOp::Div => None,
+        };
+        if let Some((r, flags)) = leaf {
+            exec::write_boxed(cpu, fmt, freg(u.rd), r);
+            cpu.fflags.set(flags);
+            return Status::Ok;
+        }
+    }
+    fop_env::<OP, F>(cpu, u)
+}
+
+/// [`fop`] through `Env` and [`fast`]: any rounding mode, every result.
+#[inline(never)]
+fn fop_env<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    let fmt = fmt_of(F);
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
     let b = exec::unbox(cpu, fmt, freg(u.rs2));
@@ -1795,6 +1885,30 @@ fn fminmax<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 }
 
 fn ffma<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    let fmt = fmt_of(F);
+    if rne(cpu, u) {
+        let a = exec::unbox(cpu, fmt, freg(u.rs1));
+        let b = exec::unbox(cpu, fmt, freg(u.rs2));
+        let c = exec::unbox(cpu, fmt, freg(u.rs3));
+        let neg = sign_bit(fmt);
+        let leaf = match fma_of(OP) {
+            FmaOp::Madd => leaf!(fmt, fma(a, b, c)),
+            FmaOp::Msub => leaf!(fmt, fma(a, b, c ^ neg)),
+            FmaOp::Nmsub => leaf!(fmt, fma(a ^ neg, b, c)),
+            FmaOp::Nmadd => leaf!(fmt, fma(a ^ neg, b, c ^ neg)),
+        };
+        if let Some((r, flags)) = leaf {
+            exec::write_boxed(cpu, fmt, freg(u.rd), r);
+            cpu.fflags.set(flags);
+            return Status::Ok;
+        }
+    }
+    ffma_env::<OP, F>(cpu, u)
+}
+
+/// [`ffma`] through `Env` and [`fast`].
+#[inline(never)]
+fn ffma_env<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
@@ -1855,6 +1969,21 @@ fn fmv_fx<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 
 fn fcvt_ff<const DST: u8, const SRC: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let (dst, src) = (fmt_of(DST), fmt_of(SRC));
+    if rne(cpu, u) {
+        let x = exec::unbox(cpu, src, freg(u.rs1));
+        if let Some((r, flags)) = cvt_leaf!(dst, src, x) {
+            exec::write_boxed(cpu, dst, freg(u.rd), r);
+            cpu.fflags.set(flags);
+            return Status::Ok;
+        }
+    }
+    fcvt_ff_env::<DST, SRC>(cpu, u)
+}
+
+/// [`fcvt_ff`] through `Env` and [`fast`].
+#[inline(never)]
+fn fcvt_ff_env<const DST: u8, const SRC: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    let (dst, src) = (fmt_of(DST), fmt_of(SRC));
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let r = fast::cvt_f_f(
         dst.format(),
@@ -1898,6 +2027,22 @@ fn fcvt_if<const SG: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 
 fn fmulex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
+    if rne(cpu, u) {
+        let a = exec::unbox(cpu, fmt, freg(u.rs1));
+        let b = exec::unbox(cpu, fmt, freg(u.rs2));
+        if let Some((r, flags)) = leaf!(@narrow fmt, mulex(a, b)) {
+            set_fr(cpu, u.rd, r as u32);
+            cpu.fflags.set(flags);
+            return Status::Ok;
+        }
+    }
+    fmulex_env::<F>(cpu, u)
+}
+
+/// [`fmulex`] through `Env` and [`fast`].
+#[inline(never)]
+fn fmulex_env<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    let fmt = fmt_of(F);
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
     let b = exec::unbox(cpu, fmt, freg(u.rs2));
@@ -1908,6 +2053,23 @@ fn fmulex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 }
 
 fn fmacex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    let fmt = fmt_of(F);
+    if rne(cpu, u) {
+        let a = exec::unbox(cpu, fmt, freg(u.rs1));
+        let b = exec::unbox(cpu, fmt, freg(u.rs2));
+        let acc = u64::from(fr(cpu, u.rd));
+        if let Some((r, flags)) = leaf!(@narrow fmt, macex(a, b, acc)) {
+            set_fr(cpu, u.rd, r as u32);
+            cpu.fflags.set(flags);
+            return Status::Ok;
+        }
+    }
+    fmacex_env::<F>(cpu, u)
+}
+
+/// [`fmacex`] through `Env` and [`fast`].
+#[inline(never)]
+fn fmacex_env<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let a = exec::unbox(cpu, fmt, freg(u.rs1));
@@ -1920,6 +2082,27 @@ fn fmacex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 }
 
 fn vfop<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    let fmt = fmt_of(F);
+    if rne(cpu, u) {
+        let (va, vb, vd) = (fr(cpu, u.rs1), fr(cpu, u.rs2), fr(cpu, u.rd));
+        let (lop, rep) = (exec::lane_op(vfop_of(OP)), u.aux != 0);
+        let leaf = match fmt {
+            FpFmt::H => host::vfop2::<5, 10>(lop, va, vb, vd, rep),
+            FpFmt::Ah => host::vfop2::<8, 7>(lop, va, vb, vd, rep),
+            _ => None,
+        };
+        if let Some((out, flags)) = leaf {
+            set_fr(cpu, u.rd, out);
+            cpu.fflags.set(flags);
+            return Status::Ok;
+        }
+    }
+    vfop_env::<OP, F>(cpu, u)
+}
+
+/// [`vfop`] through `Env` and [`batch`]: every op, format and mode.
+#[inline(never)]
+fn vfop_env<const OP: u8, const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let va = fr(cpu, u.rs1);
@@ -2044,6 +2227,29 @@ fn vfcpk<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 
 fn vfdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
+    if rne(cpu, u) {
+        let (va, vb, acc) = (fr(cpu, u.rs1), fr(cpu, u.rs2), fr(cpu, u.rd));
+        let rep = u.aux != 0;
+        let leaf = match fmt {
+            FpFmt::H => host::dotpex2::<5, 10>(acc, va, vb, rep),
+            FpFmt::Ah => host::dotpex2::<8, 7>(acc, va, vb, rep),
+            FpFmt::B => host::dotpex4::<5, 2>(acc, va, vb, rep),
+            FpFmt::Ab => host::dotpex4::<4, 3>(acc, va, vb, rep),
+            FpFmt::S => None,
+        };
+        if let Some((out, flags)) = leaf {
+            set_fr(cpu, u.rd, out);
+            cpu.fflags.set(flags);
+            return Status::Ok;
+        }
+    }
+    vfdotpex_env::<F>(cpu, u)
+}
+
+/// [`vfdotpex`] through `Env` and [`batch`].
+#[inline(never)]
+fn vfdotpex_env<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    let fmt = fmt_of(F);
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let va = fr(cpu, u.rs1);
     let vb = fr(cpu, u.rs2);
@@ -2061,6 +2267,30 @@ fn vfdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
 }
 
 fn vfsdotpex<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    let fmt = fmt_of(F);
+    if rne(cpu, u) {
+        let (va, vb, acc) = (fr(cpu, u.rs1), fr(cpu, u.rs2), fr(cpu, u.rd));
+        let rep = u.aux != 0;
+        // The 8-bit formats widen to binary16 (`FpFmt::widen`).
+        let leaf = match fmt {
+            FpFmt::H => host::dotpex2::<5, 10>(acc, va, vb, rep),
+            FpFmt::Ah => host::dotpex2::<8, 7>(acc, va, vb, rep),
+            FpFmt::B => host::sdotp4::<5, 2, 5, 10>(acc, va, vb, rep),
+            FpFmt::Ab => host::sdotp4::<4, 3, 5, 10>(acc, va, vb, rep),
+            FpFmt::S => None,
+        };
+        if let Some((out, flags)) = leaf {
+            set_fr(cpu, u.rd, out);
+            cpu.fflags.set(flags);
+            return Status::Ok;
+        }
+    }
+    vfsdotpex_env::<F>(cpu, u)
+}
+
+/// [`vfsdotpex`] through `Env` and [`batch`].
+#[inline(never)]
+fn vfsdotpex_env<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     let fmt = fmt_of(F);
     let mut env = Env::new(tri!(cpu, uop_rm(cpu, u)));
     let va = fr(cpu, u.rs1);

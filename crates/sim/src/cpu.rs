@@ -96,8 +96,12 @@ pub struct Cpu {
     pub(crate) x: [u32; 32],
     pub(crate) f: [u32; 32],
     pub(crate) pc: u32,
-    /// Raw `fcsr.frm` field (may hold reserved values until used).
-    pub(crate) frm_raw: u8,
+    /// Raw `fcsr.frm` field (may hold reserved values until used). A
+    /// whole word, so the FP handlers' rounding-mode test loads it without
+    /// overlapping the `fflags` byte the previous FP op just wrote: a load
+    /// that partly overlaps a pending narrower store cannot be forwarded
+    /// from it and waits for the store to retire.
+    pub(crate) frm_raw: u32,
     pub(crate) fflags: Flags,
     pub(crate) stats: Stats,
     /// The code window — lazily decoded half-word slots over the loaded
@@ -149,7 +153,7 @@ impl Cpu {
             x: [0; 32],
             f: [0; 32],
             pc: 0,
-            frm_raw: Rounding::Rne.to_frm(),
+            frm_raw: Rounding::Rne.to_frm().into(),
             fflags: Flags::NONE,
             stats: Stats::new(),
             blocks: BlockCache::new(),
@@ -179,7 +183,7 @@ impl Cpu {
         self.x = [0; 32];
         self.f = [0; 32];
         self.pc = 0;
-        self.frm_raw = Rounding::Rne.to_frm();
+        self.frm_raw = Rounding::Rne.to_frm().into();
         self.fflags = Flags::NONE;
         self.stats = Stats::new();
         self.mem.clear();
@@ -288,12 +292,12 @@ impl Cpu {
 
     /// The dynamic rounding mode, if `fcsr.frm` holds a valid value.
     pub fn frm(&self) -> Option<Rounding> {
-        Rounding::from_frm(self.frm_raw)
+        Rounding::from_frm(self.frm_raw as u8)
     }
 
     /// Set the dynamic rounding mode.
     pub fn set_frm(&mut self, rm: Rounding) {
-        self.frm_raw = rm.to_frm();
+        self.frm_raw = rm.to_frm().into();
     }
 
     /// Overwrite the accrued FP exception flags. Harness-level state

@@ -130,8 +130,8 @@ pub(crate) fn muldiv(op: MulDivOp, a: u32, b: u32) -> u32 {
 pub(crate) fn read_csr(cpu: &Cpu, num: u16, pc: u32) -> Result<u32, SimError> {
     Ok(match num {
         csr::FFLAGS => cpu.fflags.bits() as u32,
-        csr::FRM => cpu.frm_raw as u32,
-        csr::FCSR => ((cpu.frm_raw as u32) << 5) | cpu.fflags.bits() as u32,
+        csr::FRM => cpu.frm_raw,
+        csr::FCSR => (cpu.frm_raw << 5) | cpu.fflags.bits() as u32,
         csr::CYCLE | csr::TIME | csr::MCYCLE => cpu.stats.cycles as u32,
         csr::CYCLEH => (cpu.stats.cycles >> 32) as u32,
         csr::INSTRET | csr::MINSTRET => cpu.stats.instret as u32,
@@ -143,9 +143,9 @@ pub(crate) fn read_csr(cpu: &Cpu, num: u16, pc: u32) -> Result<u32, SimError> {
 pub(crate) fn write_csr(cpu: &mut Cpu, num: u16, v: u32, pc: u32) -> Result<(), SimError> {
     match num {
         csr::FFLAGS => cpu.fflags = smallfloat_softfp::Flags::from_bits(v as u8),
-        csr::FRM => cpu.frm_raw = (v & 0x7) as u8,
+        csr::FRM => cpu.frm_raw = v & 0x7,
         csr::FCSR => {
-            cpu.frm_raw = ((v >> 5) & 0x7) as u8;
+            cpu.frm_raw = (v >> 5) & 0x7;
             cpu.fflags = smallfloat_softfp::Flags::from_bits(v as u8);
         }
         // Machine counters accept writes but the simulator keeps authority

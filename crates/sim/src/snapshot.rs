@@ -249,7 +249,7 @@ impl Cpu {
             x: self.x,
             f: self.f,
             pc: self.pc,
-            frm_raw: self.frm_raw,
+            frm_raw: self.frm_raw as u8,
             fflags: self.fflags,
             stats: Stats {
                 energy_pj: 0.0,
@@ -278,7 +278,7 @@ impl Cpu {
         self.x = snap.x;
         self.f = snap.f;
         self.pc = snap.pc;
-        self.frm_raw = snap.frm_raw;
+        self.frm_raw = snap.frm_raw.into();
         self.fflags = snap.fflags;
         self.stats = snap.stats.clone();
         // Warm-restore probe *before* the memory swap: the live caches

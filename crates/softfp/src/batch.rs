@@ -22,18 +22,19 @@
 //! * the widening dot-product helpers convert lanes to binary32 exactly as
 //!   the interpreter's scalar path does, discarding the conversion's flags,
 //!   then chain single-rounding binary32 FMAs lane 0 first (FPnew SDOTP
-//!   accumulation order). Under round-to-nearest-even the lanes widen
-//!   straight to `f64` and the chain runs on the host FPU
-//!   (`kernels::host_dot`), falling back to this integer chain when a
-//!   step's result is subnormal, overflows, is not finite or sits on the
-//!   double-rounding midpoint.
+//!   accumulation order). Under round-to-nearest-even the chain first runs
+//!   on the host FPU ([`crate::host`]'s `dotpex2`, `dotpex4` and `dot`
+//!   leaves), falling back to this integer chain when a step's result is
+//!   subnormal, overflows, is not finite or sits on the double-rounding
+//!   midpoint.
 //!
 //! The widening dot products are re-exported from [`crate::ops`] next to
 //! the scalar entry points.
 
-use crate::env::Env;
+use crate::env::{Env, Rounding};
 use crate::fast;
 use crate::format::Format;
+use crate::host;
 use crate::kernels as k;
 use crate::ops;
 use crate::tables;
@@ -405,35 +406,6 @@ pub fn vcvt4_f8_x(fmt: Format, va: u32, signed: bool, env: &mut Env) -> u32 {
 // Widening dot-product accumulate (vfdotpex)
 // ---------------------------------------------------------------------------
 
-/// Exact `f64` products of the `N` lane pairs of `va` and `vb` (`<E, M>`
-/// lanes of `32 / N` bits, lane 0 of `vb` replicated under `rep`): lanes
-/// of at most 16 bits carry at most 11 significand bits, so every product
-/// is exact. NaN lanes widen to the quiet NaN, whose product makes the
-/// host chain fall back.
-#[inline(always)]
-fn lane_products<const E: u32, const M: u32, const N: usize>(
-    va: u32,
-    vb: u32,
-    rep: bool,
-) -> [f64; N] {
-    let w = |v: u32, i: usize| k::widen::<E, M>(u64::from(v >> (i * 32 / N)));
-    let b0 = w(vb, 0);
-    std::array::from_fn(|i| w(va, i) * if rep { b0 } else { w(vb, i) })
-}
-
-/// [`lane_products`] of four 8-bit lanes of `fmt`; `None` for a layout
-/// other than binary8 and binary8alt.
-#[inline(always)]
-fn lane_products8(fmt: Format, va: u32, vb: u32, rep: bool) -> Option<[f64; 4]> {
-    if fmt == Format::BINARY8 {
-        Some(lane_products::<5, 2, 4>(va, vb, rep))
-    } else if fmt == Format::BINARY8ALT {
-        Some(lane_products::<4, 3, 4>(va, vb, rep))
-    } else {
-        None
-    }
-}
-
 macro_rules! dotpex2 {
     ($name:ident, $se:literal, $sm:literal, $doc:literal) => {
         #[doc = $doc]
@@ -447,9 +419,11 @@ macro_rules! dotpex2 {
         /// whole op reruns on the integer kernels.
         #[inline]
         pub fn $name(acc: u32, va: u32, vb: u32, rep: bool, env: &mut Env) -> u32 {
-            let p = lane_products::<$se, $sm, 2>(va, vb, rep);
-            if let Some(r) = k::host_dot::<8, 23, 2>(p, acc as u64, env) {
-                return r as u32;
+            if env.rm == Rounding::Rne {
+                if let Some((r, flags)) = host::dotpex2::<$se, $sm>(acc, va, vb, rep) {
+                    env.flags.set(flags);
+                    return r;
+                }
             }
             let mut scratch = Env::new(env.rm);
             let a0 = k::cvt::<$se, $sm, 8, 23>(lo16(va), &mut scratch);
@@ -485,10 +459,18 @@ dotpex2!(
 /// host chain and its fallback are those of [`vdotpex2_f16`].
 #[inline]
 pub fn vdotpex4_f8(fmt: Format, acc: u32, va: u32, vb: u32, rep: bool, env: &mut Env) -> u32 {
-    let host =
-        lane_products8(fmt, va, vb, rep).and_then(|p| k::host_dot::<8, 23, 4>(p, acc as u64, env));
-    if let Some(r) = host {
-        return r as u32;
+    if env.rm == Rounding::Rne {
+        let leaf = if fmt == Format::BINARY8 {
+            host::dotpex4::<5, 2>(acc, va, vb, rep)
+        } else if fmt == Format::BINARY8ALT {
+            host::dotpex4::<4, 3>(acc, va, vb, rep)
+        } else {
+            None
+        };
+        if let Some((r, flags)) = leaf {
+            env.flags.set(flags);
+            return r;
+        }
     }
     let mut scratch = Env::new(env.rm);
     let wide = |i: u32, v: u32, scratch: &mut Env| -> u64 {
@@ -553,18 +535,20 @@ pub fn vsdotp4_f8(
     rep: bool,
     env: &mut Env,
 ) -> u32 {
-    let p = lane_products8(fmt, va, vb, rep);
+    let bl = |i: u32| if rep { lane8(vb, 0) } else { lane8(vb, i) };
     let half = |lo: u32, acc16: u64, env: &mut Env| -> u64 {
-        let host = p.and_then(|p| {
-            let pair = [p[lo as usize], p[lo as usize + 1]];
-            if wide == Format::BINARY16ALT {
-                k::host_dot::<8, 7, 2>(pair, acc16, env)
-            } else {
-                k::host_dot::<5, 10, 2>(pair, acc16, env)
+        if env.rm == Rounding::Rne {
+            let (a, b) = ([lane8(va, lo), lane8(va, lo + 1)], [bl(lo), bl(lo + 1)]);
+            let alt = (fmt == Format::BINARY8ALT, wide == Format::BINARY16ALT);
+            let leaf = match alt {
+                (false, false) => host::dot::<5, 2, 5, 10, 2>(acc16, a, b),
+                (false, true) => host::dot::<5, 2, 8, 7, 2>(acc16, a, b),
+                (true, false) => host::dot::<4, 3, 5, 10, 2>(acc16, a, b),
+                (true, true) => host::dot::<4, 3, 8, 7, 2>(acc16, a, b),
+            };
+            if let Some(r) = k::accrue(leaf, env) {
+                return r;
             }
-        });
-        if let Some(r) = host {
-            return r;
         }
         let mut scratch = Env::new(env.rm);
         let mut w = |i: u32, v: u32| tables::cvt_widen(wide, fmt, lane8(v, i), &mut scratch);
@@ -589,7 +573,6 @@ pub fn vsdotp4_f8(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::Rounding;
 
     fn env() -> Env {
         Env::new(Rounding::Rne)

@@ -10,7 +10,8 @@
 //! 2. **binary16 / binary16alt / binary32** (and the remaining 8-bit
 //!    ops, e.g. fused multiply-add) → the monomorphized `u64` kernels of
 //!    `crate::kernels`, where every format constant has been folded (and
-//!    which, under round-to-nearest-even, try the host FPU first);
+//!    which, under round-to-nearest-even, first try the host-FPU leaf of
+//!    [`crate::host`] for the op);
 //! 3. **anything else** (binary64, custom layouts) → the generic
 //!    runtime-`Format` reference in [`crate::ops`].
 //!
@@ -27,6 +28,7 @@
 
 use crate::env::Env;
 use crate::format::Format;
+use crate::host;
 use crate::kernels as k;
 use crate::ops;
 use crate::tables;
@@ -362,15 +364,15 @@ pub fn cvt_f_f(dst: Format, src: Format, bits: u64, env: &mut Env) -> u64 {
 pub fn to_f64(fmt: Format, bits: u64) -> f64 {
     let bits = bits & fmt.mask();
     if fmt == Format::BINARY8 {
-        k::widen::<5, 2>(bits)
+        host::widen::<5, 2>(bits)
     } else if fmt == Format::BINARY8ALT {
-        k::widen::<4, 3>(bits)
+        host::widen::<4, 3>(bits)
     } else if fmt == Format::BINARY16 {
-        k::widen::<5, 10>(bits)
+        host::widen::<5, 10>(bits)
     } else if fmt == Format::BINARY16ALT {
-        k::widen::<8, 7>(bits)
+        host::widen::<8, 7>(bits)
     } else if fmt == Format::BINARY32 {
-        k::widen::<8, 23>(bits)
+        host::widen::<8, 23>(bits)
     } else {
         ops::to_f64(fmt, bits)
     }

@@ -13,10 +13,10 @@
 //!   and the `u128` division libcall.
 //!
 //! Under round-to-nearest-even the binary32, binary16 and binary16alt
-//! add/sub/mul/fma kernels and every conversion kernel first try the host
-//! FPU (see "Host-FPU round-to-nearest fast path" below), which returns
-//! the same bits and flags whenever it applies and otherwise falls through
-//! to the integer code.
+//! add/sub/mul/fma kernels, the expanding kernels and every conversion
+//! kernel first call the matching host-FPU leaf of [`crate::host`], which
+//! returns the same bits and flags whenever it applies; otherwise they fall
+//! through to the integer code.
 //!
 //! The generic functions in [`crate::ops`] remain the reference
 //! implementation and the fallback for exotic layouts; the differential
@@ -29,6 +29,7 @@
 //! [`crate::fast`] only ever instantiates the four paper formats.
 
 use crate::env::{Env, Flags, Rounding};
+use crate::host;
 
 // ---------------------------------------------------------------------------
 // Per-instantiation constants (all fold once E/M are const generics)
@@ -362,39 +363,11 @@ fn round_pack_k<const E: u32, const M: u32>(
 // Host-FPU round-to-nearest fast path
 // ---------------------------------------------------------------------------
 //
-// Under RNE the binary32, binary16 and binary16alt kernels first compute on
-// the host's binary64 FPU, where the exact result is known:
-//
-// * every operand widens exactly to `f64` ([`widen`]);
-// * a product of two significands of at most 24 bits has at most 48 bits,
-//   so `x * y` is exact;
-// * a sum `s = x + y` is rounded once by the host, and Knuth's TwoSum
-//   recovers the exact error `e` with `x + y = s + e`. binary16 sums need
-//   no TwoSum: every binary16 value is a multiple of 2^-24 below 2^16, so
-//   any sum spans at most 41 bits and `e = 0`.
-//
-// [`round_host_rne`] then rounds `s` into the format. Rounding `s` instead
-// of the exact `s + e` changes nothing unless `s` is a midpoint of the
-// format: `s` is the binary64 value nearest to `s + e`, and every midpoint
-// of a format with at most 24 significand bits is itself a binary64 value,
-// so no midpoint lies strictly between `s` and `s + e`. The one
-// double-rounding case, `e != 0` with `s` on a midpoint, falls back, as does
-// every result that is subnormal, overflowing or not finite (NaN and
-// infinity operands give non-finite `s`). What is left cannot raise UF, OF
-// or NV, and it is inexact iff rounding dropped nonzero bits or `e != 0`.
-//
-// A zero `s` is exact: binary64 has gradual underflow and every product
-// here is exact, so a host sum or product is zero only when the exact
-// result is. The host's round-to-nearest then also gives IEEE 754's zero
-// signs (`x + (-x) = +0`, `(-0) + (-0) = -0`, the XOR of the signs for a
-// product, the sum rule for an fma), so [`round_host_rne`] returns the
-// format's zero of the same sign, with no flag. Anything that falls back
-// runs the integer kernel below it, unchanged.
-//
-// The expanding ops (`fmulex`/`fmacex` and the `vfdotpex`/`vfsdotpex` dot
-// products) use the same rounding: their narrower lanes widen straight to
-// `f64`, every lane product is exact there, and each accumulate step is
-// [`host_acc`], an fma with that exact product.
+// Under RNE the binary32, binary16 and binary16alt arithmetic kernels, the
+// expanding ops and every conversion kernel first call the matching leaf of
+// [`crate::host`], which computes on the host FPU and returns the same bits
+// and flags whenever it applies. `None` falls through to the integer code
+// below it, unchanged.
 
 /// Whether the `<E, M>` arithmetic kernels take the host path under `env`:
 /// binary32, binary16 and binary16alt at round-to-nearest-even (binary8
@@ -404,133 +377,12 @@ fn host_rne<const E: u32, const M: u32>(env: &Env) -> bool {
     matches!((E, M), (8, 23) | (5, 10) | (8, 7)) && env.rm == Rounding::Rne
 }
 
-/// Exact widening of a concrete `(E, M)` encoding to `f64` by bit
-/// assembly: every value of an 8-, 16- or 32-bit format is an `f64`
-/// normal, so only the exponent is re-biased (subnormals are scaled by an
-/// exact power of two) and NaNs collapse to the canonical quiet NaN, as
-/// [`crate::ops::to_f64`] does. Bits above the format width are ignored.
+/// A host leaf's result with its flags accrued into `env`, or `None`.
 #[inline(always)]
-pub(crate) fn widen<const E: u32, const M: u32>(bits: u64) -> f64 {
-    let exp_max = (1u64 << E) - 1;
-    let bias = (1i64 << (E - 1)) - 1;
-    let sign = (bits >> (E + M)) & 1;
-    let exp = (bits >> M) & exp_max;
-    let man = bits & ((1u64 << M) - 1);
-    if exp == exp_max {
-        return if man != 0 {
-            f64::from_bits(0x7ff8_0000_0000_0000)
-        } else {
-            f64::from_bits(sign << 63 | 0x7ff0_0000_0000_0000)
-        };
-    }
-    if exp == 0 {
-        // ±0 or a subnormal `man · 2^(1 - bias - M)`, exact in f64.
-        let scale = f64::from_bits(((1 - bias - M as i64 + 1023) as u64) << 52);
-        let v = man as f64 * scale;
-        return if sign == 1 { -v } else { v };
-    }
-    let exp64 = (exp as i64 - bias + 1023) as u64;
-    f64::from_bits(sign << 63 | exp64 << 52 | man << (52 - M))
-}
-
-/// Knuth's TwoSum: the exact error `e` of the host sum `s = a + b`, so
-/// that `a + b = s + e` (no overflow is possible for the formats here).
-#[inline(always)]
-fn two_sum_err(a: f64, b: f64, s: f64) -> f64 {
-    let bb = s - a;
-    (a - (s - bb)) + (b - bb)
-}
-
-/// Round the host value `s` into `<E, M>` at round-to-nearest-even when
-/// the result is a normal number or an exact zero, accruing NX iff
-/// rounding dropped nonzero bits or `inexact` (a nonzero TwoSum error) is
-/// set. `None` — with no flag touched — for subnormal, overflowing and
-/// non-finite results and for a midpoint `s` with `inexact` set (the
-/// double-rounding case).
-#[inline(always)]
-fn round_host_rne<const E: u32, const M: u32>(
-    s: f64,
-    inexact: bool,
-    flags: &mut Flags,
-) -> Option<u64> {
-    const { assert!(M < 52) };
-    let drop = 52 - M;
-    let half = 1u64 << (drop - 1);
-    let bits = s.to_bits();
-    let abs = bits & !(1u64 << 63);
-    let exp = (abs >> 52) as i32 - 1023;
-    let rem = abs & ((1u64 << drop) - 1);
-    if exp < emin::<E>() || exp > bias::<E>() || (inexact && rem == half) {
-        // An exact zero keeps its sign (see the section comment).
-        return (abs == 0 && !inexact).then_some((bits >> 63) << (E + M));
-    }
-    // Round the magnitude at bit `drop`, ties to even (half - 1 plus the
-    // kept LSB carries exactly when the dropped bits exceed half, or equal
-    // it with an odd LSB); a carry out of the significand bumps the
-    // exponent field, which is the correctly rounded encoding. Then
-    // re-bias the exponent field from binary64's to the format's.
-    let lsb = (abs >> drop) & 1;
-    let rounded = (abs + (half - 1) + lsb) >> drop;
-    let mag = rounded - (((1023 - bias::<E>()) as u64) << M);
-    if mag >> M == exp_field_max::<E>() {
-        return None; // rounded up to infinity
-    }
-    // NX is bit 0 of the flag byte: accrue it without a branch.
-    flags.set(Flags::from_bits(u8::from((rem != 0) | inexact)));
-    Some(mag | ((bits >> 63) << (E + M)))
-}
-
-/// Host-path `a + b`, or `None` to fall back (see the section comment).
-#[inline(always)]
-fn host_add<const E: u32, const M: u32>(a: u64, b: u64, flags: &mut Flags) -> Option<u64> {
-    let (x, y) = (widen::<E, M>(a), widen::<E, M>(b));
-    let s = x + y;
-    let inexact = E != 5 && two_sum_err(x, y, s) != 0.0;
-    round_host_rne::<E, M>(s, inexact, flags)
-}
-
-/// Host-path `a * b`: the product is exact in `f64`.
-#[inline(always)]
-fn host_mul<const E: u32, const M: u32>(a: u64, b: u64, flags: &mut Flags) -> Option<u64> {
-    round_host_rne::<E, M>(widen::<E, M>(a) * widen::<E, M>(b), false, flags)
-}
-
-/// Host-path fused `a * b + c`.
-#[inline(always)]
-fn host_fma<const E: u32, const M: u32>(a: u64, b: u64, c: u64, flags: &mut Flags) -> Option<u64> {
-    host_acc::<E, M>(widen::<E, M>(a) * widen::<E, M>(b), c, flags)
-}
-
-/// Host-path accumulate step `p + acc`, rounded once into `<E, M>`: an
-/// fma whose product `p` is already exact in `f64`. One TwoSum.
-#[inline(always)]
-fn host_acc<const E: u32, const M: u32>(p: f64, acc: u64, flags: &mut Flags) -> Option<u64> {
-    let z = widen::<E, M>(acc);
-    let s = p + z;
-    round_host_rne::<E, M>(s, two_sum_err(p, z, s) != 0.0, flags)
-}
-
-/// Host-path chain `acc + p[0] + p[1] + …`, each step an fma with an exact
-/// product rounded once into `<E, M>`, `p[0]` first (the expanding dot
-/// products' order). Flags reach `env` only when every step stays on the
-/// host path: `None` leaves `env` untouched, so the caller reruns the
-/// whole op on its integer path.
-#[inline(always)]
-pub(crate) fn host_dot<const E: u32, const M: u32, const N: usize>(
-    products: [f64; N],
-    acc: u64,
-    env: &mut Env,
-) -> Option<u64> {
-    if !host_rne::<E, M>(env) {
-        return None;
-    }
-    let mut flags = Flags::NONE;
-    let mut acc = acc;
-    for p in products {
-        acc = host_acc::<E, M>(p, acc, &mut flags)?;
-    }
+pub(crate) fn accrue(leaf: Option<(u64, Flags)>, env: &mut Env) -> Option<u64> {
+    let (bits, flags) = leaf?;
     env.flags.set(flags);
-    Some(acc)
+    Some(bits)
 }
 
 // ---------------------------------------------------------------------------
@@ -541,7 +393,7 @@ pub(crate) fn host_dot<const E: u32, const M: u32, const N: usize>(
 #[inline]
 pub(crate) fn add<const E: u32, const M: u32>(a: u64, b: u64, env: &mut Env) -> u64 {
     if host_rne::<E, M>(env) {
-        if let Some(r) = host_add::<E, M>(a, b, &mut env.flags) {
+        if let Some(r) = accrue(host::add::<E, M>(a, b), env) {
             return r;
         }
     }
@@ -617,7 +469,7 @@ fn add_finite_k<const E: u32, const M: u32>(ua: &Un, ub: &Un, env: &mut Env) -> 
 #[inline]
 pub(crate) fn mul<const E: u32, const M: u32>(a: u64, b: u64, env: &mut Env) -> u64 {
     if host_rne::<E, M>(env) {
-        if let Some(r) = host_mul::<E, M>(a, b, &mut env.flags) {
+        if let Some(r) = accrue(host::mul::<E, M>(a, b), env) {
             return r;
         }
     }
@@ -756,11 +608,11 @@ fn align64(m: u64, e: i32, e_t: i32) -> u64 {
 ///
 /// binary8 (`<5, 2>`) instantiations take the fixed-point fast path of
 /// [`fma_b8`]; the check is on const parameters, so it folds away. The
-/// binary32, binary16 and binary16alt ones try [`host_fma`] first.
+/// binary32, binary16 and binary16alt ones try [`host::fma`] first.
 #[inline]
 pub(crate) fn fma<const E: u32, const M: u32>(a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
     if host_rne::<E, M>(env) {
-        if let Some(r) = host_fma::<E, M>(a, b, c, &mut env.flags) {
+        if let Some(r) = accrue(host::fma::<E, M>(a, b, c), env) {
             return r;
         }
     }
@@ -921,21 +773,15 @@ fn fma_core<const E: u32, const M: u32>(a: u64, b: u64, c: u64, env: &mut Env) -
 // ---------------------------------------------------------------------------
 
 /// Monomorphized float-to-float conversion from `(SE, SM)` to `(DE, DM)`.
-/// Under round-to-nearest-even a source that lands in the destination's
-/// normal range is rounded by [`round_host_rne`] (every concrete source,
-/// binary64 included, widens exactly to `f64`).
+/// Under round-to-nearest-even it tries [`host::cvt`] first (every
+/// concrete source, binary64 included, widens exactly to `f64`).
 #[inline]
 pub(crate) fn cvt<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
     bits: u64,
     env: &mut Env,
 ) -> u64 {
     if env.rm == Rounding::Rne {
-        let v = if SE == 11 && SM == 52 {
-            f64::from_bits(bits)
-        } else {
-            widen::<SE, SM>(bits)
-        };
-        if let Some(r) = round_host_rne::<DE, DM>(v, false, &mut env.flags) {
+        if let Some(r) = accrue(host::cvt::<SE, SM, DE, DM>(bits), env) {
             return r;
         }
     }
@@ -960,16 +806,14 @@ pub(crate) fn cvt<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
 // ---------------------------------------------------------------------------
 
 /// Expanding `a * b`: two `<SE, SM>` factors (an 8- or 16-bit format),
-/// rounded once into binary32. Under round-to-nearest-even the factors
-/// widen straight to `f64`, where their product is exact; the integer path
-/// widens them with [`cvt`] and discards its flags (at most NV on a
-/// signaling NaN), as the scalar widening path does.
+/// rounded once into binary32. Under round-to-nearest-even it tries
+/// [`host::mulex`] first; the integer path widens the factors with [`cvt`]
+/// and discards its flags (at most NV on a signaling NaN), as the scalar
+/// widening path does.
 #[inline]
 pub(crate) fn mulex<const SE: u32, const SM: u32>(a: u64, b: u64, env: &mut Env) -> u64 {
-    const { assert!(SM < 26) }; // the f64 product is exact
     if host_rne::<8, 23>(env) {
-        let p = widen::<SE, SM>(a) * widen::<SE, SM>(b);
-        if let Some(r) = round_host_rne::<8, 23>(p, false, &mut env.flags) {
+        if let Some(r) = accrue(host::mulex::<SE, SM>(a, b), env) {
             return r;
         }
     }
@@ -985,10 +829,10 @@ pub(crate) fn mulex<const SE: u32, const SM: u32>(a: u64, b: u64, env: &mut Env)
 /// result (see [`mulex`]).
 #[inline]
 pub(crate) fn fmaex<const SE: u32, const SM: u32>(a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
-    const { assert!(SM < 26) };
-    let p = widen::<SE, SM>(a) * widen::<SE, SM>(b);
-    if let Some(r) = host_dot::<8, 23, 1>([p], c, env) {
-        return r;
+    if host_rne::<8, 23>(env) {
+        if let Some(r) = accrue(host::macex::<SE, SM>(a, b, c), env) {
+            return r;
+        }
     }
     let mut scratch = Env::new(env.rm);
     let (a, b) = (
@@ -1145,6 +989,7 @@ pub(crate) fn classify<const E: u32, const M: u32>(a: u64) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::LaneOp;
     use crate::format::Format;
     use crate::ops;
     use smallfloat_devtools::Rng;
@@ -1232,67 +1077,79 @@ mod tests {
         (sign << (E + M)) | (exp << M) | (rng.u64() & man_mask::<M>())
     }
 
+    type Leaf = Option<(u64, Flags)>;
+
+    /// A packed-register leaf's result as a [`Leaf`].
+    fn packed(leaf: Option<(u32, Flags)>) -> Leaf {
+        leaf.map(|(bits, flags)| (u64::from(bits), flags))
+    }
+
+    /// Count `leaf` in `taken` if it gave a result, and require that
+    /// result, flags included, to match `reference` on a fresh RNE `Env`.
+    fn tally(taken: &mut u32, what: &str, leaf: Leaf, reference: &dyn Fn(&mut Env) -> u64) {
+        if let Some((bits, flags)) = leaf {
+            *taken += 1;
+            let mut e = env();
+            let want = reference(&mut e);
+            assert_eq!((bits, flags), (want, e.flags), "{what}");
+        }
+    }
+
+    /// At least 90 % of `n` narrow-window cases took the host path: a
+    /// leaf that always fell back would still pass every differential
+    /// suite, but it would be slow.
+    fn mostly_taken(what: &str, taken: u32, n: u32) {
+        assert!(
+            taken * 10 >= n * 9,
+            "{what}: host path taken {taken} of {n} times"
+        );
+    }
+
     /// Operands with exponents within ±4 binades of 1: under RNE almost
-    /// every add, mul, fma and binary64-source conversion has a normal,
-    /// nonzero result, so at least 90 % of them must take the host path
-    /// (one that always fell back would still pass every differential
-    /// suite), and every result it gives must match the reference, flags
-    /// included. Exact zero results must take it every time.
+    /// every add, sub, mul, fma and conversion (from binary64 and between
+    /// every pair of concrete formats) has a normal, nonzero result, so
+    /// every scalar leaf must take at least 90 % of them, and every result
+    /// it gives must match the reference, flags included. Exact zero
+    /// results must take it every time.
     #[test]
     fn host_path_takes_most_narrow_window_rne_cases() {
-        type Host<'a> = &'a dyn Fn(&mut Flags) -> Option<u64>;
         type Reference<'a> = &'a dyn Fn(&mut Env) -> u64;
+        const N: u32 = 4096;
         fn check<const E: u32, const M: u32>(fmt: Format) {
-            const N: u32 = 4096;
             assert!(
                 host_rne::<E, M>(&env()),
                 "{}: kernels skip the host path",
                 fmt.name()
             );
             let mut rng = Rng::new(0x0f57_9a7e ^ u64::from(M));
-            let mut taken = [0u32; 4];
+            let names = ["add", "sub", "mul", "fma", "from_f64"];
+            let mut taken = [0u32; 5];
             for _ in 0..N {
                 let (a, b, c) = (
                     window::<E, M>(&mut rng),
                     window::<E, M>(&mut rng),
                     window::<E, M>(&mut rng),
                 );
-                let wide = widen::<E, M>(a) * 2f64.powi(rng.range_i32(-8, 8));
-                let ops: [(Host, Reference); 4] = [
-                    (&|fl| host_add::<E, M>(a, b, fl), &|e| {
-                        ops::add(fmt, a, b, e)
-                    }),
-                    (&|fl| host_mul::<E, M>(a, b, fl), &|e| {
-                        ops::mul(fmt, a, b, e)
-                    }),
-                    (&|fl| host_fma::<E, M>(a, b, c, fl), &|e| {
-                        ops::fmadd(fmt, a, b, c, e)
-                    }),
-                    (&|fl| round_host_rne::<E, M>(wide, false, fl), &|e| {
+                let wide = host::widen::<E, M>(a) * 2f64.powi(rng.range_i32(-8, 8));
+                let cases: [(Leaf, Reference); 5] = [
+                    (host::add::<E, M>(a, b), &|e| ops::add(fmt, a, b, e)),
+                    (host::sub::<E, M>(a, b), &|e| ops::sub(fmt, a, b, e)),
+                    (host::mul::<E, M>(a, b), &|e| ops::mul(fmt, a, b, e)),
+                    (host::fma::<E, M>(a, b, c), &|e| ops::fmadd(fmt, a, b, c, e)),
+                    (host::cvt::<11, 52, E, M>(wide.to_bits()), &|e| {
                         ops::from_f64(fmt, wide, e)
                     }),
                 ];
-                for (i, (host, reference)) in ops.into_iter().enumerate() {
-                    let mut flags = Flags::NONE;
-                    if let Some(bits) = host(&mut flags) {
-                        taken[i] += 1;
-                        let mut e = env();
-                        let want = reference(&mut e);
-                        assert_eq!((bits, flags), (want, e.flags), "{} op {i}", fmt.name());
-                    }
+                for (i, (leaf, reference)) in cases.into_iter().enumerate() {
+                    let what = format!("{} {}", fmt.name(), names[i]);
+                    tally(&mut taken[i], &what, leaf, reference);
                 }
             }
-            for (op, t) in ["add", "mul", "fma", "from_f64"].iter().zip(taken) {
-                assert!(
-                    t * 10 >= N * 9,
-                    "{} {op}: host path taken {t} of {N} times",
-                    fmt.name()
-                );
+            for (op, t) in names.iter().zip(taken) {
+                mostly_taken(&format!("{} {op}", fmt.name()), t, N);
             }
             // Exact zeros, with IEEE 754's signs and no flag.
-            let zero = |op: &str, host: Host, reference: Reference| {
-                let mut flags = Flags::NONE;
-                let got = host(&mut flags);
+            let zero = |op: &str, got: Leaf, reference: Reference| {
                 let mut e = env();
                 let want = reference(&mut e);
                 assert_eq!(
@@ -1301,35 +1158,35 @@ mod tests {
                     "{} {op} is not zero",
                     fmt.name()
                 );
-                assert_eq!(got, Some(want), "{} {op}", fmt.name());
-                assert_eq!(flags, e.flags, "{} {op}", fmt.name());
+                assert_eq!(got, Some((want, e.flags)), "{} {op}", fmt.name());
             };
             let (pz, nz, one) = (0, sign_bit::<E, M>(), (bias::<E>() as u64) << M);
             for _ in 0..64 {
                 let x = window::<E, M>(&mut rng);
                 let nx = negate::<E, M>(x);
-                zero("x + (-x)", &|fl| host_add::<E, M>(x, nx, fl), &|e| {
+                zero("x + (-x)", host::add::<E, M>(x, nx), &|e| {
                     ops::add(fmt, x, nx, e)
                 });
-                zero("x * 1 - x", &|fl| host_fma::<E, M>(x, one, nx, fl), &|e| {
+                zero("x - x", host::sub::<E, M>(x, x), &|e| {
+                    ops::sub(fmt, x, x, e)
+                });
+                zero("x * 1 - x", host::fma::<E, M>(x, one, nx), &|e| {
                     ops::fmadd(fmt, x, one, nx, e)
                 });
                 for a in [pz, nz] {
-                    zero("0 * x", &|fl| host_mul::<E, M>(a, x, fl), &|e| {
+                    zero("0 * x", host::mul::<E, M>(a, x), &|e| {
                         ops::mul(fmt, a, x, e)
                     });
-                    zero("x * 0", &|fl| host_mul::<E, M>(nx, a, fl), &|e| {
+                    zero("x * 0", host::mul::<E, M>(nx, a), &|e| {
                         ops::mul(fmt, nx, a, e)
                     });
                     for b in [pz, nz] {
-                        zero("(±0) + (±0)", &|fl| host_add::<E, M>(a, b, fl), &|e| {
+                        zero("(±0) + (±0)", host::add::<E, M>(a, b), &|e| {
                             ops::add(fmt, a, b, e)
                         });
-                        zero(
-                            "fma(±0, x, ±0)",
-                            &|fl| host_fma::<E, M>(a, x, b, fl),
-                            &|e| ops::fmadd(fmt, a, x, b, e),
-                        );
+                        zero("fma(±0, x, ±0)", host::fma::<E, M>(a, x, b), &|e| {
+                            ops::fmadd(fmt, a, x, b, e)
+                        });
                     }
                 }
             }
@@ -1337,57 +1194,197 @@ mod tests {
         check::<8, 23>(Format::BINARY32);
         check::<5, 10>(Format::BINARY16);
         check::<8, 7>(Format::BINARY16ALT);
-    }
 
-    /// Two-step dot chains from the narrow window (the expanding dot
-    /// products' shape: 16-bit lanes into binary32, 8-bit lanes into
-    /// binary16 and binary16alt) take the host path at least 90 % of the
-    /// time, and match the generic widen-then-fma chain when they do.
-    #[test]
-    fn host_dot_takes_most_narrow_window_chains() {
-        fn check<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
+        fn pair<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
             src: Format,
             dst: Format,
         ) {
-            const N: u32 = 4096;
-            let mut rng = Rng::new(0xd07 ^ u64::from(SM << 8 | DM));
+            let mut rng = Rng::new(0xc0_4e47 ^ u64::from(SM << 8 | DM));
+            let what = format!("cvt {} -> {}", src.name(), dst.name());
             let mut taken = 0;
             for _ in 0..N {
-                let l: [u64; 4] = std::array::from_fn(|_| window::<SE, SM>(&mut rng));
+                let x = window::<SE, SM>(&mut rng);
+                tally(&mut taken, &what, host::cvt::<SE, SM, DE, DM>(x), &|e| {
+                    ops::cvt_f_f(dst, src, x, e)
+                });
+            }
+            mostly_taken(&what, taken, N);
+        }
+        fn from<const SE: u32, const SM: u32>(src: Format) {
+            pair::<SE, SM, 8, 23>(src, Format::BINARY32);
+            pair::<SE, SM, 5, 10>(src, Format::BINARY16);
+            pair::<SE, SM, 8, 7>(src, Format::BINARY16ALT);
+            pair::<SE, SM, 5, 2>(src, Format::BINARY8);
+            pair::<SE, SM, 4, 3>(src, Format::BINARY8ALT);
+        }
+        from::<8, 23>(Format::BINARY32);
+        from::<5, 10>(Format::BINARY16);
+        from::<8, 7>(Format::BINARY16ALT);
+        from::<5, 2>(Format::BINARY8);
+        from::<4, 3>(Format::BINARY8ALT);
+    }
+
+    /// The generic chain the expanding leaves must match: `src` lanes
+    /// widened to `dst`, then one `fmadd` per lane pair, lane 0 first.
+    fn dot_reference(src: Format, dst: Format, acc: u64, a: &[u64], b: &[u64], e: &mut Env) -> u64 {
+        let up = |v: u64| ops::cvt_f_f(dst, src, v, &mut env());
+        a.iter()
+            .zip(b)
+            .fold(acc, |t, (&x, &y)| ops::fmadd(dst, up(x), up(y), t, e))
+    }
+
+    /// Every expanding and packed leaf on narrow-window lanes: `dot`
+    /// chains (16-bit lanes into binary32, 8-bit lanes into binary16 and
+    /// binary16alt), `mulex`/`macex`, and the packed-register leaves the
+    /// simulator's vector handlers call (`dotpex2`, `dotpex4`, `sdotp4`,
+    /// `vfop2`) each take the host path at least 90 % of the time and
+    /// match the generic widen-then-fma chain (or per-lane reference)
+    /// when they do.
+    #[test]
+    fn host_dot_takes_most_narrow_window_chains() {
+        const N: u32 = 4096;
+        fn chain<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
+            src: Format,
+            dst: Format,
+        ) {
+            let mut rng = Rng::new(0xd07 ^ u64::from(SM << 8 | DM));
+            let name = |op: &str| format!("{op} {} -> {}", src.name(), dst.name());
+            let mut taken = [0u32; 3];
+            for _ in 0..N {
+                let (a0, b0) = (window::<SE, SM>(&mut rng), window::<SE, SM>(&mut rng));
+                let (a1, b1) = (window::<SE, SM>(&mut rng), window::<SE, SM>(&mut rng));
                 let acc = window::<DE, DM>(&mut rng);
-                let w = |v: u64| widen::<SE, SM>(v);
-                let mut e = env();
-                let Some(got) =
-                    host_dot::<DE, DM, 2>([w(l[0]) * w(l[1]), w(l[2]) * w(l[3])], acc, &mut e)
-                else {
-                    continue;
+                tally(
+                    &mut taken[0],
+                    &name("dot"),
+                    host::dot::<SE, SM, DE, DM, 2>(acc, [a0, a1], [b0, b1]),
+                    &|e| dot_reference(src, dst, acc, &[a0, a1], &[b0, b1], e),
+                );
+                if dst == Format::BINARY32 {
+                    tally(
+                        &mut taken[1],
+                        &name("mulex"),
+                        host::mulex::<SE, SM>(a0, b0),
+                        &|e| {
+                            let up = |v: u64| ops::cvt_f_f(dst, src, v, &mut env());
+                            ops::mul(dst, up(a0), up(b0), e)
+                        },
+                    );
+                    tally(
+                        &mut taken[2],
+                        &name("macex"),
+                        host::macex::<SE, SM>(a0, b0, acc),
+                        &|e| dot_reference(src, dst, acc, &[a0], &[b0], e),
+                    );
+                }
+            }
+            let ops = if dst == Format::BINARY32 { 3 } else { 1 };
+            for (op, t) in ["dot", "mulex", "macex"].iter().zip(taken).take(ops) {
+                mostly_taken(&name(op), t, N);
+            }
+        }
+        chain::<5, 10, 8, 23>(Format::BINARY16, Format::BINARY32);
+        chain::<8, 7, 8, 23>(Format::BINARY16ALT, Format::BINARY32);
+        chain::<5, 2, 8, 23>(Format::BINARY8, Format::BINARY32);
+        chain::<4, 3, 8, 23>(Format::BINARY8ALT, Format::BINARY32);
+        chain::<5, 2, 5, 10>(Format::BINARY8, Format::BINARY16);
+        chain::<4, 3, 5, 10>(Format::BINARY8ALT, Format::BINARY16);
+        chain::<5, 2, 8, 7>(Format::BINARY8, Format::BINARY16ALT);
+        chain::<4, 3, 8, 7>(Format::BINARY8ALT, Format::BINARY16ALT);
+
+        /// Two 16-bit lanes: `dotpex2` and `vfop2` for every rounded op.
+        fn lanes16<const E: u32, const M: u32>(fmt: Format) {
+            let mut rng = Rng::new(0x16_1a4e ^ u64::from(M));
+            let ops_ = [LaneOp::Add, LaneOp::Sub, LaneOp::Mul, LaneOp::Mac];
+            let mut taken = [0u32; 5];
+            for _ in 0..N {
+                let mut lanes = || [window::<E, M>(&mut rng), window::<E, M>(&mut rng)];
+                let (a, b, d) = (lanes(), lanes(), lanes());
+                let pack = |l: [u64; 2]| (l[0] | l[1] << 16) as u32;
+                let rep = rng.bool();
+                let bl = if rep { [b[0], b[0]] } else { b };
+                let acc = window::<8, 23>(&mut rng);
+                tally(
+                    &mut taken[0],
+                    &format!("dotpex2 {}", fmt.name()),
+                    packed(host::dotpex2::<E, M>(acc as u32, pack(a), pack(b), rep)),
+                    &|e| dot_reference(fmt, Format::BINARY32, acc, &a, &bl, e),
+                );
+                for (i, op) in ops_.into_iter().enumerate() {
+                    let lane = |i: usize, e: &mut Env| match op {
+                        LaneOp::Add => ops::add(fmt, a[i], bl[i], e),
+                        LaneOp::Sub => ops::sub(fmt, a[i], bl[i], e),
+                        LaneOp::Mul => ops::mul(fmt, a[i], bl[i], e),
+                        _ => ops::fmadd(fmt, a[i], bl[i], d[i], e),
+                    };
+                    tally(
+                        &mut taken[1 + i],
+                        &format!("vfop2 {op:?} {}", fmt.name()),
+                        packed(host::vfop2::<E, M>(op, pack(a), pack(b), pack(d), rep)),
+                        &|e| lane(0, e) | lane(1, e) << 16,
+                    );
+                }
+            }
+            for (i, t) in taken.into_iter().enumerate() {
+                mostly_taken(&format!("{} leaf {i}", fmt.name()), t, N);
+            }
+        }
+        lanes16::<5, 10>(Format::BINARY16);
+        lanes16::<8, 7>(Format::BINARY16ALT);
+
+        /// Four 8-bit lanes: `dotpex4` into binary32 and `sdotp4` into
+        /// binary16 and binary16alt.
+        fn lanes8<const E: u32, const M: u32>(fmt: Format) {
+            let mut rng = Rng::new(0x8_1a4e ^ u64::from(M));
+            let mut taken = [0u32; 3];
+            for _ in 0..N {
+                let mut lanes = || [(); 4].map(|_| window::<E, M>(&mut rng));
+                let (a, b) = (lanes(), lanes());
+                let pack = |l: [u64; 4]| (l[0] | l[1] << 8 | l[2] << 16 | l[3] << 24) as u32;
+                let rep = rng.bool();
+                let bl = if rep { [b[0]; 4] } else { b };
+                let acc = window::<8, 23>(&mut rng);
+                tally(
+                    &mut taken[0],
+                    &format!("dotpex4 {}", fmt.name()),
+                    packed(host::dotpex4::<E, M>(acc as u32, pack(a), pack(b), rep)),
+                    &|e| dot_reference(fmt, Format::BINARY32, acc, &a, &bl, e),
+                );
+                let halves = |dst: Format, acc: [u64; 2], e: &mut Env| {
+                    let lo = dot_reference(fmt, dst, acc[0], &a[..2], &bl[..2], e);
+                    lo | dot_reference(fmt, dst, acc[1], &a[2..], &bl[2..], e) << 16
                 };
-                taken += 1;
-                let up = |v: u64| ops::cvt_f_f(dst, src, v, &mut env());
-                let mut er = env();
-                let t = ops::fmadd(dst, up(l[0]), up(l[1]), acc, &mut er);
-                let want = ops::fmadd(dst, up(l[2]), up(l[3]), t, &mut er);
-                assert_eq!(
-                    (got, e.flags),
-                    (want, er.flags),
-                    "{} -> {}",
-                    src.name(),
-                    dst.name()
+                let acc16 = [window::<5, 10>(&mut rng), window::<5, 10>(&mut rng)];
+                tally(
+                    &mut taken[1],
+                    &format!("sdotp4 {} -> b16", fmt.name()),
+                    packed(host::sdotp4::<E, M, 5, 10>(
+                        (acc16[0] | acc16[1] << 16) as u32,
+                        pack(a),
+                        pack(b),
+                        rep,
+                    )),
+                    &|e| halves(Format::BINARY16, acc16, e),
+                );
+                let acc16 = [window::<8, 7>(&mut rng), window::<8, 7>(&mut rng)];
+                tally(
+                    &mut taken[2],
+                    &format!("sdotp4 {} -> b16alt", fmt.name()),
+                    packed(host::sdotp4::<E, M, 8, 7>(
+                        (acc16[0] | acc16[1] << 16) as u32,
+                        pack(a),
+                        pack(b),
+                        rep,
+                    )),
+                    &|e| halves(Format::BINARY16ALT, acc16, e),
                 );
             }
-            assert!(
-                taken * 10 >= N * 9,
-                "{} -> {}: host path taken {taken} of {N} times",
-                src.name(),
-                dst.name()
-            );
+            for (i, t) in taken.into_iter().enumerate() {
+                mostly_taken(&format!("{} leaf {i}", fmt.name()), t, N);
+            }
         }
-        check::<5, 10, 8, 23>(Format::BINARY16, Format::BINARY32);
-        check::<8, 7, 8, 23>(Format::BINARY16ALT, Format::BINARY32);
-        check::<5, 2, 5, 10>(Format::BINARY8, Format::BINARY16);
-        check::<4, 3, 5, 10>(Format::BINARY8ALT, Format::BINARY16);
-        check::<5, 2, 8, 7>(Format::BINARY8, Format::BINARY16ALT);
-        check::<4, 3, 8, 7>(Format::BINARY8ALT, Format::BINARY16ALT);
+        lanes8::<5, 2>(Format::BINARY8);
+        lanes8::<4, 3>(Format::BINARY8ALT);
     }
 
     #[test]

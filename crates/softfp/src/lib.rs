@@ -49,7 +49,9 @@
 //! fast-path counterparts for the concrete paper formats (exhaustive
 //! binary8 lookup tables plus monomorphized `u64` kernels), and [`batch`]
 //! builds whole-register SIMD lane helpers on top of them for the
-//! simulator's packed vector unit.
+//! simulator's packed vector unit. [`host`] holds the round-to-nearest-even
+//! host-FPU leaves that the kernels try first and that the simulator's FP
+//! handlers call directly.
 
 mod env;
 mod format;
@@ -60,6 +62,7 @@ mod unpack;
 
 pub mod batch;
 pub mod fast;
+pub mod host;
 pub mod ops;
 pub mod wrappers;
 

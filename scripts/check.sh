@@ -6,13 +6,16 @@
 #                             # `cargo build`/`cargo test -q` below cover every
 #                             # workspace crate, not just the root package)
 #   scripts/check.sh --full   # also rustfmt + clippy + release test run
+#                             # + the exhaustive binary16 host-path sweep
 #                             # + the perfbench tests
 #
 # The softfp kernels are gated against the generic reference in release:
 # the binary8 exhaustive suites, the host-f64 bridge, the >=1M-case sampled
-# 16/32-bit suite, the host-FPU round-to-nearest suite (its exhaustive
-# binary16 sweep is #[ignore]d: `-- --ignored` runs it) and the expanding
+# 16/32-bit suite, the host-FPU round-to-nearest suite and the expanding
 # dot-product suite (every 8-bit lane pair, >=1M sampled 16-bit cases).
+# The host-FPU suite's exhaustive binary16 add/mul sweep (all 2^32 pairs,
+# minutes on two threads, so #[ignore]d) runs under --full: it is the one
+# exhaustive test of the binary16 host leaves.
 #
 # The figure/table binaries are exercised by the test suite. Each committed
 # BENCH_*.json names its generator in its "methodology" (checked by
@@ -34,8 +37,11 @@
 # semantic oracles (tests/programs.rs, tests/vector_semantics.rs: hand-computed
 # expectations on a step() loop and on run() with blocks off and on) run in
 # release next to the grid, the golden trace, the code-window invalidation
-# contract (tests/predecode.rs) and the sim crate's unit tests (--lib), so
-# budget arithmetic is also checked under release (wrapping) overflow.
+# contract (tests/predecode.rs), the handler-level FP differential
+# (tests/fp_leaf_differential.rs: every handler with a host-FPU leaf against
+# the generic ops:: chain, static and dynamic rounding, a reserved frm) and
+# the sim crate's unit tests (--lib), so budget arithmetic is also checked
+# under release (wrapping) overflow.
 #
 # perfbench/ is a separate cargo workspace (the repository benchmark, see
 # BENCHMARK.json) built against crates/* by path: building it here means a
@@ -78,8 +84,8 @@ echo "==> isa/asm round-trip property suites (.ab mnemonics, vfsdotpex, alt-bank
 cargo test --release -q -p smallfloat-isa --test roundtrip
 cargo test --release -q -p smallfloat-asm
 
-echo "==> sim unit tests (block.rs, mem.rs under release overflow semantics) + two-tier differential grid (per-instruction vs blocks) + semantic oracles (programs, vector_semantics) + golden trace + code-window invalidation (release)"
-cargo test --release -q -p smallfloat-sim --lib --test blockpath_differential --test programs --test vector_semantics --test golden_trace --test predecode
+echo "==> sim unit tests (block.rs, mem.rs under release overflow semantics) + two-tier differential grid (per-instruction vs blocks) + semantic oracles (programs, vector_semantics) + handler-level FP differential (host leaves vs ops::) + golden trace + code-window invalidation (release)"
+cargo test --release -q -p smallfloat-sim --lib --test blockpath_differential --test programs --test vector_semantics --test fp_leaf_differential --test golden_trace --test predecode
 
 echo "==> snapshot/restore + record-replay gates (release)"
 cargo test --release -q -p smallfloat-sim --test snapshot_roundtrip --test replay
@@ -107,6 +113,8 @@ if [[ "${1:-}" == "--full" ]]; then
     cargo clippy --workspace --all-targets -- -D warnings
     echo "==> cargo test --workspace --release -q (includes the per-pass training tuner grid: pinned MLP assignment, frontier dominance)"
     cargo test --workspace --release -q
+    echo "==> exhaustive binary16 add/mul host-path sweep (all 2^32 pairs, release)"
+    cargo test --release -q -p smallfloat-softfp --test fastpath_host_rne -- --ignored
     echo "==> BENCH_nn.json + BENCH_training.json + BENCH_serving.json regenerate byte-identically (default workers, then SMALLFLOAT_SERIAL=1)"
     regen=$(mktemp -d)
     trap 'rm -rf "$regen"' EXIT
