@@ -199,3 +199,34 @@ fn svm_mixed_speed_close_to_f16() {
         "mixed/f16 cycle ratio {ratio}"
     );
 }
+
+/// Block lowering keeps fusing the compiled code: the hottest block of
+/// GEMM at binary16, auto-vectorized, dispatches at most 0.7 micro-ops
+/// per retired instruction (one per instruction without fusion, less
+/// the followed jumps). Fusion that silently stops matching fails here
+/// rather than only running slower.
+#[test]
+fn hottest_gemm_block_fuses() {
+    use smallfloat_isa::FpFmt;
+    use smallfloat_kernels::runner::load_workload;
+    use smallfloat_sim::{hot_block_report, Cpu, ExitReason, SimConfig};
+
+    let gemm = bench::suite()
+        .into_iter()
+        .find(|w| w.name().eq_ignore_ascii_case("gemm"))
+        .expect("the suite has GEMM");
+    let (_, compiled) = bench::build(&*gemm, &Precision::Uniform(FpFmt::H), VecMode::Auto);
+    let mut cpu = Cpu::new(SimConfig::default());
+    cpu.set_block_cache(true);
+    load_workload(&mut cpu, &compiled, &gemm.inputs());
+    assert_eq!(cpu.run(200_000_000), Ok(ExitReason::Ecall));
+    let hot = cpu.hot_blocks(1);
+    let b = hot.first().expect("a block ran");
+    assert!(
+        10 * b.uops <= 7 * b.instrs,
+        "hottest block: {} micro-ops for {} instructions\n{}",
+        b.uops,
+        b.instrs,
+        hot_block_report(&hot, cpu.stats().instret)
+    );
+}

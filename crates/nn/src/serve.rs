@@ -219,4 +219,31 @@ mod tests {
             assert_eq!(r.stats, want.stats, "sample {i} reference stats");
         }
     }
+
+    /// Block lowering keeps fusing the serving MLP's compiled dot-product
+    /// loop (binary16, auto-vectorized): the hottest block of the first
+    /// stage dispatches at most 0.7 micro-ops per retired instruction.
+    #[test]
+    fn dot_product_loop_fuses() {
+        let (net, ds) = mlp();
+        let model = ServingModel::build(&net, FpFmt::H, VecMode::Auto, MemLevel::L1);
+        let desc = model.request(0, &ds.inputs[0]);
+        let mut cpu = Cpu::new(model.config().clone());
+        cpu.set_block_cache(true);
+        cpu.restore(&model.images()[0]);
+        for (addr, bytes) in &desc.stages[0].writes {
+            cpu.write_data(*addr, bytes);
+        }
+        let exit = cpu.run(STAGE_BUDGET).expect("the first layer runs");
+        assert_eq!(exit, smallfloat_sim::ExitReason::Ecall);
+        let hot = cpu.hot_blocks(1);
+        let b = hot.first().expect("a block ran");
+        assert!(
+            10 * b.uops <= 7 * b.instrs,
+            "hottest block: {} micro-ops for {} instructions\n{}",
+            b.uops,
+            b.instrs,
+            smallfloat_sim::hot_block_report(&hot, cpu.stats().instret)
+        );
+    }
 }

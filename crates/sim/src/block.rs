@@ -23,9 +23,16 @@
 //!   `SMALLFLOAT_NOBLOCKS=1`, and every leader the block tier declines.
 //! * Blocks copy the ops of a run of code out of its slots, up to the
 //!   next tail, and replay the array. A direct jump (`jal x0`) to an even
-//!   PC inside the window does not end a block: it stays in the array as
-//!   a retiring micro-op and lowering continues at its target, so a
+//!   PC inside the window does not end a block: it retires with the
+//!   micro-op before it and lowering continues at its target, so a
 //!   top-tested loop runs as one block per iteration.
+//! * Lowering a block also fuses: adjacent ops that match the fixed
+//!   fusion table ([`fuse`]) become one micro-op whose packed operands
+//!   run a straight-line handler. Slots keep one op per instruction, so
+//!   the per-instruction path never runs a fused handler and is a
+//!   differential for every one of them. Each micro-op carries the
+//!   number of instructions it retires; a block keeps a cold
+//!   per-instruction record ([`Retired`]) for the rare partial execution.
 //!
 //! [`run`] is the engine's one run loop (`Cpu::run` is `run` plus energy
 //! derivation): it executes the block led by the current PC when it fits
@@ -46,7 +53,8 @@
 //! * Trapping instructions retire nothing and leave `fflags`/`pc`
 //!   untouched: handlers check every trap before their first write, and
 //!   a trap in a block commits only the preceding prefix and restores
-//!   the trapping PC.
+//!   the trapping PC. A trap inside a fused op retires the constituents
+//!   before it ([`BlockCache::partial`]) and none after.
 //! * CSR instructions read live `cycle`/`instret` counters, which would
 //!   be stale before the block commit, so they terminate block discovery
 //!   and always execute on the per-instruction path.
@@ -75,6 +83,10 @@ const FLEN: u32 = 32;
 /// `j .` self-loop; runs past the cap chain into the block at the PC
 /// where lowering stopped.
 const MAX_BODY: usize = 128;
+
+// A micro-op's retire count is a byte; every instruction of a body may
+// fold into one op (a `j .` self-loop lowers to one no-op retiring all).
+const _: () = assert!(MAX_BODY <= u8::MAX as usize);
 
 /// Slot tag: no block lowered at this leader yet.
 const SLOT_EMPTY: u32 = u32::MAX;
@@ -142,7 +154,9 @@ macro_rules! tri {
 }
 
 /// One lowered instruction: semantic function plus pre-resolved operands
-/// and pre-computed retirement costs.
+/// and pre-computed retirement costs. A fused op (see [`fuse`]) packs its
+/// later constituents' operands into `rs2`, `rs3`, `rm`, `imm` and `aux`;
+/// its `pc` is its first constituent's.
 #[derive(Clone, Copy)]
 struct MicroOp {
     run: UopFn,
@@ -154,6 +168,9 @@ struct MicroOp {
     rm: u8,
     /// `InstrClass::index()` of the source instruction.
     class: u8,
+    /// Instructions a completed run retires: 1, or a fused op's
+    /// constituent count, plus the followed jumps folded into it.
+    n: u8,
     imm: i32,
     /// Per-op payload: replicate-scalar flag for vector ops, base lane
     /// for `vfcpk`, CSR number for `csr*`.
@@ -163,9 +180,9 @@ struct MicroOp {
 }
 
 impl MicroOp {
-    /// An op at `pc` that changes no register and retires as `class` for
-    /// `cycles`: the template `lower` fills in, and the whole form of a
-    /// jump a block follows.
+    /// An op at `pc` that changes no register and retires one instruction
+    /// as `class` for `cycles`: the template `lower` fills in, and the
+    /// whole form of a followed jump that leads a block.
     fn bare(pc: u32, class: u8, cycles: u32) -> MicroOp {
         MicroOp {
             run: nop,
@@ -175,12 +192,24 @@ impl MicroOp {
             rs3: 0,
             rm: 0,
             class,
+            n: 1,
             imm: 0,
             aux: 0,
             pc,
             cycles,
         }
     }
+}
+
+/// One instruction a block body retires, in program order: what a partial
+/// execution ([`stop`], [`commit_prefix`]) accounts per instruction, and
+/// what lowering sums into the entry's per-class totals. Never read by a
+/// completed execution.
+#[derive(Clone, Copy)]
+struct Retired {
+    pc: u32,
+    class: u8,
+    cycles: u32,
 }
 
 /// Control transfer terminating a block. Branch direction is the one
@@ -247,11 +276,15 @@ fn decode_lowered(mem: &Memory, cfg: &SimConfig, pc: u32) -> Result<Decoded, Sim
     })
 }
 
-/// A lowered block: micro-ops (followed jumps included) plus an optional
-/// control-transfer tail. What accounting, invalidation and the budget
-/// check need lives in its [`Entry`].
+/// A lowered block: micro-ops (fused where the table matched, followed
+/// jumps folded in) plus an optional control-transfer tail. What
+/// accounting, invalidation and the budget check need lives in its
+/// [`Entry`].
 struct Block {
     uops: Box<[MicroOp]>,
+    /// Every instruction the micro-ops retire, in order: their retire
+    /// counts sum to its length.
+    instrs: Box<[Retired]>,
     tail: Option<Tail>,
     /// Where a block without a tail continues: the PC after its last
     /// lowered instruction, or the target of a jump lowering followed
@@ -361,6 +394,10 @@ pub(crate) struct BlockCache {
     /// The trap of the handler that last returned [`Status::Trap`], until
     /// [`take_trap`] takes it.
     trap: Option<SimError>,
+    /// Constituents of a fused op that retired before its trap: set by a
+    /// fused handler that returns [`Status::Trap`], taken by [`stop`];
+    /// zero for every other trap.
+    partial: u8,
 }
 
 impl BlockCache {
@@ -372,6 +409,7 @@ impl BlockCache {
             arena: Vec::new(),
             free: Vec::new(),
             trap: None,
+            partial: 0,
         }
     }
 
@@ -555,6 +593,7 @@ impl BlockCache {
                 end: e.hi,
                 leader: e.start,
                 instrs: e.retired as u32,
+                uops: e.block.as_ref().map_or(0, |b| b.uops.len() as u32),
                 execs: e.execs,
             })
             .collect();
@@ -701,7 +740,7 @@ fn exec_block(cpu: &mut Cpu, block: &Block, retired: u64) -> Result<Flow, SimErr
         }
         Err(trap) => {
             // The body retired; the tail traps without retiring.
-            commit_prefix(cpu, block, block.uops.len());
+            commit_prefix(cpu, block, block.instrs.len());
             cpu.pc = t.pc;
             Err(trap)
         }
@@ -709,25 +748,35 @@ fn exec_block(cpu: &mut Cpu, block: &Block, retired: u64) -> Result<Flow, SimErr
 }
 
 /// Micro-op `i` of `block` returned `status` (a trap or a kill): commit
-/// what retired with per-op accounting and leave the PC where the
-/// per-instruction path would.
+/// what retired with per-instruction accounting and leave the PC where
+/// the per-instruction path would.
 #[cold]
 #[inline(never)]
 fn stop(cpu: &mut Cpu, block: &Block, i: usize, status: Status) -> Result<Flow, SimError> {
-    if status == Status::Trap {
-        // Trapping instructions retire nothing: leave the PC at the
-        // trapping instruction.
-        commit_prefix(cpu, block, i);
-        cpu.pc = block.uops[i].pc;
-        return Err(take_trap(cpu));
-    }
-    // A store killed cached code, perhaps this very block: resume after
-    // it on fresh lowering and decoding.
-    commit_prefix(cpu, block, i + 1);
-    cpu.pc = match block.uops.get(i + 1) {
+    // The instructions of op `i` that retired. A trapping instruction
+    // retires nothing, but the constituents of a fused op before it do.
+    // A store that killed cached code (perhaps this very block) retired;
+    // stores are never fused, and a jump folded into one is fetched
+    // afresh, since the store may have rewritten it.
+    let done = match status {
+        Status::Trap => std::mem::take(&mut cpu.blocks.partial),
+        _ => 1,
+    };
+    let n = block.uops[..i]
+        .iter()
+        .map(|u| usize::from(u.n))
+        .sum::<usize>()
+        + usize::from(done);
+    commit_prefix(cpu, block, n);
+    // Resume at the first instruction that did not retire: the trapping
+    // one, or the next on fresh lowering and decoding after a kill.
+    cpu.pc = match block.instrs.get(n) {
         Some(next) => next.pc,
         None => block.tail.as_ref().map_or(block.next, |t| t.pc),
     };
+    if status == Status::Trap {
+        return Err(take_trap(cpu));
+    }
     Ok(Flow::Cut)
 }
 
@@ -764,10 +813,11 @@ pub(crate) fn step(cpu: &mut Cpu) -> Result<Option<ExitReason>, SimError> {
     }
 }
 
-/// Per-op accounting for a partially executed body (a trap or a kill).
+/// Per-instruction accounting for the first `n` instructions of a
+/// partially executed body (a trap or a kill).
 fn commit_prefix(cpu: &mut Cpu, block: &Block, n: usize) {
-    for u in &block.uops[..n] {
-        account(cpu, u.class, u.cycles);
+    for r in &block.instrs[..n] {
+        account(cpu, r.class, r.cycles);
     }
 }
 
@@ -832,18 +882,19 @@ fn transfer(cpu: &mut Cpu, t: &Tail) -> Result<(u32, u32, Flow), SimError> {
 // Lowering
 // ---------------------------------------------------------------------------
 
-/// Walk the code window from `leader`, copying lowered ops out of the
-/// slots until a tail, a CSR (barrier), an undecodable slot, the window
-/// edge, or [`MAX_BODY`] micro-ops. A `jal x0` to an even PC inside the
-/// window is no tail here: it becomes a retiring micro-op and the walk
-/// continues at its target. Slots decode (and fill) on the way. Returns
-/// `None` when nothing at all can be lowered here.
+/// Walk the code window from `leader`, copying lowered instructions out
+/// of the slots until a tail, a CSR (barrier), an undecodable slot, the
+/// window edge, or [`MAX_BODY`] body instructions. A `jal x0` to an even
+/// PC inside the window is no tail here: it joins the body and the walk
+/// continues at its target. Slots decode (and fill) on the way; the body
+/// then becomes micro-ops through [`fuse_body`]. Returns `None` when
+/// nothing at all can be lowered here.
 fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Entry> {
-    let mut uops: Vec<MicroOp> = Vec::new();
+    let mut body: Vec<Decoded> = Vec::new();
     let mut tail = None;
     let mut pc = leader;
     let (mut lo, mut hi) = (leader, leader);
-    while uops.len() < MAX_BODY && cpu.blocks.in_window(pc) {
+    while body.len() < MAX_BODY && cpu.blocks.in_window(pc) {
         let Ok(d) = cpu.blocks.decode(&cpu.mem, &cpu.config, pc) else {
             break;
         };
@@ -855,17 +906,15 @@ fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Entry> {
         lo = lo.min(pc);
         hi = hi.max(pc.wrapping_add(d.len));
         match d.op {
-            Lowered::Op(u) => {
-                uops.push(u);
+            Lowered::Op(_) => {
+                body.push(d);
                 pc = pc.wrapping_add(d.len);
             }
             Lowered::Tail(Tail {
                 kind: TailKind::Jal { rd: 0, target },
-                class,
-                cycles,
                 ..
             }) if target & 1 == 0 && cpu.blocks.in_window(target) => {
-                uops.push(MicroOp::bare(pc, class, cycles));
+                body.push(d);
                 pc = target;
             }
             Lowered::Tail(t) => {
@@ -874,16 +923,17 @@ fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Entry> {
             }
         }
     }
-    if uops.is_empty() && tail.is_none() {
+    if body.is_empty() && tail.is_none() {
         return None;
     }
+    let (uops, instrs) = fuse_body(&body);
     let mut totals = [(0u32, 0u64); InstrClass::ALL.len()];
     let mut count = |class: u8, cycles: u32| {
         totals[class as usize].0 += 1;
         totals[class as usize].1 += u64::from(cycles);
     };
-    for u in &uops {
-        count(u.class, u.cycles);
+    for r in &instrs {
+        count(r.class, r.cycles);
     }
     let mut branch = None;
     if let Some(t) = &tail {
@@ -904,10 +954,11 @@ fn lower_block(cpu: &mut Cpu, leader: u32) -> Option<Entry> {
         start: leader,
         lo,
         hi,
-        retired: uops.len() as u64 + u64::from(tail.is_some()),
+        retired: instrs.len() as u64 + u64::from(tail.is_some()),
         block: Some(Box::new(Block {
-            body_cycles: uops.iter().map(|u| u64::from(u.cycles)).sum(),
+            body_cycles: instrs.iter().map(|r| u64::from(r.cycles)).sum(),
             uops: uops.into_boxed_slice(),
+            instrs: instrs.into_boxed_slice(),
             tail,
             next: pc,
         })),
@@ -1610,6 +1661,267 @@ fn lower(cfg: &SimConfig, pc: u32, instr: Instr, len: u32) -> Lowered {
 }
 
 // ---------------------------------------------------------------------------
+// Fusion at lowering
+// ---------------------------------------------------------------------------
+
+/// Turn a block body — its straight-line ops and followed jumps, in
+/// program order — into micro-ops and the per-instruction record. A run
+/// of ops that the fusion table names ([`fuse`]) becomes one micro-op,
+/// and a followed jump, which changes no register, retires with the
+/// micro-op before it (a jump leading the block stays a no-op of its
+/// own).
+fn fuse_body(body: &[Decoded]) -> (Vec<MicroOp>, Vec<Retired>) {
+    let instrs = body
+        .iter()
+        .map(|d| match d.op {
+            Lowered::Op(u) => Retired {
+                pc: u.pc,
+                class: u.class,
+                cycles: u.cycles,
+            },
+            Lowered::Tail(t) => Retired {
+                pc: t.pc,
+                class: t.class,
+                cycles: t.cycles,
+            },
+        })
+        .collect();
+    let mut uops: Vec<MicroOp> = Vec::with_capacity(body.len());
+    let mut i = 0;
+    while i < body.len() {
+        let u = match body[i].op {
+            Lowered::Op(u) => fuse(&body[i..]).unwrap_or(u),
+            Lowered::Tail(t) => match uops.last_mut() {
+                Some(last) => {
+                    last.n += 1;
+                    i += 1;
+                    continue;
+                }
+                None => MicroOp::bare(t.pc, t.class, t.cycles),
+            },
+        };
+        i += usize::from(u.n);
+        uops.push(u);
+    }
+    (uops, instrs)
+}
+
+/// The fused micro-op for the longest run at the head of `body` that the
+/// fusion table names, if any. The table is fixed, chosen by a census of
+/// dynamic adjacent ops in the nn training and serving kernels
+/// (EXPERIMENTS.md): integer address and index arithmetic
+/// ([`int_fused_fn`]), and the lane-accumulate idiom `fmv.{h,b}.x;
+/// fcvt.s.{h,b}; fadd.s`, which widens a narrow value into a binary32 sum
+/// ([`fuse_lane`]). Loads and stores are never fused, so a fused op
+/// neither faults on memory nor kills a block. A fused op keeps its first
+/// constituent's `pc`, `class` and `cycles`; blocks account from their
+/// [`Retired`] record, never from a fused op.
+fn fuse(body: &[Decoded]) -> Option<MicroOp> {
+    fuse_int(body).or_else(|| fuse_lane(body))
+}
+
+/// The integer ops of the fusion table, as const handler ids.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum IntOp {
+    Addi,
+    Slli,
+    Add,
+    Mul,
+}
+
+from_u8_fn!(intop_of, IntOp, [Addi, Slli, Add, Mul]);
+
+/// Third-constituent id of a fused integer pair.
+const PAIR: u8 = u8::MAX;
+
+/// The integer half of the fusion table: the census's hot adjacent pairs
+/// and one triple, `addi` thrice.
+fn int_fused_fn(ops: &[IntOp]) -> Option<UopFn> {
+    use IntOp::{Add, Addi, Mul, Slli};
+    macro_rules! fused {
+        ($a:ident, $b:ident) => {
+            int_fused::<{ $a as u8 }, { $b as u8 }, PAIR>
+        };
+        ($a:ident, $b:ident, $c:ident) => {
+            int_fused::<{ $a as u8 }, { $b as u8 }, { $c as u8 }>
+        };
+    }
+    let run: UopFn = match ops {
+        [Addi, Addi, Addi] => fused!(Addi, Addi, Addi),
+        [Addi, Addi] => fused!(Addi, Addi),
+        [Addi, Mul] => fused!(Addi, Mul),
+        [Add, Addi] => fused!(Add, Addi),
+        [Add, Slli] => fused!(Add, Slli),
+        [Slli, Add] => fused!(Slli, Add),
+        [Add, Add] => fused!(Add, Add),
+        [Addi, Slli] => fused!(Addi, Slli),
+        [Slli, Slli] => fused!(Slli, Slli),
+        [Addi, Add] => fused!(Addi, Add),
+        [Mul, Add] => fused!(Mul, Add),
+        _ => return None,
+    };
+    Some(run)
+}
+
+/// An integer op of the fusion table as `(op, rd, rs1, b)`: `b` is the
+/// immediate, or the `rs2` number of a register op. `None` for any other
+/// instruction, and for an immediate wider than the 12 bits a packed
+/// constituent holds.
+fn int_operands(instr: &Instr) -> Option<(IntOp, u8, u8, i32)> {
+    let (op, rd, rs1, b) = match *instr {
+        Instr::OpImm {
+            op: AluOp::Add,
+            rd,
+            rs1,
+            imm,
+        } => (IntOp::Addi, rd, rs1, imm),
+        Instr::OpImm {
+            op: AluOp::Sll,
+            rd,
+            rs1,
+            imm,
+        } => (IntOp::Slli, rd, rs1, imm),
+        Instr::Op {
+            op: AluOp::Add,
+            rd,
+            rs1,
+            rs2,
+        } => (IntOp::Add, rd, rs1, i32::from(rs2.num())),
+        Instr::MulDiv {
+            op: MulDivOp::Mul,
+            rd,
+            rs1,
+            rs2,
+        } => (IntOp::Mul, rd, rs1, i32::from(rs2.num())),
+        _ => return None,
+    };
+    (-2048..2048)
+        .contains(&b)
+        .then_some((op, rd.num(), rs1.num(), b))
+}
+
+/// Fuse the longest run of two or three integer ops at the head of `body`
+/// that [`int_fused_fn`] names. Constituent 0 keeps the plain fields
+/// (`rd`, `rs1`, `imm` = `b`); 1 and 2 are packed as [`int_part`] reads
+/// them.
+fn fuse_int(body: &[Decoded]) -> Option<MicroOp> {
+    let Lowered::Op(first) = body.first()?.op else {
+        return None;
+    };
+    let mut parts = [(IntOp::Addi, 0, 0, 0); 3];
+    let mut len = 0;
+    for d in body.iter().take(3) {
+        let Some(p) = int_operands(&d.instr) else {
+            break;
+        };
+        parts[len] = p;
+        len += 1;
+    }
+    let ops = parts.map(|p| p.0);
+    let (run, len) = (2..=len)
+        .rev()
+        .find_map(|n| Some((int_fused_fn(&ops[..n])?, n)))?;
+    let [(_, rd0, rs1_0, b0), (_, rd1, rs1_1, b1), (_, rd2, rs1_2, b2)] = parts;
+    Some(MicroOp {
+        run,
+        rd: rd0,
+        rs1: rs1_0,
+        imm: b0,
+        rs2: rd1,
+        rs3: rs1_1,
+        rm: rd2,
+        aux: (b1 as u32 & 0xfff) | (b2 as u32 & 0xfff) << 12 | u32::from(rs1_2) << 24,
+        n: len as u8,
+        ..first
+    })
+}
+
+/// A constituent of the lane-accumulate idiom: its position `k` (0
+/// `fmv.F.x`, 1 `fcvt.s.F`, 2 `fadd.s`), its format (`F`; binary32 for the
+/// `fadd.s`), its registers `[rd, rs1, rs2]` and its lowered rounding mode
+/// (`None` for the move).
+fn lane_operands(d: &Decoded) -> Option<(u8, FpFmt, [u8; 3], Option<u8>)> {
+    if d.len != 4 {
+        return None;
+    }
+    Some(match d.instr {
+        Instr::FMvFX {
+            fmt: fmt @ (FpFmt::H | FpFmt::B),
+            rd,
+            rs1,
+        } => (0, fmt, [rd.num(), rs1.num(), 0], None),
+        Instr::FCvtFF {
+            dst: FpFmt::S,
+            src: src @ (FpFmt::H | FpFmt::B),
+            rd,
+            rs1,
+            rm,
+        } => (1, src, [rd.num(), rs1.num(), 0], Some(lower_rm(rm))),
+        Instr::FOp {
+            op: FpOp::Add,
+            fmt: FpFmt::S,
+            rd,
+            rs1,
+            rs2,
+            rm,
+        } => (
+            2,
+            FpFmt::S,
+            [rd.num(), rs1.num(), rs2.num()],
+            Some(lower_rm(rm)),
+        ),
+        _ => return None,
+    })
+}
+
+/// Fuse the lane-accumulate idiom at the head of `body`: the whole triple,
+/// or the pair `fmv; fcvt` or `fcvt; fadd` where the idiom is cut short.
+/// The move and the conversion share `F`, and the conversion and the add
+/// their rounding mode. Constituent `j` of the fused op sits `4 * j` bytes
+/// after its `pc`; [`lane_regs`] reads the packed registers.
+fn fuse_lane(body: &[Decoded]) -> Option<MicroOp> {
+    let Lowered::Op(first) = body.first()?.op else {
+        return None;
+    };
+    let (lo, fmt, regs0, mut rm) = lane_operands(&body[0])?;
+    let mut regs = [regs0, [0; 3], [0; 3]];
+    let mut hi = lo + 1;
+    for d in &body[1..] {
+        match lane_operands(d) {
+            Some((k, f, r, m)) if k == hi && (k == 2 || f == fmt) && (rm.is_none() || m == rm) => {
+                regs[usize::from(k - lo)] = r;
+                rm = m;
+                hi += 1;
+            }
+            _ => break,
+        }
+    }
+    const H: u8 = FpFmt::H as u8;
+    const B: u8 = FpFmt::B as u8;
+    let run: UopFn = match (fmt, lo, hi) {
+        (FpFmt::H, 0, 3) => lane_acc::<H, 0, 3>,
+        (FpFmt::H, 0, 2) => lane_acc::<H, 0, 2>,
+        (FpFmt::H, 1, 3) => lane_acc::<H, 1, 3>,
+        (FpFmt::B, 0, 3) => lane_acc::<B, 0, 3>,
+        (FpFmt::B, 0, 2) => lane_acc::<B, 0, 2>,
+        (FpFmt::B, 1, 3) => lane_acc::<B, 1, 3>,
+        _ => return None,
+    };
+    let [[rd, rs1, rs2], r1, r2] = regs;
+    Some(MicroOp {
+        run,
+        rd,
+        rs1,
+        rs2,
+        rm: rm?,
+        imm: i32::from_le_bytes([r1[0], r1[1], r1[2], 0]),
+        aux: u32::from_le_bytes([r2[0], r2[1], r2[2], 0]),
+        n: hi - lo,
+        ..first
+    })
+}
+
+// ---------------------------------------------------------------------------
 // Handlers
 // ---------------------------------------------------------------------------
 
@@ -2308,6 +2620,130 @@ fn vfsdotpex_env<const F: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
     };
     set_fr(cpu, u.rd, out);
     cpu.fflags.set(env.flags);
+    Status::Ok
+}
+
+// ---------------------------------------------------------------------------
+// Fused handlers: block-only, each constituent with its own handler's
+// semantics, in program order
+// ---------------------------------------------------------------------------
+
+/// Constituent `k` of a fused integer op, as [`int_operands`] gave it:
+/// `(rd, rs1, b)`, unpacked from where [`fuse_int`] put it.
+#[inline(always)]
+fn int_part(u: &MicroOp, k: usize) -> (u8, u8, i32) {
+    match k {
+        0 => (u.rd, u.rs1, u.imm),
+        1 => (u.rs2, u.rs3, (u.aux << 20) as i32 >> 20),
+        _ => (u.rm, (u.aux >> 24) as u8, (u.aux << 8) as i32 >> 20),
+    }
+}
+
+/// One constituent of a fused integer op: `alu_ri`/`alu_rr`/`muldiv_rr`
+/// on unpacked operands.
+#[inline(always)]
+fn int_step<const K: u8>(cpu: &mut Cpu, (rd, rs1, b): (u8, u8, i32)) {
+    let a = xr(cpu, rs1);
+    let v = match intop_of(K) {
+        IntOp::Addi => exec::alu(AluOp::Add, a, b as u32),
+        IntOp::Slli => exec::alu(AluOp::Sll, a, b as u32),
+        IntOp::Add => exec::alu(AluOp::Add, a, xr(cpu, b as u8)),
+        IntOp::Mul => exec::muldiv(MulDivOp::Mul, a, xr(cpu, b as u8)),
+    };
+    set_xr(cpu, rd, v);
+}
+
+/// A fused run of two (`C` = [`PAIR`]) or three integer ops.
+fn int_fused<const A: u8, const B: u8, const C: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    int_step::<A>(cpu, int_part(u, 0));
+    int_step::<B>(cpu, int_part(u, 1));
+    if C != PAIR {
+        int_step::<C>(cpu, int_part(u, 2));
+    }
+    Status::Ok
+}
+
+/// The registers `[rd, rs1, rs2]` of constituent `j` of a fused
+/// lane-accumulate op, counted from its first, as [`fuse_lane`] packed
+/// them.
+#[inline(always)]
+fn lane_regs(u: &MicroOp, j: u8) -> [u8; 3] {
+    let [rd, rs1, rs2, _] = match j {
+        0 => [u.rd, u.rs1, u.rs2, 0],
+        1 => u.imm.to_le_bytes(),
+        _ => u.aux.to_le_bytes(),
+    };
+    [rd, rs1, rs2]
+}
+
+/// The fused lane-accumulate idiom, constituents `LO..HI` of `fmv.F.x;
+/// fcvt.s.F; fadd.s` (0, 1 and 2). At round-to-nearest-even it calls the
+/// `cvt` and `add` leaves once each, writes every constituent's register
+/// in program order and ORs their flags into `fflags` once. Off
+/// round-to-nearest-even, and from a leaf that declines on, it hands the
+/// rest to [`lane_acc_env`].
+fn lane_acc<const F: u8, const LO: u8, const HI: u8>(cpu: &mut Cpu, u: &MicroOp) -> Status {
+    if !rne(cpu, u) {
+        return lane_acc_env::<F, LO, HI>(cpu, u, LO);
+    }
+    let fmt = fmt_of(F);
+    if LO == 0 {
+        let x = u64::from(xr(cpu, u.rs1)) & fmt.format().mask();
+        exec::write_boxed(cpu, fmt, freg(u.rd), x);
+    }
+    // Every fused form holds the conversion.
+    let [rd, rs1, _] = lane_regs(u, 1 - LO);
+    let Some((r, cvt_flags)) = cvt_leaf!(FpFmt::S, fmt, exec::unbox(cpu, fmt, freg(rs1))) else {
+        return lane_acc_env::<F, LO, HI>(cpu, u, 1);
+    };
+    exec::write_boxed(cpu, FpFmt::S, freg(rd), r);
+    let mut flags = cvt_flags;
+    if HI == 3 {
+        let [rd, rs1, rs2] = lane_regs(u, 2 - LO);
+        let a = exec::unbox(cpu, FpFmt::S, freg(rs1));
+        let b = exec::unbox(cpu, FpFmt::S, freg(rs2));
+        let Some((r, add_flags)) = host::add::<8, 23>(a, b) else {
+            cpu.fflags.set(flags);
+            return lane_acc_env::<F, LO, HI>(cpu, u, 2);
+        };
+        exec::write_boxed(cpu, FpFmt::S, freg(rd), r);
+        flags |= add_flags;
+    }
+    cpu.fflags.set(flags);
+    Status::Ok
+}
+
+/// Constituents `from..HI` of a [`lane_acc`] op, each as its own micro-op
+/// through its own handler, in order. A trap (dynamic rounding while
+/// `frm` holds a reserved value) leaves the constituents before it
+/// retired.
+#[cold]
+#[inline(never)]
+fn lane_acc_env<const F: u8, const LO: u8, const HI: u8>(
+    cpu: &mut Cpu,
+    u: &MicroOp,
+    from: u8,
+) -> Status {
+    for k in from..HI {
+        let j = k - LO;
+        let [rd, rs1, rs2] = lane_regs(u, j);
+        let part = MicroOp {
+            rd,
+            rs1,
+            rs2,
+            rm: u.rm,
+            ..MicroOp::bare(u.pc.wrapping_add(4 * u32::from(j)), u.class, 0)
+        };
+        let status = match k {
+            0 => fmv_fx::<F>(cpu, &part),
+            1 => fcvt_ff::<{ FpFmt::S as u8 }, F>(cpu, &part),
+            _ => fop::<{ FpOp::Add as u8 }, { FpFmt::S as u8 }>(cpu, &part),
+        };
+        if status == Status::Trap {
+            cpu.blocks.partial = j;
+            return status;
+        }
+    }
     Status::Ok
 }
 

@@ -138,6 +138,10 @@ pub struct HotBlock {
     /// Instructions retired by one full execution of the block, followed
     /// jumps included.
     pub instrs: u32,
+    /// Micro-ops one full execution dispatches: the body's handler calls,
+    /// after fusion and with followed jumps folded in (the tail is not
+    /// counted). Below [`HotBlock::instrs`] by what fusion saved.
+    pub uops: u32,
     /// Times the block was dispatched.
     pub execs: u64,
 }
@@ -150,15 +154,16 @@ impl HotBlock {
 }
 
 /// Render a hot-block profile as a table: byte hull (`pc range`), leader
-/// PC, static length (followed jumps included), execution count and
-/// share of `instret` (the run's total retired instructions).
+/// PC, static length (followed jumps included), micro-ops dispatched per
+/// execution, execution count and share of `instret` (the run's total
+/// retired instructions).
 pub fn hot_block_report(blocks: &[HotBlock], instret: u64) -> String {
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:>4}  {:>21}  {:>10}  {:>6}  {:>12}  {:>14}  {:>6}",
-        "#", "pc range", "leader", "instrs", "execs", "dyn instrs", "%dyn"
+        "{:>4}  {:>21}  {:>10}  {:>6}  {:>5}  {:>12}  {:>14}  {:>6}",
+        "#", "pc range", "leader", "instrs", "uops", "execs", "dyn instrs", "%dyn"
     );
     for (i, b) in blocks.iter().enumerate() {
         let share = if instret == 0 {
@@ -168,12 +173,13 @@ pub fn hot_block_report(blocks: &[HotBlock], instret: u64) -> String {
         };
         let _ = writeln!(
             out,
-            "{:>4}  0x{:08x}-0x{:08x}  0x{:08x}  {:>6}  {:>12}  {:>14}  {:>5.1}%",
+            "{:>4}  0x{:08x}-0x{:08x}  0x{:08x}  {:>6}  {:>5}  {:>12}  {:>14}  {:>5.1}%",
             i + 1,
             b.start,
             b.end,
             b.leader,
             b.instrs,
+            b.uops,
             b.execs,
             b.dynamic_instrs(),
             share

@@ -707,10 +707,13 @@ fn top_tested_loop_runs_one_block_per_iteration() {
         "{hot:?}"
     );
     let report = hot_block_report(&hot, blocks.stats().instret);
+    // One micro-op per iteration: the two `addi`s fuse and the jump
+    // retires with them; the `bge` tail is no micro-op.
     let row = format!(
-        "0x{header:08x}-0x{:08x}  0x{body:08x}  {:>6}  {:>12}",
+        "0x{header:08x}-0x{:08x}  0x{body:08x}  {:>6}  {:>5}  {:>12}",
         body + 12,
         4,
+        1,
         iters
     );
     assert!(report.contains(&row), "{report}");

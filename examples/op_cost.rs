@@ -1,7 +1,10 @@
 //! Host cost of single simulated instructions: for each op, a loop whose
 //! body is 20 copies of it plus a two-instruction loop tail runs under
 //! `Cpu::run` (blocks on), and the host thread's CPU time is divided by the
-//! retired instruction count. Each op's iteration count is sized so one
+//! retired instruction count. An idiom of several instructions (the
+//! `addi` triple, `slli; add`, the lane-accumulate `fmv.h.x; fcvt.s.h;
+//! fadd.s`, each of which block lowering fuses into one micro-op) is
+//! copied 20 times the same way. Each op's iteration count is sized so one
 //! run takes about `RUN_S` seconds, well above the clock's tick-sized
 //! staleness; each op is timed in `ROUNDS` interleaved rounds and the
 //! minimum is reported, in ns per retired instruction.
@@ -38,17 +41,26 @@ fn f(n: u8) -> FReg {
     FReg::new(n)
 }
 
-/// The timed ops: a name and the body instruction.
-fn ops() -> Vec<(&'static str, Instr)> {
+/// The timed ops: a name and the body instructions.
+fn ops() -> Vec<(&'static str, Vec<Instr>)> {
     let (h, s, b) = (FpFmt::H, FpFmt::S, FpFmt::B);
     let body = |name, build: &dyn Fn(&mut Assembler)| {
         let mut asm = Assembler::new();
         build(&mut asm);
-        (name, asm.assemble().expect("one instruction")[0])
+        (name, asm.assemble().expect("straight-line body"))
     };
     vec![
         body("addi", &|a| {
             a.addi(XReg::t(1), XReg::t(2), 3);
+        }),
+        body("addi x3", &|a| {
+            a.addi(XReg::t(1), XReg::t(2), 3);
+            a.addi(XReg::t(3), XReg::t(1), 5);
+            a.addi(XReg::t(4), XReg::t(3), -2);
+        }),
+        body("slli; add", &|a| {
+            a.slli(XReg::t(1), XReg::t(2), 2);
+            a.add(XReg::t(3), XReg::t(1), XReg::t(4));
         }),
         body("flh", &|a| {
             a.fload(h, f(1), XReg::a(1), 0);
@@ -67,6 +79,13 @@ fn ops() -> Vec<(&'static str, Instr)> {
         }),
         body("fcvt.s.h", &|a| {
             a.fcvt(s, h, f(1), f(4));
+        }),
+        // The lane-accumulate idiom: a binary16 value from an integer
+        // register widened into a binary32 sum.
+        body("fmv;fcvt;fadd", &|a| {
+            a.fmv_f(h, f(1), XReg::t(5));
+            a.fcvt(s, h, f(2), f(1));
+            a.fadd(s, f(11), f(11), f(2));
         }),
         body("vfmul.h", &|a| {
             a.vfmul(h, f(1), f(6), f(7));
@@ -95,10 +114,10 @@ fn ops() -> Vec<(&'static str, Instr)> {
     ]
 }
 
-/// The loop program around `op`: operands set up once (scalars NaN-boxed,
-/// packed lanes of small normal values), then `iters` iterations. Every
-/// result is a normal number on every iteration.
-fn program(op: Instr, iters: i32) -> Vec<Instr> {
+/// The loop program around `body`: operands set up once (scalars
+/// NaN-boxed, packed lanes of small normal values), then `iters`
+/// iterations. Every result is a normal number on every iteration.
+fn program(body: &[Instr], iters: i32) -> Vec<Instr> {
     let (t, cnt) = (XReg::t(0), XReg::a(0));
     let mut asm = Assembler::new();
     asm.li(XReg::a(1), DATA as i32);
@@ -120,10 +139,13 @@ fn program(op: Instr, iters: i32) -> Vec<Instr> {
         asm.li(t, bits as i32);
         asm.fmv_f(fmt, f(reg), t);
     }
+    asm.li(XReg::t(5), 0x3e00); // binary16 1.5, for `fmv.h.x`
     asm.li(cnt, iters);
     asm.label("loop");
     for _ in 0..COPIES {
-        asm.push(op);
+        for &op in body {
+            asm.push(op);
+        }
     }
     asm.addi(cnt, cnt, -1);
     asm.bnez("loop", cnt);
@@ -153,10 +175,10 @@ fn main() {
     let mut cpu = Cpu::new(SimConfig::default());
     let progs: Vec<Vec<Instr>> = ops
         .iter()
-        .map(|&(_, op)| {
-            let per_instr = time_once(&mut cpu, &program(op, WARMUP_ITERS), wall_s);
-            let per_iter = per_instr * (COPIES + 2) as f64;
-            program(op, (RUN_S / per_iter).ceil().min(i32::MAX as f64) as i32)
+        .map(|(_, body)| {
+            let per_instr = time_once(&mut cpu, &program(body, WARMUP_ITERS), wall_s);
+            let per_iter = per_instr * (COPIES * body.len() + 2) as f64;
+            program(body, (RUN_S / per_iter).ceil().min(i32::MAX as f64) as i32)
         })
         .collect();
     let mut best = vec![f64::INFINITY; ops.len()];

@@ -33,7 +33,12 @@
 # The basic-block micro-op cache is on by default; SMALLFLOAT_NOBLOCKS=1 forces
 # every Cpu::run onto the per-instruction path. Both tiers fetch through one
 # code window and run the same lowered op per instruction (its one semantic
-# definition), so the two-tier grid pins accounting and control only. The
+# definition), except where block lowering fuses adjacent ops into one
+# micro-op: the two-tier grid pins accounting and control, and the fused-op
+# differential (tests/fused_differential.rs: every pattern of the fusion table
+# on Cpu::run with blocks on against Cpu::step, register aliasing, a trap
+# inside a fused op, self-killing stores, every budget) pins each fused
+# handler's semantics against the unfused ops. The
 # semantic oracles (tests/programs.rs, tests/vector_semantics.rs: hand-computed
 # expectations on a step() loop and on run() with blocks off and on) run in
 # release next to the grid, the golden trace, the code-window invalidation
@@ -84,8 +89,8 @@ echo "==> isa/asm round-trip property suites (.ab mnemonics, vfsdotpex, alt-bank
 cargo test --release -q -p smallfloat-isa --test roundtrip
 cargo test --release -q -p smallfloat-asm
 
-echo "==> sim unit tests (block.rs, mem.rs under release overflow semantics) + two-tier differential grid (per-instruction vs blocks) + semantic oracles (programs, vector_semantics) + handler-level FP differential (host leaves vs ops::) + golden trace + code-window invalidation (release)"
-cargo test --release -q -p smallfloat-sim --lib --test blockpath_differential --test programs --test vector_semantics --test fp_leaf_differential --test golden_trace --test predecode
+echo "==> sim unit tests (block.rs, mem.rs under release overflow semantics) + two-tier differential grid (per-instruction vs blocks) + fused-op differential (fused micro-ops vs step) + semantic oracles (programs, vector_semantics) + handler-level FP differential (host leaves vs ops::) + golden trace + code-window invalidation (release)"
+cargo test --release -q -p smallfloat-sim --lib --test blockpath_differential --test fused_differential --test programs --test vector_semantics --test fp_leaf_differential --test golden_trace --test predecode
 
 echo "==> snapshot/restore + record-replay gates (release)"
 cargo test --release -q -p smallfloat-sim --test snapshot_roundtrip --test replay
