@@ -2,12 +2,12 @@
 //!
 //! The simulator's Xfvec instructions operate on packed 32-bit FP registers
 //! (2×16-bit or 4×8-bit lanes at `FLEN = 32`). These helpers take the packed
-//! register(s), run every lane through the fast path of [`crate::fast`]
-//! (binary8 lanes through the exhaustive tables of `crate::tables`, fetched
-//! **once** per vector op; 16-bit lanes through the monomorphized kernels of
-//! `crate::kernels`), share a single [`Env`], and return the packed result
-//! with all lanes' exception flags ORed into it — replacing the simulator's
-//! former per-lane `get_lane` → generic scalar op → `set_lane` loop.
+//! register(s), run every lane through the routing of [`crate::fast`]
+//! (binary8 add/sub/mul/div through the exhaustive tables of
+//! `crate::tables`, fetched **once** per vector op; other rounded lane ops
+//! through the host-FPU leaves at round-to-nearest-even and [`crate::ops`]
+//! otherwise), share a single [`Env`], and return the packed result with
+//! all lanes' exception flags ORed into it.
 //!
 //! Lane semantics mirror the scalar reference exactly (the differential and
 //! simulator test suites enforce this):
@@ -19,20 +19,21 @@
 //! * [`LaneCmp::Ne`] is quiet and true for unordered operands, and — like
 //!   the interpreter's reference loop — does not consult `feq` (and thus
 //!   raises no flag) when either operand is any NaN;
-//! * the widening dot-product helpers convert lanes to binary32 exactly as
-//!   the interpreter's scalar path does, discarding the conversion's flags,
-//!   then chain single-rounding binary32 FMAs lane 0 first (FPnew SDOTP
-//!   accumulation order). Under round-to-nearest-even the chain first runs
-//!   on the host FPU ([`crate::host`]'s `dotpex2`, `dotpex4` and `dot`
-//!   leaves), falling back to this integer chain when a step's result is
-//!   subnormal, overflows, is not finite or sits on the double-rounding
-//!   midpoint.
+//! * the widening dot-product helpers convert lanes to the accumulator
+//!   format exactly as the interpreter's scalar path does, discarding the
+//!   conversion's flags, then chain single-rounding FMAs lane 0 first
+//!   (FPnew SDOTP accumulation order). Under round-to-nearest-even the
+//!   chain runs on the host FPU ([`crate::host`]'s `dotpex2`, `dotpex4` and
+//!   `dot` leaves); when a step's result is subnormal, overflows, is not
+//!   finite or sits on the double-rounding midpoint, the whole chain reruns
+//!   one step at a time through [`fast::cvt_f_f`] and [`fast::fmadd`], so
+//!   only the steps no leaf can round reach [`crate::ops`].
 //!
 //! The widening dot products are re-exported from [`crate::ops`] next to
 //! the scalar entry points.
 
-use crate::env::{Env, Rounding};
-use crate::fast;
+use crate::env::Env;
+use crate::fast::{self, rne_or};
 use crate::format::Format;
 use crate::host;
 use crate::kernels as k;
@@ -115,38 +116,32 @@ fn pack8(l: [u64; 4]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// vfop: two 16-bit lanes (monomorphized) and four 8-bit lanes (tables)
+// vfop: two 16-bit lanes and four 8-bit lanes
 // ---------------------------------------------------------------------------
 
+/// One lane of `op` in `fmt` through [`crate::fast`]'s routing.
 #[inline(always)]
-fn lane_op_k<const E: u32, const M: u32>(op: LaneOp, a: u64, b: u64, d: u64, env: &mut Env) -> u64 {
+fn lane_op(fmt: Format, op: LaneOp, a: u64, b: u64, d: u64, env: &mut Env) -> u64 {
     match op {
-        LaneOp::Add => k::add::<E, M>(a, b, env),
-        LaneOp::Sub => k::sub::<E, M>(a, b, env),
-        LaneOp::Mul => k::mul::<E, M>(a, b, env),
-        LaneOp::Div => k::div::<E, M>(a, b, env),
-        LaneOp::Min => k::fmin::<E, M>(a, b, env),
-        LaneOp::Max => k::fmax::<E, M>(a, b, env),
-        LaneOp::Mac => k::fma::<E, M>(a, b, d, env),
-        LaneOp::Sgnj => k::fsgnj::<E, M>(a, b),
-        LaneOp::Sgnjn => k::fsgnjn::<E, M>(a, b),
-        LaneOp::Sgnjx => k::fsgnjx::<E, M>(a, b),
+        LaneOp::Add => fast::add(fmt, a, b, env),
+        LaneOp::Sub => fast::sub(fmt, a, b, env),
+        LaneOp::Mul => fast::mul(fmt, a, b, env),
+        LaneOp::Div => fast::div(fmt, a, b, env),
+        LaneOp::Min => fast::fmin(fmt, a, b, env),
+        LaneOp::Max => fast::fmax(fmt, a, b, env),
+        LaneOp::Mac => fast::fmadd(fmt, a, b, d, env),
+        LaneOp::Sgnj => fast::fsgnj(fmt, a, b),
+        LaneOp::Sgnjn => fast::fsgnjn(fmt, a, b),
+        LaneOp::Sgnjx => fast::fsgnjx(fmt, a, b),
     }
 }
 
 #[inline(always)]
-fn vfop2<const E: u32, const M: u32>(
-    op: LaneOp,
-    va: u32,
-    vb: u32,
-    vd: u32,
-    rep: bool,
-    env: &mut Env,
-) -> u32 {
+fn vfop2(fmt: Format, op: LaneOp, va: u32, vb: u32, vd: u32, rep: bool, env: &mut Env) -> u32 {
     let b0 = lo16(vb);
     let b1 = if rep { b0 } else { hi16(vb) };
-    let r0 = lane_op_k::<E, M>(op, lo16(va), b0, lo16(vd), env);
-    let r1 = lane_op_k::<E, M>(op, hi16(va), b1, hi16(vd), env);
+    let r0 = lane_op(fmt, op, lo16(va), b0, lo16(vd), env);
+    let r1 = lane_op(fmt, op, hi16(va), b1, hi16(vd), env);
     pack16(r0, r1)
 }
 
@@ -154,29 +149,29 @@ fn vfop2<const E: u32, const M: u32>(
 /// [`LaneOp::Mac`] (ignored otherwise).
 #[inline]
 pub fn vfop2_f16(op: LaneOp, va: u32, vb: u32, vd: u32, rep: bool, env: &mut Env) -> u32 {
-    vfop2::<5, 10>(op, va, vb, vd, rep, env)
+    vfop2(Format::BINARY16, op, va, vb, vd, rep, env)
 }
 
 /// `vfop` on two binary16alt lanes.
 #[inline]
 pub fn vfop2_f16alt(op: LaneOp, va: u32, vb: u32, vd: u32, rep: bool, env: &mut Env) -> u32 {
-    vfop2::<8, 7>(op, va, vb, vd, rep, env)
+    vfop2(Format::BINARY16ALT, op, va, vb, vd, rep, env)
 }
 
-/// One 8-bit lane through the monomorphized kernels of the format
-/// (`binary8` E5M2 or `binary8alt` E4M3).
+/// One 8-bit lane of `fmt` (`binary8` E5M2 or `binary8alt` E4M3), with
+/// the format a constant in each arm.
 #[inline(always)]
 fn lane_op_8(fmt: Format, op: LaneOp, a: u64, b: u64, d: u64, env: &mut Env) -> u64 {
     if fmt == Format::BINARY8ALT {
-        lane_op_k::<4, 3>(op, a, b, d, env)
+        lane_op(Format::BINARY8ALT, op, a, b, d, env)
     } else {
-        lane_op_k::<5, 2>(op, a, b, d, env)
+        lane_op(Format::BINARY8, op, a, b, d, env)
     }
 }
 
 /// `vfop` on four 8-bit lanes of `fmt` (`binary8` or `binary8alt`).
 /// Add/sub/mul/div fetch the exhaustive lookup table once and do four O(1)
-/// loads; the remaining ops use the monomorphized 8-bit kernels.
+/// loads; the remaining ops go lane by lane through [`crate::fast`].
 #[inline]
 pub fn vfop4_f8(
     fmt: Format,
@@ -291,19 +286,15 @@ pub fn vcmp4_f8(fmt: Format, op: LaneCmp, va: u32, vb: u32, rep: bool, env: &mut
 /// Square root of two binary16 lanes.
 #[inline]
 pub fn vsqrt2_f16(va: u32, env: &mut Env) -> u32 {
-    pack16(
-        k::sqrt::<5, 10>(lo16(va), env),
-        k::sqrt::<5, 10>(hi16(va), env),
-    )
+    let f = Format::BINARY16;
+    pack16(fast::sqrt(f, lo16(va), env), fast::sqrt(f, hi16(va), env))
 }
 
 /// Square root of two binary16alt lanes.
 #[inline]
 pub fn vsqrt2_f16alt(va: u32, env: &mut Env) -> u32 {
-    pack16(
-        k::sqrt::<8, 7>(lo16(va), env),
-        k::sqrt::<8, 7>(hi16(va), env),
-    )
+    let f = Format::BINARY16ALT;
+    pack16(fast::sqrt(f, lo16(va), env), fast::sqrt(f, hi16(va), env))
 }
 
 /// Square root of four 8-bit lanes of `fmt` (table-driven).
@@ -406,8 +397,25 @@ pub fn vcvt4_f8_x(fmt: Format, va: u32, signed: bool, env: &mut Env) -> u32 {
 // Widening dot-product accumulate (vfdotpex)
 // ---------------------------------------------------------------------------
 
+/// The dot-product chain off the host path: `src` lanes widened exactly to
+/// `dst` (flags discarded), then one fused multiply-add per lane pair into
+/// `acc`, lane 0 first, each step routed by [`crate::fast`].
+fn dot_chain(src: Format, dst: Format, acc: u64, a: &[u64], b: &[u64], env: &mut Env) -> u64 {
+    let rm = env.rm;
+    let up = |v: u64| fast::cvt_f_f(dst, src, v, &mut Env::new(rm));
+    a.iter()
+        .zip(b)
+        .fold(acc, |t, (&x, &y)| fast::fmadd(dst, up(x), up(y), t, env))
+}
+
+/// Lane `i` of `vb`, or lane 0 under `rep`.
+#[inline(always)]
+fn b_lane8(vb: u32, i: u32, rep: bool) -> u64 {
+    lane8(vb, if rep { 0 } else { i })
+}
+
 macro_rules! dotpex2 {
-    ($name:ident, $se:literal, $sm:literal, $doc:literal) => {
+    ($name:ident, $fmt:expr, $se:literal, $sm:literal, $doc:literal) => {
         #[doc = $doc]
         ///
         /// Accumulates both lane products into the binary32 accumulator,
@@ -416,38 +424,29 @@ macro_rules! dotpex2 {
         /// are discarded, matching the interpreter's scalar widening path.
         /// Under round-to-nearest-even the lanes widen straight to `f64`
         /// and the chain runs on the host FPU; if any step falls back, the
-        /// whole op reruns on the integer kernels.
+        /// whole op reruns step by step through [`crate::fast`].
         #[inline]
         pub fn $name(acc: u32, va: u32, vb: u32, rep: bool, env: &mut Env) -> u32 {
-            if env.rm == Rounding::Rne {
-                if let Some((r, flags)) = host::dotpex2::<$se, $sm>(acc, va, vb, rep) {
-                    env.flags.set(flags);
-                    return r;
-                }
-            }
-            let mut scratch = Env::new(env.rm);
-            let a0 = k::cvt::<$se, $sm, 8, 23>(lo16(va), &mut scratch);
-            let a1 = k::cvt::<$se, $sm, 8, 23>(hi16(va), &mut scratch);
-            let b0 = k::cvt::<$se, $sm, 8, 23>(lo16(vb), &mut scratch);
-            let b1 = if rep {
-                b0
-            } else {
-                k::cvt::<$se, $sm, 8, 23>(hi16(vb), &mut scratch)
-            };
-            let acc = k::fma::<8, 23>(a0, b0, acc as u64, env);
-            k::fma::<8, 23>(a1, b1, acc, env) as u32
+            let leaf = || host::dotpex2::<$se, $sm>(acc, va, vb, rep);
+            rne_or(env, leaf, |env| {
+                let b1 = if rep { lo16(vb) } else { hi16(vb) };
+                let (a, b) = ([lo16(va), hi16(va)], [lo16(vb), b1]);
+                dot_chain($fmt, Format::BINARY32, u64::from(acc), &a, &b, env) as u32
+            })
         }
     };
 }
 
 dotpex2!(
     vdotpex2_f16,
+    Format::BINARY16,
     5,
     10,
     "Widening dot-product accumulate of two binary16 lane pairs into a binary32 accumulator."
 );
 dotpex2!(
     vdotpex2_f16alt,
+    Format::BINARY16ALT,
     8,
     7,
     "Widening dot-product accumulate of two binary16alt lane pairs into a binary32 accumulator."
@@ -459,33 +458,20 @@ dotpex2!(
 /// host chain and its fallback are those of [`vdotpex2_f16`].
 #[inline]
 pub fn vdotpex4_f8(fmt: Format, acc: u32, va: u32, vb: u32, rep: bool, env: &mut Env) -> u32 {
-    if env.rm == Rounding::Rne {
-        let leaf = if fmt == Format::BINARY8 {
+    let leaf = || {
+        if fmt == Format::BINARY8 {
             host::dotpex4::<5, 2>(acc, va, vb, rep)
         } else if fmt == Format::BINARY8ALT {
             host::dotpex4::<4, 3>(acc, va, vb, rep)
         } else {
             None
-        };
-        if let Some((r, flags)) = leaf {
-            env.flags.set(flags);
-            return r;
         }
-    }
-    let mut scratch = Env::new(env.rm);
-    let wide = |i: u32, v: u32, scratch: &mut Env| -> u64 {
-        tables::cvt_widen(Format::BINARY32, fmt, lane8(v, i), scratch)
     };
-    let mut acc = acc as u64;
-    let b0 = wide(0, vb, &mut scratch);
-    let mut i = 0;
-    while i < 4 {
-        let a = wide(i, va, &mut scratch);
-        let b = if rep { b0 } else { wide(i, vb, &mut scratch) };
-        acc = k::fma::<8, 23>(a, b, acc, env);
-        i += 1;
-    }
-    acc as u32
+    rne_or(env, leaf, |env| {
+        let a = [0, 1, 2, 3].map(|i| lane8(va, i));
+        let b = [0, 1, 2, 3].map(|i| b_lane8(vb, i, rep));
+        dot_chain(fmt, Format::BINARY32, u64::from(acc), &a, &b, env) as u32
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -524,7 +510,7 @@ pub fn vsdotp2_f16alt(acc: u32, va: u32, vb: u32, rep: bool, env: &mut Env) -> u
 /// `rep` replicates `b` lane 0 across all products (the `.r` variant).
 /// Under round-to-nearest-even each destination lane's chain runs on the
 /// host FPU as in [`vdotpex2_f16`]; the two chains are independent, so
-/// each falls back to the integer kernels on its own.
+/// each falls back on its own.
 #[inline]
 pub fn vsdotp4_f8(
     fmt: Format,
@@ -535,35 +521,18 @@ pub fn vsdotp4_f8(
     rep: bool,
     env: &mut Env,
 ) -> u32 {
-    let bl = |i: u32| if rep { lane8(vb, 0) } else { lane8(vb, i) };
     let half = |lo: u32, acc16: u64, env: &mut Env| -> u64 {
-        if env.rm == Rounding::Rne {
-            let (a, b) = ([lane8(va, lo), lane8(va, lo + 1)], [bl(lo), bl(lo + 1)]);
-            let alt = (fmt == Format::BINARY8ALT, wide == Format::BINARY16ALT);
-            let leaf = match alt {
-                (false, false) => host::dot::<5, 2, 5, 10, 2>(acc16, a, b),
-                (false, true) => host::dot::<5, 2, 8, 7, 2>(acc16, a, b),
-                (true, false) => host::dot::<4, 3, 5, 10, 2>(acc16, a, b),
-                (true, true) => host::dot::<4, 3, 8, 7, 2>(acc16, a, b),
-            };
-            if let Some(r) = k::accrue(leaf, env) {
-                return r;
-            }
-        }
-        let mut scratch = Env::new(env.rm);
-        let mut w = |i: u32, v: u32| tables::cvt_widen(wide, fmt, lane8(v, i), &mut scratch);
-        let b0 = w(0, vb);
-        let a0 = w(lo, va);
-        let a1 = w(lo + 1, va);
-        let p0 = if rep { b0 } else { w(lo, vb) };
-        let p1 = if rep { b0 } else { w(lo + 1, vb) };
-        if wide == Format::BINARY16ALT {
-            let t = k::fma::<8, 7>(a0, p0, acc16, env);
-            k::fma::<8, 7>(a1, p1, t, env)
-        } else {
-            let t = k::fma::<5, 10>(a0, p0, acc16, env);
-            k::fma::<5, 10>(a1, p1, t, env)
-        }
+        let (a, b) = (
+            [lane8(va, lo), lane8(va, lo + 1)],
+            [b_lane8(vb, lo, rep), b_lane8(vb, lo + 1, rep)],
+        );
+        let leaf = || match (fmt == Format::BINARY8ALT, wide == Format::BINARY16ALT) {
+            (false, false) => host::dot::<5, 2, 5, 10, 2>(acc16, a, b),
+            (false, true) => host::dot::<5, 2, 8, 7, 2>(acc16, a, b),
+            (true, false) => host::dot::<4, 3, 5, 10, 2>(acc16, a, b),
+            (true, true) => host::dot::<4, 3, 8, 7, 2>(acc16, a, b),
+        };
+        rne_or(env, leaf, |env| dot_chain(fmt, wide, acc16, &a, &b, env))
     };
     let r0 = half(0, lo16(acc), env);
     let r1 = half(2, hi16(acc), env);
@@ -573,6 +542,7 @@ pub fn vsdotp4_f8(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::Rounding;
 
     fn env() -> Env {
         Env::new(Rounding::Rne)

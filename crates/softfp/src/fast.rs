@@ -1,188 +1,203 @@
 //! Fast-path dispatch for the concrete paper formats.
 //!
 //! Drop-in counterparts of the scalar entry points in [`crate::ops`], with
-//! the same signatures and bit-exact results/flags, that route each call to
-//! the cheapest implementation available for the given [`Format`]:
+//! the same signatures and bit-exact results/flags. Each rounded op takes
+//! the first of three routes that applies:
 //!
-//! 1. **binary8 / binary8alt** → the exhaustive lookup tables of
-//!    `crate::tables` for add/sub/mul/div/sqrt/classify and the widening
-//!    conversions (an O(1) load replaces the whole unpack/round pipeline);
-//! 2. **binary16 / binary16alt / binary32** (and the remaining 8-bit
-//!    ops, e.g. fused multiply-add) → the monomorphized `u64` kernels of
-//!    `crate::kernels`, where every format constant has been folded (and
-//!    which, under round-to-nearest-even, first try the host-FPU leaf of
-//!    [`crate::host`] for the op);
-//! 3. **anything else** (binary64, custom layouts) → the generic
-//!    runtime-`Format` reference in [`crate::ops`].
+//! 1. **binary8 / binary8alt** add, sub, mul, div, sqrt and the widening
+//!    conversions → the exhaustive lookup tables of `crate::tables`, in
+//!    every rounding mode (an O(1) load replaces the whole unpack/round
+//!    pipeline);
+//! 2. **round-to-nearest-even** → the host-FPU leaf of [`crate::host`] at
+//!    the format's layout, for all five concrete formats: add, sub, mul,
+//!    the fused multiply-adds, every conversion between them and out of
+//!    `f64`, and the expanding [`mulex`]/[`macex`] (whose fallback widens
+//!    its factors exactly through [`cvt_f_f`] before the binary32 `ops`
+//!    step);
+//! 3. **everything else** — the other rounding modes, every case a leaf
+//!    declines (`None`), div and sqrt above 8 bits, binary64 and custom
+//!    layouts → the generic reference in [`crate::ops`].
+//!
+//! The bit-level ops (comparisons, min/max, sign injection, `fclass`)
+//! round nothing: they run the monomorphized copies of `crate::kernels`
+//! (binary8 `fclass` has a table too).
 //!
 //! The dispatch is a short if-chain on `Format` equality; each arm is a
 //! static call, so the branch predictor sees one stable target per call
 //! site in format-homogeneous loops (the simulator's common case).
 //!
 //! Equivalence with the reference is enforced by the differential suites:
-//! exhaustively for binary8 (`tests/fastpath_b8_exhaustive.rs`) and for
-//! 16-bit unary ops, sampled with replayable seeds otherwise
-//! (`tests/fastpath_sampled.rs`); the host-`f64` bridges [`to_f64`] and
-//! [`from_f64`] by `tests/fastpath_f64_bridge.rs`; the expanding ops
-//! [`mulex`] and [`macex`] by `tests/dotp_differential.rs`.
+//! exhaustively for binary8 and binary8alt
+//! (`tests/fastpath_b8_exhaustive.rs`, `tests/fastpath_b8alt_exhaustive.rs`)
+//! and for 16-bit unary ops, sampled with replayable seeds otherwise
+//! (`tests/fastpath_sampled.rs`, `tests/fastpath_host_rne.rs`); the
+//! host-`f64` bridges [`to_f64`] and [`from_f64`] by
+//! `tests/fastpath_f64_bridge.rs`; the expanding ops [`mulex`] and
+//! [`macex`] by `tests/dotp_differential.rs`.
 
-use crate::env::Env;
+use crate::env::{Env, Flags, Rounding};
 use crate::format::Format;
 use crate::host;
 use crate::kernels as k;
 use crate::ops;
 use crate::tables;
 
-/// Dispatch a two-operand op: tables for the 8-bit formats, monomorphized
-/// kernels for the other concrete formats, generic reference otherwise.
-macro_rules! dispatch2 {
-    ($fmt:expr, $a:expr, $b:expr, $env:expr, $table:expr, $mono:ident, $generic:expr) => {{
-        let (fmt, a, b) = ($fmt, $a, $b);
-        if fmt == Format::BINARY8 || fmt == Format::BINARY8ALT {
-            $table(fmt, a, b, $env)
-        } else if fmt == Format::BINARY16 {
-            k::$mono::<5, 10>(a, b, $env)
+/// `leaf()`'s result, its flags accrued into `env`, when `env` rounds to
+/// nearest-even and the leaf gives one; `reference(env)` otherwise.
+#[inline(always)]
+pub(crate) fn rne_or<T>(
+    env: &mut Env,
+    leaf: impl FnOnce() -> Option<(T, Flags)>,
+    reference: impl FnOnce(&mut Env) -> T,
+) -> T {
+    if env.rm == Rounding::Rne {
+        if let Some((bits, flags)) = leaf() {
+            env.flags.set(flags);
+            return bits;
+        }
+    }
+    reference(env)
+}
+
+/// Call `host::$leaf` at the `<E, M>` layout of `$fmt`: `None` for a
+/// format other than the five concrete ones.
+macro_rules! leaf {
+    ($fmt:expr, $leaf:ident($($arg:expr),*)) => {{
+        let fmt = $fmt;
+        if fmt == Format::BINARY16 {
+            host::$leaf::<5, 10>($($arg),*)
         } else if fmt == Format::BINARY16ALT {
-            k::$mono::<8, 7>(a, b, $env)
+            host::$leaf::<8, 7>($($arg),*)
         } else if fmt == Format::BINARY32 {
-            k::$mono::<8, 23>(a, b, $env)
+            host::$leaf::<8, 23>($($arg),*)
+        } else if fmt == Format::BINARY8 {
+            host::$leaf::<5, 2>($($arg),*)
+        } else if fmt == Format::BINARY8ALT {
+            host::$leaf::<4, 3>($($arg),*)
         } else {
-            $generic(fmt, a, b, $env)
+            None
         }
     }};
 }
 
-/// Dispatch a two-operand op that has no 8-bit table (mono kernels cover
-/// the 8-bit formats too).
-macro_rules! dispatch2_mono {
-    ($fmt:expr, $a:expr, $b:expr, $env:expr, $mono:ident, $generic:expr) => {{
-        let (fmt, a, b) = ($fmt, $a, $b);
-        if fmt == Format::BINARY8 {
-            k::$mono::<5, 2>(a, b, $env)
-        } else if fmt == Format::BINARY8ALT {
-            k::$mono::<4, 3>(a, b, $env)
-        } else if fmt == Format::BINARY16 {
-            k::$mono::<5, 10>(a, b, $env)
-        } else if fmt == Format::BINARY16ALT {
-            k::$mono::<8, 7>(a, b, $env)
-        } else if fmt == Format::BINARY32 {
-            k::$mono::<8, 23>(a, b, $env)
+/// [`host::cvt`] from `$src` to `$dst`: `None` unless both are concrete
+/// formats. The `@to` form takes the source layout as literals.
+macro_rules! cvt_leaf {
+    ($dst:expr, $src:expr, $bits:expr) => {{
+        let src = $src;
+        if src == Format::BINARY16 {
+            cvt_leaf!(@to $dst, 5, 10, $bits)
+        } else if src == Format::BINARY16ALT {
+            cvt_leaf!(@to $dst, 8, 7, $bits)
+        } else if src == Format::BINARY32 {
+            cvt_leaf!(@to $dst, 8, 23, $bits)
+        } else if src == Format::BINARY8 {
+            cvt_leaf!(@to $dst, 5, 2, $bits)
+        } else if src == Format::BINARY8ALT {
+            cvt_leaf!(@to $dst, 4, 3, $bits)
         } else {
-            $generic(fmt, a, b, $env)
+            None
         }
     }};
+    (@to $dst:expr, $se:literal, $sm:literal, $bits:expr) => {{
+        let dst = $dst;
+        if dst == Format::BINARY16 {
+            host::cvt::<$se, $sm, 5, 10>($bits)
+        } else if dst == Format::BINARY16ALT {
+            host::cvt::<$se, $sm, 8, 7>($bits)
+        } else if dst == Format::BINARY32 {
+            host::cvt::<$se, $sm, 8, 23>($bits)
+        } else if dst == Format::BINARY8 {
+            host::cvt::<$se, $sm, 5, 2>($bits)
+        } else if dst == Format::BINARY8ALT {
+            host::cvt::<$se, $sm, 4, 3>($bits)
+        } else {
+            None
+        }
+    }};
+}
+
+/// True for the two formats with exhaustive tables.
+#[inline(always)]
+fn tabled(fmt: Format) -> bool {
+    fmt == Format::BINARY8 || fmt == Format::BINARY8ALT
 }
 
 /// Fast-path `a + b` (see [`ops::add`]).
 #[inline]
 pub fn add(fmt: Format, a: u64, b: u64, env: &mut Env) -> u64 {
-    dispatch2!(fmt, a, b, env, tables::add, add, ops::add)
+    if tabled(fmt) {
+        return tables::add(fmt, a, b, env);
+    }
+    rne_or(env, || leaf!(fmt, add(a, b)), |e| ops::add(fmt, a, b, e))
 }
 
 /// Fast-path `a - b` (see [`ops::sub`]).
 #[inline]
 pub fn sub(fmt: Format, a: u64, b: u64, env: &mut Env) -> u64 {
-    dispatch2!(fmt, a, b, env, tables::sub, sub, ops::sub)
+    if tabled(fmt) {
+        return tables::sub(fmt, a, b, env);
+    }
+    rne_or(env, || leaf!(fmt, sub(a, b)), |e| ops::sub(fmt, a, b, e))
 }
 
 /// Fast-path `a * b` (see [`ops::mul`]).
 #[inline]
 pub fn mul(fmt: Format, a: u64, b: u64, env: &mut Env) -> u64 {
-    dispatch2!(fmt, a, b, env, tables::mul, mul, ops::mul)
+    if tabled(fmt) {
+        return tables::mul(fmt, a, b, env);
+    }
+    rne_or(env, || leaf!(fmt, mul(a, b)), |e| ops::mul(fmt, a, b, e))
 }
 
 /// Fast-path `a / b` (see [`ops::div`]).
 #[inline]
 pub fn div(fmt: Format, a: u64, b: u64, env: &mut Env) -> u64 {
-    dispatch2!(fmt, a, b, env, tables::div, div, ops::div)
+    if tabled(fmt) {
+        tables::div(fmt, a, b, env)
+    } else {
+        ops::div(fmt, a, b, env)
+    }
 }
 
 /// Fast-path `sqrt(a)` (see [`ops::sqrt`]).
 #[inline]
 pub fn sqrt(fmt: Format, a: u64, env: &mut Env) -> u64 {
-    if fmt == Format::BINARY8 || fmt == Format::BINARY8ALT {
+    if tabled(fmt) {
         tables::sqrt(fmt, a, env)
-    } else if fmt == Format::BINARY16 {
-        k::sqrt::<5, 10>(a, env)
-    } else if fmt == Format::BINARY16ALT {
-        k::sqrt::<8, 7>(a, env)
-    } else if fmt == Format::BINARY32 {
-        k::sqrt::<8, 23>(a, env)
     } else {
         ops::sqrt(fmt, a, env)
     }
 }
 
-macro_rules! dispatch_fma {
-    ($fmt:expr, $a:expr, $b:expr, $c:expr, $env:expr) => {{
-        let (fmt, a, b, c) = ($fmt, $a, $b, $c);
-        if fmt == Format::BINARY8 {
-            Some(k::fma::<5, 2>(a, b, c, $env))
-        } else if fmt == Format::BINARY8ALT {
-            Some(k::fma::<4, 3>(a, b, c, $env))
-        } else if fmt == Format::BINARY16 {
-            Some(k::fma::<5, 10>(a, b, c, $env))
-        } else if fmt == Format::BINARY16ALT {
-            Some(k::fma::<8, 7>(a, b, c, $env))
-        } else if fmt == Format::BINARY32 {
-            Some(k::fma::<8, 23>(a, b, c, $env))
-        } else {
-            None
-        }
-    }};
-}
-
 /// Fast-path fused `a * b + c` (see [`ops::fmadd`]).
 #[inline]
 pub fn fmadd(fmt: Format, a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
-    dispatch_fma!(fmt, a, b, c, env).unwrap_or_else(|| ops::fmadd(fmt, a, b, c, env))
+    let leaf = || leaf!(fmt, fma(a, b, c));
+    rne_or(env, leaf, |e| ops::fmadd(fmt, a, b, c, e))
 }
 
 /// Fast-path fused `a * b - c` (see [`ops::fmsub`]).
 #[inline]
 pub fn fmsub(fmt: Format, a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
-    let nc = fmt.negate(c);
-    dispatch_fma!(fmt, a, b, nc, env).unwrap_or_else(|| ops::fmadd(fmt, a, b, nc, env))
+    fmadd(fmt, a, b, fmt.negate(c), env)
 }
 
 /// Fast-path fused `-(a * b) + c` (see [`ops::fnmsub`]).
 #[inline]
 pub fn fnmsub(fmt: Format, a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
-    let na = fmt.negate(a);
-    dispatch_fma!(fmt, na, b, c, env).unwrap_or_else(|| ops::fmadd(fmt, na, b, c, env))
+    fmadd(fmt, fmt.negate(a), b, c, env)
 }
 
 /// Fast-path fused `-(a * b) - c` (see [`ops::fnmadd`]).
 #[inline]
 pub fn fnmadd(fmt: Format, a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
-    let na = fmt.negate(a);
-    let nc = fmt.negate(c);
-    dispatch_fma!(fmt, na, b, nc, env).unwrap_or_else(|| ops::fmadd(fmt, na, b, nc, env))
-}
-
-/// Dispatch an expanding op on its source format: the monomorphized
-/// kernel into binary32 for the four narrow concrete formats, `None`
-/// otherwise.
-macro_rules! dispatch_ex {
-    ($src:expr, $kernel:ident, $($arg:expr),+) => {{
-        let src = $src;
-        if src == Format::BINARY16 {
-            Some(k::$kernel::<5, 10>($($arg),+))
-        } else if src == Format::BINARY16ALT {
-            Some(k::$kernel::<8, 7>($($arg),+))
-        } else if src == Format::BINARY8 {
-            Some(k::$kernel::<5, 2>($($arg),+))
-        } else if src == Format::BINARY8ALT {
-            Some(k::$kernel::<4, 3>($($arg),+))
-        } else {
-            None
-        }
-    }};
+    fmadd(fmt, fmt.negate(a), b, fmt.negate(c), env)
 }
 
 /// Exact widening of a `src` value to binary32, flags discarded.
 fn widen_s(src: Format, bits: u64, env: &Env) -> u64 {
-    ops::cvt_f_f(Format::BINARY32, src, bits, &mut Env::new(env.rm))
+    cvt_f_f(Format::BINARY32, src, bits, &mut Env::new(env.rm))
 }
 
 /// Fast-path expanding multiply (`fmulex.s.*`): `a * b` of two `src`
@@ -191,7 +206,8 @@ fn widen_s(src: Format, bits: u64, env: &Env) -> u64 {
 /// most NV on a signaling NaN) are discarded.
 #[inline]
 pub fn mulex(src: Format, a: u64, b: u64, env: &mut Env) -> u64 {
-    dispatch_ex!(src, mulex, a, b, env).unwrap_or_else(|| {
+    let leaf = || leaf!(src, mulex(a, b));
+    rne_or(env, leaf, |env| {
         let (a, b) = (widen_s(src, a, env), widen_s(src, b, env));
         ops::mul(Format::BINARY32, a, b, env)
     })
@@ -202,13 +218,16 @@ pub fn mulex(src: Format, a: u64, b: u64, env: &mut Env) -> u64 {
 /// [`ops::fmadd`] at binary32, factors widened as in [`mulex`]).
 #[inline]
 pub fn macex(src: Format, a: u64, b: u64, acc: u64, env: &mut Env) -> u64 {
-    dispatch_ex!(src, fmaex, a, b, acc, env).unwrap_or_else(|| {
+    let leaf = || leaf!(src, macex(a, b, acc));
+    rne_or(env, leaf, |env| {
         let (a, b) = (widen_s(src, a, env), widen_s(src, b, env));
         ops::fmadd(Format::BINARY32, a, b, acc, env)
     })
 }
 
-macro_rules! dispatch_cmp {
+/// Dispatch a bit-level op to its monomorphized copy in `crate::kernels`
+/// for the five concrete formats, the generic reference otherwise.
+macro_rules! dispatch_k {
     ($fmt:expr, $a:expr, $b:expr, $env:expr, $mono:ident, $generic:expr) => {{
         let (fmt, a, b) = ($fmt, $a, $b);
         if fmt == Format::BINARY8 {
@@ -230,31 +249,31 @@ macro_rules! dispatch_cmp {
 /// Fast-path quiet equality (see [`ops::feq`]).
 #[inline]
 pub fn feq(fmt: Format, a: u64, b: u64, env: &mut Env) -> bool {
-    dispatch_cmp!(fmt, a, b, env, feq, ops::feq)
+    dispatch_k!(fmt, a, b, env, feq, ops::feq)
 }
 
 /// Fast-path signaling less-than (see [`ops::flt`]).
 #[inline]
 pub fn flt(fmt: Format, a: u64, b: u64, env: &mut Env) -> bool {
-    dispatch_cmp!(fmt, a, b, env, flt, ops::flt)
+    dispatch_k!(fmt, a, b, env, flt, ops::flt)
 }
 
 /// Fast-path signaling less-or-equal (see [`ops::fle`]).
 #[inline]
 pub fn fle(fmt: Format, a: u64, b: u64, env: &mut Env) -> bool {
-    dispatch_cmp!(fmt, a, b, env, fle, ops::fle)
+    dispatch_k!(fmt, a, b, env, fle, ops::fle)
 }
 
 /// Fast-path `minNum` (see [`ops::fmin`]).
 #[inline]
 pub fn fmin(fmt: Format, a: u64, b: u64, env: &mut Env) -> u64 {
-    dispatch2_mono!(fmt, a, b, env, fmin, ops::fmin)
+    dispatch_k!(fmt, a, b, env, fmin, ops::fmin)
 }
 
 /// Fast-path `maxNum` (see [`ops::fmax`]).
 #[inline]
 pub fn fmax(fmt: Format, a: u64, b: u64, env: &mut Env) -> u64 {
-    dispatch2_mono!(fmt, a, b, env, fmax, ops::fmax)
+    dispatch_k!(fmt, a, b, env, fmax, ops::fmax)
 }
 
 macro_rules! dispatch_sgnj {
@@ -312,50 +331,18 @@ pub fn classify(fmt: Format, a: u64) -> u32 {
 
 /// Fast-path float-to-float conversion (see [`ops::cvt_f_f`]).
 ///
-/// Dispatches over the 5×5 grid of concrete (dst, src) pairs; widening out
-/// of the 8-bit formats goes through the exhaustive tables, every other
-/// concrete pair through a monomorphized kernel, and anything touching
-/// other layouts falls back to the generic reference.
+/// Widening out of the 8-bit formats reads the exhaustive tables; at
+/// round-to-nearest-even every other pair of concrete formats takes the
+/// host leaf; the rest goes to the generic reference.
 #[inline]
 pub fn cvt_f_f(dst: Format, src: Format, bits: u64, env: &mut Env) -> u64 {
-    macro_rules! to_dst {
-        ($se:literal, $sm:literal) => {
-            if dst == Format::BINARY8 {
-                k::cvt::<$se, $sm, 5, 2>(bits, env)
-            } else if dst == Format::BINARY8ALT {
-                k::cvt::<$se, $sm, 4, 3>(bits, env)
-            } else if dst == Format::BINARY16 {
-                k::cvt::<$se, $sm, 5, 10>(bits, env)
-            } else if dst == Format::BINARY16ALT {
-                k::cvt::<$se, $sm, 8, 7>(bits, env)
-            } else if dst == Format::BINARY32 {
-                k::cvt::<$se, $sm, 8, 23>(bits, env)
-            } else {
-                ops::cvt_f_f(dst, src, bits, env)
-            }
-        };
+    if tabled(src)
+        && (dst == Format::BINARY16 || dst == Format::BINARY16ALT || dst == Format::BINARY32)
+    {
+        return tables::cvt_widen(dst, src, bits, env);
     }
-    if src == Format::BINARY8 {
-        if dst == Format::BINARY16 || dst == Format::BINARY16ALT || dst == Format::BINARY32 {
-            tables::cvt_widen(dst, src, bits, env)
-        } else {
-            to_dst!(5, 2)
-        }
-    } else if src == Format::BINARY8ALT {
-        if dst == Format::BINARY16 || dst == Format::BINARY16ALT || dst == Format::BINARY32 {
-            tables::cvt_widen(dst, src, bits, env)
-        } else {
-            to_dst!(4, 3)
-        }
-    } else if src == Format::BINARY16 {
-        to_dst!(5, 10)
-    } else if src == Format::BINARY16ALT {
-        to_dst!(8, 7)
-    } else if src == Format::BINARY32 {
-        to_dst!(8, 23)
-    } else {
-        ops::cvt_f_f(dst, src, bits, env)
-    }
+    let leaf = || cvt_leaf!(dst, src, bits);
+    rne_or(env, leaf, |e| ops::cvt_f_f(dst, src, bits, e))
 }
 
 /// Fast-path exact widening to host `f64` (see [`ops::to_f64`]). Bits
@@ -379,24 +366,12 @@ pub fn to_f64(fmt: Format, bits: u64) -> f64 {
 }
 
 /// Fast-path rounding of a host `f64` into `fmt` per `env.rm`, raising
-/// flags (see [`ops::from_f64`]): the monomorphized binary64-source
-/// conversion kernel for the concrete formats.
+/// flags (see [`ops::from_f64`]): at round-to-nearest-even the host leaf
+/// from binary64 for the concrete formats.
 #[inline]
 pub fn from_f64(fmt: Format, v: f64, env: &mut Env) -> u64 {
-    let bits = v.to_bits();
-    if fmt == Format::BINARY8 {
-        k::cvt::<11, 52, 5, 2>(bits, env)
-    } else if fmt == Format::BINARY8ALT {
-        k::cvt::<11, 52, 4, 3>(bits, env)
-    } else if fmt == Format::BINARY16 {
-        k::cvt::<11, 52, 5, 10>(bits, env)
-    } else if fmt == Format::BINARY16ALT {
-        k::cvt::<11, 52, 8, 7>(bits, env)
-    } else if fmt == Format::BINARY32 {
-        k::cvt::<11, 52, 8, 23>(bits, env)
-    } else {
-        ops::from_f64(fmt, v, env)
-    }
+    let leaf = || cvt_leaf!(@to fmt, 11, 52, v.to_bits());
+    rne_or(env, leaf, |e| ops::from_f64(fmt, v, e))
 }
 
 #[cfg(test)]

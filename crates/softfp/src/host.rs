@@ -3,15 +3,17 @@
 //! Each leaf computes one operation on the host FPU for the concrete
 //! formats, const-generic over their `<E, M>` layouts, and returns the
 //! result bits with the flags it raised, or `None` whenever it cannot give
-//! the exact answer (the caller then runs the integer kernels). A leaf
-//! takes and returns plain values: no [`crate::Env`], no format dispatch,
-//! nothing written through memory. They implement round-to-nearest-even
-//! only; the caller checks the rounding mode.
+//! the exact answer (the caller then runs the integer reference,
+//! [`crate::ops`]). A leaf takes and returns plain values: no
+//! [`crate::Env`], no format dispatch, nothing written through memory.
+//! They implement round-to-nearest-even only; the caller checks the
+//! rounding mode.
 //!
-//! The monomorphized kernels (and so [`crate::fast`], the batch
-//! lane helpers, the typed interpreter and the quantizer) take their
-//! round-to-nearest path through these leaves, and the simulator's FP
-//! handlers call them directly, so the host path has one definition.
+//! [`crate::fast`] (and so the batch lane helpers, the typed interpreter
+//! and the quantizer) takes its round-to-nearest path through these
+//! leaves for every op the binary8 tables do not serve, and the
+//! simulator's FP handlers call them directly, so the host path has one
+//! definition.
 //!
 //! # Exactness
 //!
@@ -395,4 +397,370 @@ pub fn vfop2<const E: u32, const M: u32>(
     let (lo, f0) = lane_op::<E, M>(op, va, vb, vd)?;
     let (hi, f1) = lane_op::<E, M>(op, va >> 16, b1, vd >> 16)?;
     Some((lo as u32 | ((hi as u32) << 16), f0 | f1))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::env::{Env, Rounding};
+    use crate::fast;
+    use crate::format::Format;
+    use crate::ops;
+    use smallfloat_devtools::Rng;
+
+    fn env() -> Env {
+        Env::new(Rounding::Rne)
+    }
+
+    /// The sign bit of an `<E, M>` encoding.
+    fn sign_bit<const E: u32, const M: u32>() -> u64 {
+        1 << (E + M)
+    }
+
+    /// The exponent bias of an `<E, M>` layout.
+    fn bias<const E: u32>() -> i32 {
+        (1 << (E - 1)) - 1
+    }
+
+    /// A random `<E, M>` encoding within ±`span` binades of 1.
+    fn window_in<const E: u32, const M: u32>(rng: &mut Rng, span: i32) -> u64 {
+        let exp = (bias::<E>() + rng.range_i32(-span, span + 1)) as u64;
+        let sign = u64::from(rng.bool());
+        (sign << (E + M)) | (exp << M) | (rng.u64() & ((1 << M) - 1))
+    }
+
+    /// A random `<E, M>` encoding within ±4 binades of 1.
+    fn window<const E: u32, const M: u32>(rng: &mut Rng) -> u64 {
+        window_in::<E, M>(rng, 4)
+    }
+
+    type Leaf = Option<(u64, Flags)>;
+
+    /// A packed-register leaf's result as a [`Leaf`].
+    fn packed(leaf: Option<(u32, Flags)>) -> Leaf {
+        leaf.map(|(bits, flags)| (u64::from(bits), flags))
+    }
+
+    /// Count `leaf` in `taken` if it gave a result, and require that
+    /// result, flags included, to match `reference` on a fresh RNE `Env`.
+    fn tally(taken: &mut u32, what: &str, leaf: Leaf, reference: &dyn Fn(&mut Env) -> u64) {
+        if let Some((bits, flags)) = leaf {
+            *taken += 1;
+            let mut e = env();
+            let want = reference(&mut e);
+            assert_eq!((bits, flags), (want, e.flags), "{what}");
+        }
+    }
+
+    /// At least 90 % of `n` narrow-window cases took the host path: a
+    /// leaf that always fell back would still pass every differential
+    /// suite, but it would be slow.
+    fn mostly_taken(what: &str, taken: u32, n: u32) {
+        assert!(
+            taken * 10 >= n * 9,
+            "{what}: host path taken {taken} of {n} times"
+        );
+    }
+
+    /// Operands with exponents within ±4 binades of 1: under RNE almost
+    /// every add, sub, mul, fma and conversion (from binary64 and between
+    /// every pair of concrete formats) has a normal, nonzero result, so
+    /// every scalar leaf must take at least 90 % of them, and every result
+    /// it gives must match the reference, flags included. Exact zero
+    /// results must take it every time.
+    #[test]
+    fn host_path_takes_most_narrow_window_rne_cases() {
+        type Reference<'a> = &'a dyn Fn(&mut Env) -> u64;
+        const N: u32 = 4096;
+        fn check<const E: u32, const M: u32>(fmt: Format) {
+            let mut rng = Rng::new(0x0f57_9a7e ^ u64::from(M));
+            let names = ["add", "sub", "mul", "fma", "from_f64"];
+            let mut taken = [0u32; 5];
+            for _ in 0..N {
+                let (a, b, c) = (
+                    window::<E, M>(&mut rng),
+                    window::<E, M>(&mut rng),
+                    window::<E, M>(&mut rng),
+                );
+                let wide = widen::<E, M>(a) * 2f64.powi(rng.range_i32(-8, 8));
+                let cases: [(Leaf, Reference); 5] = [
+                    (add::<E, M>(a, b), &|e| ops::add(fmt, a, b, e)),
+                    (sub::<E, M>(a, b), &|e| ops::sub(fmt, a, b, e)),
+                    (mul::<E, M>(a, b), &|e| ops::mul(fmt, a, b, e)),
+                    (fma::<E, M>(a, b, c), &|e| ops::fmadd(fmt, a, b, c, e)),
+                    (cvt::<11, 52, E, M>(wide.to_bits()), &|e| {
+                        ops::from_f64(fmt, wide, e)
+                    }),
+                ];
+                for (i, (leaf, reference)) in cases.into_iter().enumerate() {
+                    let what = format!("{} {}", fmt.name(), names[i]);
+                    tally(&mut taken[i], &what, leaf, reference);
+                }
+            }
+            for (op, t) in names.iter().zip(taken) {
+                mostly_taken(&format!("{} {op}", fmt.name()), t, N);
+            }
+            // Exact zeros, with IEEE 754's signs and no flag.
+            let zero = |op: &str, got: Leaf, reference: Reference| {
+                let mut e = env();
+                let want = reference(&mut e);
+                assert_eq!(
+                    want & !sign_bit::<E, M>(),
+                    0,
+                    "{} {op} is not zero",
+                    fmt.name()
+                );
+                assert_eq!(got, Some((want, e.flags)), "{} {op}", fmt.name());
+            };
+            let (pz, nz, one) = (0, sign_bit::<E, M>(), (bias::<E>() as u64) << M);
+            for _ in 0..64 {
+                let x = window::<E, M>(&mut rng);
+                let nx = x ^ sign_bit::<E, M>();
+                zero("x + (-x)", add::<E, M>(x, nx), &|e| ops::add(fmt, x, nx, e));
+                zero("x - x", sub::<E, M>(x, x), &|e| ops::sub(fmt, x, x, e));
+                zero("x * 1 - x", fma::<E, M>(x, one, nx), &|e| {
+                    ops::fmadd(fmt, x, one, nx, e)
+                });
+                for a in [pz, nz] {
+                    zero("0 * x", mul::<E, M>(a, x), &|e| ops::mul(fmt, a, x, e));
+                    zero("x * 0", mul::<E, M>(nx, a), &|e| ops::mul(fmt, nx, a, e));
+                    for b in [pz, nz] {
+                        zero("(±0) + (±0)", add::<E, M>(a, b), &|e| {
+                            ops::add(fmt, a, b, e)
+                        });
+                        zero("fma(±0, x, ±0)", fma::<E, M>(a, x, b), &|e| {
+                            ops::fmadd(fmt, a, x, b, e)
+                        });
+                    }
+                }
+            }
+        }
+        check::<8, 23>(Format::BINARY32);
+        check::<5, 10>(Format::BINARY16);
+        check::<8, 7>(Format::BINARY16ALT);
+
+        /// binary8 and binary8alt fma, which [`crate::fast`] sends to the
+        /// leaf at round-to-nearest-even (their add and mul have tables).
+        /// Operands within ±2 binades of 1 keep the products normal in
+        /// E4M3's range (2^-6 to 240).
+        fn fma8<const E: u32, const M: u32>(fmt: Format) {
+            let mut rng = Rng::new(0xf3a8 ^ u64::from(M));
+            let what = format!("{} fma", fmt.name());
+            let mut taken = 0;
+            for _ in 0..N {
+                let [a, b, c] = [(); 3].map(|_| window_in::<E, M>(&mut rng, 2));
+                tally(&mut taken, &what, fma::<E, M>(a, b, c), &|e| {
+                    ops::fmadd(fmt, a, b, c, e)
+                });
+            }
+            mostly_taken(&what, taken, N);
+        }
+        fma8::<5, 2>(Format::BINARY8);
+        fma8::<4, 3>(Format::BINARY8ALT);
+
+        fn pair<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
+            src: Format,
+            dst: Format,
+        ) {
+            let mut rng = Rng::new(0xc0_4e47 ^ u64::from(SM << 8 | DM));
+            let what = format!("cvt {} -> {}", src.name(), dst.name());
+            let mut taken = 0;
+            for _ in 0..N {
+                let x = window::<SE, SM>(&mut rng);
+                tally(&mut taken, &what, cvt::<SE, SM, DE, DM>(x), &|e| {
+                    ops::cvt_f_f(dst, src, x, e)
+                });
+            }
+            mostly_taken(&what, taken, N);
+        }
+        fn from<const SE: u32, const SM: u32>(src: Format) {
+            pair::<SE, SM, 8, 23>(src, Format::BINARY32);
+            pair::<SE, SM, 5, 10>(src, Format::BINARY16);
+            pair::<SE, SM, 8, 7>(src, Format::BINARY16ALT);
+            pair::<SE, SM, 5, 2>(src, Format::BINARY8);
+            pair::<SE, SM, 4, 3>(src, Format::BINARY8ALT);
+        }
+        from::<8, 23>(Format::BINARY32);
+        from::<5, 10>(Format::BINARY16);
+        from::<8, 7>(Format::BINARY16ALT);
+        from::<5, 2>(Format::BINARY8);
+        from::<4, 3>(Format::BINARY8ALT);
+    }
+
+    /// The generic chain the expanding leaves must match: `src` lanes
+    /// widened to `dst`, then one `fmadd` per lane pair, lane 0 first.
+    fn dot_reference(src: Format, dst: Format, acc: u64, a: &[u64], b: &[u64], e: &mut Env) -> u64 {
+        let up = |v: u64| ops::cvt_f_f(dst, src, v, &mut env());
+        a.iter()
+            .zip(b)
+            .fold(acc, |t, (&x, &y)| ops::fmadd(dst, up(x), up(y), t, e))
+    }
+
+    /// Every expanding and packed leaf on narrow-window lanes: `dot`
+    /// chains (16-bit lanes into binary32, 8-bit lanes into binary16 and
+    /// binary16alt), `mulex`/`macex`, and the packed-register leaves the
+    /// simulator's vector handlers call (`dotpex2`, `dotpex4`, `sdotp4`,
+    /// `vfop2`) each take the host path at least 90 % of the time and
+    /// match the generic widen-then-fma chain (or per-lane reference)
+    /// when they do.
+    #[test]
+    fn host_dot_takes_most_narrow_window_chains() {
+        const N: u32 = 4096;
+        fn chain<const SE: u32, const SM: u32, const DE: u32, const DM: u32>(
+            src: Format,
+            dst: Format,
+        ) {
+            let mut rng = Rng::new(0xd07 ^ u64::from(SM << 8 | DM));
+            let name = |op: &str| format!("{op} {} -> {}", src.name(), dst.name());
+            let mut taken = [0u32; 3];
+            for _ in 0..N {
+                let (a0, b0) = (window::<SE, SM>(&mut rng), window::<SE, SM>(&mut rng));
+                let (a1, b1) = (window::<SE, SM>(&mut rng), window::<SE, SM>(&mut rng));
+                let acc = window::<DE, DM>(&mut rng);
+                tally(
+                    &mut taken[0],
+                    &name("dot"),
+                    dot::<SE, SM, DE, DM, 2>(acc, [a0, a1], [b0, b1]),
+                    &|e| dot_reference(src, dst, acc, &[a0, a1], &[b0, b1], e),
+                );
+                if dst == Format::BINARY32 {
+                    tally(
+                        &mut taken[1],
+                        &name("mulex"),
+                        mulex::<SE, SM>(a0, b0),
+                        &|e| {
+                            let up = |v: u64| ops::cvt_f_f(dst, src, v, &mut env());
+                            ops::mul(dst, up(a0), up(b0), e)
+                        },
+                    );
+                    tally(
+                        &mut taken[2],
+                        &name("macex"),
+                        macex::<SE, SM>(a0, b0, acc),
+                        &|e| dot_reference(src, dst, acc, &[a0], &[b0], e),
+                    );
+                }
+            }
+            let ops = if dst == Format::BINARY32 { 3 } else { 1 };
+            for (op, t) in ["dot", "mulex", "macex"].iter().zip(taken).take(ops) {
+                mostly_taken(&name(op), t, N);
+            }
+        }
+        chain::<5, 10, 8, 23>(Format::BINARY16, Format::BINARY32);
+        chain::<8, 7, 8, 23>(Format::BINARY16ALT, Format::BINARY32);
+        chain::<5, 2, 8, 23>(Format::BINARY8, Format::BINARY32);
+        chain::<4, 3, 8, 23>(Format::BINARY8ALT, Format::BINARY32);
+        chain::<5, 2, 5, 10>(Format::BINARY8, Format::BINARY16);
+        chain::<4, 3, 5, 10>(Format::BINARY8ALT, Format::BINARY16);
+        chain::<5, 2, 8, 7>(Format::BINARY8, Format::BINARY16ALT);
+        chain::<4, 3, 8, 7>(Format::BINARY8ALT, Format::BINARY16ALT);
+
+        /// Two 16-bit lanes: `dotpex2` and `vfop2` for every rounded op.
+        fn lanes16<const E: u32, const M: u32>(fmt: Format) {
+            let mut rng = Rng::new(0x16_1a4e ^ u64::from(M));
+            let ops_ = [LaneOp::Add, LaneOp::Sub, LaneOp::Mul, LaneOp::Mac];
+            let mut taken = [0u32; 5];
+            for _ in 0..N {
+                let mut lanes = || [window::<E, M>(&mut rng), window::<E, M>(&mut rng)];
+                let (a, b, d) = (lanes(), lanes(), lanes());
+                let pack = |l: [u64; 2]| (l[0] | l[1] << 16) as u32;
+                let rep = rng.bool();
+                let bl = if rep { [b[0], b[0]] } else { b };
+                let acc = window::<8, 23>(&mut rng);
+                tally(
+                    &mut taken[0],
+                    &format!("dotpex2 {}", fmt.name()),
+                    packed(dotpex2::<E, M>(acc as u32, pack(a), pack(b), rep)),
+                    &|e| dot_reference(fmt, Format::BINARY32, acc, &a, &bl, e),
+                );
+                for (i, op) in ops_.into_iter().enumerate() {
+                    let lane = |i: usize, e: &mut Env| match op {
+                        LaneOp::Add => ops::add(fmt, a[i], bl[i], e),
+                        LaneOp::Sub => ops::sub(fmt, a[i], bl[i], e),
+                        LaneOp::Mul => ops::mul(fmt, a[i], bl[i], e),
+                        _ => ops::fmadd(fmt, a[i], bl[i], d[i], e),
+                    };
+                    tally(
+                        &mut taken[1 + i],
+                        &format!("vfop2 {op:?} {}", fmt.name()),
+                        packed(vfop2::<E, M>(op, pack(a), pack(b), pack(d), rep)),
+                        &|e| lane(0, e) | lane(1, e) << 16,
+                    );
+                }
+            }
+            for (i, t) in taken.into_iter().enumerate() {
+                mostly_taken(&format!("{} leaf {i}", fmt.name()), t, N);
+            }
+        }
+        lanes16::<5, 10>(Format::BINARY16);
+        lanes16::<8, 7>(Format::BINARY16ALT);
+
+        /// Four 8-bit lanes: `dotpex4` into binary32 and `sdotp4` into
+        /// binary16 and binary16alt.
+        fn lanes8<const E: u32, const M: u32>(fmt: Format) {
+            let mut rng = Rng::new(0x8_1a4e ^ u64::from(M));
+            let mut taken = [0u32; 3];
+            for _ in 0..N {
+                let mut lanes = || [(); 4].map(|_| window::<E, M>(&mut rng));
+                let (a, b) = (lanes(), lanes());
+                let pack = |l: [u64; 4]| (l[0] | l[1] << 8 | l[2] << 16 | l[3] << 24) as u32;
+                let rep = rng.bool();
+                let bl = if rep { [b[0]; 4] } else { b };
+                let acc = window::<8, 23>(&mut rng);
+                tally(
+                    &mut taken[0],
+                    &format!("dotpex4 {}", fmt.name()),
+                    packed(dotpex4::<E, M>(acc as u32, pack(a), pack(b), rep)),
+                    &|e| dot_reference(fmt, Format::BINARY32, acc, &a, &bl, e),
+                );
+                let halves = |dst: Format, acc: [u64; 2], e: &mut Env| {
+                    let lo = dot_reference(fmt, dst, acc[0], &a[..2], &bl[..2], e);
+                    lo | dot_reference(fmt, dst, acc[1], &a[2..], &bl[2..], e) << 16
+                };
+                let acc16 = [window::<5, 10>(&mut rng), window::<5, 10>(&mut rng)];
+                tally(
+                    &mut taken[1],
+                    &format!("sdotp4 {} -> b16", fmt.name()),
+                    packed(sdotp4::<E, M, 5, 10>(
+                        (acc16[0] | acc16[1] << 16) as u32,
+                        pack(a),
+                        pack(b),
+                        rep,
+                    )),
+                    &|e| halves(Format::BINARY16, acc16, e),
+                );
+                let acc16 = [window::<8, 7>(&mut rng), window::<8, 7>(&mut rng)];
+                tally(
+                    &mut taken[2],
+                    &format!("sdotp4 {} -> b16alt", fmt.name()),
+                    packed(sdotp4::<E, M, 8, 7>(
+                        (acc16[0] | acc16[1] << 16) as u32,
+                        pack(a),
+                        pack(b),
+                        rep,
+                    )),
+                    &|e| halves(Format::BINARY16ALT, acc16, e),
+                );
+            }
+            for (i, t) in taken.into_iter().enumerate() {
+                mostly_taken(&format!("{} leaf {i}", fmt.name()), t, N);
+            }
+        }
+        lanes8::<5, 2>(Format::BINARY8);
+        lanes8::<4, 3>(Format::BINARY8ALT);
+    }
+
+    #[test]
+    fn cvt_widen_narrow_round_trip() {
+        let mut e = env();
+        for bits in [0u64, 0x3c00, 0x7bff, 0x0001, 0xfbff] {
+            let wide = fast::cvt_f_f(Format::BINARY32, Format::BINARY16, bits, &mut e);
+            assert_eq!(
+                wide,
+                ops::cvt_f_f(Format::BINARY32, Format::BINARY16, bits, &mut env())
+            );
+            let back = fast::cvt_f_f(Format::BINARY16, Format::BINARY32, wide, &mut e);
+            assert_eq!(back, bits);
+        }
+    }
 }

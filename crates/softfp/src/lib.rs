@@ -45,13 +45,13 @@
 //! ```
 //!
 //! The entry points in [`ops`] are the *reference* implementation, generic
-//! over arbitrary layouts. [`fast`] provides bit- and flag-identical
-//! fast-path counterparts for the concrete paper formats (exhaustive
-//! binary8 lookup tables plus monomorphized `u64` kernels), and [`batch`]
-//! builds whole-register SIMD lane helpers on top of them for the
-//! simulator's packed vector unit. [`host`] holds the round-to-nearest-even
-//! host-FPU leaves that the kernels try first and that the simulator's FP
-//! handlers call directly.
+//! over arbitrary layouts, and the crate's only integer implementation of
+//! rounded arithmetic. [`fast`] provides bit- and flag-identical
+//! counterparts for the concrete paper formats: exhaustive binary8 lookup
+//! tables, the round-to-nearest-even host-FPU leaves of [`host`] (which the
+//! simulator's FP handlers also call directly), and [`ops`] for every case
+//! those two leave. [`batch`] builds whole-register SIMD lane helpers on
+//! top of them for the simulator's packed vector unit.
 
 mod env;
 mod format;

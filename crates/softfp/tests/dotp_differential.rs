@@ -5,8 +5,10 @@
 //! `fast::macex` (`fmulex.s.*` / `fmacex.s.*`).
 //!
 //! Under round-to-nearest-even these widen their lanes straight to `f64`
-//! and chain the accumulate steps on the host FPU, falling back to the
-//! integer kernels when a step leaves the host path. The reference here
+//! and chain the accumulate steps on the host FPU; when a step leaves the
+//! host path, and in every other rounding mode, they rerun the chain one
+//! step at a time through `fast::` (`ops` wherever no leaf applies). The
+//! reference here
 //! rebuilds the architectural semantics from the generic runtime-`Format`
 //! ops alone: widen each lane to the accumulator format with
 //! `ops::cvt_f_f` (exact, flags discarded into a scratch env, as the

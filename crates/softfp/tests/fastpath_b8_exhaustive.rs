@@ -1,7 +1,8 @@
 //! Exhaustive binary8 differential suite: fast path vs generic reference.
 //!
-//! `binary8` has 256 encodings, so the fast path (exhaustive tables +
-//! monomorphized `<5, 2>` kernels behind [`smallfloat_softfp::fast`]) can be
+//! `binary8` has 256 encodings, so the fast path (exhaustive tables, the
+//! `<5, 2>` host-FPU leaves at round-to-nearest-even and the bit-level
+//! kernels behind [`smallfloat_softfp::fast`]) can be
 //! proven bit- and flag-identical to the generic runtime-`Format` reference
 //! in [`smallfloat_softfp::ops`] by enumeration rather than sampling:
 //!
@@ -101,9 +102,10 @@ fn b8_fma_all_pairs_class_covering_addends() {
 }
 
 /// Release builds sweep the *entire* `256^3 x 5` fma input space (~84M
-/// triples): the fixed-point binary8 fma is proven equal to the generic
-/// reference by total enumeration, not sampling. Debug builds rely on the
-/// class-covering addend sweep above.
+/// triples): the binary8 fma (the `host::fma::<5, 2>` leaf at
+/// round-to-nearest-even, `ops` where it declines and in the other modes)
+/// is proven equal to the generic reference by total enumeration, not
+/// sampling. Debug builds rely on the class-covering addend sweep above.
 #[cfg(not(debug_assertions))]
 #[test]
 fn b8_fma_full_cube_all_rounding_modes() {
@@ -128,7 +130,7 @@ fn b8_fma_full_cube_all_rounding_modes() {
 
 #[test]
 fn b8_negated_fma_variants_all_pairs() {
-    // The negated variants share the fmadd kernel after operand sign flips;
+    // The negated variants share the fmadd path after operand sign flips;
     // a single rounding mode over all pairs (with the addend sweep folded to
     // the rounding-interesting subset) exercises every flip combination.
     type Fma = (
@@ -218,8 +220,8 @@ fn b8_comparisons_minmax_sgnj_all_pairs() {
 
 #[test]
 fn b8_conversions_all_encodings() {
-    // Widening (table-driven) and identity (kernel) conversions out of
-    // binary8, plus narrowing back in (kernel) — all encodings, all modes.
+    // Widening (table-driven) and identity (host leaf or `ops`) conversions
+    // out of binary8, plus narrowing back in — all encodings, all modes.
     let dsts = [
         Format::BINARY8,
         Format::BINARY16,

@@ -1,8 +1,9 @@
 //! Exhaustive binary8alt (FP8 E4M3) differential suite: fast path vs
 //! generic reference.
 //!
-//! `binary8alt` has 256 encodings, so the fast path (exhaustive tables +
-//! monomorphized `<4, 3>` kernels behind [`smallfloat_softfp::fast`]) can be
+//! `binary8alt` has 256 encodings, so the fast path (exhaustive tables, the
+//! `<4, 3>` host-FPU leaves at round-to-nearest-even and the bit-level
+//! kernels behind [`smallfloat_softfp::fast`]) can be
 //! proven bit- and flag-identical to the generic runtime-`Format` reference
 //! in [`smallfloat_softfp::ops`] by enumeration rather than sampling,
 //! mirroring the binary8 (E5M2) suite:
@@ -103,9 +104,10 @@ fn b8alt_fma_all_pairs_class_covering_addends() {
 }
 
 /// Release builds sweep the *entire* `256^3 x 5` fma input space (~84M
-/// triples): the fixed-point binary8alt fma is proven equal to the generic
-/// reference by total enumeration, not sampling. Debug builds rely on the
-/// class-covering addend sweep above.
+/// triples): the binary8alt fma (the `host::fma::<4, 3>` leaf at
+/// round-to-nearest-even, `ops` where it declines and in the other modes)
+/// is proven equal to the generic reference by total enumeration, not
+/// sampling. Debug builds rely on the class-covering addend sweep above.
 #[cfg(not(debug_assertions))]
 #[test]
 fn b8alt_fma_full_cube_all_rounding_modes() {
@@ -130,7 +132,7 @@ fn b8alt_fma_full_cube_all_rounding_modes() {
 
 #[test]
 fn b8alt_negated_fma_variants_all_pairs() {
-    // The negated variants share the fmadd kernel after operand sign flips;
+    // The negated variants share the fmadd path after operand sign flips;
     // a single rounding mode over all pairs (with the addend sweep folded to
     // the rounding-interesting subset) exercises every flip combination.
     type Fma = (

@@ -1,5 +1,5 @@
-//! Differential suite for the host-FPU round-to-nearest path of the
-//! binary32, binary16 and binary16alt kernels (add/sub/mul/fma and the
+//! Differential suite for the host-FPU round-to-nearest path of
+//! binary32, binary16 and binary16alt (add/sub/mul/fma and the
 //! float-to-float conversions): `fast::*` against the generic `ops::*`
 //! reference, results and flags. The expanding ops, which share the
 //! path, have their own suite (`dotp_differential.rs`).

@@ -1,5 +1,9 @@
-//! Sampled differential suite: monomorphized kernels vs generic reference
-//! for binary16, binary16alt and binary32.
+//! Sampled differential suite: the fast path (`fast::*`) vs the generic
+//! reference for binary16, binary16alt and binary32.
+//!
+//! At round-to-nearest-even the fast path runs the host-FPU leaves and
+//! falls back to `ops` where a leaf declines; the other rounding modes run
+//! `ops` itself, so those cases pin the routing, not a second algorithm.
 //!
 //! The 16- and 32-bit formats are too wide to enumerate pairs, so binary and
 //! ternary ops are checked with the devtools property runner: deterministic,

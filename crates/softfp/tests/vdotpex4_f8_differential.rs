@@ -6,10 +6,12 @@
 //! straight to `f64`, where each lane product is exact, and rounds every
 //! accumulate step once into binary32 on the host FPU; a chain with a
 //! step it cannot round exactly (a subnormal, overflowing or non-finite
-//! result), and every other rounding mode, reruns on the integer path:
-//! lanes widened through the exhaustive binary8 tables, accumulated
-//! through the monomorphized `<8, 23>` FMA kernel. The reference here rebuilds the architectural semantics from the
-//! generic runtime-`Format` ops alone: widen each lane to binary32 with
+//! result), and every other rounding mode, reruns one step at a time:
+//! lanes widened through the exhaustive binary8 tables, accumulated with
+//! `fast::fmadd` (the binary32 fma leaf at round-to-nearest-even, `ops`
+//! otherwise). The reference here
+//! rebuilds the architectural semantics from the generic runtime-`Format`
+//! ops alone: widen each lane to binary32 with
 //! `ops::cvt_f_f` (exact, flags discarded into a scratch env, as the
 //! interpreter's scalar path does), then chain four single-rounding
 //! `ops::fmadd`s at binary32, lane 0 first, with the replicated form

@@ -9,7 +9,8 @@
 #                             # + the exhaustive binary16 host-path sweep
 #                             # + the perfbench tests
 #
-# The softfp kernels are gated against the generic reference in release:
+# The softfp fast path (binary8 tables, host-FPU leaves, bit-level
+# kernels) is gated against the generic reference `ops` in release:
 # the binary8 exhaustive suites, the host-f64 bridge, the >=1M-case sampled
 # 16/32-bit suite, the host-FPU round-to-nearest suite and the expanding
 # dot-product suite (every 8-bit lane pair, >=1M sampled 16-bit cases).
@@ -79,7 +80,7 @@ if command -v nm >/dev/null && [[ -f "$perfbench_bin" ]]; then
     fi
 fi
 
-echo "==> softfp differential suites (release): binary8 + binary8alt (E4M3) exhaustive, host-f64 bridge, >=1M-case sampled 16/32-bit kernels, host-FPU round-to-nearest path, expanding dot products (vfdotpex/vfsdotpex, fmulex/fmacex)"
+echo "==> softfp differential suites (release): binary8 + binary8alt (E4M3) exhaustive, host-f64 bridge, >=1M-case sampled 16/32-bit fast path, host-FPU round-to-nearest path, expanding dot products (vfdotpex/vfsdotpex, fmulex/fmacex)"
 cargo test --release -q -p smallfloat-softfp --test fastpath_b8_exhaustive --test fastpath_b8alt_exhaustive --test fastpath_f64_bridge --test fastpath_sampled --test fastpath_host_rne --test dotp_differential
 
 echo "==> xcc: typed interpreter vs simulator differential suites (codegen_sim, fuzz_codegen) (release)"
