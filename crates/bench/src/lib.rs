@@ -10,7 +10,6 @@
 pub mod ablation;
 pub mod codesize;
 pub mod nn;
-pub mod par;
 pub mod replay;
 pub mod serving;
 pub mod training;
@@ -19,6 +18,7 @@ use smallfloat::{kernels, MemLevel, Precision, VecMode};
 use smallfloat_isa::{vector_lanes, FpFmt, InstrClass};
 use smallfloat_kernels::bench::{self, Workload};
 use smallfloat_kernels::svm::{error_rate, Svm};
+pub use smallfloat_sim::par;
 use smallfloat_sim::Stats;
 use std::fmt::Write as _;
 

@@ -28,11 +28,9 @@
 //! seed with SplitMix64, so load generators can give each core an
 //! independent but reproducible stream.
 
-use smallfloat_sim::{Cpu, CpuSnapshot, ExitReason, SimConfig, Stats};
+use smallfloat_sim::{par, Cpu, CpuSnapshot, ExitReason, SimConfig, Stats};
 use smallfloat_softfp::Flags;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One stage of a work descriptor: fork `image`, apply the writes, run,
 /// read back.
@@ -259,36 +257,14 @@ impl Cluster {
     }
 
     /// Execute `descs` on `workers` host threads, results in `descs`
-    /// order. Each worker owns one [`WorkerPool`]; tasks are claimed from
-    /// a shared atomic counter exactly like `smallfloat_bench::par`. The
-    /// calling thread is worker 0: only `workers - 1` threads are spawned
-    /// (none for a serial run).
+    /// order: one [`WorkerPool`] per worker, through the workspace's one
+    /// fan-out ([`smallfloat_sim::par::fan_out`], so the calling thread is
+    /// worker 0 and a serial run spawns no thread).
     fn exec_all(&mut self, descs: &[WorkDescriptor], workers: usize) -> Vec<WorkResult> {
-        let config = &self.config;
-        let images = &self.images;
-        let next = AtomicUsize::new(0);
-        let out: Mutex<Vec<Option<WorkResult>>> =
-            Mutex::new((0..descs.len()).map(|_| None).collect());
-        let work = |pool: &mut WorkerPool| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= descs.len() {
-                break;
-            }
-            let r = pool.exec(config, images, &descs[i]);
-            out.lock().expect("no poisoned result slots")[i] = Some(r);
-        };
-        let (own, rest) = self.pools.split_first_mut().expect("one pool per worker");
-        std::thread::scope(|scope| {
-            for pool in rest.iter_mut().take(workers - 1) {
-                scope.spawn(|| work(pool));
-            }
-            work(own);
-        });
-        out.into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|r| r.expect("every task index was claimed exactly once"))
-            .collect()
+        let (config, images) = (&self.config, &self.images);
+        par::fan_out(&mut self.pools[..workers], descs.len(), |pool, i| {
+            pool.exec(config, images, &descs[i])
+        })
     }
 
     /// Deterministic simulated-time scheduling pass: assign results (in

@@ -21,6 +21,6 @@ pub mod svm;
 pub use bench::{Benchmark, Precision, VecMode};
 pub use mg::Mg;
 pub use runner::{
-    array_span, decode_array, last_hot_blocks, launch, pool_counters, quantize_array, run_compiled,
-    RunResult,
+    array_span, decode_array, last_hot_blocks, launch, launch_each, pool_counters, quantize_array,
+    run_compiled, RunResult,
 };

@@ -5,9 +5,19 @@
 //! the inputs, run to the exit `ecall`, and read back. [`launch`] reads
 //! back only the arrays the caller names; [`run_compiled`] is the same
 //! launch reading every array and scalar.
+//!
+//! [`launch_each`] is a batch of independent launches of one program —
+//! a conv layer's per-sample runs. It looks the slot up once and spreads
+//! the samples over the slot's own `Cpu` (on the calling thread) and up
+//! to [`par::workers`]` − 1` helper `Cpu`s the slot keeps, through the
+//! workspace's one fan-out ([`par::fan_out`]). Results come back in
+//! sample order and are bit-identical to sequential [`launch`]es at any
+//! worker count, and so are the pool counters: a batch of `N` counts as
+//! `N` launches — the slot lookup's one fork or train, then `N − 1` warm
+//! forks — whichever `Cpu` ran each sample.
 
 use smallfloat_isa::{FpFmt, Instr};
-use smallfloat_sim::{Cpu, CpuSnapshot, ExitReason, HotBlock, MemLevel, SimConfig, Stats};
+use smallfloat_sim::{par, Cpu, CpuSnapshot, ExitReason, HotBlock, MemLevel, SimConfig, Stats};
 use smallfloat_softfp::{fast, Env, Rounding};
 use smallfloat_xcc::codegen::{Compiled, LayoutEntry, TEXT_BASE};
 use smallfloat_xcc::ir::Kernel;
@@ -29,6 +39,10 @@ struct WarmSim {
     level: MemLevel,
     snap: CpuSnapshot,
     cpu: Cpu,
+    /// [`launch_each`]'s extra workers, restored from `snap` before each
+    /// sample: empty `Cpu`s on first use, whose caches then stay warm the
+    /// same way `cpu`'s do. Dropped when the slot is retrained.
+    helpers: Vec<Cpu>,
     /// Last-use tick for LRU eviction.
     used: u64,
 }
@@ -50,7 +64,10 @@ const BUDGET: u64 = 200_000_000;
 /// simulator from reset. The counts describe the pool they count, so a
 /// measurement on one thread is not disturbed by launches on others;
 /// take the deltas around calls on one thread (perfbench and the nn
-/// test `train_call_forks_warm_snapshots` do).
+/// test `train_call_forks_warm_snapshots` do). A [`launch_each`] of `N`
+/// samples counts as `N` sequential launches (one lookup, then `N − 1`
+/// warm forks) at every worker count; its helper `Cpu`s' own first runs
+/// are not counted.
 pub fn pool_counters() -> (u64, u64) {
     POOL.with(|p| {
         let p = p.borrow();
@@ -75,11 +92,19 @@ thread_local! {
     static POOL: RefCell<Pool> = RefCell::new(Pool::default());
 }
 
+/// The simulator configuration of a launch at `level`.
+fn sim_config(level: MemLevel) -> SimConfig {
+    SimConfig {
+        mem_level: level,
+        ..SimConfig::default()
+    }
+}
+
 impl Pool {
-    /// The slot holding `compiled` at `level`, forked back to its pre-run
-    /// snapshot — or a slot freshly trained on it (a new one below
-    /// capacity, else the least recently used one).
-    fn slot(&mut self, compiled: &Compiled, level: MemLevel) -> &mut Cpu {
+    /// The slot holding `compiled` at `level`, its `Cpu` forked back to
+    /// the pre-run snapshot — or a slot freshly trained on it (a new one
+    /// below capacity, else the least recently used one).
+    fn slot(&mut self, compiled: &Compiled, level: MemLevel) -> &mut WarmSim {
         self.tick += 1;
         let hash = compiled.program_hash();
         let i = match self
@@ -99,10 +124,7 @@ impl Pool {
             }
             None => {
                 self.cold_trains += 1;
-                let config = SimConfig {
-                    mem_level: level,
-                    ..SimConfig::default()
-                };
+                let config = sim_config(level);
                 if self.sims.len() < POOL_CAP {
                     let mut cpu = Cpu::new(config);
                     cpu.load_program(TEXT_BASE, &compiled.program);
@@ -113,6 +135,7 @@ impl Pool {
                         level,
                         snap,
                         cpu,
+                        helpers: Vec::new(),
                         used: 0,
                     });
                     self.sims.len() - 1
@@ -132,25 +155,20 @@ impl Pool {
                     w.program.clone_from(&compiled.program);
                     w.level = level;
                     w.snap = w.cpu.snapshot();
+                    w.helpers.clear();
                     i
                 }
             }
         };
         let w = &mut self.sims[i];
         w.used = self.tick;
-        &mut w.cpu
+        w
     }
 }
 
 /// The one launch path: fork or train the pool slot for `compiled`,
-/// quantize and write `inputs`, run to the exit `ecall`, then hand the
-/// finished `Cpu` to `read`.
-///
-/// # Panics
-///
-/// Panics on an unknown input name or a size mismatch, or if the program
-/// traps or fails to exit within 200M instructions — generated kernels are
-/// expected to be well-formed.
+/// run `inputs` on it ([`run_on`]), then hand the finished `Cpu` to
+/// `read`.
 fn launch_with<R>(
     kernel: &Kernel,
     compiled: &Compiled,
@@ -160,19 +178,40 @@ fn launch_with<R>(
 ) -> R {
     POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
-        let cpu = pool.slot(compiled, level);
-        write_inputs(cpu, compiled, inputs);
-        let exit = cpu
-            .run(BUDGET)
-            .unwrap_or_else(|e| panic!("kernel `{}` trapped: {e}", kernel.name));
-        assert_eq!(
-            exit,
-            ExitReason::Ecall,
-            "kernel `{}` must exit via ecall",
-            kernel.name
-        );
+        let cpu = &mut pool.slot(compiled, level).cpu;
+        run_on(cpu, kernel, compiled, inputs);
         read(cpu)
     })
+}
+
+/// Quantize and write `inputs` into `cpu` (at its pre-run state) and run
+/// it to the exit `ecall`.
+///
+/// # Panics
+///
+/// Panics on an unknown input name or a size mismatch, or if the program
+/// traps or fails to exit within 200M instructions — generated kernels are
+/// expected to be well-formed.
+fn run_on(cpu: &mut Cpu, kernel: &Kernel, compiled: &Compiled, inputs: &[(String, Vec<f64>)]) {
+    write_inputs(cpu, compiled, inputs);
+    let exit = cpu
+        .run(BUDGET)
+        .unwrap_or_else(|e| panic!("kernel `{}` trapped: {e}", kernel.name));
+    assert_eq!(
+        exit,
+        ExitReason::Ecall,
+        "kernel `{}` must exit via ecall",
+        kernel.name
+    );
+}
+
+/// The arrays named in `read`, in that order, and the run's statistics.
+fn read_named(cpu: &Cpu, compiled: &Compiled, read: &[&str]) -> (Vec<Vec<f64>>, Stats) {
+    let arrays = read
+        .iter()
+        .map(|name| read_array(cpu, entry(compiled, name)))
+        .collect();
+    (arrays, cpu.stats().clone())
 }
 
 /// Launch `compiled` (the lowering of `kernel`) on `inputs` and read back
@@ -193,18 +232,63 @@ pub fn launch(
     read: &[&str],
 ) -> (Vec<Vec<f64>>, Stats) {
     launch_with(kernel, compiled, inputs, level, |cpu| {
-        let arrays = read
-            .iter()
-            .map(|name| read_array(cpu, entry(compiled, name)))
+        read_named(cpu, compiled, read)
+    })
+}
+
+/// [`launch`] once per input set in `samples`, spread over up to
+/// [`par::workers`]`(samples.len())` host workers; results in `samples`
+/// order. Each result — arrays and statistics — is bit-identical to the
+/// matching sequential [`launch`]'s, whichever worker ran it, and the
+/// pool counters move as `samples.len()` launches would move them.
+///
+/// # Panics
+///
+/// As [`launch`], on the calling thread: a sample that traps panics with
+/// the kernel's name, whichever worker ran it.
+pub fn launch_each(
+    kernel: &Kernel,
+    compiled: &Compiled,
+    samples: &[Vec<(String, Vec<f64>)>],
+    level: MemLevel,
+    read: &[&str],
+) -> Vec<(Vec<Vec<f64>>, Stats)> {
+    if samples.is_empty() {
+        return Vec::new();
+    }
+    POOL.with(|pool| {
+        let mut pool = pool.borrow_mut();
+        pool.warm_forks += samples.len() as u64 - 1;
+        let WarmSim {
+            cpu, helpers, snap, ..
+        } = pool.slot(compiled, level);
+        let extra = par::workers(samples.len()) - 1;
+        while helpers.len() < extra {
+            helpers.push(Cpu::new(sim_config(level)));
+        }
+        // `(cpu, stale)`: the slot's own `Cpu` was just forked, every
+        // other run restores the snapshot first.
+        let mut workers: Vec<(&mut Cpu, bool)> = std::iter::once((cpu, false))
+            .chain(helpers[..extra].iter_mut().map(|h| (h, true)))
             .collect();
-        (arrays, cpu.stats().clone())
+        let snap = &*snap;
+        par::fan_out(&mut workers, samples.len(), |(cpu, stale), i| {
+            if *stale {
+                cpu.restore(snap);
+                cpu.reset_stats();
+            }
+            *stale = true;
+            run_on(cpu, kernel, compiled, &samples[i]);
+            read_named(cpu, compiled, read)
+        })
     })
 }
 
 /// Top-`n` hot blocks of the most recent launch on this thread — the
 /// on-request block profile. Counts accumulate over every launch the
-/// program's warmed simulator served since it was trained. Empty before
-/// the first launch.
+/// program's warmed simulator served since it was trained; of a
+/// [`launch_each`] batch, only the samples the slot's own `Cpu` ran (its
+/// helpers keep their own counts). Empty before the first launch.
 pub fn last_hot_blocks(n: usize) -> Vec<HotBlock> {
     POOL.with(|pool| {
         pool.borrow()
@@ -568,6 +652,73 @@ mod tests {
             let (ym2, _) = launch(&km, &cm, &x_input(), MemLevel::L1, &["y"]);
             assert_eq!(thread_slots(), 3, "the multiply's slot forks");
             assert_eq!(ym2, ym, "and was never overwritten");
+        });
+    }
+
+    /// Serializes the tests that force a worker count: the override is
+    /// process-wide.
+    static FORCED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Run `f` on a fresh thread (an empty pool) at `workers` forced
+    /// workers.
+    fn at_workers(workers: usize, f: impl FnOnce() + Send + 'static) {
+        let _turn = FORCED.lock().unwrap_or_else(|e| e.into_inner());
+        par::set_workers(workers);
+        let r = std::thread::spawn(f).join();
+        par::set_workers(0);
+        r.unwrap_or_else(|p| std::panic::resume_unwind(p));
+    }
+
+    /// `n` distinct input sets for [`map_kernel`].
+    fn samples(n: usize) -> Vec<Vec<(String, Vec<f64>)>> {
+        (0..n)
+            .map(|s| {
+                vec![(
+                    "x".to_string(),
+                    (0..8).map(|i| (i * s) as f64 - 2.5).collect(),
+                )]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn launch_each_counts_and_returns_as_sequential_launches() {
+        for workers in [1, 2, 3] {
+            at_workers(workers, move || {
+                let k = map_kernel(true);
+                let c = compile(&k, CodegenOptions::default()).unwrap();
+                let inputs = samples(5);
+                let (w0, c0) = pool_counters();
+                let batch = launch_each(&k, &c, &inputs, MemLevel::L1, &["y"]);
+                let (w1, c1) = pool_counters();
+                assert_eq!((w1 - w0, c1 - c0), (4, 1), "N − 1 warm, 1 cold");
+                let again = launch_each(&k, &c, &inputs, MemLevel::L1, &["y"]);
+                let (w2, c2) = pool_counters();
+                assert_eq!((w2 - w1, c2 - c1), (5, 0), "a repeat forks all N");
+                assert_eq!(thread_slots(), 1, "helpers are not pool slots");
+                for (i, x) in inputs.iter().enumerate() {
+                    let (y, stats) = launch(&k, &c, x, MemLevel::L1, &["y"]);
+                    for got in [&batch[i], &again[i]] {
+                        assert_eq!(got.0, y, "sample {i} at {workers} workers");
+                        assert_eq!(got.1, stats, "sample {i} at {workers} workers");
+                    }
+                }
+                assert!(launch_each(&k, &c, &[], MemLevel::L1, &["y"]).is_empty());
+            });
+        }
+    }
+
+    #[test]
+    fn a_trap_in_launch_each_names_the_kernel() {
+        at_workers(2, || {
+            let k = map_kernel(true);
+            let mut c = compile(&k, CodegenOptions::default()).unwrap();
+            c.program[0] = Instr::Ebreak;
+            let err =
+                std::panic::catch_unwind(|| launch_each(&k, &c, &samples(4), MemLevel::L1, &["y"]))
+                    .expect_err("every sample traps");
+            let msg = err.downcast_ref::<String>().expect("the runner's message");
+            assert!(msg.starts_with("kernel `map` trapped: "), "{msg}");
         });
     }
 

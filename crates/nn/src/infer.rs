@@ -11,7 +11,7 @@ use crate::graph::{forward_f64, Network};
 use crate::lower::{build_layer, layer_inputs, layer_kernel, layer_precision};
 use crate::qor::argmax;
 use smallfloat_isa::FpFmt;
-use smallfloat_kernels::{launch, VecMode};
+use smallfloat_kernels::{launch, launch_each, VecMode};
 use smallfloat_sim::{MemLevel, Stats};
 use smallfloat_xcc::interp::{sqnr_db, TypedProgram, TypedState};
 
@@ -78,8 +78,10 @@ fn finite(v: &[f64]) -> Vec<f64> {
 /// Run a network over `inputs` on the cycle-accurate simulator.
 ///
 /// Batched layers (dense, ReLU, max-pool) launch once for the whole set;
-/// convolutions launch per sample and their statistics are summed — the
-/// totals are comparable across layers either way.
+/// convolutions launch per sample, fanned out over host workers
+/// ([`launch_each`]), and their statistics are summed in sample order —
+/// the totals are comparable across layers either way, and identical at
+/// any worker count.
 pub fn infer_sim(
     net: &Network,
     inputs: &[Vec<f64>],
@@ -110,9 +112,12 @@ pub fn infer_sim(
             acts = y[0].chunks(out_len).map(<[f64]>::to_vec).collect();
         } else {
             let (typed, compiled) = build_layer(layer, 1, fmt, mode);
-            for x in &mut acts {
-                let inputs = layer_inputs(layer, params, x, 1);
-                let (mut y, s) = launch(&typed, &compiled, &inputs, level, &["y"]);
+            let samples: Vec<_> = acts
+                .iter()
+                .map(|x| layer_inputs(layer, params, x, 1))
+                .collect();
+            let runs = launch_each(&typed, &compiled, &samples, level, &["y"]);
+            for (x, (mut y, s)) in acts.iter_mut().zip(runs) {
                 stats.merge(&s);
                 *x = y.swap_remove(0);
             }

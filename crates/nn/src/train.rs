@@ -35,7 +35,7 @@ use crate::graph::{layer_forward_f64, uniform, Dataset, Layer, Network, Params, 
 use crate::infer::{infer_typed, Assignment};
 use crate::qor::{accuracy, argmax};
 use smallfloat_isa::FpFmt;
-use smallfloat_kernels::{launch, Precision, VecMode};
+use smallfloat_kernels::{launch, launch_each, Precision, VecMode};
 use smallfloat_sim::{MemLevel, Stats};
 use smallfloat_tuner::{tune, TuneResult, TunerConfig};
 use smallfloat_xcc::codegen::{compile, CodegenOptions, Compiled};
@@ -292,18 +292,11 @@ impl<'e> Plan<'e> {
         }
     }
 
-    /// Run layer `li`'s `role` kernel (built by `build` on first use) and
-    /// read back the named arrays.
-    fn run(
-        &mut self,
-        li: usize,
-        role: Role,
-        build: impl FnOnce() -> Kernel,
-        inputs: &[(String, Vec<f64>)],
-        read: &[&str],
-    ) -> (Vec<Vec<f64>>, Stats) {
+    /// Layer `li`'s `role` kernel, built by `build`, then compiled or
+    /// resolved, on first use.
+    fn prepared(&mut self, li: usize, role: Role, build: impl FnOnce() -> Kernel) -> &Prepared {
         let exec = self.exec;
-        let prepared = self.kernels.entry((li, role)).or_insert_with(|| {
+        self.kernels.entry((li, role)).or_insert_with(|| {
             let typed = build();
             match exec {
                 Exec::Typed => {
@@ -322,22 +315,65 @@ impl<'e> Plan<'e> {
                     Prepared::Sim(typed, compiled, *level)
                 }
             }
-        });
-        match prepared {
-            Prepared::Typed(typed, program) => {
-                let mut st = TypedState::for_kernel(typed);
-                for (name, vals) in inputs {
-                    st.set_array(name, vals);
-                }
-                program.run(&mut st);
-                (
-                    read.iter().map(|name| st.array_f64(name)).collect(),
-                    Stats::default(),
-                )
-            }
+        })
+    }
+
+    /// Run layer `li`'s `role` kernel (built by `build` on first use) and
+    /// read back the named arrays.
+    fn run(
+        &mut self,
+        li: usize,
+        role: Role,
+        build: impl FnOnce() -> Kernel,
+        inputs: &[(String, Vec<f64>)],
+        read: &[&str],
+    ) -> (Vec<Vec<f64>>, Stats) {
+        match self.prepared(li, role, build) {
+            Prepared::Typed(typed, program) => run_typed(typed, program, inputs, read),
             Prepared::Sim(typed, compiled, level) => launch(typed, compiled, inputs, *level, read),
         }
     }
+
+    /// [`Plan::run`] once per input set in `samples`, results in sample
+    /// order; on the simulator the samples fan out over host workers
+    /// ([`launch_each`]), bit-identically to a serial loop.
+    fn run_each(
+        &mut self,
+        li: usize,
+        role: Role,
+        build: impl FnOnce() -> Kernel,
+        samples: &[Vec<(String, Vec<f64>)>],
+        read: &[&str],
+    ) -> Vec<(Vec<Vec<f64>>, Stats)> {
+        match self.prepared(li, role, build) {
+            Prepared::Typed(typed, program) => samples
+                .iter()
+                .map(|inputs| run_typed(typed, program, inputs, read))
+                .collect(),
+            Prepared::Sim(typed, compiled, level) => {
+                launch_each(typed, compiled, samples, *level, read)
+            }
+        }
+    }
+}
+
+/// One run of `program` on the typed interpreter (no simulator
+/// statistics).
+fn run_typed(
+    typed: &Kernel,
+    program: &TypedProgram,
+    inputs: &[(String, Vec<f64>)],
+    read: &[&str],
+) -> (Vec<Vec<f64>>, Stats) {
+    let mut st = TypedState::for_kernel(typed);
+    for (name, vals) in inputs {
+        st.set_array(name, vals);
+    }
+    program.run(&mut st);
+    (
+        read.iter().map(|name| st.array_f64(name)).collect(),
+        Stats::default(),
+    )
 }
 
 /// Running SQNR accumulator per (layer, phase).
@@ -539,7 +575,8 @@ pub fn train(
     }
 }
 
-/// One forward layer through `plan` (batched, or per-sample for conv).
+/// One forward layer through `plan` (batched, or per-sample for conv,
+/// merged in sample order).
 fn forward_layer(
     plan: &mut Plan,
     li: usize,
@@ -560,12 +597,14 @@ fn forward_layer(
         stats = s;
         (out[0].chunks(out_len).map(<[f64]>::to_vec).collect(), stats)
     } else {
+        let samples: Vec<_> = xs
+            .iter()
+            .map(|x| layer_inputs(layer, params, x, 1))
+            .collect();
         let mut outs = Vec::with_capacity(n);
-        for x in xs {
-            let inputs = layer_inputs(layer, params, x, 1);
-            let (out, s) = plan.run(li, Role::Fwd, build(1), &inputs, &["y"]);
+        for (mut out, s) in plan.run_each(li, Role::Fwd, build(1), &samples, &["y"]) {
             stats.merge(&s);
-            outs.push(out[0].clone());
+            outs.push(out.swap_remove(0));
         }
         (outs, stats)
     }
@@ -667,15 +706,40 @@ fn backward_layer(
             let wl = out_ch * in_ch * CONV_K * CONV_K;
             let (mut gw, mut gb) = (vec![0.0; wl], vec![0.0; *out_ch]);
             let (mut mw, mut mb) = (vec![0.0; wl], vec![0.0; *out_ch]);
-            for (x, dy) in xs.iter().zip(dys) {
-                let inputs = vec![
-                    ("x".to_string(), x.clone()),
-                    ("dy".to_string(), dy.clone()),
-                    ("dw".to_string(), vec![0.0; wl]),
-                    ("db".to_string(), vec![0.0; *out_ch]),
-                    ("one".to_string(), vec![1.0; oh * ow]),
-                ];
-                let (o, s) = plan.run(li, Role::BwdW, build_w, &inputs, &["dw", "db"]);
+            let w_samples: Vec<_> = xs
+                .iter()
+                .zip(dys)
+                .map(|(x, dy)| {
+                    vec![
+                        ("x".to_string(), x.clone()),
+                        ("dy".to_string(), dy.clone()),
+                        ("dw".to_string(), vec![0.0; wl]),
+                        ("db".to_string(), vec![0.0; *out_ch]),
+                        ("one".to_string(), vec![1.0; oh * ow]),
+                    ]
+                })
+                .collect();
+            let by_w = plan.run_each(li, Role::BwdW, build_w, &w_samples, &["dw", "db"]);
+            let by_x = if need_dx {
+                let wf = flip_w(&params.w, *out_ch, *in_ch);
+                let x_samples: Vec<_> = dys
+                    .iter()
+                    .map(|dy| {
+                        vec![
+                            ("wf".to_string(), wf.clone()),
+                            ("dyp".to_string(), pad_dy(dy, *out_ch, oh, ow)),
+                            ("dx".to_string(), vec![0.0; layer.in_len()]),
+                        ]
+                    })
+                    .collect();
+                plan.run_each(li, Role::BwdX, build_x, &x_samples, &["dx"])
+            } else {
+                Vec::new()
+            };
+            // Sample order, bwd_w before bwd_x: the order of a serial
+            // loop, so the f64 energy sum is the same at any worker count.
+            let mut by_x = by_x.into_iter();
+            for (o, s) in by_w {
                 stats.merge(&s);
                 for (a, b) in mw.iter_mut().zip(&o[0]) {
                     *a += b;
@@ -683,16 +747,10 @@ fn backward_layer(
                 for (a, b) in mb.iter_mut().zip(&o[1]) {
                     *a += b;
                 }
-                if need_dx {
-                    let inputs = vec![
-                        ("wf".to_string(), flip_w(&params.w, *out_ch, *in_ch)),
-                        ("dyp".to_string(), pad_dy(dy, *out_ch, oh, ow)),
-                        ("dx".to_string(), vec![0.0; layer.in_len()]),
-                    ];
-                    let (o, s) = plan.run(li, Role::BwdX, build_x, &inputs, &["dx"]);
+                if let Some((mut o, s)) = by_x.next() {
                     stats.merge(&s);
                     measured.extend_from_slice(&o[0]);
-                    dx.push(o[0].clone());
+                    dx.push(o.swap_remove(0));
                 }
             }
             for sh in &shadows {

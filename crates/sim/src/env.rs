@@ -27,9 +27,10 @@ pub fn noblocks() -> bool {
 }
 
 /// `SMALLFLOAT_SERIAL`: pin every parallel fan-out to the calling thread.
-/// Read by `bench::par` and by `serve_bench`'s driver
-/// (`bench::serving`), which then hands the cluster one host worker;
-/// `Cluster` itself takes `host_workers` from its caller.
+/// Read by [`crate::par::workers`] (the experiment grid and the runner's
+/// per-sample launches) and by `serve_bench`'s driver (`bench::serving`),
+/// which then hands the cluster one host worker; `Cluster` itself takes
+/// `host_workers` from its caller.
 pub fn serial() -> bool {
     flag("SMALLFLOAT_SERIAL")
 }

@@ -37,6 +37,7 @@ mod energy;
 pub mod env;
 mod exec;
 mod mem;
+pub mod par;
 pub mod replay;
 mod snapshot;
 mod stats;

@@ -27,7 +27,11 @@
 # --full regenerates every record (simulator outputs only) at the default
 # worker count and with SMALLFLOAT_SERIAL=1, and requires each to match the
 # committed file byte for byte (tests/records.rs checks that every root
-# BENCH_*.json is a `cmp` target of that step).
+# BENCH_*.json is a `cmp` target of that step). That step does not exercise
+# the per-sample conv fan-out inside `train`/`infer_sim`: train_table and
+# nn_table run them from inside their own par_map grids, where nested
+# fan-outs are serial. The release nn step's sample_parallel suite does:
+# CNN `train` and `infer_sim` at forced 1, 2 and 4 workers, bit for bit.
 # Host speed is measured end to end by perfbench/ (see below); the workspace
 # has no `cargo bench` targets.
 #
@@ -102,7 +106,7 @@ cargo run --release -q -p smallfloat-bench --bin testrunner
 echo "==> vdotpex4_f8 exhaustive differential suite (release)"
 cargo test --release -q -p smallfloat-softfp --test vdotpex4_f8_differential
 
-echo "==> nn QoR + training regression suite (release: end-to-end formats/modes, manual-SIMD floors, pinned tuned assignments; training smoke = few-step loss parity vs the f64 reference, pinned golden loss bits on the block engine, FD gradient checks. The per-pass training tuner grid runs under --full)"
+echo "==> nn QoR + training regression suite (release: end-to-end formats/modes, manual-SIMD floors, pinned tuned assignments; training smoke = few-step loss parity vs the f64 reference, pinned golden loss bits on the block engine, FD gradient checks; sample_parallel = CNN train/infer_sim bit-identical at 1, 2 and 4 host workers. The per-pass training tuner grid runs under --full)"
 cargo test --release -q -p smallfloat-nn -- --skip per_pass
 
 echo "==> cluster + concurrent-fork gates (release)"
