@@ -7,22 +7,27 @@
 //! launch reading every array and scalar.
 //!
 //! [`launch_each`] is a batch of independent launches of one program —
-//! a conv layer's per-sample runs. It looks the slot up once and spreads
-//! the samples over the slot's own `Cpu` (on the calling thread) and up
-//! to [`par::workers`]` − 1` helper `Cpu`s the slot keeps, through the
-//! workspace's one fan-out ([`par::fan_out`]). Results come back in
-//! sample order and are bit-identical to sequential [`launch`]es at any
-//! worker count, and so are the pool counters: a batch of `N` counts as
-//! `N` launches — the slot lookup's one fork or train, then `N − 1` warm
-//! forks — whichever `Cpu` ran each sample.
+//! a conv layer's per-sample runs. It looks the slot up once and runs the
+//! samples on the slot's own `Cpu` (on the calling thread) while up to
+//! [`par::workers`]` − 1` of the thread's persistent helpers
+//! ([`par::assist`]) claim samples too, each on a helper `Cpu` the slot
+//! keeps. The calling thread waits only for samples a helper has already
+//! claimed, so a helper the host schedules late does not hold it up. Results
+//! come back in sample order and are bit-identical to sequential
+//! [`launch`]es at any worker count, and so are the pool counters: a
+//! batch of `N` counts as `N` launches — the slot lookup's one fork or
+//! train, then `N − 1` warm forks — whichever `Cpu` ran each sample.
 
 use smallfloat_isa::{FpFmt, Instr};
 use smallfloat_sim::{par, Cpu, CpuSnapshot, ExitReason, HotBlock, MemLevel, SimConfig, Stats};
 use smallfloat_softfp::{fast, Env, Rounding};
-use smallfloat_xcc::codegen::{Compiled, LayoutEntry, TEXT_BASE};
+use smallfloat_xcc::codegen::{Compiled, DataLayout, LayoutEntry, TEXT_BASE};
 use smallfloat_xcc::ir::Kernel;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// A warmed simulator: a `Cpu` whose code window (decoded slots and
 /// lowered blocks) was trained on `program`, plus the clean pre-run
@@ -37,9 +42,9 @@ struct WarmSim {
     hash: u64,
     program: Vec<Instr>,
     level: MemLevel,
-    snap: CpuSnapshot,
+    snap: Arc<CpuSnapshot>,
     cpu: Cpu,
-    /// [`launch_each`]'s extra workers, restored from `snap` before each
+    /// [`launch_each`]'s helper `Cpu`s, restored from `snap` before each
     /// sample: empty `Cpu`s on first use, whose caches then stay warm the
     /// same way `cpu`'s do. Dropped when the slot is retrained.
     helpers: Vec<Cpu>,
@@ -133,7 +138,7 @@ impl Pool {
                         hash,
                         program: compiled.program.clone(),
                         level,
-                        snap,
+                        snap: Arc::new(snap),
                         cpu,
                         helpers: Vec::new(),
                         used: 0,
@@ -154,7 +159,7 @@ impl Pool {
                     w.hash = hash;
                     w.program.clone_from(&compiled.program);
                     w.level = level;
-                    w.snap = w.cpu.snapshot();
+                    w.snap = Arc::new(w.cpu.snapshot());
                     w.helpers.clear();
                     i
                 }
@@ -179,7 +184,7 @@ fn launch_with<R>(
     POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
         let cpu = &mut pool.slot(compiled, level).cpu;
-        run_on(cpu, kernel, compiled, inputs);
+        run_on(cpu, &kernel.name, &compiled.layout, inputs);
         read(cpu)
     })
 }
@@ -192,27 +197,29 @@ fn launch_with<R>(
 /// Panics on an unknown input name or a size mismatch, or if the program
 /// traps or fails to exit within 200M instructions — generated kernels are
 /// expected to be well-formed.
-fn run_on(cpu: &mut Cpu, kernel: &Kernel, compiled: &Compiled, inputs: &[(String, Vec<f64>)]) {
-    write_inputs(cpu, compiled, inputs);
+fn run_on(cpu: &mut Cpu, kernel: &str, layout: &DataLayout, inputs: &[(String, Vec<f64>)]) {
+    write_inputs(cpu, layout, inputs);
     let exit = cpu
         .run(BUDGET)
-        .unwrap_or_else(|e| panic!("kernel `{}` trapped: {e}", kernel.name));
+        .unwrap_or_else(|e| panic!("kernel `{kernel}` trapped: {e}"));
     assert_eq!(
         exit,
         ExitReason::Ecall,
-        "kernel `{}` must exit via ecall",
-        kernel.name
+        "kernel `{kernel}` must exit via ecall"
     );
 }
 
 /// The arrays named in `read`, in that order, and the run's statistics.
-fn read_named(cpu: &Cpu, compiled: &Compiled, read: &[&str]) -> (Vec<Vec<f64>>, Stats) {
+fn read_named<S: AsRef<str>>(cpu: &Cpu, layout: &DataLayout, read: &[S]) -> Run {
     let arrays = read
         .iter()
-        .map(|name| read_array(cpu, entry(compiled, name)))
+        .map(|name| read_array(cpu, entry(layout, name.as_ref())))
         .collect();
     (arrays, cpu.stats().clone())
 }
+
+/// One launch's read-back arrays and statistics.
+type Run = (Vec<Vec<f64>>, Stats);
 
 /// Launch `compiled` (the lowering of `kernel`) on `inputs` and read back
 /// only the arrays named in `read`, in that order, with the run's
@@ -232,7 +239,7 @@ pub fn launch(
     read: &[&str],
 ) -> (Vec<Vec<f64>>, Stats) {
     launch_with(kernel, compiled, inputs, level, |cpu| {
-        read_named(cpu, compiled, read)
+        read_named(cpu, &compiled.layout, read)
     })
 }
 
@@ -245,11 +252,12 @@ pub fn launch(
 /// # Panics
 ///
 /// As [`launch`], on the calling thread: a sample that traps panics with
-/// the kernel's name, whichever worker ran it.
+/// the kernel's name, whichever worker ran it (the lowest-numbered
+/// failing sample's message, once every claimed sample has finished).
 pub fn launch_each(
     kernel: &Kernel,
     compiled: &Compiled,
-    samples: &[Vec<(String, Vec<f64>)>],
+    samples: Vec<Vec<(String, Vec<f64>)>>,
     level: MemLevel,
     read: &[&str],
 ) -> Vec<(Vec<Vec<f64>>, Stats)> {
@@ -259,29 +267,137 @@ pub fn launch_each(
     POOL.with(|pool| {
         let mut pool = pool.borrow_mut();
         pool.warm_forks += samples.len() as u64 - 1;
-        let WarmSim {
-            cpu, helpers, snap, ..
-        } = pool.slot(compiled, level);
-        let extra = par::workers(samples.len()) - 1;
-        while helpers.len() < extra {
-            helpers.push(Cpu::new(sim_config(level)));
+        let helpers = par::workers(samples.len()) - 1;
+        let w = pool.slot(compiled, level);
+        let batch = Arc::new(Batch {
+            kernel: kernel.name.clone(),
+            layout: compiled.layout.clone(),
+            read: read.iter().map(|r| r.to_string()).collect(),
+            level,
+            snap: Arc::clone(&w.snap),
+            next: AtomicUsize::new(0),
+            done: Mutex::new(Done {
+                runs: (0..samples.len()).map(|_| None).collect(),
+                finished: 0,
+                spare: std::mem::take(&mut w.helpers),
+            }),
+            all_done: Condvar::new(),
+            samples,
+        });
+        if helpers > 0 {
+            let job = Arc::clone(&batch);
+            par::assist(helpers, &(Arc::new(move || job.help()) as par::Job));
         }
-        // `(cpu, stale)`: the slot's own `Cpu` was just forked, every
-        // other run restores the snapshot first.
-        let mut workers: Vec<(&mut Cpu, bool)> = std::iter::once((cpu, false))
-            .chain(helpers[..extra].iter_mut().map(|h| (h, true)))
-            .collect();
-        let snap = &*snap;
-        par::fan_out(&mut workers, samples.len(), |(cpu, stale), i| {
-            if *stale {
-                cpu.restore(snap);
+        batch.work(&mut w.cpu);
+        let (runs, spare) = batch.wait();
+        w.helpers = spare;
+        runs.into_iter()
+            .map(|run| run.unwrap_or_else(|payload| panic::resume_unwind(payload)))
+            .collect()
+    })
+}
+
+/// One [`launch_each`] call, shared by the calling thread and its
+/// helpers: samples are claimed off `next`, and each finished one lands in
+/// `done`.
+struct Batch {
+    kernel: String,
+    layout: DataLayout,
+    read: Vec<String>,
+    level: MemLevel,
+    /// The slot's pre-run state: every sample but the calling thread's
+    /// first starts from it.
+    snap: Arc<CpuSnapshot>,
+    samples: Vec<Vec<(String, Vec<f64>)>>,
+    next: AtomicUsize,
+    done: Mutex<Done>,
+    all_done: Condvar,
+}
+
+struct Done {
+    /// Each sample's run, or the payload of its panic.
+    runs: Vec<Option<std::thread::Result<Run>>>,
+    finished: usize,
+    /// Helper `Cpu`s not in use: the slot's, then handed back to it.
+    spare: Vec<Cpu>,
+}
+
+impl Batch {
+    fn claim(&self) -> Option<usize> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.samples.len()).then_some(i)
+    }
+
+    /// Run sample `i` on `cpu`, which is at the slot's pre-run state.
+    fn run(&self, cpu: &mut Cpu, i: usize) -> std::thread::Result<Run> {
+        panic::catch_unwind(AssertUnwindSafe(|| {
+            run_on(cpu, &self.kernel, &self.layout, &self.samples[i]);
+            read_named(cpu, &self.layout, &self.read)
+        }))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Done> {
+        self.done.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Record sample `i`'s run and hand the helper `cpu` that ran it back
+    /// to the spares, in one step, so the spares are complete once every
+    /// sample has finished.
+    fn finish(&self, i: usize, run: std::thread::Result<Run>, cpu: Option<Cpu>) {
+        let mut done = self.lock();
+        done.spare.extend(cpu);
+        done.runs[i] = Some(run);
+        done.finished += 1;
+        if done.finished == self.samples.len() {
+            self.all_done.notify_all();
+        }
+    }
+
+    /// The calling thread's share, on the slot's own `Cpu` (just forked,
+    /// so its first sample needs no restore).
+    fn work(&self, cpu: &mut Cpu) {
+        let mut forked = true;
+        while let Some(i) = self.claim() {
+            if !forked {
+                cpu.restore(&self.snap);
                 cpu.reset_stats();
             }
-            *stale = true;
-            run_on(cpu, kernel, compiled, &samples[i]);
-            read_named(cpu, compiled, read)
-        })
-    })
+            forked = false;
+            let run = self.run(cpu, i);
+            self.finish(i, run, None);
+        }
+    }
+
+    /// A helper's share, each sample on a spare helper `Cpu` (a new one if
+    /// none is free); a `Cpu` whose sample panicked is dropped.
+    fn help(&self) {
+        while let Some(i) = self.claim() {
+            let spare = self.lock().spare.pop();
+            let mut cpu = spare.unwrap_or_else(|| Cpu::new(sim_config(self.level)));
+            cpu.restore(&self.snap);
+            cpu.reset_stats();
+            let run = self.run(&mut cpu, i);
+            let keep = run.is_ok().then_some(cpu);
+            self.finish(i, run, keep);
+        }
+    }
+
+    /// Wait until every sample has finished; the runs in sample order and
+    /// the spare helper `Cpu`s.
+    fn wait(&self) -> (Vec<std::thread::Result<Run>>, Vec<Cpu>) {
+        let mut done = self.lock();
+        while done.finished < self.samples.len() {
+            done = self
+                .all_done
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let runs = std::mem::take(&mut done.runs)
+            .into_iter()
+            .map(|run| run.expect("every sample finished"))
+            .collect();
+        (runs, std::mem::take(&mut done.spare))
+    }
 }
 
 /// Top-`n` hot blocks of the most recent launch on this thread — the
@@ -362,9 +478,8 @@ pub fn run_compiled(
     })
 }
 
-fn entry<'c>(compiled: &'c Compiled, name: &str) -> &'c LayoutEntry {
-    compiled
-        .layout
+fn entry<'l>(layout: &'l DataLayout, name: &str) -> &'l LayoutEntry {
+    layout
         .entry(name)
         .unwrap_or_else(|| panic!("`{name}` is not a kernel array"))
 }
@@ -404,9 +519,9 @@ fn decode(ty: FpFmt, bytes: &[u8]) -> Vec<f64> {
 /// # Panics
 ///
 /// Panics on an unknown input name or a size mismatch.
-fn write_inputs(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<f64>)]) {
+fn write_inputs(cpu: &mut Cpu, layout: &DataLayout, inputs: &[(String, Vec<f64>)]) {
     for (name, values) in inputs {
-        let (addr, bytes) = quantize_array(compiled, name, values);
+        let (addr, bytes) = quantize(layout, name, values);
         cpu.write_data(addr, &bytes);
     }
 }
@@ -423,7 +538,7 @@ fn write_inputs(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<f64>)
 ///
 /// Panics on an unknown input name or a size mismatch.
 pub fn load_workload(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<f64>)]) {
-    write_inputs(cpu, compiled, inputs);
+    write_inputs(cpu, &compiled.layout, inputs);
     cpu.load_program(TEXT_BASE, &compiled.program);
 }
 
@@ -434,7 +549,7 @@ pub fn load_workload(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<
 ///
 /// Panics on an unknown array name.
 pub fn array_span(compiled: &Compiled, name: &str) -> (u32, usize) {
-    let entry = entry(compiled, name);
+    let entry = entry(&compiled.layout, name);
     (entry.addr, entry.len * byte_width(entry.ty))
 }
 
@@ -447,7 +562,12 @@ pub fn array_span(compiled: &Compiled, name: &str) -> (u32, usize) {
 ///
 /// Panics on an unknown array name or a size mismatch.
 pub fn quantize_array(compiled: &Compiled, name: &str, values: &[f64]) -> (u32, Vec<u8>) {
-    let entry = entry(compiled, name);
+    quantize(&compiled.layout, name, values)
+}
+
+/// [`quantize_array`] against a bare layout.
+fn quantize(layout: &DataLayout, name: &str, values: &[f64]) -> (u32, Vec<u8>) {
+    let entry = entry(layout, name);
     assert_eq!(entry.len, values.len(), "input size mismatch for `{name}`");
     let fmt = entry.ty.format();
     let width = byte_width(entry.ty);
@@ -467,7 +587,7 @@ pub fn quantize_array(compiled: &Compiled, name: &str, values: &[f64]) -> (u32, 
 ///
 /// Panics on an unknown array name or a byte-length mismatch.
 pub fn decode_array(compiled: &Compiled, name: &str, bytes: &[u8]) -> Vec<f64> {
-    let entry = entry(compiled, name);
+    let entry = entry(&compiled.layout, name);
     assert_eq!(
         bytes.len(),
         entry.len * byte_width(entry.ty),
@@ -689,10 +809,10 @@ mod tests {
                 let c = compile(&k, CodegenOptions::default()).unwrap();
                 let inputs = samples(5);
                 let (w0, c0) = pool_counters();
-                let batch = launch_each(&k, &c, &inputs, MemLevel::L1, &["y"]);
+                let batch = launch_each(&k, &c, inputs.clone(), MemLevel::L1, &["y"]);
                 let (w1, c1) = pool_counters();
                 assert_eq!((w1 - w0, c1 - c0), (4, 1), "N − 1 warm, 1 cold");
-                let again = launch_each(&k, &c, &inputs, MemLevel::L1, &["y"]);
+                let again = launch_each(&k, &c, inputs.clone(), MemLevel::L1, &["y"]);
                 let (w2, c2) = pool_counters();
                 assert_eq!((w2 - w1, c2 - c1), (5, 0), "a repeat forks all N");
                 assert_eq!(thread_slots(), 1, "helpers are not pool slots");
@@ -703,7 +823,7 @@ mod tests {
                         assert_eq!(got.1, stats, "sample {i} at {workers} workers");
                     }
                 }
-                assert!(launch_each(&k, &c, &[], MemLevel::L1, &["y"]).is_empty());
+                assert!(launch_each(&k, &c, Vec::new(), MemLevel::L1, &["y"]).is_empty());
             });
         }
     }
@@ -715,7 +835,7 @@ mod tests {
             let mut c = compile(&k, CodegenOptions::default()).unwrap();
             c.program[0] = Instr::Ebreak;
             let err =
-                std::panic::catch_unwind(|| launch_each(&k, &c, &samples(4), MemLevel::L1, &["y"]))
+                std::panic::catch_unwind(|| launch_each(&k, &c, samples(4), MemLevel::L1, &["y"]))
                     .expect_err("every sample traps");
             let msg = err.downcast_ref::<String>().expect("the runner's message");
             assert!(msg.starts_with("kernel `map` trapped: "), "{msg}");

@@ -116,7 +116,7 @@ pub fn infer_sim(
                 .iter()
                 .map(|x| layer_inputs(layer, params, x, 1))
                 .collect();
-            let runs = launch_each(&typed, &compiled, &samples, level, &["y"]);
+            let runs = launch_each(&typed, &compiled, samples, level, &["y"]);
             for (x, (mut y, s)) in acts.iter_mut().zip(runs) {
                 stats.merge(&s);
                 *x = y.swap_remove(0);

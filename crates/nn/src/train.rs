@@ -342,7 +342,7 @@ impl<'e> Plan<'e> {
         li: usize,
         role: Role,
         build: impl FnOnce() -> Kernel,
-        samples: &[Vec<(String, Vec<f64>)>],
+        samples: Vec<Vec<(String, Vec<f64>)>>,
         read: &[&str],
     ) -> Vec<(Vec<Vec<f64>>, Stats)> {
         match self.prepared(li, role, build) {
@@ -602,7 +602,7 @@ fn forward_layer(
             .map(|x| layer_inputs(layer, params, x, 1))
             .collect();
         let mut outs = Vec::with_capacity(n);
-        for (mut out, s) in plan.run_each(li, Role::Fwd, build(1), &samples, &["y"]) {
+        for (mut out, s) in plan.run_each(li, Role::Fwd, build(1), samples, &["y"]) {
             stats.merge(&s);
             outs.push(out.swap_remove(0));
         }
@@ -719,7 +719,7 @@ fn backward_layer(
                     ]
                 })
                 .collect();
-            let by_w = plan.run_each(li, Role::BwdW, build_w, &w_samples, &["dw", "db"]);
+            let by_w = plan.run_each(li, Role::BwdW, build_w, w_samples, &["dw", "db"]);
             let by_x = if need_dx {
                 let wf = flip_w(&params.w, *out_ch, *in_ch);
                 let x_samples: Vec<_> = dys
@@ -732,7 +732,7 @@ fn backward_layer(
                         ]
                     })
                     .collect();
-                plan.run_each(li, Role::BwdX, build_x, &x_samples, &["dx"])
+                plan.run_each(li, Role::BwdX, build_x, x_samples, &["dx"])
             } else {
                 Vec::new()
             };

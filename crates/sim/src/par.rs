@@ -3,23 +3,30 @@
 //! Simulations are deterministic and independent once their inputs are
 //! fixed, so every parallel loop in the workspace has the same shape: run
 //! tasks `0..n` on a few host threads and hand the results back in task
-//! order. [`fan_out`] is that loop; the experiment grid ([`par_map`]), the
-//! cluster's request executor (`smallfloat_cluster`) and the runner's
-//! per-sample launches (`smallfloat_kernels::launch_each`) all call it.
-//! Results come back in task-index order, so whatever a caller folds from
-//! them — rendered figure text, `f64` energy sums, read-back activations —
-//! is byte-identical to a serial run: parallelism is a wall-clock
+//! order. [`fan_out`] is that loop, for the experiment grid
+//! ([`par_map`]) and the cluster's request executor
+//! (`smallfloat_cluster`). Results come back in task-index order, so
+//! whatever a caller folds from them — rendered figure text, `f64` energy
+//! sums — is byte-identical to a serial run: parallelism is a wall-clock
 //! optimization, never an observable one.
+//!
+//! Fan-outs of sub-millisecond tasks (a conv layer's per-sample launches,
+//! `smallfloat_kernels::launch_each`) cannot pay a thread spawn and join
+//! per call, nor wait for a helper the host has not scheduled yet. They
+//! borrow the calling thread's persistent helpers through [`assist`]
+//! instead: the caller works through its own tasks and waits only for
+//! tasks a helper has already claimed.
 //!
 //! How many workers a fan-out gets is decided in one place,
 //! [`workers`]: a count forced by [`set_workers`], else 1 under
-//! `SMALLFLOAT_SERIAL` or inside another fan-out's worker (so nested
-//! fan-outs run serially instead of oversubscribing the host), else one
-//! per available core.
+//! `SMALLFLOAT_SERIAL` or inside another fan-out's worker or an
+//! [`assist`] helper (so nested fan-outs run serially instead of
+//! oversubscribing the host), else one per available core.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 
 /// Process-wide worker override: 0 = the [`workers`] rule, n = exactly n
 /// workers.
@@ -30,7 +37,33 @@ thread_local! {
     /// (as a spawned worker, or as the calling thread while it is
     /// worker 0).
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+
+    /// This thread's persistent [`assist`] helpers, ended and joined
+    /// when the thread exits.
+    static HELPERS: RefCell<Vec<Helper>> = const { RefCell::new(Vec::new()) };
 }
+
+/// One persistent [`assist`] helper: its job channel, whether it has
+/// finished (and dropped) every job sent to it, and its thread.
+struct Helper {
+    jobs: Option<mpsc::Sender<Job>>,
+    idle: Arc<AtomicBool>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for Helper {
+    /// Close the channel and wait for the helper to end, so a thread's
+    /// helpers (and what their allocations hold) are gone when it exits.
+    fn drop(&mut self) {
+        drop(self.jobs.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// A job handed to [`assist`] helpers.
+pub type Job = Arc<dyn Fn() + Send + Sync>;
 
 /// Force every subsequent fan-out that asks [`workers`] onto exactly `n`
 /// workers, nested ones included (`0` restores the rule). The
@@ -43,8 +76,9 @@ pub fn set_workers(n: usize) {
 
 /// Workers for a fan-out of `tasks` tasks: the [`set_workers`] count if
 /// one is forced; otherwise 1 under `SMALLFLOAT_SERIAL` or when called
-/// from inside a parallel fan-out's task; otherwise one per available
-/// core. Never more than `tasks`, never less than 1.
+/// from inside a parallel fan-out's task or an [`assist`] helper;
+/// otherwise one per available core. Never more than `tasks`, never less
+/// than 1.
 pub fn workers(tasks: usize) -> usize {
     let n = match FORCE_WORKERS.load(Ordering::SeqCst) {
         0 if crate::env::serial() || IN_WORKER.with(Cell::get) => 1,
@@ -135,6 +169,50 @@ where
         .collect()
 }
 
+/// Run `job` once on each idle one of the calling thread's first
+/// `helpers` persistent helper threads, and return at once: the job
+/// itself shares out the work (e.g. off an atomic counter) and tells the
+/// caller when it is done, so a caller never waits for a helper that finds
+/// nothing left. A helper still busy with an earlier job — one the host
+/// has not scheduled yet — is skipped rather than queued, so a lagging
+/// helper never holds more than one job (and what it keeps alive).
+///
+/// The helpers are started on first use and kept for the calling
+/// thread's lifetime (its exit waits for them to end); they count as
+/// fan-out workers, so a fan-out inside a job runs serially. A panic that
+/// escapes `job` is swallowed (the helper lives on): catch and report
+/// task panics inside the job.
+pub fn assist(helpers: usize, job: &Job) {
+    HELPERS.with(|crew| {
+        let mut crew = crew.borrow_mut();
+        while crew.len() < helpers {
+            let (jobs, rx) = mpsc::channel::<Job>();
+            let idle = Arc::new(AtomicBool::new(true));
+            let done = Arc::clone(&idle);
+            let thread = std::thread::spawn(move || {
+                IN_WORKER.with(|w| w.set(true));
+                for job in rx {
+                    let _ = panic::catch_unwind(AssertUnwindSafe(|| job()));
+                    drop(job);
+                    done.store(true, Ordering::Release);
+                }
+            });
+            crew.push(Helper {
+                jobs: Some(jobs),
+                idle,
+                thread: Some(thread),
+            });
+        }
+        for h in &crew[..helpers] {
+            if h.idle.swap(false, Ordering::Acquire) {
+                let jobs = h.jobs.as_ref().expect("open until the helper is dropped");
+                jobs.send(Arc::clone(job))
+                    .expect("a helper runs until its channel closes");
+            }
+        }
+    });
+}
+
 /// Evaluate `f(0..tasks)` on [`workers`]`(tasks)` workers, returning
 /// results in index order — [`fan_out`] for stateless tasks (workloads
 /// are not `Send`, so tasks receive only their index and reconstruct
@@ -222,6 +300,83 @@ mod tests {
             "a worker's nested fan-out gets one worker"
         );
         assert!(!IN_WORKER.with(Cell::get), "the caller's mark is restored");
+    }
+
+    /// `assist` runs the job once on each of `n` helper threads of the
+    /// caller — the same threads on every call — and they count as
+    /// fan-out workers.
+    #[test]
+    fn assist_reuses_its_helpers() {
+        std::thread::spawn(|| {
+            let mut crews = Vec::new();
+            for _ in 0..3 {
+                let (tx, rx) = mpsc::channel();
+                let tx = Mutex::new(tx);
+                let job: Job = Arc::new(move || {
+                    let me = (std::thread::current().id(), IN_WORKER.with(Cell::get));
+                    tx.lock().unwrap().send(me).unwrap();
+                });
+                assist(2, &job);
+                let mut ran: Vec<_> = rx.iter().take(2).collect();
+                assert!(ran.iter().all(|&(_, worker)| worker), "{ran:?}");
+                ran.sort_by_key(|&(id, _)| format!("{id:?}"));
+                ran.dedup();
+                assert_eq!(ran.len(), 2, "two distinct helpers");
+                assert!(ran.iter().all(|&(id, _)| id != std::thread::current().id()));
+                crews.push(ran);
+                // Both have sent; wait until both have also turned idle.
+                while !HELPERS.with(|c| c.borrow().iter().all(|h| h.idle.load(Ordering::Acquire))) {
+                    std::thread::yield_now();
+                }
+            }
+            assert!(crews.windows(2).all(|w| w[0] == w[1]), "{crews:?}");
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// A helper still running an earlier job is skipped, not queued: the
+    /// skipped job never runs on it.
+    #[test]
+    fn assist_skips_a_busy_helper() {
+        std::thread::spawn(|| {
+            let (release, blocked) = mpsc::channel::<()>();
+            let blocked = Mutex::new(blocked);
+            let (started, first) = mpsc::channel();
+            let started = Mutex::new(started);
+            let hold: Job = Arc::new(move || {
+                started.lock().unwrap().send(()).unwrap();
+                blocked.lock().unwrap().recv().unwrap();
+            });
+            assist(1, &hold);
+            first.recv().unwrap();
+            let skipped = Arc::new(AtomicUsize::new(0));
+            let count = Arc::clone(&skipped);
+            assist(
+                1,
+                &(Arc::new(move || {
+                    count.fetch_add(1, Ordering::SeqCst);
+                }) as Job),
+            );
+            release.send(()).unwrap();
+            // The helper turns idle once `hold` returns; the next job runs
+            // on it, and a queued `skipped` would have run before it.
+            let (ran, next) = mpsc::channel();
+            let ran = Mutex::new(ran);
+            let probe: Job = Arc::new(move || ran.lock().unwrap().send(()).unwrap());
+            loop {
+                assist(1, &probe);
+                if next
+                    .recv_timeout(std::time::Duration::from_millis(10))
+                    .is_ok()
+                {
+                    break;
+                }
+            }
+            assert_eq!(skipped.load(Ordering::SeqCst), 0);
+        })
+        .join()
+        .unwrap();
     }
 
     /// The payload of a panic in a spawned worker (and in worker 0, the
